@@ -2,11 +2,11 @@
 
 The paper keeps the DAG forever (fine for analysis); its descendants
 (Narwhal/Bullshark) garbage-collect delivered rounds because an unbounded
-DAG makes per-round work grow with history (the weak-edge scan walks every
-old round; ancestor bitsets grow linearly in total vertices). This bench
+DAG grows without bound in memory (one vertex per process per round, and
+ancestor bitsets that grow linearly in total vertices). This bench
 quantifies that: the same workload with and without `gc_depth`, comparing
-retained vertices and events processed per unit of wall time — and asserts
-the GC run delivers the *identical* log.
+retained vertices and wall time for one event budget — and asserts the GC
+run delivers the *identical* log.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def test_gc_sustainability(benchmark, report):
         f"{'gc_depth=8':<16}{with_gc['rounds']:>8}{with_gc['retained']:>19}{with_gc['collected']:>11}{with_gc['wall']:>8.1f}",
         "",
         f"identical delivery logs: {no_gc['log'] == with_gc['log']}",
-        "(same event budget; GC bounds the working set so long runs stay",
-        " linear — the deviation Narwhal/Bullshark standardized)",
+        "(same event budget; GC bounds the working set so memory stays",
+        " flat in long runs — the deviation Narwhal/Bullshark standardized)",
     ]
     report("Extension / DAG garbage collection", "\n".join(lines))
 

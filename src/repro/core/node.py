@@ -26,6 +26,7 @@ from repro.coin.base import CoinProtocol
 from repro.coin.ideal import IdealCoin
 from repro.coin.threshold import CoinShareMessage, ThresholdCoin
 from repro.common.errors import ConfigurationError, WireFormatError
+from repro.common.types import round_of_wave
 from repro.crypto.dealer import CoinDealer
 from repro.dag.builder import DagBuilder
 from repro.dag.vertex import Vertex
@@ -272,8 +273,6 @@ class DagRiderNode(Process):
         """Apply the GC policy after ordering may have advanced."""
         if self._gc_depth is None:
             return
-        from repro.common.types import round_of_wave
-
         decided = self.ordering.decided_wave
         if decided < 1:
             return
@@ -387,15 +386,10 @@ class DagRiderNode(Process):
         top_wave = self.builder.round // self.config.wave_length
         for wave in range(self.ordering.decided_wave + 1, top_wave + 1):
             self._on_wave_ready(wave)
-        rebroadcast = 0
-        seen: set = set()
-        for vertex in self.builder.created:
-            if vertex.ref in seen or self.store.contains(vertex.ref):
-                continue
-            seen.add(vertex.ref)
+        pending = list(self.builder.created.values())
+        for vertex in pending:
             self.rbc.r_bcast(vertex, vertex.round)
-            rebroadcast += 1
-        return rebroadcast
+        return len(pending)
 
     def request_catchup(self) -> None:
         """Ask every peer for the DAG suffix we may have missed while down.

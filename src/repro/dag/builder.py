@@ -19,12 +19,12 @@ The behaviour is the same:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.broadcast.base import Payload, ReliableBroadcast
 from repro.common.config import SystemConfig
 from repro.dag.store import DagStore
-from repro.dag.vertex import Ref, Vertex
+from repro.dag.vertex import Vertex
 from repro.mempool.blocks import Block, BlockSource
 from repro.obs.context import Observability
 from repro.obs.spans import PHASE_BROADCAST, PHASE_DAG_INSERT
@@ -78,8 +78,10 @@ class DagBuilder:
         self.round = 0  # the builder's current round ``r``
         self.buffer: list[Vertex] = []
         self._advancing = False
-        self._signalled_rounds: set[int] = set()
-        self.created: list[Vertex] = []  # vertices this process broadcast
+        self._signalled_wave = 0  # highest wave already passed to wave_ready
+        #: Own vertices broadcast but not yet self-delivered, by round — what
+        #: a snapshot must carry and a restart must re-broadcast.
+        self.created: dict[int, Vertex] = {}
 
     def attach_broadcast(self, rbc: ReliableBroadcast) -> None:
         """Wire the reliable broadcast used for ``r_bcast`` (Line 15)."""
@@ -114,11 +116,17 @@ class DagBuilder:
             return False
         if len(vertex.strong_parents) < self.config.quorum:
             return False
-        if any(not 0 <= s < max(self.config.n, self.config.genesis_size)
-               for s in vertex.strong_parents):
+        sources = max(self.config.n, self.config.genesis_size)
+        if any(not 0 <= s < sources for s in vertex.strong_parents):
             return False
-        if any(ref.round >= vertex.round - 1 or ref.round < 0
-               for ref in vertex.weak_parents):
+        # A weak edge to a slot that cannot exist would never satisfy
+        # ``can_add``: the vertex would sit in the buffer forever.
+        if any(
+            ref.round >= vertex.round - 1
+            or ref.round < 0
+            or not 0 <= ref.source < sources
+            for ref in vertex.weak_parents
+        ):
             return False
         return True
 
@@ -153,6 +161,7 @@ class DagBuilder:
                     # GC semantics (Narwhal-style) such stragglers are
                     # dropped — their transactions need re-proposing.
                     self.buffer.remove(vertex)
+                    self._settle_created(vertex)
                     continue
                 if vertex.round > self.round:
                     continue
@@ -172,23 +181,35 @@ class DagBuilder:
                 else:
                     self.store.add(vertex)
                 self.buffer.remove(vertex)
+                self._settle_created(vertex)
                 moved = True
                 progressed = True
                 if self._on_vertex_added is not None:
                     self._on_vertex_added(vertex)
         return progressed
 
+    def _settle_created(self, vertex: Vertex) -> None:
+        """An own vertex came back (inserted, or its round was collected)."""
+        if vertex.source == self.pid:
+            self.created.pop(vertex.round, None)
+
+    def restore_created(self, vertices: Iterable[Vertex]) -> None:
+        """Recovery: re-pend journaled own vertices the restored DAG lacks."""
+        for vertex in vertices:
+            if (
+                vertex.round >= self.store.collected_floor
+                and not self.store.contains(vertex.ref)
+            ):
+                self.created[vertex.round] = vertex
+
     def _try_advance_round(self) -> bool:
         """Lines 10-15: advance when the current round has ``2f + 1`` vertices."""
         if self.store.round_size(self.round) < self._round_quorum(self.round):
             return False
-        if (
-            self.round % self.config.wave_length == 0
-            and self.round > 0
-            and self.round not in self._signalled_rounds
-        ):
-            self._signalled_rounds.add(self.round)
-            self._on_wave_ready(self.round // self.config.wave_length)
+        wave, position = divmod(self.round, self.config.wave_length)
+        if position == 0 and wave > self._signalled_wave:
+            self._signalled_wave = wave
+            self._on_wave_ready(wave)
         block = self.block_source.dequeue()
         if block is None:
             return False  # Line 17's ``wait until`` — resumed by a_bcast
@@ -200,13 +221,13 @@ class DagBuilder:
         if self._obs is not None:
             with self._obs.spans.span(self.pid, PHASE_BROADCAST, round=self.round):
                 vertex = self._create_vertex(self.round, block)
-                self.created.append(vertex)
+                self.created[vertex.round] = vertex
                 if self._on_vertex_created is not None:
                     self._on_vertex_created(vertex)
                 self._rbc.r_bcast(vertex, self.round)
         else:
             vertex = self._create_vertex(self.round, block)
-            self.created.append(vertex)
+            self.created[vertex.round] = vertex
             if self._on_vertex_created is not None:
                 self._on_vertex_created(vertex)
             self._rbc.r_bcast(vertex, self.round)
@@ -223,20 +244,9 @@ class DagBuilder:
         share = None
         if self._coin_share_provider is not None:
             share = self._coin_share_provider(round_)
-        probe = Vertex(round_, self.pid, block, strong, frozenset(), share)
-        if not self.enable_weak_edges:
-            return probe
-        reach = self.store.reach_mask(probe)
-        weak: set[Ref] = set()
-        scan_floor = max(0, self.store.collected_floor - 1)
-        # Line 29: round-2 down to 1 (or down to the GC floor when enabled).
-        for r in range(round_ - 2, scan_floor, -1):
-            for vertex in self.store.round(r).values():
-                bit = self.store.bit_of(vertex.ref)
-                if reach >> bit & 1:
-                    continue
-                weak.add(vertex.ref)
-                reach |= self.store.closed_mask(vertex.ref)
-        if not weak:
-            return probe
-        return Vertex(round_, self.pid, block, strong, frozenset(weak), share)
+        weak = (
+            self.store.orphans(round_, strong)
+            if self.enable_weak_edges
+            else frozenset()
+        )
+        return Vertex(round_, self.pid, block, strong, weak, share)

@@ -12,9 +12,10 @@ complete (Claim 1: a vertex enters the DAG only after its causal history).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.common.errors import DagError
+from repro.common.types import GENESIS_ROUND
 from repro.dag.vertex import Ref, Vertex, genesis_vertices
 
 
@@ -27,6 +28,7 @@ class DagStore:
         self._refs_by_bit: list[Ref] = []
         self._ancestors: dict[Ref, int] = {}
         self._strong_ancestors: dict[Ref, int] = {}
+        self._non_genesis_mask = 0  # bits of every stored vertex of round >= 1
         self._vertex_count = 0
         self._collected_floor = 0  # rounds below this were garbage-collected
         self._collected_count = 0
@@ -109,6 +111,8 @@ class DagStore:
         self._rounds.setdefault(vertex.round, {})[vertex.source] = vertex
         self._bit_index[ref] = self._vertex_count
         self._refs_by_bit.append(ref)
+        if vertex.round != GENESIS_ROUND:
+            self._non_genesis_mask |= 1 << self._vertex_count
         self._vertex_count += 1
         self._strong_ancestors[ref] = strong_mask
         self._ancestors[ref] = strong_mask | weak_mask
@@ -141,34 +145,49 @@ class DagStore:
         The deterministic (round, source) order here is the delivery order
         ``order_vertices`` uses (Line 55's "some deterministic order").
         """
-        mask = self._ancestors.get(ref)
-        if mask is None:
+        if ref not in self._bit_index:
             raise DagError(f"unknown vertex {ref}")
-        result = [
-            self.get(other)
-            for other, index in self._bit_index.items()
-            if mask >> index & 1
-        ]
-        me = self.get(ref)
-        assert me is not None
-        result.append(me)
-        result.sort(key=lambda v: (v.round, v.source))
-        return result
+        return self.vertices_for_mask(self.closed_mask(ref))
 
-    def reach_mask(self, vertex: Vertex) -> int:
+    def reach_mask(self, round_: int, strong_parents: Iterable[int]) -> int:
         """Bitmask of everything reachable from a *hypothetical* new vertex.
 
-        Used by vertex creation (weak-edge scan) before the vertex itself is
-        inserted: the union of its strong parents' closed ancestor sets.
+        The vertex is named by its round and strong-parent sources, before
+        it exists: the union of those parents' closed ancestor sets.
         """
         mask = 0
-        for source in vertex.strong_parents:
-            ref = Ref(source, vertex.round - 1)
+        for source in strong_parents:
+            ref = Ref(source, round_ - 1)
             index = self._bit_index.get(ref)
             if index is None:
                 raise DagError(f"missing strong parent {ref}")
             mask |= (1 << index) | self._ancestors[ref]
         return mask
+
+    def orphans(self, round_: int, strong_parents: Iterable[int]) -> frozenset[Ref]:
+        """Weak-edge targets of a new round-``round_`` vertex (Lines 27-31).
+
+        The paper scans rounds ``round_ - 2`` down to 1 and takes every
+        vertex not yet reachable, extending reachability as it goes; that
+        selects exactly the *maximal* unreached vertices, those no other
+        unreached vertex has a path to. Here: subtract the strong parents'
+        reach from the stored non-genesis vertices, then peel the highest
+        bit — maximal, because a vertex is inserted after its whole causal
+        history, so ancestors hold lower bits (:meth:`compact` keeps the
+        order) — and clear everything it reaches. One big-int difference
+        plus one step per weak edge, whatever the DAG's depth
+        (docs/protocol.md, "Why the mask difference equals the scan").
+
+        Precondition (the builder's Line 7 gate, ``vertex.round <= r``):
+        every stored vertex of round ``>= round_ - 1`` is a strong parent.
+        """
+        unreached = self._non_genesis_mask & ~self.reach_mask(round_, strong_parents)
+        targets = []
+        while unreached:
+            ref = self._refs_by_bit[unreached.bit_length() - 1]
+            targets.append(ref)
+            unreached &= ~self.closed_mask(ref)
+        return frozenset(targets)
 
     def bit_of(self, ref: Ref) -> int:
         """The local bit index of ``ref`` (for incremental mask updates)."""
@@ -254,6 +273,7 @@ class DagStore:
         self._refs_by_bit = survivors
         self._ancestors = new_ancestors
         self._strong_ancestors = new_strong
+        self._non_genesis_mask = remap(self._non_genesis_mask)
         self._vertex_count = len(survivors)
         self._collected_floor = horizon
         return remapped_external

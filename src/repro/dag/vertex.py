@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from repro.broadcast.base import Payload
@@ -50,9 +51,9 @@ class Vertex(Payload):
     weak_parents: frozenset[Ref] = frozenset()
     coin_share: int | None = None
 
-    @property
+    @cached_property
     def ref(self) -> Ref:
-        """This vertex's own (source, round) reference."""
+        """This vertex's own (source, round) reference (built on first use)."""
         return Ref(self.source, self.round)
 
     def parent_refs(self) -> list[Ref]:

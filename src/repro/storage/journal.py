@@ -140,11 +140,6 @@ class NodeJournal:
         from repro.runtime.consistency import digest_log
 
         store = node.store
-        pending = [
-            vertex
-            for vertex in node.builder.created
-            if not store.contains(vertex.ref)
-        ]
         delivered = tuple(
             (ref.source, ref.round)
             for ref in node.ordering.delivered_refs()
@@ -160,7 +155,9 @@ class NodeJournal:
                 vertex.to_bytes() for vertex in store.vertices() if vertex.round >= 1
             ),
             delivered=delivered,
-            pending=tuple(vertex.to_bytes() for vertex in pending),
+            pending=tuple(
+                vertex.to_bytes() for vertex in node.builder.created.values()
+            ),
             ordered_digests=tuple(
                 node.recovered_digest_prefix + digest_log(node.ordered)
             ),
@@ -267,7 +264,7 @@ def recover_node(node: "DagRiderNode", journal: NodeJournal) -> RecoveryReport:
             node.ordering.replay_commit(wave, refs)
             replayed_commits += 1
 
-    builder.created.extend(created)
+    builder.restore_created(created)
     rebroadcast = node.finish_recovery()
     duration = time.monotonic() - start
     report = RecoveryReport(

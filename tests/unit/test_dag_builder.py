@@ -1,8 +1,10 @@
 """Algorithm 2 unit behaviour, driven directly (no network)."""
 
+from collections import Counter
 
 from repro.common.config import SystemConfig
 from repro.dag.builder import DagBuilder
+from repro.dag.store import DagStore
 from repro.dag.vertex import Ref, Vertex
 from repro.mempool.blocks import Block, BlockSource, TransactionGenerator
 
@@ -156,6 +158,14 @@ class TestValidation:
         builder.on_r_deliver(v, 2, 1)
         assert v not in builder.buffer
 
+    def test_rejects_weak_edge_to_impossible_source(self):
+        """A weak parent no process can ever produce would pin the buffer."""
+        builder, rbc, _waves, cfg = make_builder()
+        builder.start()
+        v = vertex(3, 1, {0, 1, 2}, weak=((cfg.n, 1),))
+        builder.on_r_deliver(v, 3, 1)
+        assert v not in builder.buffer
+
     def test_rejects_round_zero_vertex(self):
         builder, rbc, _waves, _cfg = make_builder()
         builder.start()
@@ -201,6 +211,45 @@ class TestWeakEdges:
             created = rbc.sent[sent_round - 1][0]
             assert created.weak_parents == frozenset()
 
+    def test_creation_cost_is_independent_of_depth(self, monkeypatch):
+        """Vertex creation must not visit the stored DAG, only its orphans.
+
+        Counts calls into the store (not wall time) while creating a vertex
+        with one orphan on a DAG 40 rounds deep and on one 400 rounds deep.
+        The literal Lines 27-31 scan looked at every round and every vertex
+        (hundreds of ``round``/``bit_of`` calls, growing with depth).
+        """
+
+        def store_calls_at(depth):
+            builder, rbc, _waves, _cfg = make_builder()
+            builder.start()
+            for round_ in range(1, depth + 1):
+                builder.on_r_deliver(rbc.sent[-1][0], round_, 0)
+                for source in (1, 2):
+                    builder.on_r_deliver(vertex(round_, source, {0, 1, 2}), round_, source)
+            assert builder.round == depth + 1
+            builder.on_r_deliver(vertex(depth - 2, 3, {0, 1, 2}), depth - 2, 3)
+            calls = Counter()
+
+            def counted(name, method):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return method(*args, **kwargs)
+
+                return wrapper
+
+            with monkeypatch.context() as patch:
+                for name, member in vars(DagStore).items():
+                    if callable(member) and not name.startswith("_"):
+                        patch.setattr(DagStore, name, counted(name, member))
+                created = builder._create_vertex(builder.round, Block(0, 0))
+            assert created.weak_parents == frozenset({Ref(3, depth - 2)})
+            return calls
+
+        shallow, deep = store_calls_at(40), store_calls_at(400)
+        assert shallow == deep
+        assert sum(deep.values()) < 10
+
     def test_coin_share_provider_attached(self):
         shares = {5: 777}
         builder, rbc, _waves, _cfg = make_builder(
@@ -218,3 +267,31 @@ class TestWeakEdges:
         round5 = rbc.sent[4][0]
         assert round5.round == 5
         assert round5.coin_share == 777
+
+
+class TestCreatedTracking:
+    """``created`` holds own vertices only until they are self-delivered."""
+
+    def test_own_vertex_leaves_created_on_self_delivery(self):
+        builder, rbc, _waves, _cfg = make_builder()
+        builder.start()
+        own = rbc.sent[0][0]
+        assert builder.created == {1: own}
+        builder.on_r_deliver(vertex(1, 1, {0, 1, 2}), 1, 1)
+        assert builder.created == {1: own}  # someone else's delivery
+        builder.on_r_deliver(own, 1, 0)
+        assert builder.created == {}
+
+    def test_restore_created_skips_delivered_and_collected(self):
+        builder, rbc, _waves, _cfg = make_builder()
+        builder.start()
+        for round_ in (1, 2, 3):
+            builder.on_r_deliver(rbc.sent[-1][0], round_, 0)
+            for source in (1, 2):
+                builder.on_r_deliver(vertex(round_, source, {0, 1, 2}), round_, source)
+        undelivered = rbc.sent[-1][0]
+        assert builder.created == {4: undelivered}
+        builder.store.compact(2, [])
+        builder.created.clear()
+        builder.restore_created(vertex for vertex, _round in rbc.sent)
+        assert builder.created == {4: undelivered}
