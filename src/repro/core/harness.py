@@ -16,8 +16,8 @@ from repro.common.rng import derive_rng, derive_seed
 from repro.core.node import DagRiderNode
 from repro.crypto.dealer import CoinDealer
 from repro.obs.context import Observability
+from repro.obs.wire import MetricsCollector
 from repro.sim.adversary import Adversary, UniformDelay
-from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler

@@ -87,7 +87,6 @@ class DagRiderNode(Process):
         enable_weak_edges: bool = True,
         commit_quorum: int | None = None,
         gc_depth: int | None = None,
-        tracer=None,
         journal: "NodeJournal | None" = None,
     ):
         super().__init__(pid, network)
@@ -111,7 +110,6 @@ class DagRiderNode(Process):
         # for catch-up serving and collect the rest. None (the default) is
         # the paper-faithful unbounded DAG.
         self._gc_depth = gc_depth
-        self._tracer = tracer  # optional repro.sim.trace.Tracer
         self._wave_ready_time: dict[int, float] = {}
         # Durable state: the WAL/snapshot sidecar (None → memory-only node).
         self._journal = journal
@@ -235,14 +233,8 @@ class DagRiderNode(Process):
             self._apply_catchup(src, message)
 
     def _emit(self, kind: str, **fields) -> None:
-        """Record one protocol event on both observability paths.
-
-        The legacy tracer (when attached) and the deployment's shared event
-        bus (when observability is on) see the same stream; either may be
-        absent independently.
-        """
-        if self._tracer is not None:
-            self._tracer.record(self.now, self.pid, kind, **fields)
+        """Record one protocol event on the deployment's shared event bus
+        (a no-op when observability is off)."""
         obs = self.obs
         if obs is not None:
             obs.bus.emit(self.pid, kind, **fields)

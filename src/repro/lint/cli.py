@@ -62,6 +62,7 @@ def _format_json(result: LintResult) -> str:
         "parse_errors": [
             {"path": path, "error": error} for path, error in result.parse_errors
         ],
+        "loc": {package: result.loc[package] for package in sorted(result.loc)},
         "ok": result.ok,
     }
     return json.dumps(document, indent=2)

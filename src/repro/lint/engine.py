@@ -12,6 +12,8 @@ the linter obeys its own rules.
 
 from __future__ import annotations
 
+import io
+import tokenize
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,10 +39,36 @@ class LintResult:
     baselined: list[Violation] = field(default_factory=list)
     suppressed: list[Violation] = field(default_factory=list)
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
+    #: Per top-level package of ``repro`` ("." = its own modules): files,
+    #: physical lines, code lines (no blanks/comments/docstrings). A trend
+    #: for the CI ``lint-report`` artifact to record, not a gate.
+    loc: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.new and not self.parse_errors
+
+
+_STATEMENT_BREAKS = frozenset({tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT})
+_NOT_CODE = frozenset({tokenize.COMMENT, tokenize.NL, tokenize.ENDMARKER})
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` carrying code: not blank, comment or docstring.
+
+    A docstring is any string that is a statement of its own — the token
+    right after a line break or an indent.
+    """
+    lines: set[int] = set()
+    at_statement_start = True
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type in _STATEMENT_BREAKS:
+            at_statement_start = True
+        elif token.type not in _NOT_CODE:
+            if not (at_statement_start and token.type == tokenize.STRING):
+                lines.update(range(token.start[0], token.end[0] + 1))
+            at_statement_start = False
+    return len(lines)
 
 
 def discover_files(paths: list[Path]) -> list[Path]:
@@ -123,6 +151,15 @@ def run(
             continue
         result.files_checked += 1
         contexts.append(context)
+        if "repro" in file_path.parts:
+            inside = file_path.parts[file_path.parts.index("repro") + 1 :]
+            size = result.loc.setdefault(
+                inside[0] if len(inside) > 1 else ".",
+                {"files": 0, "lines": 0, "code": 0},
+            )
+            size["files"] += 1
+            size["lines"] += len(context.lines)
+            size["code"] += code_lines(source)
         violations = check_module(context)
         suppressions = parse_suppressions(context.lines)
         suppressions_by_path[rel] = suppressions

@@ -1,4 +1,4 @@
-"""ASYNC001–003: asyncio hazards inside ``async def`` bodies in runtime/.
+"""ASYNC001–003: asyncio hazards in runtime/ and mempool/ coroutines.
 
 The TCP runtime multiplexes every node of a cluster onto one asyncio loop;
 a single blocking call stalls all of them at once, which manifests as
@@ -68,7 +68,7 @@ class BlockingInAsyncRule(Rule):
         "blocking call (time.sleep, sync socket/file I/O, subprocess) "
         "inside an async def; use the asyncio equivalent"
     )
-    packages = frozenset({"runtime"})
+    packages = frozenset({"runtime", "mempool"})
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         for statement in node.body:
@@ -158,7 +158,7 @@ class AwaitStraddlingWriteRule(Rule):
         "self.* read before an await feeds a write after it; another "
         "coroutine can interleave at the await (lost update)"
     )
-    packages = frozenset({"runtime"})
+    packages = frozenset({"runtime", "mempool"})
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._run_block(node.body, {})
@@ -304,7 +304,7 @@ class FireAndForgetTaskRule(Rule):
         "create_task/ensure_future result lacks a done-callback (or "
         "immediate await/return); a crash in the task is silent"
     )
-    packages = frozenset({"runtime"})
+    packages = frozenset({"runtime", "mempool"})
 
     def run(self) -> list:  # type: ignore[override]
         tree = self.context.tree

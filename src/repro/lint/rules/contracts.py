@@ -28,6 +28,8 @@ CODEC_REGISTRY_MODULE = "repro.codec.registry"
 JOURNAL_MODULE = "repro.storage.journal"
 RUNNER_MODULE = "repro.runtime.runner"
 FABRIC_MODULE = "repro.runtime.fabric"
+GATEWAY_MODULE = "repro.mempool.gateway"
+INGRESS_BENCH_MODULE = "repro.perf.ingress"
 OBS_DOC = "docs/observability.md"
 
 
@@ -358,65 +360,89 @@ class WalReplayContract(ProjectRule):
                 )
 
 
+#: The line-RPC sockets (repro.runtime.linerpc): the module whose
+#: ``LineServer`` verb tables serve each, and the module that drives it.
+_SOCKETS = {
+    "control": (RUNNER_MODULE, FABRIC_MODULE),
+    "ingress": (GATEWAY_MODULE, INGRESS_BENCH_MODULE),
+}
+
+
+def _served_verbs(context: ModuleContext) -> dict[str, Site]:
+    """String keys of the ``verbs=`` / ``streams=`` dict literals in a module."""
+    served: dict[str, Site] = {}
+    for node in ast.walk(context.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        for keyword in node.keywords:
+            if keyword.arg in ("verbs", "streams") and isinstance(
+                keyword.value, ast.Dict
+            ):
+                for key in keyword.value.keys:
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        served.setdefault(key.value, (context.path, key.lineno))
+    return served
+
+
+def _issued_verbs(context: ModuleContext) -> dict[str, Site]:
+    """Values of the ``"cmd"`` key in every request dict literal of a module."""
+    issued: dict[str, Site] = {}
+    for node in ast.walk(context.tree):
+        if not isinstance(node, ast.Dict):
+            continue
+        for key, value in zip(node.keys, node.values):
+            if (
+                isinstance(key, ast.Constant)
+                and key.value == "cmd"
+                and isinstance(value, ast.Constant)
+                and isinstance(value.value, str)
+            ):
+                issued.setdefault(value.value, (context.path, value.lineno))
+    return issued
+
+
 @register_project
 class ControlProtocolContract(ProjectRule):
-    """CONTRACT005 — control commands served == control commands issued."""
+    """CONTRACT005 — line-RPC verbs served == verbs issued, per socket."""
 
     code = "CONTRACT005"
     summary = (
-        "every control-socket command the runner serves is issued by the "
-        "fabric driver, and vice versa"
+        "every verb in a line-RPC server's verb tables (runner control, "
+        "gateway ingress) is issued by that socket's driver, and vice versa"
     )
 
     def check(self) -> None:
-        runner = self.model.modules.get(RUNNER_MODULE)
-        fabric = self.model.modules.get(FABRIC_MODULE)
-        if runner is None or fabric is None:
-            return
-        served: dict[str, Site] = {}
-        for node in ast.walk(runner.tree):
-            if (
-                isinstance(node, ast.Compare)
-                and len(node.ops) == 1
-                and isinstance(node.ops[0], ast.Eq)
-                and isinstance(node.left, ast.Name)
-                and node.left.id == "command"
-                and isinstance(node.comparators[0], ast.Constant)
-                and isinstance(node.comparators[0].value, str)
-            ):
-                served.setdefault(
-                    node.comparators[0].value, (runner.path, node.lineno)
-                )
-        issued: dict[str, Site] = {}
-        for node in ast.walk(fabric.tree):
-            if not isinstance(node, ast.Dict):
+        modules = self.model.modules
+        served = {
+            name: _served_verbs(modules[server])
+            for name, (server, _client) in _SOCKETS.items()
+            if server in modules
+        }
+        for name, (server, client) in _SOCKETS.items():
+            if name not in served or client not in modules:
                 continue
-            for key, value in zip(node.keys, node.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and key.value == "cmd"
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                ):
-                    issued.setdefault(value.value, (fabric.path, value.lineno))
-        for command in sorted(served):
-            if command not in issued:
-                path, line = served[command]
-                self.report(
-                    path,
-                    line,
-                    f'control command "{command}" is served by the runner '
-                    "but never issued by the fabric driver",
-                )
-        for command in sorted(issued):
-            if command not in served:
-                path, line = issued[command]
-                self.report(
-                    path,
-                    line,
-                    f'control command "{command}" is issued by the fabric '
-                    "driver but not served by the runner",
-                )
+            issued = _issued_verbs(modules[client])
+            for verb, (path, line) in sorted(served[name].items()):
+                if verb not in issued:
+                    self.report(
+                        path,
+                        line,
+                        f'{name} verb "{verb}" is served by {server} but '
+                        f"never issued by {client}",
+                    )
+            # A driver may address either socket (the ingress bench also
+            # polls control ``status``), so an issued verb is only lost
+            # when no table serves it — decidable on the full tree only.
+            if len(served) < len(_SOCKETS):
+                continue
+            for verb, (path, line) in sorted(issued.items()):
+                if not any(verb in table for table in served.values()):
+                    self.report(
+                        path,
+                        line,
+                        f'verb "{verb}" is issued by {client} but served by '
+                        "no line-RPC verb table",
+                    )
 
 
 __all__ = [

@@ -11,7 +11,7 @@ count (see :mod:`repro.lint.baseline`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -49,20 +49,6 @@ class Violation:
             "snippet": self.snippet,
             "fingerprint": self.fingerprint(),
         }
-
-
-@dataclass
-class FileReport:
-    """All violations found in one file, split by how they were resolved."""
-
-    path: str
-    new: list[Violation] = field(default_factory=list)
-    baselined: list[Violation] = field(default_factory=list)
-    suppressed: list[Violation] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.new) + len(self.baselined) + len(self.suppressed)
 
 
 def sort_key(violation: Violation) -> tuple[str, int, int, str]:

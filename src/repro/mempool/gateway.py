@@ -1,8 +1,8 @@
 """Asyncio client gateway: the ingress socket beside each runner's control.
 
-``IngressGateway`` serves the newline-JSON client protocol on a node's
-``ingress_port`` (peer table, [docs/runtime.md] "Client ingress and
-backpressure"):
+``IngressGateway`` is a :class:`repro.runtime.linerpc.LineServer` on a
+node's ``ingress_port`` (peer table, [docs/runtime.md] "Client ingress and
+backpressure"; framing and error replies: "Line RPC"). Its verbs:
 
 * ``{"cmd": "submit", "tx": "<hex>"}`` — admit one transaction through
   the :class:`repro.mempool.admission.Mempool`; the response carries the
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
-from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.mempool.admission import Admission, Mempool
+from repro.obs.stream import EventRing
+from repro.runtime.linerpc import LineServer, Send, encode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.node import DagRiderNode, OrderedEntry
@@ -42,22 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_ACK_CAPACITY = 4096
 
 
-class _AckStream:
-    """One ``ack``-mode connection's bounded buffer and wakeup."""
-
-    def __init__(self, capacity: int) -> None:
-        self.buffer: deque[dict[str, object]] = deque(maxlen=capacity)
-        self.wakeup = asyncio.Event()
-        self.dropped = 0
-
-    def push(self, ack: dict[str, object]) -> None:
-        if len(self.buffer) == self.buffer.maxlen:
-            self.dropped += 1
-        self.buffer.append(ack)
-        self.wakeup.set()
-
-
-class IngressGateway:
+class IngressGateway(LineServer):
     """The client-facing transaction socket of one node."""
 
     def __init__(
@@ -68,25 +53,26 @@ class IngressGateway:
         port: int,
         obs: "Observability | None" = None,
     ) -> None:
+        super().__init__(
+            host,
+            port,
+            verbs={"submit": self._submit, "submit_batch": self._submit_batch},
+            streams={"ack": self._serve_acks},
+        )
         self.node = node
         self.mempool = mempool
-        self.host = host
-        self.port = port
         self.obs = obs
         self.pid = mempool.pid
-        self._server: asyncio.AbstractServer | None = None
         self._flush_task: asyncio.Task[None] | None = None
-        self._handlers: set[asyncio.Task[None]] = set()
-        self._ack_streams: set[_AckStream] = set()
-        self._stopping = False
+        #: Per ``ack`` connection: its bounded ring of encoded ack lines and
+        #: the event that wakes its writer.
+        self._ack_streams: dict[EventRing[str], asyncio.Event] = {}
 
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        if self._server is not None:
-            raise RuntimeError(f"ingress gateway {self.pid} already started")
+        await super().start()
         self.node.add_delivery_listener(self._on_delivered)
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
         # Supervised flusher: a crash is telemetry, not a silent stall.
         self._flush_task = asyncio.get_running_loop().create_task(
             self._flush_loop()
@@ -94,9 +80,9 @@ class IngressGateway:
         self._flush_task.add_done_callback(self._flush_done)
 
     async def close(self) -> None:
-        if self._stopping:
+        if self._closing:
             return
-        self._stopping = True
+        self._closing = True
         # Last flush: whatever is pending still reaches the proposal queue
         # (delivery acks for it will only flow if the node keeps running).
         self._flush_once(force=True)
@@ -104,18 +90,9 @@ class IngressGateway:
             self._flush_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._flush_task
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for stream in self._ack_streams:
-            stream.wakeup.set()
-        handlers = [task for task in self._handlers if not task.done()]
-        if handlers:
-            await asyncio.wait(handlers, timeout=2.0)
-            for task in handlers:
-                if not task.done():
-                    task.cancel()
+        for wakeup in self._ack_streams.values():
+            wakeup.set()
+        await super().close()
 
     # ------------------------------------------------------------- batching
 
@@ -167,18 +144,26 @@ class IngressGateway:
                 sequence=block.sequence,
                 round=entry.round,
             )
-        for tx in delivered:
-            ack: dict[str, object] = {
-                "ack": {
-                    "txid": tx.txid,
-                    "e2e": round(tx.latency, 6),
-                    "sequence": block.sequence,
-                    "round": entry.round,
-                    "position": entry.position,
+        if not self._ack_streams:
+            return
+        lines = [
+            encode(
+                {
+                    "ack": {
+                        "txid": tx.txid,
+                        "e2e": round(tx.latency, 6),
+                        "sequence": block.sequence,
+                        "round": entry.round,
+                        "position": entry.position,
+                    }
                 }
-            }
-            for stream in self._ack_streams:
-                stream.push(ack)
+            )
+            for tx in delivered
+        ]
+        for ring, wakeup in self._ack_streams.items():
+            for line in lines:
+                ring.append(line)
+            wakeup.set()
 
     # ------------------------------------------------------------- protocol
 
@@ -229,112 +214,52 @@ class IngressGateway:
             result["busy"] = admission.busy
         return result
 
-    def _dispatch(self, request: dict[str, Any]) -> dict[str, object]:
-        verb = request.get("cmd")
-        if verb == "submit":
-            admission = self._admit(request.get("tx"))
-            self._emit_request_events([admission])
-            response: dict[str, object] = {"ok": True, "pid": self.pid}
-            response.update(self._result_dict(admission))
-            return response
-        if verb == "submit_batch":
-            raw_txs = request.get("txs")
-            if not isinstance(raw_txs, list) or not raw_txs:
-                raise ValueError("txs must be a non-empty list of hex strings")
-            results = [self._admit(raw) for raw in raw_txs]
-            self._emit_request_events(results)
-            return {
-                "ok": True,
-                "pid": self.pid,
-                "accepted": sum(1 for r in results if r.accepted),
-                "rejected": sum(1 for r in results if not r.accepted),
-                "busy": any(r.busy for r in results),
-                "results": [self._result_dict(r) for r in results],
-            }
-        return {"ok": False, "error": f"unknown ingress command {verb!r}"}
+    def _submit(self, request: dict[str, Any]) -> dict[str, object]:
+        admission = self._admit(request.get("tx"))
+        self._emit_request_events([admission])
+        return {"ok": True, "pid": self.pid, **self._result_dict(admission)}
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        try:
-            while not self._stopping:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be an object")
-                    if request.get("cmd") == "ack":
-                        # Streaming mode: the connection is dedicated to
-                        # delivery acks from here on.
-                        await self._serve_acks(request, writer)
-                        break
-                    response = self._dispatch(request)
-                except ValueError as exc:
-                    response = {"ok": False, "error": str(exc)}
-                writer.write(
-                    (json.dumps(response, sort_keys=True) + "\n").encode()
-                )
-                await writer.drain()
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._handlers.discard(task)
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
+    def _submit_batch(self, request: dict[str, Any]) -> dict[str, object]:
+        raw_txs = request.get("txs")
+        if not isinstance(raw_txs, list) or not raw_txs:
+            raise ValueError("txs must be a non-empty list of hex strings")
+        results = [self._admit(raw) for raw in raw_txs]
+        self._emit_request_events(results)
+        return {
+            "ok": True,
+            "pid": self.pid,
+            "accepted": sum(1 for r in results if r.accepted),
+            "rejected": sum(1 for r in results if not r.accepted),
+            "busy": any(r.busy for r in results),
+            "results": [self._result_dict(r) for r in results],
+        }
 
-    async def _serve_acks(
-        self, request: dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
+    async def _serve_acks(self, request: dict[str, Any], send: Send) -> None:
         """Stream delivery acks until the client hangs up or we stop.
 
         Only deliveries *after* subscription are streamed — clients that
         care about every ack open the ack connection before submitting.
+        Each wakeup writes everything buffered as one burst; when the ring
+        overflowed since the last burst, the burst ends with the
+        cumulative ``{"dropped": N}`` marker.
         """
         capacity = int(request.get("capacity", DEFAULT_ACK_CAPACITY))
-        stream = _AckStream(max(1, capacity))
-        self._ack_streams.add(stream)
+        ring: EventRing[str] = EventRing(max(1, capacity))
+        wakeup = asyncio.Event()
+        self._ack_streams[ring] = wakeup
         reported_drops = 0
         try:
-            writer.write(
-                (
-                    json.dumps(
-                        {"ok": True, "pid": self.pid, "streaming": True},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                ).encode()
-            )
-            await writer.drain()
+            await send(encode({"ok": True, "pid": self.pid, "streaming": True}))
             while True:
-                if not stream.buffer and not self._stopping:
-                    stream.wakeup.clear()
-                    await stream.wakeup.wait()
-                if self._stopping and not stream.buffer:
-                    break
-                while stream.buffer:
-                    ack = stream.buffer.popleft()
-                    writer.write(
-                        (json.dumps(ack, sort_keys=True) + "\n").encode()
-                    )
-                if stream.dropped > reported_drops:
-                    writer.write(
-                        (
-                            json.dumps(
-                                {"dropped": stream.dropped}, sort_keys=True
-                            )
-                            + "\n"
-                        ).encode()
-                    )
-                    reported_drops = stream.dropped
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+                if not ring and not self._closing:
+                    wakeup.clear()
+                    await wakeup.wait()
+                lines = ring.drain()
+                if not lines:
+                    break  # woken by close() with nothing left to flush
+                if ring.dropped > reported_drops:
+                    reported_drops = ring.dropped
+                    lines.append(encode({"dropped": reported_drops}))
+                await send(*lines)
         finally:
-            self._ack_streams.discard(stream)
+            del self._ack_streams[ring]

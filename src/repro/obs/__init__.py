@@ -15,7 +15,7 @@ simulator, the protocol core, and the TCP runtime:
   pipeline (vertex broadcast, DAG insertion, wave-leader election, commit
   walk, delivery).
 * :mod:`repro.obs.wire` — the §3 communication/time accounting collector
-  (re-exported by :mod:`repro.sim.metrics` for compatibility).
+  both the simulator network and the TCP transport feed.
 * :mod:`repro.obs.export` — versioned JSONL trace export/import.
 * :mod:`repro.obs.analyze` — summaries, filters, and trace *diffing*
   (clean run vs. chaos run → which waves paid for redelivery).

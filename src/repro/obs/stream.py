@@ -7,10 +7,10 @@ contain no I/O and no clock reads of their own (times are always passed
 in, so the stall detector and delta encoder are unit-testable with
 synthetic clocks and stay clean under the determinism lint):
 
-* :class:`EventRing` — a bounded ring of events that drops the *oldest*
-  entry on overflow and counts every drop. Backpressure never blocks an
-  emitter and never grows memory: a slow subscriber loses history, not
-  liveness.
+* :class:`EventRing` — a bounded ring (of events here, of ack lines in
+  the ingress gateway) that drops the *oldest* entry on overflow and
+  counts every drop. Backpressure never blocks an emitter and never
+  grows memory: a slow subscriber loses history, not liveness.
 * :class:`StreamSubscriber` — an :class:`EventRing` attached to an
   :class:`repro.obs.bus.EventBus` with kind / ``min_round`` filters.
   Draining it yields the events buffered since the last drain plus the
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Generic, Iterable, Mapping, TypeVar
 
 from repro.obs.bus import EventBus
 from repro.obs.events import Event
@@ -61,6 +61,9 @@ DEFAULT_STREAM_CAPACITY = 4096
 DEFAULT_FLIGHT_CAPACITY = 256
 
 
+T = TypeVar("T")
+
+
 class StreamFormatError(ValueError):
     """A stream line that does not follow the schema above."""
 
@@ -72,37 +75,40 @@ def _dumps(obj: object) -> str:
 # ---------------------------------------------------------------- event ring
 
 
-class EventRing:
-    """Bounded FIFO of events: overflow drops the oldest and is counted."""
+class EventRing(Generic[T]):
+    """Bounded FIFO: overflow drops the oldest item and is counted.
 
-    __slots__ = ("capacity", "dropped", "_events")
+    Holds bus events for a ``subscribe`` stream and the flight recorder,
+    and encoded ack lines for the ingress gateway's ``ack`` streams.
+    """
+
+    __slots__ = ("capacity", "dropped", "_items")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.dropped = 0
-        self._events: deque[Event] = deque()
+        self._items: deque[T] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._items)
 
-    def append(self, event: Event) -> None:
-        """Add one event, evicting (and counting) the oldest when full."""
-        if len(self._events) >= self.capacity:
-            self._events.popleft()
+    def append(self, item: T) -> None:
+        """Add one item, evicting (and counting) the oldest when full."""
+        if len(self._items) == self.capacity:
             self.dropped += 1
-        self._events.append(event)
+        self._items.append(item)
 
-    def drain(self) -> list[Event]:
+    def drain(self) -> list[T]:
         """Remove and return everything buffered, oldest first."""
-        events = list(self._events)
-        self._events.clear()
-        return events
+        items = list(self._items)
+        self._items.clear()
+        return items
 
-    def peek(self) -> list[Event]:
-        """The buffered events, oldest first, without consuming them."""
-        return list(self._events)
+    def peek(self) -> list[T]:
+        """The buffered items, oldest first, without consuming them."""
+        return list(self._items)
 
 
 # ---------------------------------------------------------- live subscriber
@@ -127,7 +133,7 @@ class StreamSubscriber:
         min_round: int | None = None,
     ) -> None:
         self._bus = bus
-        self.ring = EventRing(capacity)
+        self.ring: EventRing[Event] = EventRing(capacity)
         self.kinds = frozenset(kinds) if kinds is not None else None
         self.min_round = min_round
         self.total_matched = 0
@@ -396,7 +402,7 @@ class FlightRecorder:
 
     def __init__(self, bus: EventBus, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
         self._bus = bus
-        self.ring = EventRing(capacity)
+        self.ring: EventRing[Event] = EventRing(capacity)
         self.dumps_taken = 0
         bus.subscribe(self.ring.append)
 

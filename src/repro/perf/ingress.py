@@ -19,7 +19,6 @@ tail with explicit ``busy`` rejections instead of silent drops.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -30,7 +29,6 @@ from repro.analysis.stats import summarize
 from repro.obs.export import loads_trace
 from repro.runtime.consistency import check_prefix_consistency
 from repro.runtime.fabric import (
-    control_call,
     fetch_digest_logs,
     plan_table,
     reap,
@@ -38,14 +36,10 @@ from repro.runtime.fabric import (
     stop_all,
     wait_ready,
 )
+from repro.runtime.linerpc import Address, LineClient, call
 from repro.runtime.peers import PeerTable
 
 SCHEMA = "repro.bench.ingress/1"
-
-#: StreamReader line limit for client connections; a ``submit_batch``
-#: response carries one result object per tx, which outgrows the 64 KiB
-#: asyncio default during the overload probe.
-_LINE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,8 +97,7 @@ def _rss_bytes(ospid: int) -> int:
 
 
 async def _submit_loop(
-    entry_host: str,
-    entry_port: int,
+    address: Address,
     cell: IngressCell,
     node_pid: int,
     client_index: int,
@@ -112,72 +105,45 @@ async def _submit_loop(
     deadline: float,
 ) -> None:
     """One closed-loop client: submit, await the verdict, repeat."""
-    reader, writer = await asyncio.open_connection(
-        entry_host, entry_port, limit=_LINE_LIMIT
-    )
     counter = 0
     try:
-        while time.monotonic() < deadline:
-            prefix = f"{node_pid}.{client_index}.{counter}:".encode()
-            payload = prefix + b"t" * max(0, cell.tx_bytes - len(prefix))
-            counter += 1
-            writer.write(
-                (json.dumps({"cmd": "submit", "tx": payload.hex()}) + "\n").encode()
-            )
-            await writer.drain()
-            line = await reader.readline()
-            if not line:
-                break
-            response = json.loads(line)
-            stats.submitted += 1
-            if response.get("accepted"):
-                stats.accepted += 1
-            elif response.get("busy"):
-                stats.busy += 1
-                # Honest backpressure: back off instead of hammering.
-                await asyncio.sleep(0.005)
-            else:
-                stats.rejected += 1
-    except (ConnectionError, OSError, ValueError):
+        async with await LineClient.open(address) as client:
+            while time.monotonic() < deadline:
+                prefix = f"{node_pid}.{client_index}.{counter}:".encode()
+                payload = prefix + b"t" * max(0, cell.tx_bytes - len(prefix))
+                counter += 1
+                response = await client.call({"cmd": "submit", "tx": payload.hex()})
+                if response is None:
+                    break
+                stats.submitted += 1
+                if response.get("accepted"):
+                    stats.accepted += 1
+                elif response.get("busy"):
+                    stats.busy += 1
+                    # Honest backpressure: back off instead of hammering.
+                    await asyncio.sleep(0.005)
+                else:
+                    stats.rejected += 1
+    except (OSError, ValueError):
         stats.errors += 1
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
-async def _ack_listener(
-    entry_host: str, entry_port: int, stats: _ClientStats
-) -> None:
+async def _ack_listener(address: Address, stats: _ClientStats) -> None:
     """One ``ack``-mode connection: collect e2e latencies until cancelled."""
-    reader, writer = await asyncio.open_connection(
-        entry_host, entry_port, limit=_LINE_LIMIT
-    )
     try:
-        writer.write((json.dumps({"cmd": "ack"}) + "\n").encode())
-        await writer.drain()
-        await reader.readline()  # {"ok": true, "streaming": true} header
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            message = json.loads(line)
-            ack = message.get("ack")
-            if isinstance(ack, dict):
-                stats.acks += 1
-                stats.e2e.append(float(ack["e2e"]))
-            elif "dropped" in message:
-                stats.ack_dropped = max(stats.ack_dropped, int(message["dropped"]))
-    except (ConnectionError, OSError, ValueError):
+        async with await LineClient.open(address) as client:
+            await client.call({"cmd": "ack"})  # reply: the streaming header
+            while (message := await client.recv()) is not None:
+                ack = message.get("ack")
+                if isinstance(ack, dict):
+                    stats.acks += 1
+                    stats.e2e.append(float(ack["e2e"]))
+                elif "dropped" in message:
+                    stats.ack_dropped = max(
+                        stats.ack_dropped, int(message["dropped"])
+                    )
+    except (OSError, ValueError):
         pass
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 async def _sample_rss(
@@ -192,50 +158,35 @@ async def _sample_rss(
         await asyncio.sleep(interval)
 
 
-async def _overload_probe(
-    entry_host: str, entry_port: int, rounds: int = 12, batch: int = 1024
-) -> dict[str, int]:
+async def _overload_probe(address: Address, rounds: int = 12, batch: int = 1024) -> dict[str, int]:
     """Outrun the flusher with ``submit_batch`` until the budget pushes back.
 
     Admission inside one request is synchronous — the flush loop cannot
     drain between per-tx verdicts — so a handful of large batches reliably
     crosses ``max_pending_txs`` and the tail must come back ``busy``.
     """
-    reader, writer = await asyncio.open_connection(
-        entry_host, entry_port, limit=_LINE_LIMIT
-    )
     sent = accepted = busy = 0
     counter = 0
     try:
-        for _ in range(rounds):
-            txs = []
-            for _ in range(batch):
-                payload = f"probe.{counter}:".encode().ljust(16, b"p")
-                counter += 1
-                txs.append(payload.hex())
-            writer.write(
-                (json.dumps({"cmd": "submit_batch", "txs": txs}) + "\n").encode()
-            )
-            await writer.drain()
-            line = await reader.readline()
-            if not line:
-                break
-            response = json.loads(line)
-            sent += len(txs)
-            accepted += int(response.get("accepted", 0))
-            busy += sum(
-                1 for result in response.get("results", []) if result.get("busy")
-            )
-            if busy:
-                break
-    except (ConnectionError, OSError, ValueError):
+        async with await LineClient.open(address) as client:
+            for _ in range(rounds):
+                txs = []
+                for _ in range(batch):
+                    payload = f"probe.{counter}:".encode().ljust(16, b"p")
+                    counter += 1
+                    txs.append(payload.hex())
+                response = await client.call({"cmd": "submit_batch", "txs": txs})
+                if response is None:
+                    break
+                sent += len(txs)
+                accepted += int(response.get("accepted", 0))
+                busy += sum(
+                    1 for result in response.get("results", []) if result.get("busy")
+                )
+                if busy:
+                    break
+    except (OSError, ValueError):
         pass
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
     return {"sent": sent, "accepted": accepted, "busy": busy}
 
 
@@ -248,29 +199,20 @@ async def _drive(
     sampler = asyncio.get_running_loop().create_task(_sample_rss(os_pids, samples))
     listeners = [
         asyncio.get_running_loop().create_task(
-            _ack_listener(entry.host, entry.ingress_address[1], stats)
+            _ack_listener(entry.ingress_address, stats)
         )
         for entry in table.peers
     ]
     await asyncio.sleep(0.2)  # listeners subscribed before the first submit
     deadline = time.monotonic() + cell.duration
     clients = [
-        _submit_loop(
-            entry.host,
-            entry.ingress_address[1],
-            cell,
-            entry.pid,
-            index,
-            stats,
-            deadline,
-        )
+        _submit_loop(entry.ingress_address, cell, entry.pid, index, stats, deadline)
         for entry in table.peers
         for index in range(cell.clients_per_node)
     ]
     await asyncio.gather(*clients)
     await asyncio.sleep(cell.drain)
-    probe_entry = table.entry(0)
-    probe = await _overload_probe(probe_entry.host, probe_entry.ingress_address[1])
+    probe = await _overload_probe(table.entry(0).ingress_address)
     sampler.cancel()
     for task in listeners:
         task.cancel()
@@ -350,11 +292,9 @@ def run_ingress_cell(cell: IngressCell, out_dir: str | Path) -> dict[str, Any]:
         statuses: dict[str, dict[str, Any]] = {}
         registry: dict[str, object] = {}
         for entry in table.peers:
-            status = control_call(entry.control_address, {"cmd": "status"})
+            status = call(entry.control_address, {"cmd": "status"})
             statuses[str(entry.pid)] = status
-            trace = control_call(
-                entry.control_address, {"cmd": "trace"}, timeout=30.0
-            )["trace"]
+            trace = call(entry.control_address, {"cmd": "trace"}, timeout=30.0)["trace"]
             registry[str(entry.pid)] = _ingress_registry(trace)
         try:
             prefix = check_prefix_consistency(fetch_digest_logs(table))

@@ -24,6 +24,9 @@ the protocol logic depends on the simulator.
 * :mod:`repro.runtime.runner` — :class:`NodeRunner` boots ONE node from a
   peer table (the ``python -m repro tcp-node`` unit) with a small control
   socket for readiness probes, state aggregation, and shutdown.
+* :mod:`repro.runtime.linerpc` — the newline-JSON RPC substrate under the
+  control socket and the client ingress socket: one ``LineServer`` (verb
+  table, streaming verbs, draining close) and its sync/async clients.
 * :mod:`repro.runtime.cluster` — :class:`LocalCluster` composes n runners
   inside one asyncio loop (tests, examples) over the same boot/teardown
   path; ``scripts/fabric.py`` / :mod:`repro.runtime.fabric` drive n

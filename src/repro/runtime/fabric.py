@@ -49,17 +49,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import socket
 import subprocess
 import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError, ConsistencyError
 from repro.obs.analyze import diff_traces
 from repro.obs.export import Trace, dumps_trace, loads_trace
+from repro.runtime import linerpc
 from repro.runtime.consistency import check_prefix_consistency
 from repro.runtime.live import DEFAULT_STALL_WINDOW, LiveView
 from repro.runtime.peers import (
@@ -128,20 +128,22 @@ def plan_table(
 # ------------------------------------------------------------- control I/O
 
 
-def control_call(
-    address: tuple[str, int], request: dict[str, Any], timeout: float = 10.0
-) -> dict[str, Any]:
-    """One request/response round-trip on a node's control socket."""
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.sendall((json.dumps(request) + "\n").encode())
-        with sock.makefile("r", encoding="utf-8") as stream:
-            line = stream.readline()
-    if not line:
-        raise ConnectionError(f"empty control response from {address}")
-    response = json.loads(line)
-    if not isinstance(response, dict):
-        raise ConnectionError(f"malformed control response from {address}")
-    return response
+def ask_all(
+    table: PeerTable, request: dict[str, Any], timeout: float = 2.0
+) -> dict[int, dict[str, Any]]:
+    """One control request to every node; best-effort, never raises.
+
+    An unreachable node is reported in the server's own error shape,
+    ``{"ok": False, "error": ...}``: pollers read the missing fields as
+    "not there yet", diagnostics record the failure instead of aborting.
+    """
+    replies: dict[int, dict[str, Any]] = {}
+    for entry in table.peers:
+        try:
+            replies[entry.pid] = linerpc.call(entry.control_address, request, timeout)
+        except (OSError, ValueError) as error:
+            replies[entry.pid] = {"ok": False, "error": str(error)}
+    return replies
 
 
 #: Boot-probe backoff bounds (seconds): first retry delay and its ceiling.
@@ -182,7 +184,7 @@ def wait_ready(
             continue
         for pid in due:
             try:
-                response = control_call(
+                response = linerpc.call(
                     table.entry(pid).control_address, {"cmd": "ping"}, timeout=2.0
                 )
             except (OSError, ValueError):
@@ -197,39 +199,43 @@ def wait_ready(
     return latency
 
 
-def wait_target(
+def _poll_status(
     table: PeerTable,
-    waves: int,
-    blocks: int,
+    done: Callable[[Iterable[dict[str, Any]]], bool],
     deadline: float,
     poll: float = 0.2,
 ) -> bool:
-    """Poll ``status`` until every node hit the wave/block targets."""
+    """Poll every node's ``status`` until ``done(statuses)`` or the deadline."""
     while time.monotonic() < deadline:
-        statuses = []
-        try:
-            for entry in table.peers:
-                statuses.append(
-                    control_call(entry.control_address, {"cmd": "status"}, timeout=2.0)
-                )
-        except (OSError, ValueError):
-            time.sleep(poll)
-            continue
-        if all(
-            s.get("decided_wave", -1) >= waves and s.get("ordered", 0) >= blocks
-            for s in statuses
-        ):
+        if done(ask_all(table, {"cmd": "status"}).values()):
             return True
         time.sleep(poll)
     return False
 
 
+def wait_target(table: PeerTable, waves: int, blocks: int, deadline: float) -> bool:
+    """Block until every node hit the wave/block targets."""
+    return _poll_status(
+        table,
+        lambda statuses: all(
+            s.get("decided_wave", -1) >= waves and s.get("ordered", 0) >= blocks
+            for s in statuses
+        ),
+        deadline,
+    )
+
+
+def wait_wave(table: PeerTable, wave: int, deadline: float) -> bool:
+    """Block until any reachable node's decided wave reaches ``wave``."""
+    return _poll_status(
+        table,
+        lambda statuses: any(s.get("decided_wave", -1) >= wave for s in statuses),
+        deadline,
+    )
+
+
 def stop_all(table: PeerTable) -> None:
-    for entry in table.peers:
-        try:
-            control_call(entry.control_address, {"cmd": "stop"}, timeout=2.0)
-        except (OSError, ValueError):
-            pass
+    ask_all(table, {"cmd": "stop"})
 
 
 # ----------------------------------------------------------------- spawning
@@ -365,14 +371,7 @@ def collect_flight_dumps(
     request: dict[str, Any] = {"cmd": "flight", "reason": reason}
     if stalled_for is not None:
         request["stalled_for"] = round(stalled_for, 3)
-    dumps: dict[str, object] = {}
-    for entry in table.peers:
-        try:
-            dumps[str(entry.pid)] = control_call(
-                entry.control_address, request, timeout=10.0
-            )
-        except (OSError, ValueError) as error:
-            dumps[str(entry.pid)] = {"ok": False, "error": str(error)}
+    dumps = ask_all(table, request, timeout=10.0)  # JSON turns pid keys into strings
     suffix = f"-{index}" if index is not None else ""
     path = out_dir / f"{'stall' if reason == 'stall' else 'flight-' + reason}{suffix}.json"
     path.write_text(
@@ -385,31 +384,10 @@ def collect_flight_dumps(
 # ---------------------------------------------------------------- scenarios
 
 
-def max_decided_wave(table: PeerTable) -> int:
-    """Best-effort: the highest decided wave any reachable node reports."""
-    best = -1
-    for entry in table.peers:
-        try:
-            status = control_call(entry.control_address, {"cmd": "status"}, timeout=2.0)
-        except (OSError, ValueError):
-            continue
-        best = max(best, int(status.get("decided_wave", -1)))
-    return best
-
-
-def wait_wave(table: PeerTable, wave: int, deadline: float, poll: float = 0.2) -> bool:
-    """Block until any reachable node's decided wave reaches ``wave``."""
-    while time.monotonic() < deadline:
-        if max_decided_wave(table) >= wave:
-            return True
-        time.sleep(poll)
-    return False
-
-
 def fetch_digest_logs(table: PeerTable) -> dict[str, list[str]]:
     """Every node's digest log over its control socket (all must answer)."""
     return {
-        f"{entry.host}:{entry.pid}": control_call(
+        f"{entry.host}:{entry.pid}": linerpc.call(
             entry.control_address, {"cmd": "log"}, timeout=10.0
         )["digests"]
         for entry in table.peers
@@ -455,7 +433,7 @@ def _crash_once(
         print(f"fabric: scenario: node {pid} failed to recover", file=sys.stderr)
         return 2
     boot_latency[pid] = boot[pid]
-    status = control_call(table.entry(pid).control_address, {"cmd": "status"})
+    status = linerpc.call(table.entry(pid).control_address, {"cmd": "status"})
     recovery = status.get("recovery", {})
     announce(
         f"fabric: scenario: node {pid} recovered in {boot[pid]:.2f}s "
@@ -522,25 +500,25 @@ def run_scenario(
             for group in step.groups:
                 others = [p for p in range(table.n) if p not in group]
                 for pid in group:
-                    control_call(
+                    linerpc.call(
                         table.entry(pid).control_address,
                         {"cmd": "partition", "peers": others},
                     )
             announce(f"fabric: scenario: partitioned {list(step.groups)}")
             time.sleep(step.heal_after)
             for entry in table.peers:
-                control_call(entry.control_address, {"cmd": "heal"})
+                linerpc.call(entry.control_address, {"cmd": "heal"})
             announce("fabric: scenario: partition healed")
         elif step.kind == "slow":
             assert step.pid is not None
             address = table.entry(step.pid).control_address
-            control_call(address, {"cmd": "slow", "delay": step.delay})
+            linerpc.call(address, {"cmd": "slow", "delay": step.delay})
             announce(
                 f"fabric: scenario: node {step.pid} slowed by "
                 f"{step.delay * 1000:.0f}ms/frame"
             )
             time.sleep(step.duration)
-            control_call(address, {"cmd": "slow", "delay": 0.0})
+            linerpc.call(address, {"cmd": "slow", "delay": 0.0})
     if live is not None:
         live.set_banner("scenario done; waiting for targets")
     return 0
@@ -740,31 +718,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     deadline = time.monotonic() + args.timeout
 
     live: LiveView | None = None
-    stall_count = [0]
     if not args.no_live:
-        def _on_stall(stalled_for: float, frontier: int) -> None:
-            stall_count[0] += 1
-            path = collect_flight_dumps(
-                table, out_dir, "stall",
-                stalled_for=stalled_for, index=stall_count[0],
-            )
-            message = (
-                f"fabric: stall diagnostics (frontier wave {frontier}) "
-                f"written to {path}"
-            )
-            if live is not None:
-                live.note(message)
-            else:  # pragma: no cover - live is set before any stall fires
-                print(message)
-
         live = LiveView(
             table,
             {"cmd": "subscribe", "interval": args.live_interval},
             out_dir=out_dir,
             interval=args.live_interval,
             stall_window=args.stall_window,
-            on_stall=_on_stall,
         )
+        view = live  # the stall callback runs on the view's render thread
+
+        def _on_stall(stalled_for: float, frontier: int) -> None:
+            path = collect_flight_dumps(
+                table, out_dir, "stall",
+                stalled_for=stalled_for, index=view.stalls,
+            )
+            view.note(
+                f"fabric: stall diagnostics (frontier wave {frontier}) "
+                f"written to {path}"
+            )
+
+        live.on_stall = _on_stall
         live.set_banner("booting")
         live.start()
     announce: Callable[[str], None] = live.note if live is not None else print
@@ -815,21 +789,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             live.set_banner("targets reached; collecting state")
 
         # Aggregate state over the control sockets while nodes are live.
-        logs: dict[str, list[str]] = {}
+        logs = fetch_digest_logs(table)
         statuses: dict[int, dict[str, Any]] = {}
         link_totals: Counter[str] = Counter()
         trace_texts: dict[int, str] = {}
         for entry in table.peers:
             address = entry.control_address
-            statuses[entry.pid] = control_call(address, {"cmd": "status"})
-            logs[f"{entry.host}:{entry.pid}"] = control_call(
-                address, {"cmd": "log"}
-            )["digests"]
-            report = control_call(address, {"cmd": "link_report"})["report"]
+            statuses[entry.pid] = linerpc.call(address, {"cmd": "status"})
+            report = linerpc.call(address, {"cmd": "link_report"})["report"]
             for key, value in report.items():
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
                     link_totals[key] += value
-            trace_texts[entry.pid] = control_call(
+            trace_texts[entry.pid] = linerpc.call(
                 address, {"cmd": "trace"}, timeout=30.0
             )["trace"]
 

@@ -24,42 +24,40 @@ nothing in this module runs inside a node.
 
 from __future__ import annotations
 
-import json
-import socket
 import sys
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TextIO
 
 from repro.obs.stream import StallDetector, StreamFormatError, decode_stream_line
+from repro.runtime.linerpc import LineStream
 from repro.runtime.peers import PeerTable
 
 #: Seconds between connect retries while a node is still booting.
 CONNECT_RETRY = 0.25
 
+#: Seconds :meth:`LiveView.stop` lets streams that are already ending (their
+#: node was just told to stop) run to EOF, so the final tick reaches the tee.
+STOP_GRACE = 2.0
+
 #: Default seconds of flat quorum commit frontier before a stall fires.
 DEFAULT_STALL_WINDOW = 30.0
 
 
+@dataclass
 class NodeView:
     """What the live table knows about one node (reader-thread owned)."""
 
-    __slots__ = (
-        "pid", "state", "decided_wave", "current_round", "ordered",
-        "queue_depth", "events", "dropped", "updated",
-    )
-
-    def __init__(self, pid: int) -> None:
-        self.pid = pid
-        self.state = "connecting"
-        self.decided_wave = -1
-        self.current_round = -1
-        self.ordered = 0
-        self.queue_depth = 0
-        self.events = 0
-        self.dropped = 0
-        self.updated = 0.0
+    pid: int
+    state: str = "connecting"
+    decided_wave: int = -1
+    current_round: int = -1
+    ordered: int = 0
+    queue_depth: int = 0
+    events: int = 0
+    dropped: int = 0
 
     def row(self) -> str:
         """One rendered table row for this node."""
@@ -86,25 +84,23 @@ class LiveView:
         table: PeerTable,
         subscribe_request: Mapping[str, Any],
         out_dir: Path | None = None,
-        sink: TextIO | None = None,
         interval: float = 1.0,
         stall_window: float = DEFAULT_STALL_WINDOW,
         on_stall: Callable[[float, int], None] | None = None,
-        force_plain: bool = False,
     ) -> None:
         self.table = table
         self.request = dict(subscribe_request)
         self.out_dir = out_dir
-        self.sink: TextIO = sink if sink is not None else sys.stdout
+        self.sink: TextIO = sys.stdout
         self.interval = max(0.1, interval)
         self.on_stall = on_stall
         self.detector = StallDetector(table.n, window=stall_window)
         self.stalls = 0
-        self._tty = (not force_plain) and _is_tty(self.sink)
+        self._tty = _is_tty(self.sink)
         self._nodes = {e.pid: NodeView(e.pid) for e in table.peers}
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._sockets: dict[int, socket.socket] = {}
+        self._streams: dict[int, LineStream] = {}
         self._threads: list[threading.Thread] = []
         self._drawn_lines = 0
         self._banner = ""
@@ -128,31 +124,24 @@ class LiveView:
         render.start()
 
     def stop(self) -> None:
-        """Tear down readers and renderer; paints one final table."""
+        """Tear down readers and renderer; paints one final table.
+
+        Streams whose node is stopping end by themselves with a last
+        tick; they get ``STOP_GRACE`` to reach EOF before whatever is
+        still open is cut.
+        """
         if self._stop.is_set():
             return
         self._stop.set()
+        deadline = time.monotonic() + STOP_GRACE
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         with self._lock:
-            for sock in self._sockets.values():
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            self._sockets.clear()
+            for stream in self._streams.values():
+                stream.close()
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._render(final=True)
-
-    def __enter__(self) -> "LiveView":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
 
     # ------------------------------------------------------------- output
 
@@ -212,19 +201,15 @@ class LiveView:
                 self.out_dir / f"node-{pid}.stream.jsonl", "w", encoding="utf-8"
             )
         try:
-            sock = self._connect(pid, address)
-            if sock is None:
+            stream = self._connect(pid, address)
+            if stream is None:
                 return
             view = self._nodes[pid]
-            with sock, sock.makefile("r", encoding="utf-8") as stream:
-                sock.sendall((json.dumps(self.request) + "\n").encode())
-                for text in stream:
-                    if self._stop.is_set():
-                        break
-                    if tee is not None:
-                        tee.write(text)
-                        tee.flush()
-                    self._fold_line(view, text)
+            for text in stream:
+                if tee is not None:
+                    tee.write(text)
+                    tee.flush()
+                self._fold_line(view, text)
             with self._lock:
                 view.state = "stopped"
         except (OSError, ValueError):
@@ -234,24 +219,23 @@ class LiveView:
             if tee is not None:
                 tee.close()
             with self._lock:
-                self._sockets.pop(pid, None)
+                self._streams.pop(pid, None)
 
-    def _connect(self, pid: int, address: tuple[str, int]) -> socket.socket | None:
-        """Dial the control socket, retrying while the node boots."""
+    def _connect(self, pid: int, address: tuple[str, int]) -> LineStream | None:
+        """Open the subscription, retrying while the node boots."""
         while not self._stop.is_set():
             try:
-                sock = socket.create_connection(address, timeout=10.0)
+                stream = LineStream(address, self.request)
             except OSError:
                 time.sleep(CONNECT_RETRY)
                 continue
-            sock.settimeout(None)
             with self._lock:
                 if self._stop.is_set():
-                    sock.close()
+                    stream.close()
                     return None
-                self._sockets[pid] = sock
+                self._streams[pid] = stream
                 self._nodes[pid].state = "live"
-            return sock
+            return stream
         return None
 
     def _fold_line(self, view: NodeView, text: str) -> None:
@@ -274,7 +258,6 @@ class LiveView:
                 view.ordered = int(status.get("ordered", 0))
                 view.queue_depth = int(status.get("queue_depth", 0))
             view.dropped = int(body.get("dropped", 0) or 0)
-            view.updated = time.monotonic()
 
     # ----------------------------------------------------------- renderer
 
@@ -306,24 +289,6 @@ class LiveView:
                     self.on_stall(stalled, frontier)
                 except (OSError, ValueError) as error:
                     self.note(f"live: stall diagnostics failed: {error}")
-
-    # ------------------------------------------------------------- access
-
-    def snapshot(self) -> dict[int, dict[str, object]]:
-        """Current per-node table as plain dicts (tests and diagnostics)."""
-        with self._lock:
-            return {
-                view.pid: {
-                    "state": view.state,
-                    "decided_wave": view.decided_wave,
-                    "current_round": view.current_round,
-                    "ordered": view.ordered,
-                    "queue_depth": view.queue_depth,
-                    "events": view.events,
-                    "dropped": view.dropped,
-                }
-                for view in self._nodes.values()
-            }
 
 
 def _is_tty(sink: TextIO) -> bool:

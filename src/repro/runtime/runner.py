@@ -16,19 +16,19 @@ process runners always create their own (per-host trace, the clock bound
 to this node's transport scheduler) and export a ``repro.obs.trace`` v1
 JSONL on shutdown; in-loop clusters may share one bundle across runners.
 
-The control protocol is deliberately tiny: newline-delimited JSON request/
-response pairs over TCP (``{"cmd": "status"}`` -> one JSON line). Commands:
+The control socket is a :class:`repro.runtime.linerpc.LineServer` (framing,
+error replies and shutdown: docs/runtime.md "Line RPC"). Its verbs:
 ``ping``, ``status``, ``log`` (position-wise entry digests for the
 cross-host prefix-consistency check), ``link_report``, ``trace`` (the
-JSONL text so a driver needs no shared filesystem), ``flight`` (dump the
+JSONL text so a driver needs no shared filesystem), ``partition`` /
+``heal`` / ``slow`` (scenario fault injection), ``flight`` (dump the
 in-memory flight-recorder ring — the black box a stall diagnostic
-fetches), and ``stop``. One command escapes the request/response shape:
-``subscribe`` switches the connection into **streaming** mode — the
-server answers with a ``repro.obs.stream`` v1 header line and then, every
-``interval`` seconds until the client disconnects or the node stops,
-writes the events buffered since the last tick (bounded ring, oldest
-dropped and counted under backpressure) plus one ``delta`` line carrying
-a status snapshot and the metric movement since the previous tick. See
+fetches), and ``stop``. One verb streams: ``subscribe`` answers with a
+``repro.obs.stream`` v1 header line and then, every ``interval`` seconds
+until the client disconnects or the node stops, writes the events
+buffered since the last tick (bounded ring, oldest dropped and counted
+under backpressure) plus one ``delta`` line carrying a status snapshot
+and the metric movement since the previous tick. See
 docs/observability.md "Live streaming and causal analysis".
 """
 
@@ -36,14 +36,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import ConfigurationError
 from repro.core.node import DagRiderNode
 from repro.crypto.dealer import CoinDealer
-from repro.mempool.admission import Mempool
-from repro.mempool.gateway import IngressGateway
 from repro.obs.context import Observability
 from repro.obs.export import dump_trace, dumps_trace
 from repro.obs.stream import (
@@ -57,11 +54,14 @@ from repro.obs.stream import (
     stream_header,
 )
 from repro.runtime.consistency import full_digest_log
-from repro.runtime.peers import PeerTable
+from repro.runtime.linerpc import LineServer, Send
+from repro.runtime.peers import PeerTable, load_peer_table
 from repro.runtime.transport import TcpNetwork
 from repro.storage.journal import NodeJournal, RecoveryReport, recover_node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mempool.admission import Mempool
+    from repro.mempool.gateway import IngressGateway
     from repro.runtime.chaos import ChaosTransport
 
 
@@ -169,6 +169,11 @@ class NodeRunner:
             raise ConfigurationError(
                 f"peer {self.pid} has no ingress_port in the table"
             )
+        # Local imports: the gateway is itself a runtime.linerpc server, so
+        # importing it at module scope would cycle through this package.
+        from repro.mempool.admission import Mempool
+        from repro.mempool.gateway import IngressGateway
+
         node = self.node
         self.mempool = Mempool(
             self.pid,
@@ -333,131 +338,76 @@ class NodeRunner:
         return len(events)
 
 
-class ControlServer:
-    """Newline-JSON control endpoint for one :class:`NodeRunner`."""
+class ControlServer(LineServer):
+    """The control endpoint of one :class:`NodeRunner`: its verb table."""
 
     def __init__(self, runner: NodeRunner, host: str, port: int):
+        super().__init__(
+            host,
+            port,
+            verbs={
+                "ping": lambda _: self._reply(ready=runner.node is not None),
+                "status": lambda _: runner.status(),
+                "log": lambda _: self._reply(digests=runner.ordered_digests()),
+                "link_report": lambda _: self._reply(report=runner.link_report()),
+                "trace": lambda _: self._reply(trace=runner.trace_text()),
+                "partition": self._partition,
+                "heal": self._heal,
+                "slow": self._slow,
+                "flight": self._flight,
+                "stop": self._stop,
+            },
+            streams={"subscribe": self._serve_subscribe},
+        )
         self.runner = runner
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
         self._live_subscribers = 0
-        self._handlers: set[asyncio.Task[None]] = set()
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+    def _reply(self, **fields: object) -> dict[str, object]:
+        return {"ok": True, "pid": self.runner.pid, **fields}
 
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        handlers = [task for task in self._handlers if not task.done()]
-        if handlers:
-            # ``Server.wait_closed`` does not wait for in-flight connection
-            # handlers (Python 3.11), and a ``subscribe`` stream flushes its
-            # final tick on the stop it shares with teardown — give handlers
-            # a grace period so that flush reaches the wire, then cancel.
-            await asyncio.wait(handlers, timeout=2.0)
-            for task in handlers:
-                if not task.done():
-                    task.cancel()
+    def _partition(self, request: dict[str, Any]) -> dict[str, object]:
+        peers = sorted(int(p) for p in request.get("peers", []))
+        if self.runner.network is not None:
+            self.runner.network.block_peers(set(peers))
+        return self._reply(blocked=peers)
 
-    def _dispatch(self, request: dict[str, Any]) -> dict[str, object]:
-        command = request.get("cmd")
-        runner = self.runner
-        if command == "ping":
-            return {"ok": True, "pid": runner.pid, "ready": runner.node is not None}
-        if command == "status":
-            return runner.status()
-        if command == "log":
-            return {"ok": True, "pid": runner.pid, "digests": runner.ordered_digests()}
-        if command == "link_report":
-            return {"ok": True, "pid": runner.pid, "report": runner.link_report()}
-        if command == "trace":
-            return {"ok": True, "pid": runner.pid, "trace": runner.trace_text()}
-        if command == "partition":
-            peers = sorted(int(p) for p in request.get("peers", []))
-            if runner.network is not None:
-                runner.network.block_peers(set(peers))
-            return {"ok": True, "pid": runner.pid, "blocked": peers}
-        if command == "heal":
-            if runner.network is not None:
-                runner.network.heal()
-                runner.network.set_peer_delay(0.0)
-            return {"ok": True, "pid": runner.pid, "healed": True}
-        if command == "slow":
-            delay = float(request.get("delay", 0.0))
-            if runner.network is not None:
-                runner.network.set_peer_delay(delay)
-            return {"ok": True, "pid": runner.pid, "delay": delay}
-        if command == "flight":
-            reason = str(request.get("reason", "manual"))
-            raw_stalled = request.get("stalled_for")
-            stalled_for = float(raw_stalled) if raw_stalled is not None else None
-            return runner.flight_dump(reason, stalled_for=stalled_for)
-        if command == "stop":
-            runner.request_stop()
-            return {"ok": True, "pid": runner.pid, "stopping": True}
-        return {"ok": False, "error": f"unknown command {command!r}"}
+    def _heal(self, request: dict[str, Any]) -> dict[str, object]:
+        if self.runner.network is not None:
+            self.runner.network.heal()
+            self.runner.network.set_peer_delay(0.0)
+        return self._reply(healed=True)
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be an object")
-                except ValueError as exc:
-                    response: dict[str, object] = {"ok": False, "error": str(exc)}
-                else:
-                    command = request.get("cmd")
-                    if command == "subscribe":
-                        # Streaming mode: the connection is dedicated to
-                        # the subscription from here on; no more requests
-                        # are read on it.
-                        await self._serve_subscribe(request, writer)
-                        break
-                    response = self._dispatch(request)
-                writer.write(
-                    (json.dumps(response, sort_keys=True) + "\n").encode()
-                )
-                await writer.drain()
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._handlers.discard(task)
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
+    def _slow(self, request: dict[str, Any]) -> dict[str, object]:
+        delay = float(request.get("delay", 0.0))
+        if self.runner.network is not None:
+            self.runner.network.set_peer_delay(delay)
+        return self._reply(delay=delay)
 
-    async def _serve_subscribe(
-        self, request: dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
+    def _flight(self, request: dict[str, Any]) -> dict[str, object]:
+        raw_stalled = request.get("stalled_for")
+        return self.runner.flight_dump(
+            str(request.get("reason", "manual")),
+            stalled_for=float(raw_stalled) if raw_stalled is not None else None,
+        )
+
+    def _stop(self, request: dict[str, Any]) -> dict[str, object]:
+        self.runner.request_stop()
+        return self._reply(stopping=True)
+
+    async def _serve_subscribe(self, request: dict[str, Any], send: Send) -> None:
         """Stream ``repro.obs.stream`` lines until stop or client hang-up.
 
-        Wire shape (all newline-JSON): one header line, then interleaved
-        ``{"event": ...}`` lines (everything the filter matched since the
-        last tick) and one ``{"delta": ...}`` line per tick carrying the
-        runner status, metric movement, and the cumulative ring-drop
-        count. Ticks are paced by ``interval`` seconds; the stream ends
+        Wire shape (compact newline-JSON): one header line, then per tick
+        of ``interval`` seconds everything the filter matched since the
+        last tick as ``{"event": ...}`` lines plus one ``{"delta": ...}``
+        line carrying the runner status, metric movement, and the
+        cumulative ring-drop count — one write per tick. The stream ends
         with a final tick when the runner stops.
         """
         runner = self.runner
         obs = runner.observability
         if obs is None:
-            writer.write(b'{"error": "observability off", "ok": false}\n')
-            await writer.drain()
-            return
+            raise ValueError("observability off")
         kinds_raw = request.get("kinds")
         kinds: list[str] | None = None
         if isinstance(kinds_raw, list):
@@ -477,17 +427,17 @@ class ControlServer:
         reported_drops = 0
         seq = 0
         try:
-            header = stream_header(
-                runner.pid, subscriber.filters_dict(), interval
+            await send(
+                encode_stream_line(
+                    stream_header(runner.pid, subscriber.filters_dict(), interval)
+                )
             )
-            writer.write((encode_stream_line(header) + "\n").encode())
-            await writer.drain()
             while True:
                 stopped = await runner.wait_stopped(timeout=interval)
-                for event in subscriber.drain():
-                    writer.write(
-                        (encode_stream_line(event_line(event)) + "\n").encode()
-                    )
+                lines = [
+                    encode_stream_line(event_line(event))
+                    for event in subscriber.drain()
+                ]
                 new_drops = subscriber.dropped - reported_drops
                 if new_drops:
                     # Overflow is data, not just a log line: count it in
@@ -502,19 +452,16 @@ class ControlServer:
                         total=reported_drops,
                     )
                 seq += 1
-                line = delta_line(
+                delta = delta_line(
                     seq,
                     obs.bus.now,
                     status=runner.status(),
                     metrics=deltas.collect(),
                     dropped=subscriber.dropped,
                 )
-                writer.write((encode_stream_line(line) + "\n").encode())
-                await writer.drain()
+                await send(*lines, encode_stream_line(delta))
                 if stopped:
                     break
-        except (ConnectionError, OSError):
-            pass
         finally:
             subscriber.close()
             self._live_subscribers -= 1
@@ -599,12 +546,9 @@ def run_node(
     gc_depth: int | None = None,
 ) -> int:
     """Synchronous entry point used by the CLI."""
-    from repro.runtime.peers import load_peer_table
-
-    table = load_peer_table(peers_path)
     return asyncio.run(
         serve_node(
-            table,
+            load_peer_table(peers_path),
             pid,
             trace_path=trace_path,
             run_seconds=run_seconds,

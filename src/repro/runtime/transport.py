@@ -34,6 +34,7 @@ from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.config import SystemConfig
 from repro.common.errors import WireFormatError
 from repro.obs.context import Observability
+from repro.obs.wire import MetricsCollector
 from repro.runtime.reliable import (
     CONNECTION_ERRORS,
     CONTROL_SEQ,
@@ -45,7 +46,6 @@ from repro.runtime.reliable import (
     ReliableLink,
     frame_bytes,
 )
-from repro.sim.metrics import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.chaos import ChaosTransport
@@ -374,7 +374,8 @@ class TcpNetwork:
                 message = decode_message(body[SEQ.size :])
                 if seq == CONTROL_SEQ:
                     if isinstance(message, LinkHeartbeat):
-                        await self._send_ack(src, writer)
+                        self._write_ack(src, writer)
+                        await writer.drain()
                     continue
                 cursor = self._recv_cursor.get(src, 0)
                 if seq <= cursor:
@@ -387,10 +388,7 @@ class TcpNetwork:
                         self.link_stats.gaps += seq - cursor - 1
                     self._recv_cursor[src] = seq
                     self._deliver(src, message)
-                if self.link_config.ack_every_frame:
-                    await self._send_ack(src, writer)
-                else:
-                    self._schedule_ack(src, state)
+                self._schedule_ack(src, state)
         except CONNECTION_ERRORS:
             pass
         except asyncio.CancelledError:
@@ -408,10 +406,9 @@ class TcpNetwork:
             with contextlib.suppress(*CONNECTION_ERRORS, asyncio.CancelledError):
                 await writer.wait_closed()
 
-    async def _send_ack(self, src: int, writer: asyncio.StreamWriter) -> None:
+    def _write_ack(self, src: int, writer: asyncio.StreamWriter) -> None:
         ack = LinkAck(self._recv_cursor.get(src, 0))
         writer.write(frame_bytes(CONTROL_SEQ, encode_message(ack)))
-        await writer.drain()
         self.link_stats.acks_sent += 1
         self.link_stats.control_bits += ack.wire_size(self.config.n)
 
@@ -431,12 +428,8 @@ class TcpNetwork:
     def _flush_ack(self, src: int, state: _Inbound) -> None:
         state.ack_pending = False
         writer = state.writer
-        if self._closed or writer.is_closing():
-            return
-        ack = LinkAck(self._recv_cursor.get(src, 0))
-        writer.write(frame_bytes(CONTROL_SEQ, encode_message(ack)))
-        self.link_stats.acks_sent += 1
-        self.link_stats.control_bits += ack.wire_size(self.config.n)
+        if not self._closed and not writer.is_closing():
+            self._write_ack(src, writer)
 
     def _deliver(self, src: int, message: "Message") -> None:
         if self._process is not None:

@@ -13,10 +13,12 @@ This package is the substrate the paper's model (§2) runs on:
   subclass.
 * :mod:`repro.sim.adversary` — delay/drop strategies, from benign uniform
   delays to targeted leader suppression.
-* :mod:`repro.sim.metrics` — bits-sent and asynchronous-time-unit accounting
-  exactly as §3 defines them.
+
+The §3 accounting (bits sent, asynchronous time units) the network feeds
+is :class:`repro.obs.wire.MetricsCollector`, re-exported here.
 """
 
+from repro.obs.wire import MetricsCollector
 from repro.sim.adversary import (
     Adversary,
     FixedDelay,
@@ -26,11 +28,9 @@ from repro.sim.adversary import (
     SlowProcessDelay,
     UniformDelay,
 )
-from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import TraceEvent, Tracer
 from repro.sim.wire import (
     BITS_PER_DIGEST,
     BITS_PER_ROUND,
@@ -53,8 +53,6 @@ __all__ = [
     "PartitionDelay",
     "Process",
     "Scheduler",
-    "TraceEvent",
-    "Tracer",
     "SlowProcessDelay",
     "UniformDelay",
     "bits_for_process_id",

@@ -22,8 +22,8 @@ adversary's RNG stream is identical to ``n`` individual sends), reserves a
 contiguous handle block, and keeps *one* scheduler entry live per broadcast,
 re-arming it after each delivery (see ``Scheduler.call_at_reserved``). The
 ``(time, handle)`` execution order — and therefore every metric — is
-bit-identical to the per-send path, which remains available via
-:attr:`Network.use_batched_broadcast` for cross-checks. The rare
+bit-identical to ``n`` individual sends (the tests keep that loop as their
+oracle: ``tests/unit/test_network.py``). The rare
 adaptive-corruption path recovers in-flight traffic by merging the
 scheduler's pending unicast deliveries with the fan-outs' delivery lists.
 Wire sizes go through :meth:`repro.sim.wire.Message.wire_size_cached`, so a
@@ -40,8 +40,8 @@ from repro.common.config import SystemConfig
 from repro.common.errors import ProtocolError
 from repro.obs.context import Observability
 from repro.obs.metrics import Histogram
+from repro.obs.wire import MetricsCollector
 from repro.sim.adversary import Adversary
-from repro.sim.metrics import MetricsCollector
 from repro.sim.scheduler import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -123,10 +123,6 @@ class Network:
         # Live fan-outs keyed by their reserved handle block's base, in
         # broadcast order (dict insertion order is deterministic).
         self._fanouts: dict[int, _FanOut] = {}
-        # Cross-check escape hatch: the determinism tests run the same cell
-        # with this off to prove batched delivery is trace-identical to n
-        # individual sends.
-        self.use_batched_broadcast = True
 
     def register(self, process: "Process") -> None:
         """Attach a process; its pid must be unique and in range."""
@@ -260,12 +256,11 @@ class Network:
         records, histogram) happens here at send time, before any delivery
         fires, just as with per-destination sends.
         """
-        if not self.use_batched_broadcast or len(self._processes) < self._n:
-            # Fallback (also covers partially-registered deployments, which
-            # must keep raising ProtocolError for unknown destinations).
-            send = self.send
+        if len(self._processes) < self._n:
+            # Partially-registered deployment: per-destination sends, which
+            # raise ProtocolError at the first unknown destination.
             for dst in self._dsts:
-                send(src, dst, message)
+                self.send(src, dst, message)
             return
 
         scheduler = self.scheduler

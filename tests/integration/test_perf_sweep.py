@@ -13,6 +13,7 @@ from repro.perf.cells import smoke_cells
 from repro.perf.compare import compare_documents
 from repro.perf.runner import run_cell, run_cell_profiled
 from repro.perf.sweep import metric_payload, run_sweep
+from repro.sim.network import Network
 
 
 class TestDeterminism:
@@ -40,21 +41,25 @@ class TestDeterminism:
         # Same grid shape, different seeds: simulated executions diverge.
         assert metric_payload(doc_a) != metric_payload(doc_b)
 
-    def test_batched_fanout_bit_identical_to_per_send(self):
+    def test_batched_fanout_bit_identical_to_per_send(self, monkeypatch):
         """The coalesced-delivery fast path changes nothing observable.
 
-        Every committed BENCH_sim.json cell runs with batched broadcast
-        on; this cross-check reruns a full protocol deployment with the
-        per-destination fallback and demands byte-identical traces,
-        metrics, and delivered logs — the batching is pure mechanism.
+        Every committed BENCH_sim.json cell runs the batched broadcast;
+        this cross-check reruns a full protocol deployment with
+        ``Network.broadcast`` replaced by n individual sends and demands
+        byte-identical traces, metrics, and delivered logs — the batching
+        is pure mechanism.
         """
 
-        def run(batched: bool):
+        def per_send_broadcast(network, src, message):
+            for dst in network.config.processes:
+                network.send(src, dst, message)
+
+        def run():
             observability = Observability()
             deployment = DagRiderDeployment(
                 SystemConfig(n=4, seed=3), observability=observability
             )
-            deployment.network.use_batched_broadcast = batched
             assert deployment.run_until_wave(2, max_events=200_000)
             return (
                 deployment.metrics.snapshot(),
@@ -67,7 +72,9 @@ class TestDeterminism:
                 observability.bus.events,
             )
 
-        assert run(True) == run(False)
+        batched = run()
+        monkeypatch.setattr(Network, "broadcast", per_send_broadcast)
+        assert run() == batched
 
 
 class TestRunner:

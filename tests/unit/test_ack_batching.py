@@ -4,9 +4,10 @@ import asyncio
 
 from repro.broadcast.gossip import GossipSubscribe
 from repro.codec import encode_message
+from repro.codec.frames import LinkAck
 from repro.common.config import SystemConfig
 from repro.runtime.peers import allocate_port_block
-from repro.runtime.reliable import HANDSHAKE, LinkConfig, frame_bytes
+from repro.runtime.reliable import HANDSHAKE, frame_bytes
 from repro.runtime.transport import TcpNetwork
 
 
@@ -31,7 +32,7 @@ async def eventually(predicate, timeout=10.0, poll=0.01):
     return predicate()
 
 
-async def busy_link_control_bits(link_config: LinkConfig) -> tuple[int, int]:
+async def busy_link_control_bits() -> tuple[int, int]:
     """Blast FRAMES data frames at a node in one write; return (acks, bits).
 
     Writing the whole burst before the receiver's read loop wakes guarantees
@@ -40,7 +41,7 @@ async def busy_link_control_bits(link_config: LinkConfig) -> tuple[int, int]:
     """
     ports = allocate_port_block(2)
     peers = {pid: ("127.0.0.1", ports[pid]) for pid in range(2)}
-    net = TcpNetwork(SystemConfig(n=2, seed=3), 0, peers, link_config=link_config)
+    net = TcpNetwork(SystemConfig(n=2, seed=3), 0, peers)
     sink = Sink(0)
     net.register(sink)
     await net.start()
@@ -65,12 +66,11 @@ async def busy_link_control_bits(link_config: LinkConfig) -> tuple[int, int]:
 
 def test_burst_coalescing_halves_control_bits():
     async def main():
-        per_frame_acks, per_frame_bits = await busy_link_control_bits(
-            LinkConfig(ack_every_frame=True)
-        )
-        batched_acks, batched_bits = await busy_link_control_bits(LinkConfig())
-        # Per-frame behavior acks every data frame.
-        assert per_frame_acks == FRAMES
+        batched_acks, batched_bits = await busy_link_control_bits()
+        # Acking every data frame individually (the pre-batching receiver)
+        # would cost exactly one LinkAck frame per data frame.
+        per_frame_acks = FRAMES
+        per_frame_bits = FRAMES * LinkAck(FRAMES).wire_size(2)
         # Batching coalesces bursts: control traffic drops at least ~half
         # (in practice far more — the whole blob is one or two bursts).
         assert batched_acks < per_frame_acks
@@ -99,7 +99,6 @@ def test_batched_ack_is_cumulative():
             await writer.drain()
             # Whatever the burst split was, the last ack must cover seq 10.
             from repro.codec import decode_message
-            from repro.codec.frames import LinkAck
             from repro.runtime.reliable import HEADER, SEQ
 
             cumulative = 0

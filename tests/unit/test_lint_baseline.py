@@ -177,3 +177,55 @@ class TestCliContract:
         out = capsys.readouterr().out
         for code in ("DET001", "DET002", "DET003", "DET004", "ASYNC001", "EXC001"):
             assert code in out
+
+
+class TestLocSection:
+    """``--format json`` reports the size of what it linted, per package."""
+
+    SOURCE = (
+        '"""Module docstring.\n'
+        "\n"
+        'Second paragraph."""\n'
+        "\n"
+        "# a comment\n"
+        "TABLE = (\n"
+        '    "a string that is data, not a docstring"\n'
+        ")\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    return x  # trailing comment still counts as code\n"
+    )
+
+    def test_shape_and_counts(self, tmp_path, monkeypatch, capsys):
+        repro = tmp_path / "src" / "repro"
+        (repro / "runtime").mkdir(parents=True)
+        (repro / "__init__.py").write_text("")
+        (repro / "runtime" / "__init__.py").write_text('"""Docstring only."""\n')
+        (repro / "runtime" / "thing.py").write_text(self.SOURCE)
+        (tmp_path / "src" / "script.py").write_text("x = 1\n")  # not in repro
+        monkeypatch.chdir(tmp_path)
+        assert main(["src", "--root", str(tmp_path), "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["loc"] == {
+            ".": {"files": 1, "lines": 0, "code": 0},
+            "runtime": {"files": 2, "lines": 14, "code": 5},
+        }
+        assert document["files_checked"] == 4
+
+    def test_real_tree_covers_every_package(self, capsys):
+        import repro
+
+        from pathlib import Path
+
+        package = Path(repro.__file__).parent
+        assert main([str(package), "--root", str(package.parent.parent),
+                     "--format", "json", "--no-project"]) == 0
+        loc = json.loads(capsys.readouterr().out)["loc"]
+        on_disk = {p.name for p in package.iterdir() if (p / "__init__.py").exists()}
+        assert set(loc) == on_disk | {"."}
+        assert list(loc) == sorted(loc)
+        for size in loc.values():
+            assert set(size) == {"files", "lines", "code"}
+            assert 0 < size["code"] < size["lines"]

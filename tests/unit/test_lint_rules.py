@@ -4,7 +4,7 @@ Each rule gets three snippets: one seeded violation it must catch, one
 clean equivalent it must not flag, and one suppressed violation an inline
 ``# repro-lint: ignore[CODE]`` comment must silence. Scope tests assert the
 per-package applicability (DET002 only in simulated-time packages,
-ASYNC001 only in runtime/).
+ASYNC001–003 only in the asyncio packages, runtime/ and mempool/).
 """
 
 import pytest
@@ -342,6 +342,10 @@ class TestAsync001Blocking:
         source = "import time\n\nasync def f():\n    time.sleep(1)\n"
         assert check(source, module="repro.perf.fixture") == []
 
+    def test_mempool_gateway_in_scope(self):
+        source = "import time\n\nasync def f():\n    time.sleep(1)\n"
+        assert codes(check(source, module="repro.mempool.gateway")) == ["ASYNC001"]
+
     def test_suppression_silences(self):
         source = (
             "import time\n\n"
@@ -449,6 +453,7 @@ class TestAsync002AwaitStraddlingWrite:
             "        self.count = snapshot + 1\n"
         )
         assert check(source, module="repro.core.fixture") == []
+        assert codes(check(source, module="repro.mempool.gateway")) == ["ASYNC002"]
 
     def test_suppression_silences(self):
         source = (
@@ -526,6 +531,7 @@ class TestAsync003FireAndForgetTask:
     def test_other_packages_out_of_scope(self):
         source = "def start(loop, coro):\n    loop.create_task(coro)\n"
         assert check(source, module="repro.perf.fixture") == []
+        assert codes(check(source, module="repro.mempool.gateway")) == ["ASYNC003"]
 
     def test_suppression_silences(self):
         source = (
@@ -861,21 +867,45 @@ class TestContract004WalReplay:
 
 
 RUNNER_OK = (
-    "class ControlServer:\n"
-    "    def _dispatch(self, request):\n"
-    "        command = request.get('cmd')\n"
-    "        if command == 'ping':\n"
-    "            return {'ok': True}\n"
-    "        if command == 'stop':\n"
-    "            return {'ok': True}\n"
-    "        return {'error': 'unknown'}\n"
+    "class ControlServer(LineServer):\n"
+    "    def __init__(self, runner, host, port):\n"
+    "        super().__init__(\n"
+    "            host, port,\n"
+    "            verbs={'ping': lambda _: {'ok': True}, 'stop': self._stop},\n"
+    "            streams={'subscribe': self._serve_subscribe},\n"
+    "        )\n"
 )
 
 FABRIC_OK = (
     "def drive(call, address):\n"
     "    call(address, {'cmd': 'ping'})\n"
     "    call(address, {'cmd': 'stop'})\n"
+    "    LiveView({'cmd': 'subscribe', 'interval': 1.0})\n"
 )
+
+GATEWAY_OK = (
+    "class IngressGateway(LineServer):\n"
+    "    def __init__(self, host, port):\n"
+    "        super().__init__(\n"
+    "            host, port,\n"
+    "            verbs={'submit': self._submit},\n"
+    "            streams={'ack': self._serve_acks},\n"
+    "        )\n"
+)
+
+INGRESS_BENCH_OK = (
+    "async def drive(client, address):\n"
+    "    await client.call({'cmd': 'submit', 'tx': 'ab'})\n"
+    "    await client.call({'cmd': 'ack'})\n"
+    "    call(address, {'cmd': 'ping'})\n"  # the bench also polls control
+)
+
+ALL_SOCKETS_OK = {
+    "repro.runtime.runner": RUNNER_OK,
+    "repro.runtime.fabric": FABRIC_OK,
+    "repro.mempool.gateway": GATEWAY_OK,
+    "repro.perf.ingress": INGRESS_BENCH_OK,
+}
 
 
 class TestContract005ControlProtocol:
@@ -885,6 +915,7 @@ class TestContract005ControlProtocol:
             "repro.runtime.fabric": FABRIC_OK,
         }
         assert lint_project(sources) == []
+        assert lint_project(ALL_SOCKETS_OK) == []
 
     def test_served_but_never_issued_flagged(self):
         fabric = FABRIC_OK.replace("    call(address, {'cmd': 'stop'})\n", "")
@@ -895,14 +926,49 @@ class TestContract005ControlProtocol:
         assert violations[0].path == "src/repro/runtime/runner.py"
         assert "stop" in violations[0].message
 
-    def test_issued_but_never_served_flagged(self):
-        fabric = FABRIC_OK + "    call(address, {'cmd': 'drain'})\n"
+    def test_streaming_verb_counts_as_served(self):
+        fabric = FABRIC_OK.replace(
+            "    LiveView({'cmd': 'subscribe', 'interval': 1.0})\n", ""
+        )
         violations = lint_project(
             {"repro.runtime.runner": RUNNER_OK, "repro.runtime.fabric": fabric}
         )
         assert codes(violations) == ["CONTRACT005"]
+        assert "subscribe" in violations[0].message
+
+    def test_issued_but_never_served_flagged(self):
+        sources = dict(ALL_SOCKETS_OK)
+        sources["repro.runtime.fabric"] += "    call(address, {'cmd': 'drain'})\n"
+        violations = lint_project(sources)
+        assert codes(violations) == ["CONTRACT005"]
         assert violations[0].path == "src/repro/runtime/fabric.py"
         assert "drain" in violations[0].message
+
+    def test_ingress_verb_served_but_never_issued_flagged(self):
+        sources = dict(ALL_SOCKETS_OK)
+        sources["repro.perf.ingress"] = INGRESS_BENCH_OK.replace(
+            "    await client.call({'cmd': 'ack'})\n", ""
+        )
+        violations = lint_project(sources)
+        assert codes(violations) == ["CONTRACT005"]
+        assert violations[0].path == "src/repro/mempool/gateway.py"
+        assert "ack" in violations[0].message
+
+    def test_ingress_verb_issued_but_never_served_flagged(self):
+        sources = dict(ALL_SOCKETS_OK)
+        sources["repro.perf.ingress"] += "    await client.call({'cmd': 'flush'})\n"
+        violations = lint_project(sources)
+        assert codes(violations) == ["CONTRACT005"]
+        assert violations[0].path == "src/repro/perf/ingress.py"
+        assert "flush" in violations[0].message
+
+    def test_issued_check_needs_every_server_in_the_tree(self):
+        # Without the runner in the model, 'ping' cannot be placed: quiet.
+        sources = {
+            "repro.mempool.gateway": GATEWAY_OK,
+            "repro.perf.ingress": INGRESS_BENCH_OK + "    call(a, {'cmd': 'x'})\n",
+        }
+        assert lint_project(sources) == []
 
     def test_absent_fabric_module_is_quiet(self):
         assert lint_project({"repro.runtime.runner": RUNNER_OK}) == []

@@ -192,13 +192,24 @@ class TestAdversaryLimits:
         assert nodes[1].received == []
 
 
+def use_per_send_oracle(net):
+    """Rebind ``net.broadcast`` to n individual sends in pid order."""
+
+    def broadcast(src, message):
+        for dst in net.config.processes:
+            net.send(src, dst, message)
+
+    net.broadcast = broadcast
+
+
 class TestBatchedBroadcastEquivalence:
     """The coalesced fan-out must be observably identical to n sends.
 
     ``Network.broadcast`` draws drop decisions and delays per destination
     in pid order and schedules one re-arming heap entry per fan-out.
     These tests pin the equivalence the benchmark baseline rests on: same
-    seed, batched on vs. off, byte-identical deliveries and metrics.
+    seed, the batched ``broadcast`` vs. the per-send oracle below,
+    byte-identical deliveries and metrics.
     """
 
     @staticmethod
@@ -206,7 +217,8 @@ class TestBatchedBroadcastEquivalence:
         sched, net, nodes = build(
             n=4, adversary=UniformDelay(derive_rng(7, "delays"))
         )
-        net.use_batched_broadcast = batched
+        if not batched:
+            use_per_send_oracle(net)
         for src in range(4):
             net.broadcast(src, Ping(body=bytes([src])))
         # A fan-out launched mid-run, while earlier ones are still in
@@ -242,7 +254,8 @@ class TestBatchedBroadcastEquivalence:
                 return now > 0.0 and self._rng.random() < 0.5
 
         sched, net, nodes = build(n=4, adversary=SeededDrops())
-        net.use_batched_broadcast = batched
+        if not batched:
+            use_per_send_oracle(net)
         net.broadcast(0, Ping(body=b"a"))
         net.broadcast(0, Ping(body=b"b"))
         net.broadcast(2, Ping(body=b"c"))

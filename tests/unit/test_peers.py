@@ -116,6 +116,12 @@ class TestRejections:
         with pytest.raises(PeerTableError, match="unknown link keys"):
             parse_peer_table(table_dict(link={"warp_factor": 9}))
 
+    def test_retired_ack_every_frame_knob_is_an_unknown_link_key(self):
+        # The per-frame-ack comparison knob is gone (PR 14); a table that
+        # still names it must fail loudly, not be silently ignored.
+        with pytest.raises(PeerTableError, match="unknown link keys.*ack_every_frame"):
+            parse_peer_table(table_dict(link={"ack_every_frame": True}))
+
     def test_port_out_of_range(self):
         data = table_dict()
         data["peers"]["0"]["port"] = 70_000

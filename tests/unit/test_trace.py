@@ -1,81 +1,62 @@
-"""Protocol tracing and the cross-event orderings it lets tests assert."""
+"""The cross-event orderings a deployment's event bus lets tests assert."""
 
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
-from repro.sim.trace import TraceEvent, Tracer
+from repro.obs.context import Observability
 
 
 def traced_deployment(seed=15):
-    tracer = Tracer()
-    dep = DagRiderDeployment(
-        SystemConfig(n=4, seed=seed), default_node_kwargs={"tracer": tracer}
-    )
+    observability = Observability()
+    dep = DagRiderDeployment(SystemConfig(n=4, seed=seed), observability=observability)
     assert dep.run_until_ordered(15)
-    return dep, tracer
+    return dep, observability.bus.events
 
 
-class TestTracer:
-    def test_record_and_filter(self):
-        tracer = Tracer()
-        tracer.record(1.0, 0, "x", a=1)
-        tracer.record(2.0, 1, "y")
-        tracer.record(3.0, 0, "x", a=2)
-        assert len(tracer) == 3
-        assert len(tracer.of_kind("x")) == 2
-        assert len(tracer.of_kind("x", pid=0)) == 2
-        assert tracer.of_kind("y")[0] == TraceEvent(2.0, 1, "y")
-        assert tracer.kinds() == {"x", "y"}
-
-    def test_format(self):
-        tracer = Tracer()
-        for i in range(5):
-            tracer.record(float(i), 0, "tick", n=i)
-        text = tracer.format(limit=3)
-        assert "tick" in text
-        assert "2 more events" in text
+def of_kind(events, kind, pid):
+    return [event for event in events if event.kind == kind and event.pid == pid]
 
 
 class TestProtocolEventOrdering:
     def test_expected_kinds_present(self):
-        _dep, tracer = traced_deployment()
-        assert {"vertex_added", "wave_ready", "commit", "a_deliver"} <= tracer.kinds()
+        _dep, events = traced_deployment()
+        kinds = {event.kind for event in events}
+        assert {"vertex_added", "wave_ready", "commit", "a_deliver"} <= kinds
 
     def test_events_time_ordered(self):
-        _dep, tracer = traced_deployment()
-        times = [event.time for event in tracer]
+        _dep, events = traced_deployment()
+        times = [event.time for event in events]
         assert times == sorted(times)
 
     def test_every_delivery_preceded_by_commit(self):
         """a_deliver events only happen during a commit at that process."""
-        _dep, tracer = traced_deployment()
+        _dep, events = traced_deployment()
         for pid in range(4):
-            deliveries = tracer.of_kind("a_deliver", pid=pid)
-            commits = tracer.of_kind("commit", pid=pid)
+            deliveries = of_kind(events, "a_deliver", pid)
+            commits = of_kind(events, "commit", pid)
             assert deliveries and commits
             first_commit = min(event.time for event in commits)
             assert min(e.time for e in deliveries) >= first_commit
 
     def test_commit_follows_its_wave_ready(self):
-        _dep, tracer = traced_deployment()
+        _dep, events = traced_deployment()
         for pid in range(4):
             ready_times = {
-                event.detail["wave"]: event.time
-                for event in tracer.of_kind("wave_ready", pid=pid)
+                event.get("wave"): event.time
+                for event in of_kind(events, "wave_ready", pid)
             }
-            for commit in tracer.of_kind("commit", pid=pid):
-                assert commit.time >= ready_times[commit.detail["wave"]]
+            for commit in of_kind(events, "commit", pid):
+                assert commit.time >= ready_times[commit.get("wave")]
 
     def test_waves_signalled_in_order(self):
-        _dep, tracer = traced_deployment()
+        _dep, events = traced_deployment()
         for pid in range(4):
-            waves = [e.detail["wave"] for e in tracer.of_kind("wave_ready", pid=pid)]
+            waves = [e.get("wave") for e in of_kind(events, "wave_ready", pid)]
             assert waves == sorted(waves)
 
     def test_commit_delivered_counts_match_log(self):
-        dep, tracer = traced_deployment()
+        dep, events = traced_deployment()
         for node in dep.correct_nodes:
             traced = sum(
-                event.detail["delivered"]
-                for event in tracer.of_kind("commit", pid=node.pid)
+                event.get("delivered") for event in of_kind(events, "commit", node.pid)
             )
             assert traced == len(node.ordered)
