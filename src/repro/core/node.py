@@ -16,7 +16,8 @@ Public BAB surface:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.broadcast.avid import AvidBroadcast
 from repro.broadcast.base import ReliableBroadcast
@@ -28,6 +29,7 @@ from repro.coin.threshold import CoinShareMessage, ThresholdCoin
 from repro.common.errors import ConfigurationError, WireFormatError
 from repro.common.types import round_of_wave
 from repro.crypto.dealer import CoinDealer
+from repro.crypto.hashing import digest_of
 from repro.dag.builder import DagBuilder
 from repro.dag.vertex import Vertex
 from repro.mempool.blocks import Block, BlockSource, TransactionGenerator
@@ -67,6 +69,16 @@ class OrderedEntry:
     round: int
     source: int
     time: float
+
+
+def entry_digest(entry: OrderedEntry) -> str:
+    """Hex digest of one delivered entry: slot plus full block bytes."""
+    return digest_of(entry.round, entry.source, entry.block.to_bytes()).hex()
+
+
+def digest_log(entries: Iterable[OrderedEntry]) -> list[str]:
+    """A delivery log reduced to position-wise entry digests."""
+    return [entry_digest(entry) for entry in entries]
 
 
 class DagRiderNode(Process):
@@ -113,9 +125,12 @@ class DagRiderNode(Process):
         self._wave_ready_time: dict[int, float] = {}
         # Durable state: the WAL/snapshot sidecar (None → memory-only node).
         self._journal = journal
-        #: Entry digests delivered before the last recovery — the restored
-        #: prefix of the total-order log for the cross-host prefix check.
-        self.recovered_digest_prefix: list[str] = []
+        # The delivered log's fingerprint, memoised: the first
+        # ``_restored_count`` digests were loaded from disk by recovery
+        # (entries delivered in past lives), the rest are this life's
+        # ``ordered`` entries, each hashed once by :meth:`digest_log`.
+        self._digests: list[str] = []
+        self._restored_count = 0
         self._catchup_pending: set[int] = set()
         self._catchup_attempts = 0
 
@@ -259,6 +274,11 @@ class DagRiderNode(Process):
                 ready = self._wave_ready_time.get(record.wave)
                 if ready is not None:
                     self._commit_latency.record(self.now - ready)
+        # A decided wave never commits again, so its ready time (recorded
+        # above, or skipped over by a later leader) is dead weight.
+        decided = self.ordering.decided_wave
+        for stale in [w for w in self._wave_ready_time if w <= decided]:
+            del self._wave_ready_time[stale]
         self._maybe_collect()
 
     def _maybe_collect(self) -> None:
@@ -343,8 +363,7 @@ class DagRiderNode(Process):
         self._delivery_listeners.append(listener)
 
     def _record_delivery(self, block: Block, round_: int, source: int) -> None:
-        position = len(self.recovered_digest_prefix) + len(self.ordered)
-        entry = OrderedEntry(position, block, round_, source, self.now)
+        entry = OrderedEntry(self.delivered_count, block, round_, source, self.now)
         self.ordered.append(entry)
         self._emit("a_deliver", round=round_, source=source)
         if self._on_deliver is not None:
@@ -352,7 +371,33 @@ class DagRiderNode(Process):
         for listener in self._delivery_listeners:
             listener(entry)
 
+    @property
+    def delivered_count(self) -> int:
+        """Entries delivered over every life of this node (the log length)."""
+        return self._restored_count + len(self.ordered)
+
+    def digest_log(self) -> list[str]:
+        """The whole delivered log as entry digests, past lives included.
+
+        Memoised: each :class:`OrderedEntry` is hashed the first time a
+        caller asks past it, so a call costs what was delivered since the
+        previous one. Returns the live list — copy it to keep it.
+        """
+        digests = self._digests
+        hashed = len(digests) - self._restored_count
+        if hashed < len(self.ordered):
+            digests.extend(digest_log(islice(self.ordered, hashed, None)))
+        return digests
+
     # -------------------------------------------------- recovery + catch-up
+
+    def restore_digest_log(self, digests: Sequence[str]) -> None:
+        """Adopt the digests of entries delivered before this boot; must
+        run before anything is delivered in this life."""
+        if self.ordered or self._digests:
+            raise RuntimeError(f"node {self.pid} already has a delivered log")
+        self._digests = list(digests)
+        self._restored_count = len(digests)
 
     def absorb_replayed_vertex(self, vertex: Vertex) -> None:
         """Side effects of a WAL-replayed vertex insertion.

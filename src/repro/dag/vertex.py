@@ -62,6 +62,16 @@ class Vertex(Payload):
         return strong + sorted(self.weak_parents)
 
     def to_bytes(self) -> bytes:
+        """Canonical encoding, built on first use: a live vertex is written
+        to the WAL and again to every snapshot it survives."""
+        encoded: bytes | None = self.__dict__.get("_encoded")
+        if encoded is None:
+            # Straight into __dict__, as cached_property does: the
+            # dataclass is frozen, and the bytes are derived, not a field.
+            encoded = self.__dict__["_encoded"] = self._encode()
+        return encoded
+
+    def _encode(self) -> bytes:
         parts = [
             struct.pack(
                 ">QHHH",

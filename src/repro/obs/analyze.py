@@ -105,6 +105,19 @@ def _format_time(value: float | None) -> str:
     return f"{value:.4f}" if value is not None else "-"
 
 
+def retention_note(meta: dict[str, object] | None, events: int) -> str | None:
+    """One line saying the trace is a suffix, when its header says so.
+
+    A runtime bus keeps a window (``meta.dropped_events`` counts what fell
+    off it); per-wave tables and causal chains over such a trace cover the
+    window, not the run.
+    """
+    dropped = (meta or {}).get("dropped_events")
+    if not isinstance(dropped, int) or dropped <= 0:
+        return None
+    return f"trace is the last {events} events; {dropped} older dropped"
+
+
 def summarize(
     events: Sequence[Event],
     meta: dict[str, object] | None = None,
@@ -115,6 +128,9 @@ def summarize(
     if meta:
         described = ", ".join(f"{k}={meta[k]}" for k in sorted(meta))
         lines.append(f"meta: {described}")
+    note = retention_note(meta, len(events))
+    if note is not None:
+        lines.append(note)
     pids = sorted({event.pid for event in events})
     if events:
         lines.append(

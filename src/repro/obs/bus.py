@@ -5,6 +5,13 @@ simulator's, or a whole TCP cluster's), so the log interleaves events
 exactly as they happened under the owning clock. Emission is synchronous
 and allocation-light; with no subscribers it is an append.
 
+The log is unbounded unless :meth:`EventBus.retain_last` caps it. The
+simulator keeps every event (its traces are exact-compared and causally
+stitched whole); the TCP runtime keeps a window, because a process that
+runs for hours must not hold every event it ever emitted. Subscribers see
+every event either way — long captures belong to a subscriber that writes
+them out, not to process memory.
+
 The clock is *injected*: the simulator binds ``Scheduler.now``, the TCP
 runtime binds its monotonic :class:`repro.runtime.transport.AsyncScheduler`.
 The bus itself never reads time on its own — the default clock is the
@@ -14,6 +21,7 @@ module clean under the determinism lint's wall-clock rule.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Iterator
 
 from repro.obs.events import Event, Scalar, make_fields
@@ -30,9 +38,34 @@ class EventBus:
     """Append-only, clock-stamped event log."""
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self.events: list[Event] = []
+        self.events: list[Event] | deque[Event] = []
         self._clock = clock if clock is not None else _zero_clock
         self._subscribers: list[Subscriber] = []
+        self._emitted = 0  # counted only once the log is a window
+
+    # --------------------------------------------------------------- window
+
+    def retain_last(self, capacity: int) -> None:
+        """Keep only the newest ``capacity`` events from here on.
+
+        ``events`` becomes a ``deque(maxlen=capacity)``, so emitting stays
+        a bare append; what falls off the far end is counted by a
+        subscriber, so an unbounded bus pays nothing for the feature.
+        """
+        if capacity < 1:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        if self._count_emit not in self._subscribers:
+            self._emitted = len(self.events)
+            self._subscribers.append(self._count_emit)
+        self.events = deque(self.events, maxlen=capacity)
+
+    def _count_emit(self, event: Event) -> None:
+        self._emitted += 1
+
+    @property
+    def dropped(self) -> int:
+        """Events that have fallen off a bounded log (0 when unbounded)."""
+        return max(0, self._emitted - len(self.events))
 
     # ---------------------------------------------------------------- clock
 

@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Sequence
 
-from repro.obs.analyze import diff_traces, filter_events, summarize
+from repro.obs.analyze import diff_traces, filter_events, retention_note, summarize
 from repro.obs.causal import stitch
 from repro.obs.export import Trace, dump_trace, dumps_trace, load_trace
 
@@ -105,6 +105,9 @@ def _cmd_causal(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
+        note = retention_note(trace.meta, len(trace.events))
+        if note is not None:
+            print(note)
         print(report.render(limit=args.limit))
     return 0 if report.stitched_chains else 1
 

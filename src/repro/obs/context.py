@@ -34,17 +34,22 @@ class Observability:
         self.spans = SpanTracker(self.bus)
         self._clock_bound = clock is not None
 
-    def attach_clock(self, scheduler: ClockLike) -> None:
+    def attach_clock(self, scheduler: ClockLike, retain: int | None = None) -> None:
         """Bind the bus clock to ``scheduler.now`` — first binding wins.
 
         The first-wins rule lets a cluster of TCP networks share one bus:
         every network offers its scheduler, the first one becomes the
-        cluster clock, and all events land on a single time axis.
+        cluster clock, and all events land on a single time axis. The
+        binder also says how much of the log to keep: ``retain`` caps the
+        bus at its newest events (the TCP runtime), None keeps them all
+        (the simulator).
         """
         if self._clock_bound:
             return
         self._clock_bound = True
         self.bus.set_clock(lambda: scheduler.now)
+        if retain is not None:
+            self.bus.retain_last(retain)
 
     def emit(self, pid: int, kind: str, **fields: Scalar) -> None:
         """Shorthand for ``self.bus.emit``."""

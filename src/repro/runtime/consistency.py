@@ -5,7 +5,8 @@ sequence. Comparing ``(round, source)`` slots is not enough: reliable
 broadcast *should* prevent two different blocks occupying one slot, but the
 consistency check exists precisely to catch the runs where something below
 it broke — so each delivered entry is reduced to a SHA-256 digest over its
-slot *and* block bytes, and the digests are compared position by position.
+slot *and* block bytes (:func:`repro.core.node.entry_digest`, re-exported
+here), and the digests are compared position by position.
 
 The same check runs in three places with the same semantics:
 
@@ -19,36 +20,30 @@ Digests travel as hex strings so they survive JSON control channels.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.common.errors import ConsistencyError
-from repro.crypto.hashing import digest_of
+from repro.core.node import DagRiderNode, digest_log, entry_digest
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.node import OrderedEntry
-
-
-def entry_digest(entry: "OrderedEntry") -> str:
-    """Hex digest of one delivered entry: slot plus full block bytes."""
-    return digest_of(entry.round, entry.source, entry.block.to_bytes()).hex()
-
-
-def digest_log(entries: Iterable["OrderedEntry"]) -> list[str]:
-    """A node's delivery log reduced to position-wise entry digests."""
-    return [entry_digest(entry) for entry in entries]
+__all__ = [
+    "check_prefix_consistency",
+    "digest_log",
+    "entry_digest",
+    "full_digest_log",
+]
 
 
-def full_digest_log(node: Any) -> list[str]:
+def full_digest_log(node: DagRiderNode) -> list[str]:
     """A node's complete digest log, including deliveries from past lives.
 
-    A restarted node's ``ordered`` list only holds entries delivered since
-    boot; the digests of entries snapshotted away before the crash are
-    carried in ``recovered_digest_prefix``. Entry digests cover
-    ``(round, source, block bytes)`` and none of those depend on the clock,
-    so the concatenation is exactly the log an uninterrupted run produces.
+    A snapshot of :meth:`repro.core.node.DagRiderNode.digest_log`, which
+    hashes each delivered entry once and carries the digests of entries
+    delivered before the last restart (restored from ``digests.log``).
+    Entry digests cover ``(round, source, block bytes)`` and none of those
+    depend on the clock, so this is exactly the log an uninterrupted run
+    produces.
     """
-    prefix = list(getattr(node, "recovered_digest_prefix", []))
-    return prefix + digest_log(node.ordered)
+    return list(node.digest_log())
 
 
 def check_prefix_consistency(

@@ -551,6 +551,10 @@ def merge_traces(traces: Sequence[Trace]) -> str:
         "pids": sorted(
             int(str(trace.meta.get("pid", -1))) for trace in traces
         ),
+        # Each host's bus keeps a window; the merge covers what survived.
+        "dropped_events": sum(
+            int(str(trace.meta.get("dropped_events", 0))) for trace in traces
+        ),
     }
     return dumps_trace(events, meta=meta, metrics={"links": dict(totals)})
 

@@ -234,7 +234,7 @@ class NodeRunner:
             "ok": True,
             "pid": self.pid,
             "ready": node is not None,
-            "ordered": len(self.ordered_digests()),
+            "ordered": node.delivered_count if node is not None else 0,
             "decided_wave": node.decided_wave if node is not None else -1,
             "current_round": node.current_round if node is not None else -1,
             "queue_depth": depth,
@@ -250,7 +250,7 @@ class NodeRunner:
         """This node's delivery log as entry digests (hex).
 
         Includes the digests of entries delivered before the last restart
-        (carried through the snapshot), so a recovered node's log lines up
+        (restored from ``digests.log``), so a recovered node's log lines up
         position-for-position with its uninterrupted peers.
         """
         if self.node is None:
@@ -302,7 +302,9 @@ class NodeRunner:
     # -------------------------------------------------------------- tracing
 
     def trace_meta(self) -> dict[str, object]:
-        """Deterministic identification for this host's trace header."""
+        """This host's trace header: who it is, and how many events older
+        than the bus's retention window the trace no longer holds."""
+        obs = self.observability
         return {
             "pid": self.pid,
             "n": self.config.n,
@@ -310,6 +312,7 @@ class NodeRunner:
             "coin_mode": self.table.coin_mode,
             "host": self.entry.host,
             "port": self.entry.port,
+            "dropped_events": obs.bus.dropped if obs is not None else 0,
         }
 
     def trace_metrics(self) -> dict[str, object]:
@@ -319,7 +322,8 @@ class NodeRunner:
         return metrics
 
     def trace_text(self) -> str:
-        """This host's ``repro.obs.trace`` v1 JSONL as a string."""
+        """This host's ``repro.obs.trace`` v1 JSONL as a string: at most
+        the bus's retention window, never the node's whole history."""
         events = (
             self.observability.bus.events if self.observability is not None else []
         )

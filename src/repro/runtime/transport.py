@@ -53,6 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.wire import Message
 
 
+#: Events the runtime keeps on the bus it is handed — the newest this
+#: many, a few seconds of a busy four-node cluster and ~10 MB. A process
+#: that runs for hours cannot hold its whole history; captures longer than
+#: the window belong to a ``subscribe`` stream (docs/observability.md).
+RETAINED_EVENTS = 32_768
+
+
 class AsyncScheduler:
     """Adapter exposing the simulator scheduler's surface over asyncio."""
 
@@ -120,8 +127,9 @@ class TcpNetwork:
         self.obs = obs
         if obs is not None:
             # First network in wins: a whole cluster's events share one
-            # monotonic time axis (see Observability.attach_clock).
-            obs.attach_clock(self.scheduler)
+            # monotonic time axis and one retention window (see
+            # Observability.attach_clock).
+            obs.attach_clock(self.scheduler, retain=RETAINED_EVENTS)
         self._loop = loop
         self._process: "Process | None" = None
         self._server: asyncio.AbstractServer | None = None

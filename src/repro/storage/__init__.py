@@ -5,7 +5,9 @@ DAG-Rider's proofs count a crashed process against the Byzantine budget
 package gives the runtime that: every vertex a node inserts, every vertex
 it creates, and every wave it commits is journaled to an append-only
 CRC-framed WAL; :class:`repro.dag.store.DagStore` compactions trigger
-atomic snapshots that bound replay work; and
+atomic snapshots that bound replay work, with the delivered log's digests
+in an append-only file beside them so a snapshot's size does not grow
+with history; and
 :func:`repro.storage.journal.recover_node` rebuilds a node's DAG, ordering
 position, and delivered-log prefix from disk so it can rejoin via the
 catch-up protocol instead of starting from genesis.
@@ -15,6 +17,7 @@ The package is intentionally outside the determinism-lint scope
 ``time.monotonic`` for replay-duration metrics.
 """
 
+from repro.storage.digests import DigestLog
 from repro.storage.journal import NodeJournal, RecoveryReport, recover_node
 from repro.storage.snapshot import Snapshot, load_snapshot, write_snapshot
 from repro.storage.wal import (
@@ -27,6 +30,7 @@ from repro.storage.wal import (
 )
 
 __all__ = [
+    "DigestLog",
     "NodeJournal",
     "RecoveryReport",
     "Snapshot",

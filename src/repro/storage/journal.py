@@ -1,8 +1,8 @@
 """One node's journal (WAL + snapshots) and the crash-recovery replay.
 
-:class:`NodeJournal` owns a state directory holding ``wal.log`` and
-``snapshot.bin``. The node calls three hooks on the hot path —
-:meth:`NodeJournal.record_vertex` when a vertex enters the DAG,
+:class:`NodeJournal` owns a state directory holding ``wal.log``,
+``snapshot.bin`` and ``digests.log``. The node calls three hooks on the
+hot path — :meth:`NodeJournal.record_vertex` when a vertex enters the DAG,
 :meth:`NodeJournal.record_created` just *before* broadcasting its own
 vertex (fsynced, so a restart can never broadcast different bytes for a
 round it already used — the crash-equivocation hazard), and
@@ -15,7 +15,8 @@ round it already used — the crash-equivocation hazard), and
 1. snapshot (if any): set the store's collection floor, insert the
    surviving vertices in (round, source) order, restore the ordering
    layer's decided wave + delivered set via refs, the builder's round,
-   the block-source sequence, and the delivered-log digest prefix;
+   the block-source sequence, and the delivered-log digest prefix (the
+   first ``ordered_count`` records of ``digests.log``);
 2. WAL tail (records with ``seq > snapshot.last_wal_seq``), in order:
    vertices re-enter through ``can_add``/``add`` (also re-extracting any
    piggybacked coin shares), created vertices restore the builder's round
@@ -41,6 +42,7 @@ from repro.codec.primitives import Reader, encode_uint
 from repro.common.errors import StorageError, WireFormatError
 from repro.dag.vertex import Ref, Vertex
 from repro.obs.context import Observability
+from repro.storage.digests import DigestLog
 from repro.storage.snapshot import Snapshot, load_snapshot, write_snapshot
 from repro.storage.wal import (
     WAL_COMMIT,
@@ -73,7 +75,8 @@ def decode_commit(payload: bytes) -> tuple[int, list[Ref]]:
 
 
 class NodeJournal:
-    """Durable-state sidecar for one node: ``<state_dir>/{wal.log,snapshot.bin}``."""
+    """Durable-state sidecar for one node:
+    ``<state_dir>/{wal.log,snapshot.bin,digests.log}``."""
 
     def __init__(
         self,
@@ -89,10 +92,13 @@ class NodeJournal:
         self.snapshot_path = os.path.join(state_dir, "snapshot.bin")
         self.wal_path = os.path.join(state_dir, "wal.log")
         self.snapshot_state: Snapshot | None = load_snapshot(self.snapshot_path)
-        covered = (
-            self.snapshot_state.last_wal_seq
-            if self.snapshot_state is not None
-            else 0
+        snapshot = self.snapshot_state
+        covered = snapshot.last_wal_seq if snapshot is not None else 0
+        #: Digests of the entries the snapshot counts as delivered; handed
+        #: to the node by :func:`recover_node`.
+        self.digests, self.restored_digests = DigestLog.open(
+            os.path.join(state_dir, "digests.log"),
+            snapshot.ordered_count if snapshot is not None else 0,
         )
         self.wal, records = WriteAheadLog.open(
             self.wal_path, fsync=fsync, start_seq=covered
@@ -136,10 +142,17 @@ class NodeJournal:
         self._emit_append(WAL_COMMIT, seq, wave)
 
     def write_snapshot(self, node: "DagRiderNode") -> None:
-        """Snapshot the node's recoverable state and truncate the WAL."""
-        from repro.runtime.consistency import digest_log
+        """Snapshot the node's recoverable state and truncate the WAL.
 
+        Write order: the digests delivered since the previous snapshot are
+        appended to ``digests.log`` and fsynced, then the snapshot that
+        counts them is written (tmp, fsync, rename), then the WAL is cut.
+        A crash after the append leaves extra digest records the next open
+        drops; the WAL tail re-delivers those entries.
+        """
         store = node.store
+        log = node.digest_log()
+        self.digests.append(log[self.digests.count :])
         delivered = tuple(
             (ref.source, ref.round)
             for ref in node.ordering.delivered_refs()
@@ -158,9 +171,7 @@ class NodeJournal:
             pending=tuple(
                 vertex.to_bytes() for vertex in node.builder.created.values()
             ),
-            ordered_digests=tuple(
-                node.recovered_digest_prefix + digest_log(node.ordered)
-            ),
+            ordered_count=len(log),
         )
         size = write_snapshot(self.snapshot_path, snapshot)
         self.wal.truncate()
@@ -179,6 +190,7 @@ class NodeJournal:
 
     def close(self) -> None:
         self.wal.close()
+        self.digests.close()
 
 
 @dataclass(frozen=True)
@@ -234,7 +246,7 @@ def recover_node(node: "DagRiderNode", journal: NodeJournal) -> RecoveryReport:
         )
         builder.round = max(builder.round, snapshot.builder_round)
         node.block_source.restore_sequence(snapshot.block_sequence)
-        node.recovered_digest_prefix = list(snapshot.ordered_digests)
+        node.restore_digest_log(journal.restored_digests)
         created.extend(
             _decode_vertex(data, journal, "snapshot") for data in snapshot.pending
         )
@@ -284,7 +296,7 @@ def recover_node(node: "DagRiderNode", journal: NodeJournal) -> RecoveryReport:
             "node_recover",
             decided_wave=node.ordering.decided_wave,
             round=builder.round,
-            ordered=len(node.recovered_digest_prefix) + len(node.ordered),
+            ordered=node.delivered_count,
         )
         journal.obs.registry.histogram("storage.replay_seconds").record(duration)
     return report

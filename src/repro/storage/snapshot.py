@@ -9,9 +9,11 @@ WAL's full history, so the WAL can be truncated after each one:
 * the ordering layer's position — decided wave and the refs of delivered
   vertices still in the store (bit indices are *not* portable across
   restarts, refs are);
-* the delivered-log digest prefix — commits already snapshotted cannot be
-  replayed again once their WAL records are gone, so the prefix of entry
-  digests is carried verbatim for the cross-host consistency check;
+* ``ordered_count`` — how many entries the node had delivered. Commits
+  already snapshotted cannot be replayed once their WAL records are gone,
+  so their entry digests live in the append-only ``digests.log``
+  (:mod:`repro.storage.digests`); the snapshot only says how many of its
+  records it vouches for, which keeps its size independent of history;
 * the builder's round, any created-but-not-yet-self-delivered vertices
   (re-broadcast byte-identically on recovery), and the block-source
   sequence number;
@@ -29,13 +31,13 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.codec.primitives import Reader, encode_bytes, encode_str, encode_uint
+from repro.codec.primitives import Reader, encode_bytes, encode_uint
 from repro.common.errors import StorageError, WireFormatError
 
 MAGIC = b"RDSN"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct(">4sII")  # magic, version, crc32(body)
 
@@ -52,7 +54,7 @@ class Snapshot:
     vertices: tuple[bytes, ...] = ()
     delivered: tuple[tuple[int, int], ...] = ()  # (source, round) refs
     pending: tuple[bytes, ...] = ()  # created, not yet self-delivered
-    ordered_digests: tuple[str, ...] = field(default=())
+    ordered_count: int = 0  # leading ``digests.log`` records this covers
 
 
 def _encode_body(snapshot: Snapshot) -> bytes:
@@ -62,6 +64,7 @@ def _encode_body(snapshot: Snapshot) -> bytes:
         encode_uint(snapshot.decided_wave, 8),
         encode_uint(snapshot.builder_round, 8),
         encode_uint(snapshot.block_sequence, 8),
+        encode_uint(snapshot.ordered_count, 8),
         encode_uint(len(snapshot.vertices), 4),
     ]
     parts.extend(encode_bytes(vertex) for vertex in snapshot.vertices)
@@ -70,8 +73,6 @@ def _encode_body(snapshot: Snapshot) -> bytes:
         parts.append(encode_uint(source, 2) + encode_uint(round_, 8))
     parts.append(encode_uint(len(snapshot.pending), 4))
     parts.extend(encode_bytes(vertex) for vertex in snapshot.pending)
-    parts.append(encode_uint(len(snapshot.ordered_digests), 4))
-    parts.extend(encode_str(digest) for digest in snapshot.ordered_digests)
     return b"".join(parts)
 
 
@@ -82,12 +83,12 @@ def _decode_body(body: bytes) -> Snapshot:
     decided_wave = reader.uint(8)
     builder_round = reader.uint(8)
     block_sequence = reader.uint(8)
+    ordered_count = reader.uint(8)
     vertices = tuple(reader.bytes_() for _ in range(reader.uint(4)))
     delivered = tuple(
         (reader.uint(2), reader.uint(8)) for _ in range(reader.uint(4))
     )
     pending = tuple(reader.bytes_() for _ in range(reader.uint(4)))
-    digests = tuple(reader.str_() for _ in range(reader.uint(4)))
     reader.expect_end()
     return Snapshot(
         last_wal_seq=last_wal_seq,
@@ -98,7 +99,7 @@ def _decode_body(body: bytes) -> Snapshot:
         vertices=vertices,
         delivered=delivered,
         pending=pending,
-        ordered_digests=digests,
+        ordered_count=ordered_count,
     )
 
 

@@ -1,7 +1,11 @@
 """Durable-state crash recovery, end to end.
 
-Three layers, increasingly real:
+Four layers, increasingly real:
 
+* the crash windows of ``digests.log`` — simulator-driven lives over real
+  journals, deterministic: a kill between the digest append and the
+  snapshot rename, a file shorter than the snapshot counts, a snapshot of
+  a retired version, and two restarts in a row;
 * replay determinism — a node restarted from its journal rebuilds exactly
   the delivery-log prefix it had already externalized (entry digests cover
   round, source, and block bytes, none of which depend on the clock);
@@ -15,6 +19,8 @@ Three layers, increasingly real:
 
 import asyncio
 import json
+import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -22,11 +28,171 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import SystemConfig
+from repro.common.errors import StorageError
+from repro.core.harness import DagRiderDeployment
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.consistency import full_digest_log
+from repro.storage import journal as journal_module
+from repro.storage.digests import DIGEST_BYTES
+from repro.storage.journal import NodeJournal, recover_node
+from repro.storage.snapshot import load_snapshot
 
 REPO = Path(__file__).resolve().parents[2]
 FABRIC = REPO / "scripts" / "fabric.py"
+
+
+class Killed(Exception):
+    """Stands in for SIGKILL: unwinds the simulator mid-snapshot."""
+
+
+def sim_life(root, wave, journaled=True, recover=False):
+    """One life of a simulated 4-node cluster, journaling under ``root``.
+
+    ``fsync="always"`` flushes every append, so whatever was appended when
+    a life ends — cleanly or by :class:`Killed` — is what the next one
+    finds, as after a real kill. A recovering life replays every journal
+    and asks its peers for the suffix, as ``NodeRunner.launch`` does.
+    """
+    config = SystemConfig(n=4, seed=5)
+    journals = {}
+    if journaled:
+        journals = {
+            pid: NodeJournal(str(root / f"node-{pid}"), pid, fsync="always")
+            for pid in config.processes
+        }
+    deployment = DagRiderDeployment(
+        config,
+        node_kwargs={
+            pid: {"gc_depth": 4, **({"journal": journals[pid]} if journaled else {})}
+            for pid in config.processes
+        },
+    )
+    try:
+        if recover:
+            for node in deployment.nodes:
+                assert recover_node(node, journals[node.pid]).recovered
+                deployment.scheduler.call_at(0.0, node.request_catchup)
+        assert deployment.run_until_wave(wave, max_events=500_000)
+    finally:
+        for journal in journals.values():
+            journal.close()
+    return deployment
+
+
+def recover_alone(root, pid=0):
+    """Replay ``pid``'s journal into a fresh, never-started node."""
+    journal = NodeJournal(str(root / f"node-{pid}"), pid, fsync="always")
+    node = DagRiderDeployment(
+        SystemConfig(n=4, seed=5), node_kwargs={pid: {"gc_depth": 4}}
+    ).nodes[pid]
+    assert recover_node(node, journal).recovered
+    return node, journal
+
+
+def digest_records(path):
+    data = Path(path).read_bytes()
+    assert len(data) % DIGEST_BYTES == 0
+    return [
+        data[i : i + DIGEST_BYTES].hex() for i in range(0, len(data), DIGEST_BYTES)
+    ]
+
+
+class TestDigestLogCrashWindows:
+    def test_kill_between_digest_append_and_snapshot_rename(
+        self, tmp_path, monkeypatch
+    ):
+        reference = full_digest_log(sim_life(tmp_path, 8, journaled=False).nodes[0])
+        state = tmp_path / "node-0"
+        write_snapshot = journal_module.write_snapshot
+        written = []
+
+        def dying(path, snapshot):
+            if path == str(state / "snapshot.bin"):
+                written.append(snapshot)
+                if len(written) == 5:
+                    raise Killed  # digests.log already holds this snapshot's
+            return write_snapshot(path, snapshot)
+
+        monkeypatch.setattr(journal_module, "write_snapshot", dying)
+        with pytest.raises(Killed):
+            sim_life(tmp_path, 8)
+        monkeypatch.undo()
+
+        counted = load_snapshot(str(state / "snapshot.bin")).ordered_count
+        assert counted == written[-2].ordered_count
+        appended = digest_records(state / "digests.log")
+        assert len(appended) == written[-1].ordered_count > counted
+
+        node, journal = recover_alone(tmp_path)
+        try:
+            # The uncounted tail is cut; the WAL tail re-derives exactly
+            # those deliveries, so nothing externalized is lost or changed.
+            assert digest_records(state / "digests.log") == appended[:counted]
+            log = full_digest_log(node)
+            assert log == appended == reference[: len(appended)]
+            # ... and the next snapshot appends them again, once.
+            journal.write_snapshot(node)
+            assert digest_records(state / "digests.log") == log
+        finally:
+            journal.close()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing", "one record short", "last record torn"],
+    )
+    def test_fewer_records_than_the_snapshot_counts_is_an_error(
+        self, tmp_path, damage
+    ):
+        sim_life(tmp_path, 4)
+        path = tmp_path / "node-0" / "digests.log"
+        counted = load_snapshot(str(tmp_path / "node-0" / "snapshot.bin")).ordered_count
+        assert counted > 0 and path.stat().st_size == counted * DIGEST_BYTES
+        if damage == "missing":
+            path.unlink()
+        elif damage == "one record short":
+            os.truncate(path, (counted - 1) * DIGEST_BYTES)
+        else:
+            os.truncate(path, counted * DIGEST_BYTES - 5)
+        with pytest.raises(StorageError, match="digests.log"):
+            NodeJournal(str(tmp_path / "node-0"), 0)
+
+    def test_torn_tail_past_the_count_is_cut(self, tmp_path):
+        expected = full_digest_log(sim_life(tmp_path, 4).nodes[0])
+        path = tmp_path / "node-0" / "digests.log"
+        counted = path.stat().st_size // DIGEST_BYTES
+        with open(path, "ab") as stream:
+            stream.write(b"\xee" * (DIGEST_BYTES + 7))  # a record and a torn one
+        node, journal = recover_alone(tmp_path)
+        journal.close()
+        assert path.stat().st_size == counted * DIGEST_BYTES
+        log = full_digest_log(node)
+        assert log == expected[: len(log)] and len(log) >= counted
+
+    def test_version_1_snapshot_is_refused(self, tmp_path):
+        sim_life(tmp_path, 4)
+        path = tmp_path / "node-0" / "snapshot.bin"
+        data = bytearray(path.read_bytes())
+        struct.pack_into(">I", data, 4, 1)  # header: magic, version, crc
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="unsupported version 1"):
+            NodeJournal(str(tmp_path / "node-0"), 0)
+
+    def test_second_life_appends_after_the_first_lifes_records(self, tmp_path):
+        path = tmp_path / "node-0" / "digests.log"
+        first = full_digest_log(sim_life(tmp_path, 6).nodes[0])
+        first_records = digest_records(path)
+        second = full_digest_log(sim_life(tmp_path, 12, recover=True).nodes[0])
+        second_records = digest_records(path)
+        third = full_digest_log(sim_life(tmp_path, 18, recover=True).nodes[0])
+        third_records = digest_records(path)
+        # One log across three lives: each life extends the last one's,
+        # and the file is always its prefix — no gap, no duplicate.
+        assert len(first_records) < len(second_records) < len(third_records)
+        assert second[: len(first)] == first and third[: len(second)] == second
+        assert first_records == first[: len(first_records)]
+        assert second_records == second[: len(second_records)]
+        assert third_records == third[: len(third_records)]
+        assert len(set(third_records)) == len(third_records)
 
 
 def run_with_state(peers, state_dirs, target, seed=5, timeout=60.0, **node_kwargs):

@@ -94,6 +94,9 @@ class TestFabricSmoke:
             trace = loads_trace(path.read_text(encoding="utf-8"))
             kinds = {event.kind for event in trace.events}
             assert {"commit", "a_deliver"} <= kinds
+            # Three waves fit the bus's retention window: nothing dropped,
+            # and the header says so rather than leaving it to be assumed.
+            assert trace.meta["dropped_events"] == 0
 
     def test_merged_trace_spans_all_pids(self, fabric_run):
         out_dir, _result = fabric_run
@@ -101,6 +104,7 @@ class TestFabricSmoke:
             (out_dir / "merged.trace.jsonl").read_text(encoding="utf-8")
         )
         assert merged.meta.get("pids") == [0, 1, 2, 3]
+        assert merged.meta.get("dropped_events") == 0
         assert {event.pid for event in merged.events} == {0, 1, 2, 3}
         # Merge is globally time-sorted.
         times = [event.time for event in merged.events]

@@ -6,12 +6,15 @@ this process or are fanned across a ``ProcessPoolExecutor`` — otherwise the
 committed ``BENCH_sim.json`` baseline could never gate regressions.
 """
 
+import json
+from pathlib import Path
+
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
 from repro.obs.context import Observability
 from repro.perf.cells import smoke_cells
 from repro.perf.compare import compare_documents
-from repro.perf.runner import run_cell, run_cell_profiled
+from repro.perf.runner import run_cell, run_cell_profiled, run_cell_traced
 from repro.perf.sweep import metric_payload, run_sweep
 from repro.sim.network import Network
 
@@ -40,6 +43,22 @@ class TestDeterminism:
         doc_b = run_sweep(cells_b, suite="smoke", jobs=1)
         # Same grid shape, different seeds: simulated executions diverge.
         assert metric_payload(doc_a) != metric_payload(doc_b)
+
+    def test_simulator_bus_is_unbounded_and_baseline_still_matches(self):
+        """The runtime bounds the bus it is handed; the simulator never
+        does — its traces are exact-compared and stitched whole — so the
+        committed baseline's deterministic metrics must not have moved."""
+        baseline = json.loads(
+            (Path(__file__).resolve().parents[2] / "BENCH_sim.json").read_text(
+                encoding="utf-8"
+            )
+        )
+        for cell in smoke_cells(base_seed=1):
+            result, observability = run_cell_traced(cell)
+            bus = observability.bus
+            assert isinstance(bus.events, list) and bus.dropped == 0
+            assert len(bus) == result["observability"]["events"]
+            assert result["metrics"] == baseline["cells"][cell.name]["metrics"]
 
     def test_batched_fanout_bit_identical_to_per_send(self, monkeypatch):
         """The coalesced-delivery fast path changes nothing observable.

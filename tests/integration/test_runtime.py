@@ -2,14 +2,20 @@
 
 import asyncio
 
-
 from repro.common.config import SystemConfig
+from repro.obs import Observability, loads_trace
+from repro.runtime import transport
 from repro.runtime.cluster import LocalCluster
 
 
-def run_cluster(peers, coin_mode="ideal", target=10, n=4, seed=5, timeout=45.0):
+def run_cluster(
+    peers, coin_mode="ideal", target=10, n=4, seed=5, timeout=45.0, observability=None
+):
     cluster = LocalCluster(
-        SystemConfig(n=n, seed=seed), peers=peers, coin_mode=coin_mode
+        SystemConfig(n=n, seed=seed),
+        peers=peers,
+        coin_mode=coin_mode,
+        observability=observability,
     )
 
     async def main():
@@ -44,3 +50,22 @@ class TestTcpRuntime:
         cluster, reached = run_cluster(free_peers(4))
         assert reached
         assert all(net.metrics.correct_bits_total > 0 for net in cluster.networks)
+
+    def test_event_bus_is_a_window_not_a_lifetime(self, free_peers, monkeypatch):
+        window = 400  # a few rounds' worth, so a short run overflows it
+        monkeypatch.setattr(transport, "RETAINED_EVENTS", window)
+        observability = Observability()
+        seen = []
+        observability.bus.subscribe(seen.append)
+        cluster, reached = run_cluster(
+            free_peers(4), target=20, observability=observability
+        )
+        assert reached
+        bus = observability.bus
+        assert len(bus) == window and bus.dropped == len(seen) - window > 0
+        assert list(bus) == seen[-window:]
+        cluster.check_total_order()
+        # The control `trace` verb's reply is the window, and says so.
+        trace = loads_trace(cluster.runners[0].trace_text())
+        assert len(trace.events) <= window
+        assert trace.meta["dropped_events"] == bus.dropped

@@ -15,6 +15,7 @@ from repro.obs import (
     Counter,
     Event,
     EventBus,
+    FlightRecorder,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -85,6 +86,49 @@ class TestEventBus:
         bus.subscribe(seen.append)
         event = bus.emit(0, "x", k=1)
         assert seen == [event]
+
+    def test_retain_last_keeps_the_newest_and_counts_the_rest(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        early = [bus.emit(0, "early", i=i) for i in range(3)]
+        assert bus.dropped == 0  # unbounded: nothing ever falls off
+        bus.retain_last(5)
+        assert list(bus) == early and bus.dropped == 0
+        late = [bus.emit(i % 2, "late", i=i) for i in range(10)]
+        # The window holds the newest five; views and len work on it.
+        assert list(bus) == late[-5:]
+        assert len(bus) == 5 and bus.dropped == 8
+        assert bus.kinds() == {"late"}
+        assert bus.of_kind("late", pid=1) == [e for e in late[-5:] if e.pid == 1]
+        assert bus.of_kind("early") == []
+        # Subscribers are not readers of the window: they saw everything.
+        assert seen == early + late
+        flight = FlightRecorder(bus, capacity=2)
+        newest = [bus.emit_at(9.0, 0, "newest", i=i) for i in range(3)]
+        assert flight.ring.peek() == newest[-2:]
+
+    def test_retain_last_trims_a_longer_log(self):
+        bus = EventBus()
+        events = [bus.emit(0, "x", i=i) for i in range(6)]
+        bus.retain_last(4)
+        assert list(bus) == events[-4:] and bus.dropped == 2
+        with pytest.raises(ValueError):
+            bus.retain_last(0)
+
+    def test_attach_clock_bounds_the_bus_only_when_asked(self):
+        class FakeScheduler:
+            now = 1.0
+
+        simulated = Observability()
+        simulated.attach_clock(FakeScheduler())
+        runtime = Observability()
+        runtime.attach_clock(FakeScheduler(), retain=2)
+        for obs in (simulated, runtime):
+            for i in range(4):
+                obs.emit(0, "x", i=i)
+        assert len(simulated.bus) == 4 and simulated.bus.dropped == 0
+        assert len(runtime.bus) == 2 and runtime.bus.dropped == 2
 
     def test_observability_attach_clock_first_wins(self):
         class FakeScheduler:
@@ -278,6 +322,13 @@ class TestAnalysis:
         assert entry.latency == pytest.approx(1.5)
         assert entry.committers == 2
         assert entry.delivered == 6
+
+    def test_summarize_says_when_the_trace_is_a_suffix(self):
+        events = self._trace()
+        whole = summarize(events, meta={"dropped_events": 0})
+        assert "older dropped" not in whole
+        windowed = summarize(events, meta={"dropped_events": 7})
+        assert "trace is the last 4 events; 7 older dropped" in windowed
 
     def test_summarize_mentions_kinds_and_waves(self):
         text = summarize(self._trace(), meta={"cell": "x"})

@@ -164,7 +164,7 @@ class TestSnapshot:
             vertices=(b"vertex-a", b"vertex-b"),
             delivered=((0, 5), (2, 6)),
             pending=(b"mine",),
-            ordered_digests=("d0", "d1"),
+            ordered_count=2,
         )
 
     def test_round_trip(self, tmp_path):
