@@ -56,3 +56,8 @@ class ConsistencyError(ReproError):
     both delivered the same ``(round, source)`` slot but *different* block
     contents, which a slot-only comparison cannot see.
     """
+
+
+class FabricError(ReproError):
+    """The cluster driver could not do what was asked: unusable input, or
+    a cluster that missed a deadline (boot, wave target, crash recovery)."""

@@ -28,8 +28,6 @@ CODEC_REGISTRY_MODULE = "repro.codec.registry"
 JOURNAL_MODULE = "repro.storage.journal"
 RUNNER_MODULE = "repro.runtime.runner"
 FABRIC_MODULE = "repro.runtime.fabric"
-GATEWAY_MODULE = "repro.mempool.gateway"
-INGRESS_BENCH_MODULE = "repro.perf.ingress"
 OBS_DOC = "docs/observability.md"
 
 
@@ -360,14 +358,6 @@ class WalReplayContract(ProjectRule):
                 )
 
 
-#: The line-RPC sockets (repro.runtime.linerpc): the module whose
-#: ``LineServer`` verb tables serve each, and the module that drives it.
-_SOCKETS = {
-    "control": (RUNNER_MODULE, FABRIC_MODULE),
-    "ingress": (GATEWAY_MODULE, INGRESS_BENCH_MODULE),
-}
-
-
 def _served_verbs(context: ModuleContext) -> dict[str, Site]:
     """String keys of the ``verbs=`` / ``streams=`` dict literals in a module."""
     served: dict[str, Site] = {}
@@ -403,46 +393,37 @@ def _issued_verbs(context: ModuleContext) -> dict[str, Site]:
 
 @register_project
 class ControlProtocolContract(ProjectRule):
-    """CONTRACT005 — line-RPC verbs served == verbs issued, per socket."""
+    """CONTRACT005 — control verbs the runner serves == verbs the driver issues."""
 
     code = "CONTRACT005"
     summary = (
-        "every verb in a line-RPC server's verb tables (runner control, "
-        "gateway ingress) is issued by that socket's driver, and vice versa"
+        "every verb in the runner's control verb tables is issued by the "
+        "fabric driver, and vice versa"
     )
 
     def check(self) -> None:
-        modules = self.model.modules
-        served = {
-            name: _served_verbs(modules[server])
-            for name, (server, _client) in _SOCKETS.items()
-            if server in modules
-        }
-        for name, (server, client) in _SOCKETS.items():
-            if name not in served or client not in modules:
-                continue
-            issued = _issued_verbs(modules[client])
-            for verb, (path, line) in sorted(served[name].items()):
-                if verb not in issued:
-                    self.report(
-                        path,
-                        line,
-                        f'{name} verb "{verb}" is served by {server} but '
-                        f"never issued by {client}",
-                    )
-            # A driver may address either socket (the ingress bench also
-            # polls control ``status``), so an issued verb is only lost
-            # when no table serves it — decidable on the full tree only.
-            if len(served) < len(_SOCKETS):
-                continue
-            for verb, (path, line) in sorted(issued.items()):
-                if not any(verb in table for table in served.values()):
-                    self.report(
-                        path,
-                        line,
-                        f'verb "{verb}" is issued by {client} but served by '
-                        "no line-RPC verb table",
-                    )
+        runner = self.model.modules.get(RUNNER_MODULE)
+        fabric = self.model.modules.get(FABRIC_MODULE)
+        if runner is None or fabric is None:
+            return
+        served = _served_verbs(runner)
+        issued = _issued_verbs(fabric)
+        for verb, (path, line) in sorted(served.items()):
+            if verb not in issued:
+                self.report(
+                    path,
+                    line,
+                    f'control verb "{verb}" is served by {RUNNER_MODULE} but '
+                    f"never issued by {FABRIC_MODULE}",
+                )
+        for verb, (path, line) in sorted(issued.items()):
+            if verb not in served:
+                self.report(
+                    path,
+                    line,
+                    f'control verb "{verb}" is issued by {FABRIC_MODULE} but '
+                    f"not served by {RUNNER_MODULE}",
+                )
 
 
 __all__ = [

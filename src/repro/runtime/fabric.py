@@ -1,7 +1,9 @@
 """Fabric driver: boot, probe, and verify an n-host cluster of runners.
 
 ``scripts/fabric.py`` (a thin wrapper over :func:`main`) drives one
-``python -m repro tcp-node`` process per pid from a single peer table:
+``python -m repro tcp-node`` process per pid from a single peer table,
+through one :class:`Fabric` object that owns the table, the runner
+processes and every control verb:
 
 1. **Plan** — map pids onto the ``--hosts`` list (cycled), allocate free
    data + control ports for local hosts, and write ``peers.json`` to the
@@ -12,23 +14,24 @@
    ``--no-spawn`` to attach).
 3. **Probe** — poll every node's control socket until it answers ``ping``
    (readiness = data socket bound, protocol launched).
-4. **Wait** — poll ``status`` until every node decided ``--waves`` waves
-   (and ordered ``--blocks`` entries), within ``--timeout``.
+4. **Wait** — poll ``status`` until every node decided ``--waves`` waves,
+   within ``--timeout``.
 5. **Verify** — fetch position-wise entry digests over the control
    sockets and run the same digest-based prefix-consistency check
-   :class:`repro.runtime.cluster.LocalCluster` uses in-loop; aggregate
-   ``link_report`` counters across hosts.
-6. **Collect** — fetch each host's ``repro.obs.trace`` v1 JSONL, merge
-   them (events interleaved on their per-host clocks) into
-   ``merged.trace.jsonl``, write per-node ``status.json``, and optionally
-   ``--diff`` host traces.
+   :class:`repro.runtime.cluster.LocalCluster` uses in-loop.
+6. **Collect** — fetch each node's ``status`` and its ``repro.obs.trace``
+   v1 JSONL (whose footer carries the host's link counters).
+7. **Report** — after the teardown: per-node ``status.json``, link
+   counters summed across hosts, and the traces merged (events
+   interleaved on their per-host clocks) into ``merged.trace.jsonl``.
 
 With ``--scenario file.{json,toml}`` the driver additionally executes a
-declarative chaos scenario (:mod:`repro.runtime.scenario`) between probe
-and wait: killing runner processes with real signals, restarting them from
-their ``--state-dir`` (every scenario run journals durable state), cutting
-partitions and slowing peers over the control sockets — and asserting the
-cross-host digest prefix check passes after every recovery.
+declarative chaos scenario (:func:`repro.runtime.scenario.run_scenario`)
+between probe and wait: killing runner processes with real signals,
+restarting them from their ``--state-dir`` (every scenario run journals
+durable state), cutting partitions and slowing peers over the control
+sockets — and asserting the cross-host digest prefix check passes after
+every recovery.
 
 While waiting, the driver keeps a **live telemetry view** open: one
 ``subscribe`` stream per node (:mod:`repro.runtime.live`) renders a
@@ -37,9 +40,10 @@ TTY, as plain ``live:`` lines otherwise; ``--no-live`` turns it off) and
 tees each node's raw stream to ``node-<pid>.stream.jsonl``. A stall
 detector rides on the same streams: when the quorum commit frontier is
 flat for ``--stall-window`` seconds the driver pulls every node's
-``flight`` ring dump into ``stall-<k>.json``; a total-order violation
-likewise snapshots the rings into ``flight-consistency.json`` before
-the cluster is torn down.
+``flight`` ring dump into ``stall-<k>.json``. A total-order violation
+likewise snapshots the rings into ``flight-consistency.json``, and a
+boot, recovery or wave-target timeout into ``flight-timeout.json``,
+before the cluster is torn down.
 
 Exit codes: 0 success, 1 total-order violation, 2 boot/target timeout.
 """
@@ -53,11 +57,11 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.common.errors import ConfigurationError, ConsistencyError
-from repro.obs.analyze import diff_traces
+from repro.common.errors import ConfigurationError, ConsistencyError, FabricError
 from repro.obs.export import Trace, dumps_trace, loads_trace
 from repro.runtime import linerpc
 from repro.runtime.consistency import check_prefix_consistency
@@ -68,7 +72,7 @@ from repro.runtime.peers import (
     load_peer_table,
     make_peer_table,
 )
-from repro.runtime.scenario import Scenario, ScenarioStep, load_scenario
+from repro.runtime.scenario import Scenario, load_scenario, run_scenario
 
 #: Host spellings treated as "this machine" (spawnable by the driver).
 LOCAL_HOSTS = {"localhost", "127.0.0.1", "::1"}
@@ -125,120 +129,18 @@ def plan_table(
     )
 
 
-# ------------------------------------------------------------- control I/O
-
-
-def ask_all(
-    table: PeerTable, request: dict[str, Any], timeout: float = 2.0
-) -> dict[int, dict[str, Any]]:
-    """One control request to every node; best-effort, never raises.
-
-    An unreachable node is reported in the server's own error shape,
-    ``{"ok": False, "error": ...}``: pollers read the missing fields as
-    "not there yet", diagnostics record the failure instead of aborting.
-    """
-    replies: dict[int, dict[str, Any]] = {}
-    for entry in table.peers:
-        try:
-            replies[entry.pid] = linerpc.call(entry.control_address, request, timeout)
-        except (OSError, ValueError) as error:
-            replies[entry.pid] = {"ok": False, "error": str(error)}
-    return replies
+# -------------------------------------------------------------- the cluster
 
 
 #: Boot-probe backoff bounds (seconds): first retry delay and its ceiling.
 PROBE_INITIAL_BACKOFF = 0.05
 PROBE_MAX_BACKOFF = 1.0
-
-
-def wait_ready(
-    table: PeerTable,
-    deadline: float,
-    pids: Sequence[int] | None = None,
-) -> dict[int, float] | None:
-    """Probe control sockets until every node answers ``ping``.
-
-    Each pid is probed on its own bounded exponential backoff: while the
-    runner is still binding its sockets the dial fails fast
-    (``ConnectionRefusedError``) and the retry delay doubles from
-    ``PROBE_INITIAL_BACKOFF`` up to ``PROBE_MAX_BACKOFF`` — early probes
-    catch a fast boot within milliseconds, late ones stop hammering a
-    node that is grinding through WAL replay.
-
-    Returns per-pid boot latency in seconds (first successful ping,
-    measured from this call), or None when the deadline expired first.
-    """
-    start = time.monotonic()
-    pending = set(pids) if pids is not None else {e.pid for e in table.peers}
-    backoff = {pid: PROBE_INITIAL_BACKOFF for pid in pending}
-    next_probe = {pid: start for pid in pending}
-    latency: dict[int, float] = {}
-    while pending:
-        now = time.monotonic()
-        if now >= deadline:
-            return None
-        due = [pid for pid in sorted(pending) if next_probe[pid] <= now]
-        if not due:
-            wake = min(next_probe[pid] for pid in pending)
-            time.sleep(max(0.0, min(wake, deadline) - now))
-            continue
-        for pid in due:
-            try:
-                response = linerpc.call(
-                    table.entry(pid).control_address, {"cmd": "ping"}, timeout=2.0
-                )
-            except (OSError, ValueError):
-                next_probe[pid] = time.monotonic() + backoff[pid]
-                backoff[pid] = min(backoff[pid] * 2.0, PROBE_MAX_BACKOFF)
-                continue
-            if response.get("ok") and response.get("ready"):
-                pending.discard(pid)
-                latency[pid] = time.monotonic() - start
-            else:
-                next_probe[pid] = time.monotonic() + backoff[pid]
-    return latency
-
-
-def _poll_status(
-    table: PeerTable,
-    done: Callable[[Iterable[dict[str, Any]]], bool],
-    deadline: float,
-    poll: float = 0.2,
-) -> bool:
-    """Poll every node's ``status`` until ``done(statuses)`` or the deadline."""
-    while time.monotonic() < deadline:
-        if done(ask_all(table, {"cmd": "status"}).values()):
-            return True
-        time.sleep(poll)
-    return False
-
-
-def wait_target(table: PeerTable, waves: int, blocks: int, deadline: float) -> bool:
-    """Block until every node hit the wave/block targets."""
-    return _poll_status(
-        table,
-        lambda statuses: all(
-            s.get("decided_wave", -1) >= waves and s.get("ordered", 0) >= blocks
-            for s in statuses
-        ),
-        deadline,
-    )
-
-
-def wait_wave(table: PeerTable, wave: int, deadline: float) -> bool:
-    """Block until any reachable node's decided wave reaches ``wave``."""
-    return _poll_status(
-        table,
-        lambda statuses: any(s.get("decided_wave", -1) >= wave for s in statuses),
-        deadline,
-    )
-
-
-def stop_all(table: PeerTable) -> None:
-    ask_all(table, {"cmd": "stop"})
-
-
-# ----------------------------------------------------------------- spawning
+#: Seconds between ``status`` polls while waiting for a wave.
+STATUS_POLL = 0.2
+#: Seconds :meth:`Fabric.reap` gives the runners to exit after the control
+#: stop, and a runner to exit after SIGTERM, before escalating.
+STOP_GRACE = 15.0
+TERM_GRACE = 5.0
 
 
 def _runner_env() -> dict[str, str]:
@@ -252,279 +154,284 @@ def _runner_env() -> dict[str, str]:
     return env
 
 
-def spawn_runner(
-    pid: int,
-    peers_path: Path,
-    out_dir: Path,
-    run_seconds: float,
-    state_dir: Path | None = None,
-    log_mode: str = "w",
-) -> subprocess.Popen:
-    """One ``python -m repro tcp-node`` OS process, log captured.
+def _terminate(process: subprocess.Popen[bytes]) -> bool:
+    """SIGTERM, a bounded grace, then SIGKILL; True when the kill was needed."""
+    process.terminate()
+    try:
+        process.wait(timeout=TERM_GRACE)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
+        return True
+    return False
 
-    A scenario restart passes ``log_mode="a"`` so the node's pre-crash
-    output survives next to its recovery banner.
+
+@dataclass
+class Fabric:
+    """One cluster of runners: its peer table, its OS processes, its verbs.
+
+    The control verbs are methods here and nowhere else, and :meth:`crash`
+    is the only place a runner is killed and respawned. As a context
+    manager its exit is :meth:`stop` + :meth:`reap`, so no path out of a
+    run leaves runner processes behind. Built over a table whose runners
+    someone else started (``--no-spawn``), it only ever talks to them.
     """
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        "tcp-node",
-        "--peers",
-        str(peers_path),
-        "--pid",
-        str(pid),
-        "--trace",
-        str(out_dir / f"node-{pid}.trace.jsonl"),
-        "--run-seconds",
-        str(run_seconds),
-    ]
-    if state_dir is not None:
-        command += ["--state-dir", str(state_dir)]
-    log_path = out_dir / f"node-{pid}.log"
-    with open(log_path, log_mode, encoding="utf-8") as log:
-        return subprocess.Popen(
-            command, stdout=log, stderr=subprocess.STDOUT, env=_runner_env()
-        )
 
+    table: PeerTable
+    peers_path: Path
+    out_dir: Path
+    run_seconds: float
+    #: pid -> ``--state-dir``; a pid without one runs without a journal
+    #: (and cannot come back from a :meth:`crash` with its history).
+    state_dirs: dict[int, Path] = field(default_factory=dict)
+    processes: dict[int, subprocess.Popen[bytes]] = field(
+        default_factory=dict, init=False
+    )
+    #: pid -> seconds its latest boot took to answer ``ping``.
+    boot_latency: dict[int, float] = field(default_factory=dict, init=False)
 
-def spawn_runners(
-    table: PeerTable,
-    peers_path: Path,
-    out_dir: Path,
-    run_seconds: float,
-    state_dirs: dict[int, Path] | None = None,
-) -> dict[int, subprocess.Popen]:
-    """One runner OS process per pid; returns them keyed by pid."""
-    return {
-        entry.pid: spawn_runner(
-            entry.pid,
-            peers_path,
-            out_dir,
-            run_seconds,
-            state_dir=(state_dirs or {}).get(entry.pid),
-        )
-        for entry in table.peers
-    }
+    def __enter__(self) -> "Fabric":
+        return self
 
+    def __exit__(self, *exc: object) -> None:
+        self.stop()
+        self.reap()
 
-def reap(
-    processes: Mapping[int, subprocess.Popen], timeout: float = 15.0
-) -> None:
-    """Wait for runners to exit, escalating terminate -> kill past the deadline.
+    # ------------------------------------------------------------ processes
 
-    A runner wedged mid-shutdown (or one that never saw its control stop)
-    first gets SIGTERM — the polite chance to flush its trace — and only
-    if it ignores that within the grace window is it SIGKILLed, so the
-    driver can never hang on a stuck child. Any pid that needed the
-    escalation is named in the driver's output: a node that had to be
-    terminated did not stop cleanly, and that is a finding, not noise.
-    """
-    deadline = time.monotonic() + timeout
-    terminated: list[int] = []
-    killed: list[int] = []
-    for pid, process in processes.items():
-        remaining = max(0.1, deadline - time.monotonic())
-        try:
-            process.wait(timeout=remaining)
-            continue
-        except subprocess.TimeoutExpired:
-            terminated.append(pid)
-            process.terminate()
-        try:
-            process.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:
-            killed.append(pid)
+    def spawn(self) -> None:
+        """One ``python -m repro tcp-node`` OS process per pid in the table."""
+        for entry in self.table.peers:
+            self._launch(entry.pid)
+
+    def _launch(self, pid: int) -> None:
+        """Start pid's runner, log captured; a restart appends to the log so
+        the node's pre-crash output survives next to its recovery banner."""
+        command = [
+            sys.executable,
+            "-m",
+            "repro",
+            "tcp-node",
+            "--peers",
+            str(self.peers_path),
+            "--pid",
+            str(pid),
+            "--trace",
+            str(self.out_dir / f"node-{pid}.trace.jsonl"),
+            "--run-seconds",
+            str(self.run_seconds),
+        ]
+        if pid in self.state_dirs:
+            command += ["--state-dir", str(self.state_dirs[pid])]
+        mode = "a" if pid in self.processes else "w"
+        with open(self.out_dir / f"node-{pid}.log", mode, encoding="utf-8") as log:
+            self.processes[pid] = subprocess.Popen(
+                command, stdout=log, stderr=subprocess.STDOUT, env=_runner_env()
+            )
+
+    def crash(
+        self, pid: int, signal: str, restart_after: float, deadline: float
+    ) -> None:
+        """Kill pid's runner (``signal``: ``kill`` or ``term``), wait
+        ``restart_after`` seconds, respawn it from its state dir and wait
+        until it answers ``ping`` again.
+
+        A runner that ignores SIGTERM past the grace is SIGKILLed and named
+        on stderr, as in :meth:`reap`: the driver never hangs on a child.
+        """
+        process = self.processes.get(pid)
+        if process is None or process.poll() is not None:
+            raise FabricError(f"node {pid} is not running")
+        if signal == "kill":
             process.kill()
             process.wait()
-    if terminated:
-        print(
-            f"fabric: reap: nodes {terminated} ignored the control stop; "
-            "sent SIGTERM",
-            file=sys.stderr,
-        )
-    if killed:
-        print(
-            f"fabric: reap: nodes {killed} ignored SIGTERM; sent SIGKILL",
-            file=sys.stderr,
-        )
-
-
-# ------------------------------------------------------------- diagnostics
-
-
-def collect_flight_dumps(
-    table: PeerTable,
-    out_dir: Path,
-    reason: str,
-    stalled_for: float | None = None,
-    index: int | None = None,
-) -> Path:
-    """Pull every reachable node's flight-recorder ring into one file.
-
-    The ``flight`` control command makes each node dump its in-memory
-    last-K event ring (plus status and link report) and stamp its own
-    trace with ``flight_dump`` — so post-hoc analysis of the traces can
-    line the dumps up with protocol time. Unreachable nodes are recorded
-    as errors rather than aborting: diagnostics must degrade, not fail.
-    """
-    request: dict[str, Any] = {"cmd": "flight", "reason": reason}
-    if stalled_for is not None:
-        request["stalled_for"] = round(stalled_for, 3)
-    dumps = ask_all(table, request, timeout=10.0)  # JSON turns pid keys into strings
-    suffix = f"-{index}" if index is not None else ""
-    path = out_dir / f"{'stall' if reason == 'stall' else 'flight-' + reason}{suffix}.json"
-    path.write_text(
-        json.dumps({"reason": reason, "nodes": dumps}, indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
-    return path
-
-
-# ---------------------------------------------------------------- scenarios
-
-
-def fetch_digest_logs(table: PeerTable) -> dict[str, list[str]]:
-    """Every node's digest log over its control socket (all must answer)."""
-    return {
-        f"{entry.host}:{entry.pid}": linerpc.call(
-            entry.control_address, {"cmd": "log"}, timeout=10.0
-        )["digests"]
-        for entry in table.peers
-    }
-
-
-def _crash_once(
-    step: ScenarioStep,
-    table: PeerTable,
-    peers_path: Path,
-    out_dir: Path,
-    state_dirs: dict[int, Path],
-    processes: dict[int, subprocess.Popen],
-    run_seconds: float,
-    deadline: float,
-    boot_latency: dict[int, float],
-    announce: Callable[[str], None] = print,
-) -> int:
-    """Kill one runner, restart it from its state dir, verify consistency."""
-    pid = step.pid
-    assert pid is not None
-    process = processes.get(pid)
-    if process is None or process.poll() is not None:
-        print(f"fabric: scenario: node {pid} is not running", file=sys.stderr)
-        return 2
-    if step.signal == "kill":
-        process.kill()
-    else:
-        process.terminate()
-    process.wait()
-    announce(f"fabric: scenario: sent SIG{step.signal.upper()} to node {pid}")
-    time.sleep(step.restart_after)
-    processes[pid] = spawn_runner(
-        pid,
-        peers_path,
-        out_dir,
-        run_seconds,
-        state_dir=state_dirs[pid],
-        log_mode="a",
-    )
-    boot = wait_ready(table, deadline, pids=[pid])
-    if boot is None:
-        print(f"fabric: scenario: node {pid} failed to recover", file=sys.stderr)
-        return 2
-    boot_latency[pid] = boot[pid]
-    status = linerpc.call(table.entry(pid).control_address, {"cmd": "status"})
-    recovery = status.get("recovery", {})
-    announce(
-        f"fabric: scenario: node {pid} recovered in {boot[pid]:.2f}s "
-        f"(snapshot {recovery.get('snapshot_vertices', 0)} + "
-        f"wal {recovery.get('replayed_vertices', 0)} vertices, "
-        f"{recovery.get('replayed_commits', 0)} commits)"
-    )
-    # The hard guarantee: a recovered node's log must still be a prefix
-    # match with every peer — recovery may not rewrite history.
-    prefix = check_prefix_consistency(fetch_digest_logs(table))
-    announce(f"fabric: scenario: post-recovery prefix OK ({prefix} entries)")
-    return 0
-
-
-def run_scenario(
-    scenario: Scenario,
-    table: PeerTable,
-    peers_path: Path,
-    out_dir: Path,
-    state_dirs: dict[int, Path],
-    processes: dict[int, subprocess.Popen],
-    run_seconds: float,
-    deadline: float,
-    boot_latency: dict[int, float],
-    announce: Callable[[str], None] = print,
-    live: LiveView | None = None,
-) -> int:
-    """Execute the scenario's steps in order; 0 = all passed.
-
-    Progress goes through ``announce`` (the live view's scroll-safe
-    ``note`` when one is attached) and each step is named in the live
-    table's banner, so even the silent stretches — waiting for a wave,
-    a ``restart_after`` or ``heal_after`` sleep — show what the driver
-    is doing.
-    """
-    for index, step in enumerate(scenario.steps):
-        if live is not None:
-            live.set_banner(
-                f"scenario step {index + 1}/{len(scenario.steps)}: "
-                f"{step.kind} (waiting for wave {step.at_wave})"
-            )
-        if not wait_wave(table, step.at_wave, deadline):
+        elif _terminate(process):
             print(
-                f"fabric: scenario: step {index} ({step.kind}) timed out "
-                f"waiting for wave {step.at_wave}",
+                f"fabric: crash: node {pid} ignored SIGTERM; sent SIGKILL",
                 file=sys.stderr,
             )
-            return 2
-        if live is not None:
-            live.set_banner(
-                f"scenario step {index + 1}/{len(scenario.steps)}: {step.kind}"
+        time.sleep(restart_after)
+        self._launch(pid)
+        if not self.wait_ready(deadline, [pid]):
+            raise FabricError(f"node {pid} failed to recover")
+
+    def reap(self) -> None:
+        """Wait for runners to exit, escalating terminate -> kill past the deadline.
+
+        A runner wedged mid-shutdown (or one that never saw its control stop)
+        first gets SIGTERM — the polite chance to flush its trace — and only
+        if it ignores that within the grace window is it SIGKILLed, so the
+        driver can never hang on a stuck child. Any pid that needed the
+        escalation is named in the driver's output: a node that had to be
+        terminated did not stop cleanly, and that is a finding, not noise.
+        """
+        deadline = time.monotonic() + STOP_GRACE
+        terminated: list[int] = []
+        killed: list[int] = []
+        for pid, process in self.processes.items():
+            try:
+                process.wait(timeout=max(0.1, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                terminated.append(pid)
+                if _terminate(process):
+                    killed.append(pid)
+        if terminated:
+            print(
+                f"fabric: reap: nodes {terminated} ignored the control stop; "
+                "sent SIGTERM",
+                file=sys.stderr,
             )
-        announce(f"fabric: scenario: step {index}: {step.kind}")
-        if step.kind in ("crash", "churn"):
-            for _cycle in range(step.cycles if step.kind == "churn" else 1):
-                code = _crash_once(
-                    step, table, peers_path, out_dir, state_dirs,
-                    processes, run_seconds, deadline, boot_latency,
-                    announce=announce,
-                )
-                if code:
-                    return code
-        elif step.kind == "partition":
-            for group in step.groups:
-                others = [p for p in range(table.n) if p not in group]
-                for pid in group:
-                    linerpc.call(
-                        table.entry(pid).control_address,
-                        {"cmd": "partition", "peers": others},
-                    )
-            announce(f"fabric: scenario: partitioned {list(step.groups)}")
-            time.sleep(step.heal_after)
-            for entry in table.peers:
-                linerpc.call(entry.control_address, {"cmd": "heal"})
-            announce("fabric: scenario: partition healed")
-        elif step.kind == "slow":
-            assert step.pid is not None
-            address = table.entry(step.pid).control_address
-            linerpc.call(address, {"cmd": "slow", "delay": step.delay})
-            announce(
-                f"fabric: scenario: node {step.pid} slowed by "
-                f"{step.delay * 1000:.0f}ms/frame"
+        if killed:
+            print(
+                f"fabric: reap: nodes {killed} ignored SIGTERM; sent SIGKILL",
+                file=sys.stderr,
             )
-            time.sleep(step.duration)
-            linerpc.call(address, {"cmd": "slow", "delay": 0.0})
-    if live is not None:
-        live.set_banner("scenario done; waiting for targets")
-    return 0
+
+    # ---------------------------------------------------------- control verbs
+
+    def _call(
+        self, pid: int, request: dict[str, Any], timeout: float = 10.0
+    ) -> dict[str, Any]:
+        return linerpc.call(self.table.entry(pid).control_address, request, timeout)
+
+    def _ask_all(
+        self, request: dict[str, Any], timeout: float = 2.0
+    ) -> dict[int, dict[str, Any]]:
+        """One control request to every node; best-effort, never raises.
+
+        An unreachable node is reported in the server's own error shape,
+        ``{"ok": False, "error": ...}``: pollers read the missing fields as
+        "not there yet", diagnostics record the failure instead of aborting.
+        """
+        replies: dict[int, dict[str, Any]] = {}
+        for entry in self.table.peers:
+            try:
+                replies[entry.pid] = self._call(entry.pid, request, timeout)
+            except (OSError, ValueError) as error:
+                replies[entry.pid] = {"ok": False, "error": str(error)}
+        return replies
+
+    def wait_ready(self, deadline: float, pids: Sequence[int] | None = None) -> bool:
+        """Probe control sockets until every node (or each of ``pids``)
+        answers ``ping``; False when the deadline expired first.
+
+        Each pid is probed on its own bounded exponential backoff: while the
+        runner is still binding its sockets the dial fails fast
+        (``ConnectionRefusedError``) and the retry delay doubles from
+        ``PROBE_INITIAL_BACKOFF`` up to ``PROBE_MAX_BACKOFF`` — early probes
+        catch a fast boot within milliseconds, late ones stop hammering a
+        node that is grinding through WAL replay. Seconds to the first
+        successful ping, measured from this call, land in ``boot_latency``.
+        """
+        start = time.monotonic()
+        pending = set(pids) if pids is not None else {e.pid for e in self.table.peers}
+        backoff = {pid: PROBE_INITIAL_BACKOFF for pid in pending}
+        next_probe = {pid: start for pid in pending}
+        while pending:
+            now = time.monotonic()
+            if now >= deadline:
+                return False
+            due = [pid for pid in sorted(pending) if next_probe[pid] <= now]
+            if not due:
+                wake = min(next_probe[pid] for pid in pending)
+                time.sleep(max(0.0, min(wake, deadline) - now))
+                continue
+            for pid in due:
+                try:
+                    response = self._call(pid, {"cmd": "ping"}, timeout=2.0)
+                except (OSError, ValueError):
+                    next_probe[pid] = time.monotonic() + backoff[pid]
+                    backoff[pid] = min(backoff[pid] * 2.0, PROBE_MAX_BACKOFF)
+                    continue
+                if response.get("ok") and response.get("ready"):
+                    pending.discard(pid)
+                    self.boot_latency[pid] = time.monotonic() - start
+                else:
+                    next_probe[pid] = time.monotonic() + backoff[pid]
+        return True
+
+    def wait_wave(self, wave: int, deadline: float, every: bool) -> bool:
+        """Poll ``status`` until any reachable node — with ``every``, each
+        node — decided ``wave``; False when the deadline expired first."""
+        quorum = all if every else any
+        while time.monotonic() < deadline:
+            statuses = self._ask_all({"cmd": "status"}).values()
+            if quorum(s.get("decided_wave", -1) >= wave for s in statuses):
+                return True
+            time.sleep(STATUS_POLL)
+        return False
+
+    def status(self, pid: int) -> dict[str, Any]:
+        return self._call(pid, {"cmd": "status"})
+
+    def trace(self, pid: int) -> Trace:
+        """pid's ``repro.obs.trace`` v1 document, fetched over control (so
+        the driver needs no shared filesystem); its metrics footer carries
+        the host's link counters."""
+        return loads_trace(self._call(pid, {"cmd": "trace"}, timeout=30.0)["trace"])
+
+    def check_consistency(self) -> int:
+        """Fetch every node's digest log (all must answer) and run the
+        digest-based prefix check; returns the agreed prefix length."""
+        logs = {
+            f"{entry.host}:{entry.pid}": self._call(entry.pid, {"cmd": "log"})["digests"]
+            for entry in self.table.peers
+        }
+        return check_prefix_consistency(logs)
+
+    def partition(self, pid: int, peers: Sequence[int]) -> None:
+        """Make ``pid`` drop every frame to and from ``peers`` until :meth:`heal`."""
+        self._call(pid, {"cmd": "partition", "peers": list(peers)})
+
+    def heal(self) -> None:
+        for entry in self.table.peers:
+            self._call(entry.pid, {"cmd": "heal"})
+
+    def slow(self, pid: int, delay: float) -> None:
+        """Add ``delay`` seconds before every frame ``pid`` writes (0 = off)."""
+        self._call(pid, {"cmd": "slow", "delay": delay})
+
+    def flight_dumps(
+        self, reason: str, stalled_for: float | None = None, index: int | None = None
+    ) -> Path:
+        """Pull every reachable node's flight-recorder ring into one file.
+
+        The ``flight`` control command makes each node dump its in-memory
+        last-K event ring (plus status and link report) and stamp its own
+        trace with ``flight_dump`` — so post-hoc analysis of the traces can
+        line the dumps up with protocol time. Unreachable nodes are recorded
+        as errors rather than aborting: diagnostics must degrade, not fail.
+        """
+        request: dict[str, Any] = {"cmd": "flight", "reason": reason}
+        if stalled_for is not None:
+            request["stalled_for"] = round(stalled_for, 3)
+        dumps = self._ask_all(request, timeout=10.0)  # JSON turns pid keys into strings
+        suffix = f"-{index}" if index is not None else ""
+        name = "stall" if reason == "stall" else f"flight-{reason}"
+        path = self.out_dir / f"{name}{suffix}.json"
+        path.write_text(
+            json.dumps({"reason": reason, "nodes": dumps}, indent=2, sort_keys=True),
+            encoding="utf-8",
+        )
+        return path
+
+    def stop(self) -> None:
+        self._ask_all({"cmd": "stop"})
 
 
 # ------------------------------------------------------------------ merging
+
+
+def link_totals(traces: Iterable[Trace]) -> Counter[str]:
+    """Per-host link counters (each trace's metrics footer), summed."""
+    totals: Counter[str] = Counter()
+    for trace in traces:
+        links = (trace.metrics or {}).get("links", {})
+        if isinstance(links, dict):
+            for key, value in links.items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    totals[key] += value
+    return totals
 
 
 def merge_traces(traces: Sequence[Trace]) -> str:
@@ -539,13 +446,6 @@ def merge_traces(traces: Sequence[Trace]) -> str:
         (event for trace in traces for event in trace.events),
         key=lambda event: (event.time, event.pid),
     )
-    totals: Counter[str] = Counter()
-    for trace in traces:
-        links = (trace.metrics or {}).get("links", {})
-        if isinstance(links, dict):
-            for key, value in links.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    totals[key] += value
     meta = {
         "merged_hosts": len(traces),
         "pids": sorted(
@@ -556,7 +456,7 @@ def merge_traces(traces: Sequence[Trace]) -> str:
             int(str(trace.meta.get("dropped_events", 0))) for trace in traces
         ),
     }
-    return dumps_trace(events, meta=meta, metrics={"links": dict(totals)})
+    return dumps_trace(events, meta=meta, metrics={"links": dict(link_totals(traces))})
 
 
 # --------------------------------------------------------------------- main
@@ -581,9 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--waves", type=int, default=3, help="waves every node must commit"
     )
     parser.add_argument(
-        "--blocks", type=int, default=1, help="entries every node must order"
-    )
-    parser.add_argument(
         "--timeout", type=float, default=120.0, help="overall deadline (seconds)"
     )
     parser.add_argument(
@@ -604,11 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-spawn",
         action="store_true",
         help="attach to already-running runners (remote hosts) instead of spawning",
-    )
-    parser.add_argument(
-        "--diff",
-        action="store_true",
-        help="diff each host's trace against host 0's (informational)",
     )
     parser.add_argument(
         "--no-live",
@@ -642,43 +534,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def plan(args: argparse.Namespace) -> tuple[Fabric, Scenario | None]:
+    """Turn the command line into a cluster to drive (nothing spawned yet).
+
+    A scenario overrides the run shape in ``args`` and gives every pid a
+    state dir. Unusable input raises :class:`FabricError`.
+    """
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     hosts = [host.strip() for host in args.hosts.split(",") if host.strip()]
     if not hosts:
-        print("fabric: empty --hosts list", file=sys.stderr)
-        return 2
+        raise FabricError("empty --hosts list")
 
     scenario: Scenario | None = None
     if args.scenario:
         if args.peers or args.no_spawn:
-            print(
-                "fabric: --scenario drives its own local spawns; it cannot "
-                "be combined with --peers or --no-spawn",
-                file=sys.stderr,
+            raise FabricError(
+                "--scenario drives its own local spawns; it cannot "
+                "be combined with --peers or --no-spawn"
             )
-            return 2
         try:
             scenario = load_scenario(args.scenario)
         except (ConfigurationError, OSError) as error:
-            print(f"fabric: bad scenario: {error}", file=sys.stderr)
-            return 2
+            raise FabricError(f"bad scenario: {error}") from error
         args.n, args.seed, args.coin = scenario.n, scenario.seed, scenario.coin
         args.waves, args.timeout = scenario.waves, scenario.timeout
+        if args.gc_depth is None:
+            # Scenario runs journal durable state and crash-loop nodes; they
+            # default the bounded-memory policy on (scenario.gc_depth).
+            args.gc_depth = scenario.gc_depth
         print(
             f"fabric: scenario '{scenario.name}': n={scenario.n} "
             f"seed={scenario.seed} waves={scenario.waves} "
             f"steps={len(scenario.steps)}"
         )
-
-    gc_depth: int | None = args.gc_depth
-    if scenario is not None and gc_depth is None:
-        # Scenario runs journal durable state and crash-loop nodes; they
-        # default the bounded-memory policy on (scenario.gc_depth).
-        gc_depth = scenario.gc_depth
 
     if args.peers:
         table = load_peer_table(args.peers)
@@ -686,152 +575,104 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         table = plan_table(
             hosts, args.n, args.seed, args.coin,
-            gc_depth=gc_depth, ingress=args.ingress,
+            gc_depth=args.gc_depth, ingress=args.ingress,
         )
         peers_path = out_dir / "peers.json"
         peers_path.write_text(table.dumps(), encoding="utf-8")
         print(f"fabric: wrote peer table for n={table.n} to {peers_path}")
 
-    remote = [entry for entry in table.peers if not is_local(entry.host)]
+    remote = [entry.pid for entry in table.peers if not is_local(entry.host)]
     if remote and not args.no_spawn:
-        pids = [entry.pid for entry in remote]
-        print(
-            f"fabric: pids {pids} live on remote hosts; start "
+        raise FabricError(
+            f"pids {remote} live on remote hosts; start "
             f"`python -m repro tcp-node --peers {peers_path} --pid K` on "
-            "each host, then rerun with --no-spawn to attach",
-            file=sys.stderr,
+            "each host, then rerun with --no-spawn to attach"
         )
-        return 2
+    state_dirs = (
+        {pid: out_dir / f"state-{pid}" for pid in range(table.n)} if scenario else {}
+    )
+    return Fabric(table, peers_path, out_dir, args.timeout + 30.0, state_dirs), scenario
 
-    state_dirs: dict[int, Path] = {}
-    if scenario is not None:
-        state_dirs = {pid: out_dir / f"state-{pid}" for pid in range(table.n)}
 
-    run_seconds = args.timeout + 30.0
-    processes: dict[int, subprocess.Popen] = {}
-    if not args.no_spawn:
-        processes = spawn_runners(
-            table,
-            peers_path,
-            out_dir,
-            run_seconds=run_seconds,
-            state_dirs=state_dirs or None,
-        )
-        print(f"fabric: spawned {len(processes)} runner processes")
-
-    deadline = time.monotonic() + args.timeout
-
-    live: LiveView | None = None
-    if not args.no_live:
-        live = LiveView(
-            table,
-            {"cmd": "subscribe", "interval": args.live_interval},
-            out_dir=out_dir,
-            interval=args.live_interval,
-            stall_window=args.stall_window,
-        )
-        view = live  # the stall callback runs on the view's render thread
-
-        def _on_stall(stalled_for: float, frontier: int) -> None:
-            path = collect_flight_dumps(
-                table, out_dir, "stall",
-                stalled_for=stalled_for, index=view.stalls,
-            )
-            view.note(
-                f"fabric: stall diagnostics (frontier wave {frontier}) "
-                f"written to {path}"
-            )
-
-        live.on_stall = _on_stall
-        live.set_banner("booting")
-        live.start()
-    announce: Callable[[str], None] = live.note if live is not None else print
-
-    boot_latency: dict[int, float] = {}
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        boot = wait_ready(table, deadline)
-        if boot is None:
-            print("fabric: nodes failed to become ready in time", file=sys.stderr)
-            return 2
-        boot_latency.update(boot)
-        slowest = max(boot.values()) if boot else 0.0
-        announce(
-            f"fabric: all {table.n} nodes ready (slowest boot {slowest:.2f}s)"
+        fabric, scenario = plan(args)
+    except FabricError as error:
+        print(f"fabric: {error}", file=sys.stderr)
+        return 2
+    table, out_dir = fabric.table, fabric.out_dir
+
+    # Built even under --no-live (then never started): its ``note`` and
+    # ``set_banner`` are how the driver reports progress either way.
+    live = LiveView(
+        table,
+        {"cmd": "subscribe", "interval": args.live_interval},
+        out_dir=out_dir,
+        interval=args.live_interval,
+        stall_window=args.stall_window,
+    )
+
+    def _on_stall(stalled_for: float, frontier: int) -> None:
+        # Runs on the view's render thread.
+        path = fabric.flight_dumps("stall", stalled_for, index=live.stalls)
+        live.note(
+            f"fabric: stall diagnostics (frontier wave {frontier}) written to {path}"
         )
-        if live is not None:
-            live.set_banner(
-                f"running (targets: waves>={args.waves} blocks>={args.blocks})"
-            )
-        if scenario is not None:
+
+    live.on_stall = _on_stall
+    live.set_banner("booting")
+    deadline = time.monotonic() + args.timeout
+    try:
+        with fabric:
             try:
-                code = run_scenario(
-                    scenario, table, peers_path, out_dir, state_dirs,
-                    processes, run_seconds, deadline, boot_latency,
-                    announce=announce, live=live,
+                if not args.no_spawn:
+                    fabric.spawn()
+                    print(f"fabric: spawned {len(fabric.processes)} runner processes")
+                if not args.no_live:
+                    live.start()
+                if not fabric.wait_ready(deadline):
+                    raise FabricError("nodes failed to become ready in time")
+                slowest = max(fabric.boot_latency.values())
+                live.note(
+                    f"fabric: all {table.n} nodes ready (slowest boot {slowest:.2f}s)"
                 )
+                live.set_banner(f"running (target: waves>={args.waves})")
+                if scenario is not None:
+                    run_scenario(scenario, fabric, deadline, live)
+                if not fabric.wait_wave(args.waves, deadline, every=True):
+                    raise FabricError(
+                        f"target (waves>={args.waves}) not reached in time"
+                    )
+                live.set_banner("targets reached; collecting state")
+                # Verify and collect while the nodes are still live: a
+                # violation can then be answered with flight-recorder dumps.
+                prefix = fabric.check_consistency()
+                statuses = {entry.pid: fabric.status(entry.pid) for entry in table.peers}
+                traces = [fabric.trace(entry.pid) for entry in table.peers]
             except ConsistencyError as error:
-                dump_path = collect_flight_dumps(table, out_dir, "consistency")
+                dump_path = fabric.flight_dumps("consistency")
                 print(
-                    f"fabric: TOTAL ORDER VIOLATION after recovery: {error} "
+                    f"fabric: TOTAL ORDER VIOLATION: {error} "
                     f"(flight dumps: {dump_path})",
                     file=sys.stderr,
                 )
                 return 1
-            except (OSError, ValueError) as error:
-                print(f"fabric: scenario: control failure: {error}", file=sys.stderr)
+            except FabricError as error:
+                # The moment the flight rings matter most: pull them
+                # before the teardown destroys them.
+                dump_path = fabric.flight_dumps("timeout")
+                print(f"fabric: {error} (flight dumps: {dump_path})", file=sys.stderr)
                 return 2
-            if code:
-                return code
-        if not wait_target(table, args.waves, args.blocks, deadline):
-            print(
-                f"fabric: target (waves>={args.waves}, blocks>={args.blocks}) "
-                "not reached in time",
-                file=sys.stderr,
-            )
-            return 2
-        if live is not None:
-            live.set_banner("targets reached; collecting state")
-
-        # Aggregate state over the control sockets while nodes are live.
-        logs = fetch_digest_logs(table)
-        statuses: dict[int, dict[str, Any]] = {}
-        link_totals: Counter[str] = Counter()
-        trace_texts: dict[int, str] = {}
-        for entry in table.peers:
-            address = entry.control_address
-            statuses[entry.pid] = linerpc.call(address, {"cmd": "status"})
-            report = linerpc.call(address, {"cmd": "link_report"})["report"]
-            for key, value in report.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    link_totals[key] += value
-            trace_texts[entry.pid] = linerpc.call(
-                address, {"cmd": "trace"}, timeout=30.0
-            )["trace"]
-
-        # Verify total order while nodes are still live: a violation can
-        # then be answered with flight-recorder dumps over control.
-        try:
-            prefix = check_prefix_consistency(logs)
-        except ConsistencyError as error:
-            dump_path = collect_flight_dumps(table, out_dir, "consistency")
-            print(
-                f"fabric: TOTAL ORDER VIOLATION: {error} "
-                f"(flight dumps: {dump_path})",
-                file=sys.stderr,
-            )
-            return 1
+            except (OSError, ValueError) as error:
+                print(f"fabric: control failure: {error}", file=sys.stderr)
+                return 2
     finally:
-        stop_all(table)
-        if live is not None:
-            live.stop()
-        if processes:
-            reap(processes)
+        live.stop()
 
-    for pid, seconds in boot_latency.items():
-        if pid in statuses:
-            statuses[pid]["boot_seconds"] = round(seconds, 3)
-    status_path = out_dir / "status.json"
-    status_path.write_text(
+    for pid, seconds in fabric.boot_latency.items():
+        statuses[pid]["boot_seconds"] = round(seconds, 3)
+    (out_dir / "status.json").write_text(
         json.dumps({str(pid): status for pid, status in sorted(statuses.items())},
                    indent=2),
         encoding="utf-8",
@@ -842,34 +683,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"decided wave {status['decided_wave']}, "
             f"round {status['current_round']}"
         )
+    links = link_totals(traces)
     print(
         "fabric: links: "
-        f"{link_totals.get('frames_sent', 0)} frames, "
-        f"{link_totals.get('reconnects', 0)} reconnects, "
-        f"{link_totals.get('redeliveries', 0)} redeliveries"
+        f"{links['frames_sent']} frames, "
+        f"{links['reconnects']} reconnects, "
+        f"{links['redeliveries']} redeliveries"
     )
-
     print(
         f"fabric: digest-based total order OK across {table.n} nodes "
         f"(agreed prefix: {prefix} entries)"
     )
-
-    traces = {pid: loads_trace(text) for pid, text in trace_texts.items()}
     merged_path = out_dir / "merged.trace.jsonl"
-    merged_path.write_text(merge_traces(list(traces.values())), encoding="utf-8")
-    total_events = sum(len(trace.events) for trace in traces.values())
+    merged_path.write_text(merge_traces(traces), encoding="utf-8")
+    total_events = sum(len(trace.events) for trace in traces)
     print(f"fabric: merged {total_events} events into {merged_path}")
-
-    if args.diff and traces:
-        base_pid = min(traces)
-        for pid in sorted(traces):
-            if pid == base_pid:
-                continue
-            diff = diff_traces(
-                traces[base_pid].events, traces[pid].events, time_tolerance=1e9
-            )
-            changed = ", ".join(sorted(diff.kind_deltas)) or "none"
-            print(f"fabric: diff host {base_pid} vs {pid}: kind deltas: {changed}")
     return 0
 
 

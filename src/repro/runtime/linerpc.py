@@ -2,7 +2,7 @@
 
 The runner's control socket and the transaction ingress socket are both a
 :class:`LineServer` with a verb table; the fabric driver, the live view and
-the ingress benchmark use the clients below (docs/runtime.md "Line RPC").
+the ingress tests use the clients below (docs/runtime.md "Line RPC").
 
 A request is one JSON object per line, verb under ``"cmd"``; the reply is
 one ``json.dumps(..., sort_keys=True)`` line, in request order. Whatever

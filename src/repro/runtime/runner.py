@@ -19,8 +19,8 @@ JSONL on shutdown; in-loop clusters may share one bundle across runners.
 The control socket is a :class:`repro.runtime.linerpc.LineServer` (framing,
 error replies and shutdown: docs/runtime.md "Line RPC"). Its verbs:
 ``ping``, ``status``, ``log`` (position-wise entry digests for the
-cross-host prefix-consistency check), ``link_report``, ``trace`` (the
-JSONL text so a driver needs no shared filesystem), ``partition`` /
+cross-host prefix-consistency check), ``trace`` (the JSONL text, link
+counters in its footer, so a driver needs no shared filesystem), ``partition`` /
 ``heal`` / ``slow`` (scenario fault injection), ``flight`` (dump the
 in-memory flight-recorder ring — the black box a stall diagnostic
 fetches), and ``stop``. One verb streams: ``subscribe`` answers with a
@@ -353,7 +353,6 @@ class ControlServer(LineServer):
                 "ping": lambda _: self._reply(ready=runner.node is not None),
                 "status": lambda _: runner.status(),
                 "log": lambda _: self._reply(digests=runner.ordered_digests()),
-                "link_report": lambda _: self._reply(report=runner.link_report()),
                 "trace": lambda _: self._reply(trace=runner.trace_text()),
                 "partition": self._partition,
                 "heal": self._heal,

@@ -32,16 +32,23 @@ Step kinds:
   ``duration`` seconds.
 
 Validation is strict and upfront — a typo'd scenario fails before any
-process is spawned, not twenty seconds into a run.
+process is spawned, not twenty seconds into a run. :func:`run_scenario`
+executes the validated steps against a :class:`repro.runtime.fabric.Fabric`,
+so the step vocabulary — parse and dispatch — lives in this one module.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, FabricError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (fabric imports this module)
+    from repro.runtime.fabric import Fabric
+    from repro.runtime.live import LiveView
 
 STEP_KINDS = ("crash", "churn", "partition", "slow")
 CRASH_SIGNALS = ("kill", "term")
@@ -239,3 +246,73 @@ def load_scenario(path: str) -> Scenario:
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario(raw, origin=path)
+
+
+# ---------------------------------------------------------------- execution
+
+
+def _crash_step(
+    step: ScenarioStep, fabric: "Fabric", deadline: float, live: "LiveView"
+) -> None:
+    """Kill one runner, restart it from its state dir, verify consistency."""
+    pid = step.pid
+    assert pid is not None
+    fabric.crash(pid, step.signal, step.restart_after, deadline)
+    live.note(f"fabric: scenario: sent SIG{step.signal.upper()} to node {pid}")
+    recovery = fabric.status(pid).get("recovery", {})
+    live.note(
+        f"fabric: scenario: node {pid} recovered in {fabric.boot_latency[pid]:.2f}s "
+        f"(snapshot {recovery.get('snapshot_vertices', 0)} + "
+        f"wal {recovery.get('replayed_vertices', 0)} vertices, "
+        f"{recovery.get('replayed_commits', 0)} commits)"
+    )
+    # The hard guarantee: a recovered node's log must still be a prefix
+    # match with every peer — recovery may not rewrite history.
+    prefix = fabric.check_consistency()
+    live.note(f"fabric: scenario: post-recovery prefix OK ({prefix} entries)")
+
+
+def run_scenario(
+    scenario: Scenario, fabric: "Fabric", deadline: float, live: "LiveView"
+) -> None:
+    """Execute the scenario's steps in order against the live cluster.
+
+    A step that cannot run in time raises :class:`FabricError`, a
+    post-recovery order violation ``ConsistencyError``. Progress goes
+    through the live view's scroll-safe ``note`` and each step is named
+    in its banner, so even the silent stretches — waiting for a wave, a
+    ``restart_after`` or ``heal_after`` sleep — show what the driver is
+    doing.
+    """
+    for index, step in enumerate(scenario.steps):
+        label = f"scenario step {index + 1}/{len(scenario.steps)}: {step.kind}"
+        live.set_banner(f"{label} (waiting for wave {step.at_wave})")
+        if not fabric.wait_wave(step.at_wave, deadline, every=False):
+            raise FabricError(
+                f"scenario: step {index} ({step.kind}) timed out "
+                f"waiting for wave {step.at_wave}"
+            )
+        live.set_banner(label)
+        live.note(f"fabric: scenario: step {index}: {step.kind}")
+        if step.kind in ("crash", "churn"):
+            for _cycle in range(step.cycles if step.kind == "churn" else 1):
+                _crash_step(step, fabric, deadline, live)
+        elif step.kind == "partition":
+            for group in step.groups:
+                others = [p for p in range(scenario.n) if p not in group]
+                for pid in group:
+                    fabric.partition(pid, others)
+            live.note(f"fabric: scenario: partitioned {list(step.groups)}")
+            time.sleep(step.heal_after)
+            fabric.heal()
+            live.note("fabric: scenario: partition healed")
+        elif step.kind == "slow":
+            assert step.pid is not None
+            fabric.slow(step.pid, step.delay)
+            live.note(
+                f"fabric: scenario: node {step.pid} slowed by "
+                f"{step.delay * 1000:.0f}ms/frame"
+            )
+            time.sleep(step.duration)
+            fabric.slow(step.pid, 0.0)
+    live.set_banner("scenario done; waiting for targets")

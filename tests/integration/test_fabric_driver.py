@@ -1,0 +1,85 @@
+"""The fabric driver's failure paths: a child that will not die, a run
+that misses its target. ``test_fabric.py`` covers the runs that succeed."""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from repro.common.config import SystemConfig
+from repro.runtime import fabric as fabric_module
+from repro.runtime.fabric import Fabric
+from repro.runtime.peers import allocate_port_block, make_peer_table
+
+REPO = Path(__file__).resolve().parents[2]
+ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+#: Ignores SIGTERM, says so once the handler is installed, and ends by
+#: itself after 20 s — so a driver that waits on it without a bound fails
+#: this test instead of hanging the suite.
+STUBBORN = (
+    "import signal, time\n"
+    "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+    "print('deaf', flush=True)\n"
+    "time.sleep(20)\n"
+)
+
+
+def test_crash_escalates_past_a_runner_that_ignores_sigterm(
+    tmp_path, monkeypatch, capfd
+):
+    ports = allocate_port_block(8)
+    table = make_peer_table(
+        {pid: ("127.0.0.1", ports[2 * pid]) for pid in range(4)},
+        SystemConfig(n=4, seed=3),
+        control_ports={pid: ports[2 * pid + 1] for pid in range(4)},
+    )
+    peers_path = tmp_path / "peers.json"
+    peers_path.write_text(table.dumps(), encoding="utf-8")
+    stubborn = subprocess.Popen(
+        [sys.executable, "-c", STUBBORN], stdout=subprocess.PIPE
+    )
+    assert stubborn.stdout.readline() == b"deaf\n"
+    monkeypatch.setattr(fabric_module, "TERM_GRACE", 0.5)
+
+    with Fabric(table, peers_path, tmp_path, 60.0) as fabric:
+        fabric.processes[0] = stubborn
+        started = time.monotonic()
+        # The respawn is a real runner: alone it still boots and pings.
+        fabric.crash(0, "term", 0.0, started + 60.0)
+        assert fabric.processes[0] is not stubborn
+        assert 0 in fabric.boot_latency
+
+    assert stubborn.returncode == -signal.SIGKILL
+    assert time.monotonic() - started < 15.0
+    assert "fabric: crash: node 0 ignored SIGTERM; sent SIGKILL" in capfd.readouterr().err
+
+
+def test_missed_target_exits_2_and_leaves_the_flight_rings(tmp_path):
+    result = subprocess.run(
+        [
+            sys.executable, str(REPO / "scripts" / "fabric.py"),
+            "--n", "4", "--waves", "1000000", "--timeout", "8",
+            "--no-live", "--out-dir", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=str(REPO),
+        env=ENV,
+    )
+    assert result.returncode == 2, result.stdout + result.stderr
+    dump_path = tmp_path / "flight-timeout.json"
+    assert "target (waves>=1000000) not reached in time" in result.stderr
+    assert f"(flight dumps: {dump_path})" in result.stderr
+    document = json.loads(dump_path.read_text(encoding="utf-8"))
+    assert document["reason"] == "timeout"
+    assert set(document["nodes"]) == {"0", "1", "2", "3"}
+    for node in document["nodes"].values():
+        assert node["ok"], node
+        assert node["status"]["decided_wave"] >= 1
+        assert node["dump"]["reason"] == "timeout"
+        assert node["dump"]["count"] > 0

@@ -14,7 +14,7 @@ from repro.common.config import SystemConfig
 from repro.obs.context import Observability
 from repro.obs.stream import decode_stream_line
 from repro.runtime.cluster import LocalCluster
-from repro.runtime.fabric import stop_all
+from repro.runtime.fabric import Fabric
 from repro.runtime.live import LiveView
 from repro.runtime.peers import make_peer_table
 from repro.runtime.runner import ControlServer
@@ -69,7 +69,7 @@ def test_streams_are_teed_folded_and_drained_on_stop(
 
     # The fabric's teardown order: stop the nodes, then the view. Every
     # stream ends with a final tick that must still reach its tee.
-    stop_all(table)
+    Fabric(table, tmp_path / "peers.json", tmp_path, 0.0).stop()
     view.stop()
     thread.join(30.0)
     assert finished.get("ok")

@@ -883,45 +883,19 @@ FABRIC_OK = (
     "    LiveView({'cmd': 'subscribe', 'interval': 1.0})\n"
 )
 
-GATEWAY_OK = (
-    "class IngressGateway(LineServer):\n"
-    "    def __init__(self, host, port):\n"
-    "        super().__init__(\n"
-    "            host, port,\n"
-    "            verbs={'submit': self._submit},\n"
-    "            streams={'ack': self._serve_acks},\n"
-    "        )\n"
-)
-
-INGRESS_BENCH_OK = (
-    "async def drive(client, address):\n"
-    "    await client.call({'cmd': 'submit', 'tx': 'ab'})\n"
-    "    await client.call({'cmd': 'ack'})\n"
-    "    call(address, {'cmd': 'ping'})\n"  # the bench also polls control
-)
-
-ALL_SOCKETS_OK = {
+CONTROL_OK = {
     "repro.runtime.runner": RUNNER_OK,
     "repro.runtime.fabric": FABRIC_OK,
-    "repro.mempool.gateway": GATEWAY_OK,
-    "repro.perf.ingress": INGRESS_BENCH_OK,
 }
 
 
 class TestContract005ControlProtocol:
     def test_served_and_issued_clean(self):
-        sources = {
-            "repro.runtime.runner": RUNNER_OK,
-            "repro.runtime.fabric": FABRIC_OK,
-        }
-        assert lint_project(sources) == []
-        assert lint_project(ALL_SOCKETS_OK) == []
+        assert lint_project(CONTROL_OK) == []
 
     def test_served_but_never_issued_flagged(self):
         fabric = FABRIC_OK.replace("    call(address, {'cmd': 'stop'})\n", "")
-        violations = lint_project(
-            {"repro.runtime.runner": RUNNER_OK, "repro.runtime.fabric": fabric}
-        )
+        violations = lint_project({**CONTROL_OK, "repro.runtime.fabric": fabric})
         assert codes(violations) == ["CONTRACT005"]
         assert violations[0].path == "src/repro/runtime/runner.py"
         assert "stop" in violations[0].message
@@ -930,48 +904,22 @@ class TestContract005ControlProtocol:
         fabric = FABRIC_OK.replace(
             "    LiveView({'cmd': 'subscribe', 'interval': 1.0})\n", ""
         )
-        violations = lint_project(
-            {"repro.runtime.runner": RUNNER_OK, "repro.runtime.fabric": fabric}
-        )
+        violations = lint_project({**CONTROL_OK, "repro.runtime.fabric": fabric})
         assert codes(violations) == ["CONTRACT005"]
         assert "subscribe" in violations[0].message
 
     def test_issued_but_never_served_flagged(self):
-        sources = dict(ALL_SOCKETS_OK)
-        sources["repro.runtime.fabric"] += "    call(address, {'cmd': 'drain'})\n"
-        violations = lint_project(sources)
+        fabric = FABRIC_OK + "    call(address, {'cmd': 'drain'})\n"
+        violations = lint_project({**CONTROL_OK, "repro.runtime.fabric": fabric})
         assert codes(violations) == ["CONTRACT005"]
         assert violations[0].path == "src/repro/runtime/fabric.py"
         assert "drain" in violations[0].message
 
-    def test_ingress_verb_served_but_never_issued_flagged(self):
-        sources = dict(ALL_SOCKETS_OK)
-        sources["repro.perf.ingress"] = INGRESS_BENCH_OK.replace(
-            "    await client.call({'cmd': 'ack'})\n", ""
-        )
-        violations = lint_project(sources)
-        assert codes(violations) == ["CONTRACT005"]
-        assert violations[0].path == "src/repro/mempool/gateway.py"
-        assert "ack" in violations[0].message
-
-    def test_ingress_verb_issued_but_never_served_flagged(self):
-        sources = dict(ALL_SOCKETS_OK)
-        sources["repro.perf.ingress"] += "    await client.call({'cmd': 'flush'})\n"
-        violations = lint_project(sources)
-        assert codes(violations) == ["CONTRACT005"]
-        assert violations[0].path == "src/repro/perf/ingress.py"
-        assert "flush" in violations[0].message
-
-    def test_issued_check_needs_every_server_in_the_tree(self):
-        # Without the runner in the model, 'ping' cannot be placed: quiet.
-        sources = {
-            "repro.mempool.gateway": GATEWAY_OK,
-            "repro.perf.ingress": INGRESS_BENCH_OK + "    call(a, {'cmd': 'x'})\n",
-        }
-        assert lint_project(sources) == []
-
     def test_absent_fabric_module_is_quiet(self):
         assert lint_project({"repro.runtime.runner": RUNNER_OK}) == []
+
+    def test_absent_runner_module_is_quiet(self):
+        assert lint_project({"repro.runtime.fabric": FABRIC_OK}) == []
 
 
 class TestExc001SwallowedFaults:
