@@ -7,7 +7,7 @@ says that mechanism buys:
   stop appearing in committed causal histories.
 * **wave length** — 4 rounds is the minimum for the common-core argument;
   longer waves stay correct but commit less often per round (higher
-  latency); the bench quantifies delivered-per-round and commit cadence.
+  latency); the experiment quantifies delivered-per-round and commit cadence.
 * **commit quorum f+1 instead of 2f+1** — the quorum-intersection argument
   of Lemma 1 needs 2f+1; with f+1 the rule fires more eagerly but safety
   only survives benign schedules by luck. We demonstrate the *mechanism*
@@ -16,8 +16,6 @@ says that mechanism buys:
 """
 
 from __future__ import annotations
-
-from conftest import run_once
 
 from repro.common.config import SystemConfig
 from repro.common.rng import derive_rng
@@ -74,11 +72,8 @@ def run_commit_quorum(quorum: int) -> dict:
     }
 
 
-def test_ablation_weak_edges(benchmark, report):
-    results = run_once(
-        benchmark,
-        lambda: {enable: run_weak_edge_ablation(enable) for enable in (True, False)},
-    )
+def test_ablation_weak_edges(report):
+    results = {enable: run_weak_edge_ablation(enable) for enable in (True, False)}
     lines = [
         f"{'weak edges':<14}{'slow-process values ordered':>30}",
         "-" * 44,
@@ -93,11 +88,9 @@ def test_ablation_weak_edges(benchmark, report):
     assert results[False] == 0
 
 
-def test_ablation_wave_length(benchmark, report):
+def test_ablation_wave_length(report):
     lengths = [4, 6, 8]
-    results = run_once(
-        benchmark, lambda: {wl: run_wave_length(wl) for wl in lengths}
-    )
+    results = {wl: run_wave_length(wl) for wl in lengths}
     lines = [
         f"{'wave length':<14}{'delivered/round':>16}{'commits':>9}{'rounds':>8}",
         "-" * 48,
@@ -115,10 +108,8 @@ def test_ablation_wave_length(benchmark, report):
     assert results[4]["commits"] >= results[8]["commits"]
 
 
-def test_ablation_commit_quorum(benchmark, report):
-    results = run_once(
-        benchmark, lambda: {q: run_commit_quorum(q) for q in (2, 3)}
-    )
+def test_ablation_commit_quorum(report):
+    results = {q: run_commit_quorum(q) for q in (2, 3)}
     lines = [
         f"{'commit quorum':<16}{'decided wave':>14}{'completed':>11}",
         "-" * 42,

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from conftest import run_once
-
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
 
@@ -43,7 +41,7 @@ def bits_per_tx(broadcast: str, batch_size: int) -> float:
     return deployment.metrics.bits_per_unit(txs)
 
 
-def test_amortization(benchmark, report):
+def test_amortization(report):
     batches = [1, N, max(1, round(N * math.log2(N)))]
 
     def experiment():
@@ -52,7 +50,7 @@ def test_amortization(benchmark, report):
             for broadcast in ("bracha", "avid")
         }
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     header = f"{'batch size':<12}" + "".join(f"{b:>14}" for b in batches)
     lines = [f"n = {N}, {TX_BYTES}-byte transactions", header, "-" * len(header)]

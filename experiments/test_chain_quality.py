@@ -10,8 +10,6 @@ silent Byzantine proposers, and f equivocating proposers, at n = 4 and 7.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.chain_quality import chain_quality_report
 from repro.common.config import SystemConfig
 from repro.core.faulty import EquivocatingNode, SilentNode
@@ -50,7 +48,7 @@ def measure(n: int, fault: str) -> dict:
     return {"worst": worst, "violations": violations, "total": total, "f": f}
 
 
-def test_chain_quality(benchmark, report):
+def test_chain_quality(report):
     cases = [
         (4, "none"),
         (4, "silent"),
@@ -59,9 +57,7 @@ def test_chain_quality(benchmark, report):
         (7, "silent"),
         (7, "stealth"),
     ]
-    results = run_once(
-        benchmark, lambda: {case: measure(*case) for case in cases}
-    )
+    results = {case: measure(*case) for case in cases}
 
     lines = [
         f"{'n':<4}{'fault':<12}{'bound (f+1)/(2f+1)':>20}{'worst prefix':>14}{'violations':>12}",

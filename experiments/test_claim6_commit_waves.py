@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from conftest import run_once
-
 from repro.analysis.stats import summarize
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
@@ -38,8 +36,8 @@ def gaps_for(n: int) -> list[int]:
     return gaps
 
 
-def test_claim6_commit_wave_gaps(benchmark, report):
-    results = run_once(benchmark, lambda: {n: gaps_for(n) for n in NS})
+def test_claim6_commit_wave_gaps(report):
+    results = {n: gaps_for(n) for n in NS}
 
     lines = [
         f"{'n':<6}{'samples':>9}{'mean gap':>10}{'paper bound':>13}{'P(gap=1)':>10}{'max':>6}",

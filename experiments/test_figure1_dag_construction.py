@@ -12,8 +12,6 @@ the Lemma 2 common core on each completed wave.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.render import render_dag
 from repro.common.config import SystemConfig
 from repro.common.rng import derive_rng
@@ -34,8 +32,8 @@ def build_figure1_dag():
     return deployment
 
 
-def test_figure1_dag_structure(benchmark, report):
-    deployment = run_once(benchmark, build_figure1_dag)
+def test_figure1_dag_structure(report):
+    deployment = build_figure1_dag()
     node = deployment.correct_nodes[0]
     store = node.store
     config = deployment.config

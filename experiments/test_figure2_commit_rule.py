@@ -12,8 +12,6 @@ one leader and assert the ordering semantics.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.render import render_dag
 from repro.common.config import SystemConfig
 from repro.common.types import round_of_wave, wave_of_round
@@ -39,8 +37,8 @@ def find_retroactive_commit():
     raise AssertionError("no retroactive commit found across 40 seeds")
 
 
-def test_figure2_commit_rule(benchmark, report):
-    deployment, node, record, seed = run_once(benchmark, find_retroactive_commit)
+def test_figure2_commit_rule(report):
+    deployment, node, record, seed = find_retroactive_commit()
     store = node.store
 
     leaders = record.leader_chain  # delivery order: earliest wave first

@@ -3,7 +3,7 @@
 The paper keeps the DAG forever (fine for analysis); its descendants
 (Narwhal/Bullshark) garbage-collect delivered rounds because an unbounded
 DAG grows without bound in memory (one vertex per process per round, and
-ancestor bitsets that grow linearly in total vertices). This bench
+ancestor bitsets that grow linearly in total vertices). This experiment
 quantifies that: the same workload with and without `gc_depth`, comparing
 retained vertices and wall time for one event budget — and asserts the GC
 run delivers the *identical* log.
@@ -12,8 +12,6 @@ run delivers the *identical* log.
 from __future__ import annotations
 
 import time
-
-from conftest import run_once
 
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
@@ -40,8 +38,8 @@ def run(gc_depth: int | None) -> dict:
     }
 
 
-def test_gc_sustainability(benchmark, report):
-    results = run_once(benchmark, lambda: {gc: run(gc) for gc in (None, 8)})
+def test_gc_sustainability(report):
+    results = {gc: run(gc) for gc in (None, 8)}
 
     no_gc, with_gc = results[None], results[8]
     lines = [

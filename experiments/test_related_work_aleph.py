@@ -17,8 +17,6 @@ measured difference is purely the ordering layer.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.baselines.aleph import build_aleph_cluster
 from repro.common.config import SystemConfig
 from repro.common.rng import derive_rng
@@ -73,7 +71,7 @@ def dagrider_run(n: int, adversary=None) -> dict:
     }
 
 
-def test_related_work_aleph(benchmark, report):
+def test_related_work_aleph(report):
     def experiment():
         results = {}
         for n in (4, 7):
@@ -92,7 +90,7 @@ def test_related_work_aleph(benchmark, report):
         )
         return results
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     lines = [
         f"{'system':<14}{'n':>3}{'ordering-layer bits/value':>28}{'total bits/value':>20}",

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-from conftest import run_once
-
 from repro.analysis.complexity import fit_exponent
 from repro.baselines.smr import SmrNode
 from repro.common.config import SystemConfig
@@ -101,13 +99,13 @@ PAPER_CLAIMS = {
 }
 
 
-def test_table1_communication(benchmark, report):
+def test_table1_communication(report):
     def experiment():
         return {
             name: [measure(n) for n in NS] for name, measure in SYSTEMS.items()
         }
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
     exponents = {name: fit_exponent(NS, ys) for name, ys in results.items()}
 
     header = f"{'system':<18}{'paper':>22}" + "".join(f"{n:>12}" for n in NS)

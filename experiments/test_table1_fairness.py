@@ -13,8 +13,6 @@ ordered values originating at the slow process.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.baselines.smr import SmrNode
 from repro.common.config import SystemConfig
 from repro.common.rng import derive_rng
@@ -60,7 +58,7 @@ def smr_share(seed: int, protocol: str, slots: int = 10) -> tuple[int, int]:
     return sum(1 for b in blocks if b.proposer == SLOW), len(blocks)
 
 
-def test_table1_fairness(benchmark, report):
+def test_table1_fairness(report):
     def experiment():
         rows = {}
         rows["DAG-Rider"] = [dagrider_share(s) for s in SEEDS]
@@ -69,7 +67,7 @@ def test_table1_fairness(benchmark, report):
         rows["HoneyBadger ACS"] = [smr_share(s, "honeybadger", slots=6) for s in SEEDS]
         return rows
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
 
     def fraction(samples):
         slow_total = sum(s for s, _ in samples)

@@ -13,8 +13,6 @@ agreement on content — still holds on every seed.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.broadcast.bracha import BrachaMessage
 from repro.coin.ideal import IdealCoin
 from repro.common.config import SystemConfig
@@ -60,7 +58,7 @@ def run(seed: int, predict: bool, max_wave: int | None = None) -> dict:
     }
 
 
-def test_pq_safety(benchmark, report):
+def test_pq_safety(report):
     def experiment():
         return {
             "benign": [run(seed, predict=False) for seed in SEEDS],
@@ -68,7 +66,7 @@ def test_pq_safety(benchmark, report):
             "window": [run(seed, predict=True, max_wave=3) for seed in SEEDS],
         }
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     def rate(rows):
         completed = sum(r["completed"] for r in rows)

@@ -26,8 +26,6 @@ Measured, warm-started:
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.baselines.smr import SlotMessage, SmrNode
 from repro.broadcast.bracha import BrachaMessage
 from repro.common.config import SystemConfig
@@ -123,7 +121,7 @@ def smr_steady(n: int, seed: int, protocol: str) -> tuple[float, int]:
     return network.metrics.time_units(elapsed), max_views
 
 
-def test_table1_time_complexity(benchmark, report):
+def test_table1_time_complexity(report):
     def experiment():
         rows = {"DAG-Rider": [], "VABA SMR": [], "Dumbo SMR": []}
         views = {"VABA SMR": [], "Dumbo SMR": []}
@@ -137,7 +135,7 @@ def test_table1_time_complexity(benchmark, report):
                 views[name].append(sum(v for _, v in samples) / len(SEEDS))
         return rows, views
 
-    rows, views = run_once(benchmark, experiment)
+    rows, views = experiment()
 
     header = f"{'system':<12}{'paper':>12}" + "".join(f"{n:>10}" for n in NS)
     lines = [header, "-" * len(header)]

@@ -9,8 +9,6 @@ their size; the broadcast instantiation only shifts the constant.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.latency import inter_commit_times, throughput
 from repro.analysis.stats import summarize
 from repro.common.config import SystemConfig
@@ -39,7 +37,7 @@ def measure(broadcast: str, batch_size: int) -> dict:
     }
 
 
-def test_throughput_latency(benchmark, report):
+def test_throughput_latency(report):
     def experiment():
         return {
             (broadcast, batch): measure(broadcast, batch)
@@ -47,7 +45,7 @@ def test_throughput_latency(benchmark, report):
             for batch in BATCHES
         }
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     lines = [
         f"{'transport':<10}{'batch':>7}{'txs / time unit':>18}{'commit latency (TU)':>22}",

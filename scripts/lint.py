@@ -2,7 +2,7 @@
 """Run the determinism lint from a checkout without installing the package.
 
 Equivalent to ``PYTHONPATH=src python -m repro.lint`` with the repo root as
-the path root; defaults to linting ``src/`` against ``lint-baseline.json``.
+the path root; defaults to linting ``src/``.
 """
 
 import sys
@@ -16,11 +16,5 @@ from repro.lint.cli import main  # noqa: E402
 if __name__ == "__main__":
     argv = sys.argv[1:]
     if not argv:
-        argv = [
-            str(REPO_ROOT / "src"),
-            "--baseline",
-            str(REPO_ROOT / "lint-baseline.json"),
-            "--root",
-            str(REPO_ROOT),
-        ]
+        argv = [str(REPO_ROOT / "src"), "--root", str(REPO_ROOT)]
     sys.exit(main(argv))

@@ -2,8 +2,8 @@
 # Regenerate the full paper-versus-measured record.
 #
 # Usage: scripts/reproduce.sh [quick]
-#   quick — tests only (a few minutes); otherwise tests + every bench
-#           (the Table 1 sweeps take ~10-15 minutes on a laptop).
+#   quick — tests only (a few minutes); otherwise tests + every
+#           experiment (a few more minutes; Table 1's time rows dominate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,12 +14,12 @@ echo "== test suite =="
 python -m pytest tests/ -q
 
 if [ "${1:-}" = "quick" ]; then
-    echo "quick mode: skipping benches"
+    echo "quick mode: skipping experiments"
     exit 0
 fi
 
-echo "== experiment benches (reproduced tables print in the summary) =="
-python -m pytest benchmarks/ --benchmark-only -q
+echo "== the paper's experiments (reproduced tables print in the summary) =="
+python -m pytest experiments/ -q
 
 echo
 echo "Compare the printed tables against EXPERIMENTS.md — same seeds,"

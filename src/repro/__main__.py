@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     node = sub.add_parser(
         "tcp-node", help="boot one node from a peer table (multi-host runner)"
     )
-    node.add_argument("--peers", required=True, help="peer table (.json or .toml)")
+    node.add_argument("--peers", required=True, help="peer table (JSON file)")
     node.add_argument("--pid", type=int, required=True, help="this node's pid")
     node.add_argument(
         "--trace", help="write this host's repro.obs.trace v1 JSONL here on stop"

@@ -242,8 +242,13 @@ def _dec_link_heartbeat(reader: Reader) -> LinkHeartbeat:
 
 def _dec_slot(reader: Reader) -> SlotMessage:
     slot = reader.uint(8)
-    inner = _decode_from_reader(reader)
-    return SlotMessage(slot, inner)
+    tag = reader.take(1)[0]
+    decoder = _DECODERS.get(tag)
+    if decoder is None or decoder is _dec_slot:
+        # The SMR wraps a protocol message exactly once; following a nested
+        # slot header would recurse once per header of a peer's frame.
+        raise WireFormatError(f"slot message cannot carry message tag {tag}")
+    return SlotMessage(slot, decoder(reader))
 
 
 def _enc_catchup_request(msg: CatchupRequest) -> bytes:

@@ -95,7 +95,6 @@ class DagRiderNode(Process):
         batch_size: int = 1,
         tx_bytes: int = 64,
         broadcast_kwargs: dict | None = None,
-        on_deliver: Callable[[OrderedEntry], None] | None = None,
         enable_weak_edges: bool = True,
         commit_quorum: int | None = None,
         gc_depth: int | None = None,
@@ -111,10 +110,8 @@ class DagRiderNode(Process):
             raise ConfigurationError(f"coin mode {coin_mode!r} needs a dealer")
 
         self.ordered: list[OrderedEntry] = []
-        self._on_deliver = on_deliver
-        # Additional delivery listeners (the ingress gateway's ack path
-        # among them) — the single ``on_deliver`` slot predates them and
-        # is kept for existing callers.
+        # Called synchronously on every a_deliver (the ingress gateway's
+        # ack path among them); see add_delivery_listener.
         self._delivery_listeners: list[Callable[[OrderedEntry], None]] = []
         # GC policy (an extension following DAG-Rider's descendants —
         # Narwhal/Bullshark): once a round is *complete* (all n vertices
@@ -366,8 +363,6 @@ class DagRiderNode(Process):
         entry = OrderedEntry(self.delivered_count, block, round_, source, self.now)
         self.ordered.append(entry)
         self._emit("a_deliver", round=round_, source=source)
-        if self._on_deliver is not None:
-            self._on_deliver(entry)
         for listener in self._delivery_listeners:
             listener(entry)
 

@@ -1,17 +1,16 @@
 """Determinism lint: custom AST static analysis for this reproduction.
 
 The simulator's contract is *bit-identical deterministic metrics* — the
-committed ``BENCH_sim.json`` is compared exactly by
-``scripts/bench_compare.py``, and PR 2's speedups were only mergeable
-because every Table-1 cell stayed byte-identical. This package statically
+committed ``BENCH_sim.json`` is compared for equality by ``python -m
+repro.perf --check``, and PR 2's speedups were only mergeable because
+every Table-1 cell stayed byte-identical. This package statically
 enforces the coding rules that keep that contract honest (seeded RNG only,
 no wall clocks in simulated time, no set-order or ``id()`` leaks), plus the
 asyncio-runtime hygiene rules production DAG-BFT implementations enforce
 with linters.
 
-Run as ``python -m repro.lint src/ --baseline lint-baseline.json`` (or
-``scripts/lint.py``); see ``docs/static-analysis.md`` for the rule guide,
-suppression syntax, and the baseline workflow.
+Run as ``python -m repro.lint src/`` (or ``scripts/lint.py``); see
+``docs/static-analysis.md`` for the rule guide and the suppression syntax.
 """
 
 from repro.lint.engine import LintResult, lint_source, run

@@ -2,10 +2,10 @@
 
 Exit codes (CI contract):
 
-* ``0`` — no new violations (baselined and suppressed hits are reported
-  but do not fail the run);
-* ``1`` — at least one new violation or unparsable file;
-* ``2`` — usage or environment error (bad baseline file, no inputs).
+* ``0`` — no violations (suppressed hits are counted but do not fail the
+  run);
+* ``1`` — at least one violation or unparsable file;
+* ``2`` — usage error (a path that does not exist).
 """
 
 from __future__ import annotations
@@ -16,16 +16,13 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import BaselineError, load_baseline, write_baseline
 from repro.lint.engine import LintResult, run
 from repro.lint.project import project_rule_table
 from repro.lint.registry import rule_table
 from repro.lint.violations import Violation
 
 
-def _format_text(
-    result: LintResult, *, show_suppressed: bool, stream: object = None
-) -> str:
+def _format_text(result: LintResult, *, show_suppressed: bool) -> str:
     lines: list[str] = []
 
     def emit(violation: Violation, tag: str = "") -> None:
@@ -37,16 +34,14 @@ def _format_text(
 
     for path, error in result.parse_errors:
         lines.append(f"{path}: PARSE error: {error}")
-    for violation in result.new:
+    for violation in result.violations:
         emit(violation)
-    for violation in result.baselined:
-        emit(violation, "baselined")
     if show_suppressed:
         for violation in result.suppressed:
             emit(violation, "suppressed")
     lines.append(
         f"{result.files_checked} files checked: "
-        f"{len(result.new)} new, {len(result.baselined)} baselined, "
+        f"{len(result.violations)} violations, "
         f"{len(result.suppressed)} suppressed"
         + (f", {len(result.parse_errors)} unparsable" if result.parse_errors else "")
     )
@@ -56,8 +51,7 @@ def _format_text(
 def _format_json(result: LintResult) -> str:
     document = {
         "files_checked": result.files_checked,
-        "new": [v.to_dict() for v in result.new],
-        "baselined": [v.to_dict() for v in result.baselined],
+        "violations": [v.to_dict() for v in result.violations],
         "suppressed": [v.to_dict() for v in result.suppressed],
         "parse_errors": [
             {"path": path, "error": error} for path, error in result.parse_errors
@@ -78,19 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories (default: src)"
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="grandfather violations recorded in FILE (lint-baseline.json)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline (default lint-baseline.json) from the "
-        "current tree and exit 0",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
@@ -135,29 +116,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: no such path(s): {', '.join(map(str, missing))}", file=sys.stderr)
         return 2
 
-    baseline = None
-    baseline_path = args.baseline
-    if args.write_baseline:
-        baseline_path = baseline_path or Path("lint-baseline.json")
-    elif baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    result = run(
-        paths, root=args.root, baseline=baseline, project=not args.no_project
-    )
-
-    if args.write_baseline:
-        write_baseline(baseline_path, result.new + result.baselined)
-        print(
-            f"wrote {baseline_path} covering "
-            f"{len(result.new) + len(result.baselined)} violation(s)"
-        )
-        return 0
-
+    result = run(paths, root=args.root, project=not args.no_project)
     if args.fmt == "json":
         print(_format_json(result))
     else:

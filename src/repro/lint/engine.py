@@ -5,23 +5,20 @@ applicable per-file rule (see :mod:`repro.lint.registry`), then assembles
 the parsed modules into a :class:`repro.lint.project.ProjectModel` and runs
 the cross-module contract rules over it. Inline suppressions apply to both
 tiers (a project violation anchored in a python file honours that file's
-suppression comments), as does the committed baseline. All ordering is
-deterministic — paths are sorted, violations are sorted by position — so
-the linter obeys its own rules.
+suppression comments). All ordering is deterministic — paths are sorted,
+violations are sorted by position — so the linter obeys its own rules.
 """
 
 from __future__ import annotations
 
 import io
 import tokenize
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 # Importing the rules package populates both rule registries as a side
 # effect (per-file rules and project-tier contract rules).
 import repro.lint.rules  # noqa: F401
-from repro.lint.baseline import split_by_baseline
 from repro.lint.project import ProjectModel, check_project
 from repro.lint.registry import ModuleContext, check_module
 from repro.lint.suppress import is_suppressed, parse_suppressions
@@ -35,8 +32,7 @@ class LintResult:
     """Outcome of one engine run over a set of paths."""
 
     files_checked: int = 0
-    new: list[Violation] = field(default_factory=list)
-    baselined: list[Violation] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list)
     suppressed: list[Violation] = field(default_factory=list)
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     #: Per top-level package of ``repro`` ("." = its own modules): files,
@@ -46,7 +42,7 @@ class LintResult:
 
     @property
     def ok(self) -> bool:
-        return not self.new and not self.parse_errors
+        return not self.violations and not self.parse_errors
 
 
 _STATEMENT_BREAKS = frozenset({tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT})
@@ -102,7 +98,7 @@ def module_name_for(path: Path) -> str:
 
 
 def relative_posix(path: Path, root: Path) -> str:
-    """Repo-root-relative POSIX path (fingerprints must not depend on cwd)."""
+    """Repo-root-relative POSIX path (reports must not depend on cwd)."""
     try:
         return path.resolve().relative_to(root.resolve()).as_posix()
     except ValueError:
@@ -121,14 +117,8 @@ def lint_source(
     return active, suppressed
 
 
-def run(
-    paths: list[Path],
-    *,
-    root: Path,
-    baseline: Counter[str] | None = None,
-    project: bool = True,
-) -> LintResult:
-    """Lint every file under ``paths``; split against ``baseline`` if given.
+def run(paths: list[Path], *, root: Path, project: bool = True) -> LintResult:
+    """Lint every file under ``paths``.
 
     With ``project`` (the default) the parsed modules are additionally fed
     to the whole-program contract rules. Contract rules anchored on modules
@@ -138,7 +128,6 @@ def run(
     ``--no-project`` for partial sweeps.
     """
     result = LintResult()
-    collected: list[Violation] = []
     contexts: list[ModuleContext] = []
     suppressions_by_path: dict[str, dict[int, set[str]]] = {}
     for file_path in discover_files(paths):
@@ -167,7 +156,7 @@ def run(
             if is_suppressed(violation, suppressions):
                 result.suppressed.append(violation)
             else:
-                collected.append(violation)
+                result.violations.append(violation)
     if project:
         model = ProjectModel.from_contexts(contexts, root=root)
         for violation in check_project(model):
@@ -175,10 +164,7 @@ def run(
             if is_suppressed(violation, suppressions):
                 result.suppressed.append(violation)
             else:
-                collected.append(violation)
-    if baseline is None:
-        result.new = sorted(collected, key=sort_key)
-    else:
-        result.new, result.baselined = split_by_baseline(collected, baseline)
+                result.violations.append(violation)
+    result.violations.sort(key=sort_key)
     result.suppressed.sort(key=sort_key)
     return result

@@ -17,8 +17,8 @@ import ast
 def collect_imports(tree: ast.AST) -> dict[str, str]:
     """Map every locally bound import alias to its dotted origin.
 
-    ``import time`` binds ``time -> time``; ``import numpy as np`` binds
-    ``np -> numpy``; ``from datetime import datetime as dt`` binds
+    ``import time`` binds ``time -> time``; ``import asyncio as aio`` binds
+    ``aio -> asyncio``; ``from datetime import datetime as dt`` binds
     ``dt -> datetime.datetime``. Relative imports keep their leading dots so
     they never collide with stdlib origins.
     """

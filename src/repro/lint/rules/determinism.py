@@ -1,11 +1,11 @@
 """Determinism rules DET001–DET004.
 
 The reproduction's load-bearing invariant is bit-identical deterministic
-metrics: ``scripts/bench_compare.py`` fails on any drift in the committed
-``BENCH_sim.json``. These rules statically forbid the constructs that have
-historically broken that class of invariant in simulator codebases:
-unseeded randomness, wall-clock reads, set-iteration-order leaks, and
-``id()``-keyed ordering.
+metrics: ``python -m repro.perf --check`` fails on any drift from the
+committed ``BENCH_sim.json``. These rules statically forbid the constructs
+that have historically broken that class of invariant in simulator
+codebases: unseeded randomness, wall-clock reads, set-iteration-order
+leaks, and ``id()``-keyed ordering.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.lint.registry import Rule, register
 
 #: Wall-clock reads banned inside simulated-time packages (DET002). The
 #: simulator's only clock is Scheduler.now; any of these leaking into
-#: protocol or sim code makes metrics machine-dependent.
+#: protocol, sim or perf code makes ``BENCH_sim.json`` machine-dependent.
 WALL_CLOCK_ORIGINS = frozenset(
     {
         "time.time",
@@ -85,14 +85,20 @@ class GlobalRandomRule(Rule):
 
 @register
 class WallClockRule(Rule):
-    """DET002: wall-clock reads inside simulated-time packages."""
+    """DET002: wall-clock reads inside simulated-time packages.
+
+    ``perf`` is one of them: it sweeps the simulator into exact counts and
+    owns no stopwatch (``bench/`` measures time, outside ``src/``).
+    """
 
     code = "DET002"
     summary = (
         "wall-clock read (time.time/monotonic/perf_counter, datetime.now) "
         "in simulated-time code; use the scheduler clock"
     )
-    packages = frozenset({"sim", "dag", "core", "broadcast", "baselines", "obs"})
+    packages = frozenset(
+        {"sim", "dag", "core", "broadcast", "baselines", "obs", "perf"}
+    )
 
     def visit_Call(self, node: ast.Call) -> None:
         origin = call_origin(node, self.context.imports)

@@ -54,12 +54,12 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
     cell = _find_cell(args.cell, args.base_seed)
     slow = _parse_slow(args.slow) if args.slow else None
-    result, observability = run_cell_traced(cell, slow=slow)
+    result, observability, wire = run_cell_traced(cell, slow=slow)
     meta: dict[str, object] = dict(result["params"])
     if slow is not None:
         meta["slow_pid"], meta["slow_penalty"] = slow
     metrics: dict[str, object] = dict(observability.snapshot())
-    metrics["wire"] = result["observability"]["wire"]
+    metrics["wire"] = wire
     out = args.out or f"{cell.name}.trace.jsonl"
     dump_trace(out, observability.bus.events, meta=meta, metrics=metrics)
     print(f"wrote {len(observability.bus.events)} events to {out}")
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     record = sub.add_parser(
-        "record", help="run a benchmark cell with observability on and export its trace"
+        "record", help="run a repro.perf cell with observability on and export its trace"
     )
     record.add_argument("cell", help="cell name, e.g. bracha-n4-b4 (table1/smoke suites)")
     record.add_argument("--out", help="output path (default: <cell>.trace.jsonl)")

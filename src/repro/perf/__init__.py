@@ -1,47 +1,40 @@
-"""Performance measurement layer: sweep harness, baselines, regression gate.
+"""The exact-count gate: seeded simulator cells, swept and compared for equality.
 
-The paper's evaluation (Table 1, Figures 1-2, Claim 6) runs every protocol
-through the deterministic simulator, so simulator throughput bounds how
-large an (n, batch, broadcast) grid the repo can measure. This package
-turns that into infrastructure:
+DAG-Rider's claims are counts and shapes, which the deterministic simulator
+reproduces exactly. This package pins them:
 
-* :mod:`repro.perf.cells` — declarative benchmark cells and the named
-  suites (the Table-1 grid, a CI smoke grid);
-* :mod:`repro.perf.runner` — run one cell, returning deterministic metrics
-  (bits, commits, events) separated from timing (wall-clock), plus an
-  optional cProfile capture;
-* :mod:`repro.perf.sweep` — fan independent cells across a
-  ``ProcessPoolExecutor`` (one derived seed per cell) and merge results
-  into a schema-versioned ``BENCH_sim.json`` document;
-* :mod:`repro.perf.compare` — diff two baseline documents; deterministic
-  metrics must match exactly, wall-clock regressions beyond a tolerance
-  fail (or warn in advisory mode).
+* :mod:`repro.perf.cells` — declarative cells and the named suites (the
+  Table-1 grid, its n=25/50/100 extension, a CI smoke grid);
+* :mod:`repro.perf.runner` — run one cell, returning ``{params, metrics}``;
+* :mod:`repro.perf.sweep` — fan cells across a ``ProcessPoolExecutor`` and
+  merge them into the ``BENCH_sim.json`` document; compare two documents;
+* ``python -m repro.perf`` — the one entry point (``--out`` / ``--check``).
 
-Determinism contract: for a fixed suite and base seed, the ``metrics``
-payload of the emitted document is byte-identical whether cells run
-serially or in parallel, and identical across machines — only ``timing``
-and ``generated_at`` vary.
+Determinism contract: for a fixed suite and base seed the document is
+byte-identical whether cells run serially or in parallel, and identical
+across machines. Nothing here reads a clock (DET002 enforces it); time and
+memory are measured by ``bench/``.
 """
 
-from repro.perf.cells import BenchCell, SUITES, suite_cells
-from repro.perf.compare import CompareResult, compare_documents
-from repro.perf.runner import run_cell
+from repro.perf.cells import SUITES, BenchCell, suite_cells
+from repro.perf.runner import run_cell, run_cell_traced
 from repro.perf.sweep import (
     SCHEMA_VERSION,
-    metric_payload,
+    check_document,
+    dumps_document,
     render_summary,
     run_sweep,
 )
 
 __all__ = [
     "BenchCell",
-    "CompareResult",
     "SCHEMA_VERSION",
     "SUITES",
-    "compare_documents",
-    "metric_payload",
+    "check_document",
+    "dumps_document",
     "render_summary",
     "run_cell",
+    "run_cell_traced",
     "run_sweep",
     "suite_cells",
 ]

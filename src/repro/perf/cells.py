@@ -1,4 +1,4 @@
-"""Benchmark cells: one deterministic simulator configuration each.
+"""Cells: one deterministic simulator configuration each.
 
 A cell fixes everything that affects the run — system size, broadcast
 instantiation, batch size, target wave, and a seed derived from the suite's
@@ -16,7 +16,7 @@ from repro.common.rng import derive_seed
 
 @dataclass(frozen=True)
 class BenchCell:
-    """One simulator configuration measured by the sweep harness.
+    """One simulator configuration the sweep turns into exact counts.
 
     Attributes:
         name: Unique cell id, used as the JSON key and the seed label.
@@ -70,11 +70,11 @@ def _cell(
 
 
 def table1_cells(base_seed: int = 1) -> list[BenchCell]:
-    """The Table-1 measurement grid: every broadcast row over the bench ``n``s.
+    """The Table-1 grid: every broadcast row over the paper-scale ``n``s.
 
-    Batch sizes follow ``bench_table1_communication``: Θ(n) for Bracha and
-    gossip (the quadratic/n-log-n rows), Θ(n log n) for AVID (the
-    amortized-linear row).
+    Batch sizes follow ``experiments/test_table1_communication.py``: Θ(n)
+    for Bracha and gossip (the quadratic/n-log-n rows), Θ(n log n) for AVID
+    (the amortized-linear row).
     """
     cells = []
     for n in (4, 7, 10, 13):

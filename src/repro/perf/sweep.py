@@ -1,45 +1,28 @@
-"""Parallel sweep: fan independent cells over processes, merge one document.
+"""Sweep a grid of cells into one document, and check it against a baseline.
 
 Cells are embarrassingly parallel — each replays a fully seeded simulation —
 so the sweep ships them to a ``ProcessPoolExecutor`` and reassembles results
-in declaration order. The merged document is schema-versioned and split into
-deterministic ``metrics`` (identical serial vs. parallel, asserted by the
-cross-check test) and machine-local ``timing``.
+in declaration order. The document holds exact counts only, so it is a pure
+function of the source tree, the suite and the base seed: serial or
+parallel, on any machine, it serialises to the same bytes, and the gate is
+plain equality.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import TYPE_CHECKING, Callable
+from concurrent.futures import ProcessPoolExecutor
 
+from repro.perf.cells import BenchCell
 from repro.perf.runner import run_cell
 
-#: ``progress(done, total, cell_name, cell_wall_seconds)`` — called once
-#: per *completed* cell, in completion order. Purely informational: the
-#: merged document (and therefore the exact-compare metric payload) is
-#: identical with or without a callback.
-ProgressFn = Callable[[int, int, str, float], None]
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.perf.cells import BenchCell
-
-#: Bump on any change to the document layout or metric definitions.
-#: v2: cells carry an ``observability`` section (per-wave commit latency,
-#: control-overhead breakdown, registry snapshot) next to metrics/timing.
-#: v3: cells carry a ``memory`` section (maxrss high-water mark and delta,
-#: optional tracemalloc peak) next to timing; cell params gained ``fault``.
-SCHEMA_VERSION = 3
+#: Bump on any change to the document layout or metric definitions
+#: (history in docs/benchmarks.md).
+SCHEMA_VERSION = 4
 
 
-def run_sweep(
-    cells: list["BenchCell"],
-    suite: str,
-    jobs: int | None = None,
-    generated_at: str | None = None,
-    progress: ProgressFn | None = None,
-) -> dict:
+def run_sweep(cells: list[BenchCell], suite: str, jobs: int | None = None) -> dict:
     """Run every cell and merge results into a ``BENCH_sim.json`` document.
 
     Args:
@@ -47,11 +30,6 @@ def run_sweep(
         suite: Suite label recorded in the document.
         jobs: Worker processes; ``None`` uses the CPU count, ``1`` (or a
             single cell) runs serially in-process.
-        generated_at: Timestamp string stored verbatim (excluded from every
-            determinism comparison); omitted entirely when None.
-        progress: Optional per-completed-cell callback (long n=50/n=100
-            grids run for minutes; this is the sweep's live view). Results
-            are still assembled in declaration order.
     """
     names = [cell.name for cell in cells]
     if len(set(names)) != len(names):
@@ -62,93 +40,70 @@ def run_sweep(
         except AttributeError:  # pragma: no cover - non-Linux fallback
             jobs = os.cpu_count() or 1
     if jobs <= 1 or len(cells) <= 1:
-        results = []
-        for index, cell in enumerate(cells):
-            result = run_cell(cell)
-            results.append(result)
-            if progress is not None:
-                progress(
-                    index + 1, len(cells), cell.name,
-                    result["timing"]["wall_clock_s"],
-                )
+        results = [run_cell(cell) for cell in cells]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            futures = [pool.submit(run_cell, cell) for cell in cells]
-            if progress is not None:
-                cell_of = {
-                    future: cell for future, cell in zip(futures, cells)
-                }
-                for done, future in enumerate(as_completed(futures), start=1):
-                    progress(
-                        done, len(cells), cell_of[future].name,
-                        future.result()["timing"]["wall_clock_s"],
-                    )
-            results = [future.result() for future in futures]
-
-    wall_total = sum(r["timing"]["wall_clock_s"] for r in results)
-    events_total = sum(r["metrics"]["events"] for r in results)
-    document = {
+            results = list(pool.map(run_cell, cells))
+    return {
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
-        "cells": {cell.name: result for cell, result in zip(cells, results)},
+        "cells": dict(zip(names, results)),
         "totals": {
             "cells": len(cells),
-            "events": events_total,
-            "cpu_seconds": wall_total,
-            "events_per_cpu_sec": events_total / wall_total if wall_total else 0.0,
+            "events": sum(result["metrics"]["events"] for result in results),
         },
     }
-    if generated_at is not None:
-        document["generated_at"] = generated_at
-    return document
 
 
-def metric_payload(document: dict) -> str:
-    """Canonical JSON of the deterministic metrics only.
+def dumps_document(document: dict) -> str:
+    """``document`` as stable, human-diffable JSON — the bytes on disk."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
-    Timing, timestamps, and totals derived from timing are stripped; two
-    sweeps of the same seeded grid must agree on this string byte-for-byte
-    whether they ran serially, in parallel, or on different machines.
+
+def check_document(baseline: dict, document: dict) -> list[str]:
+    """Every way ``document``'s cells differ from ``baseline``'s; empty = pass.
+
+    Each cell the sweep ran must be in the baseline with equal ``params`` and
+    ``metrics``; a difference is reported as ``cell: section.key: baseline
+    old != new``. Baseline cells the sweep did not run are not looked at
+    (``tests/unit/test_perf.py`` pins the committed file's cell set).
     """
-    payload = {
-        "schema_version": document["schema_version"],
-        "suite": document["suite"],
-        "cells": {
-            name: {"params": cell["params"], "metrics": cell["metrics"]}
-            for name, cell in sorted(document["cells"].items())
-        },
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def write_document(document: dict, path: str) -> None:
-    """Write ``document`` as stable, human-diffable JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    if baseline.get("schema_version") != document["schema_version"]:
+        return [
+            f"schema_version: baseline {baseline.get('schema_version')} "
+            f"!= {document['schema_version']}"
+        ]
+    errors = []
+    for name, cell in document["cells"].items():
+        pinned = baseline["cells"].get(name)
+        if pinned is None:
+            errors.append(f"{name}: not in the baseline")
+            continue
+        for section in ("params", "metrics"):
+            old, new = pinned[section], cell[section]
+            errors.extend(
+                f"{name}: {section}.{key}: baseline {old.get(key)!r} != {new.get(key)!r}"
+                for key in sorted(set(old) | set(new))
+                if old.get(key) != new.get(key)
+            )
+    return errors
 
 
 def render_summary(document: dict) -> str:
     """A terminal table of the document: one line per cell plus totals."""
     lines = [
-        f"{'cell':<22}{'events':>10}{'wall_s':>9}{'ev/s':>12}"
-        f"{'Mbits':>10}{'commits':>9}{'txs':>8}{'rss_MB':>9}"
+        f"{'cell':<22}{'events':>10}{'messages':>10}{'Mbits':>10}"
+        f"{'commits':>9}{'txs':>8}{'sim_time':>10}"
     ]
     lines.append("-" * len(lines[0]))
     for name, cell in document["cells"].items():
-        metrics, timing = cell["metrics"], cell["timing"]
-        rss_kb = cell.get("memory", {}).get("max_rss_kb")
-        rss = f"{rss_kb / 1024:>9.0f}" if rss_kb is not None else f"{'-':>9}"
+        metrics = cell["metrics"]
         lines.append(
-            f"{name:<22}{metrics['events']:>10,}{timing['wall_clock_s']:>9.2f}"
-            f"{timing['events_per_sec']:>12,.0f}"
+            f"{name:<22}{metrics['events']:>10,}{metrics['messages']:>10,}"
             f"{metrics['total_bits'] / 1e6:>10.1f}"
-            f"{metrics['commits']:>9}{metrics['transactions']:>8}{rss}"
+            f"{metrics['commits']:>9}{metrics['transactions']:>8}"
+            f"{metrics['sim_time']:>10.2f}"
         )
     totals = document["totals"]
-    lines.append(
-        f"total: {totals['cells']} cells, {totals['events']:,} events, "
-        f"{totals['cpu_seconds']:.2f} cpu-s, "
-        f"{totals['events_per_cpu_sec']:,.0f} events/cpu-s"
-    )
+    lines.append(f"total: {totals['cells']} cells, {totals['events']:,} events")
     return "\n".join(lines)

@@ -25,7 +25,7 @@ processes and every control verb:
    counters summed across hosts, and the traces merged (events
    interleaved on their per-host clocks) into ``merged.trace.jsonl``.
 
-With ``--scenario file.{json,toml}`` the driver additionally executes a
+With ``--scenario file.json`` the driver additionally executes a
 declarative chaos scenario (:func:`repro.runtime.scenario.run_scenario`)
 between probe and wait: killing runner processes with real signals,
 restarting them from their ``--state-dir`` (every scenario run journals
@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scenario",
-        help="chaos scenario file (.json/.toml): overrides n/seed/coin/waves/"
+        help="chaos scenario file (JSON): overrides n/seed/coin/waves/"
         "timeout, spawns every runner with a --state-dir, and executes the "
         "scenario's crash/partition/slow steps against the live cluster",
     )

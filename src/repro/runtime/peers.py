@@ -17,8 +17,7 @@ host gets the same file, and ``python -m repro tcp-node --peers table.json
   ``"peers"`` (the optional ``ingress_port`` is the client transaction
   socket — see docs/runtime.md "Client ingress and backpressure").
 
-JSON is the native format; ``.toml`` files load through :mod:`tomllib`
-(stdlib). Schema (JSON spelling)::
+Schema (a JSON file)::
 
     {
       "n": 4, "seed": 1, "coin_mode": "threshold", "dealer_seed": 99,
@@ -352,17 +351,9 @@ def parse_peer_table(data: object, source: str = "peer table") -> PeerTable:
 
 
 def load_peer_table(path: str) -> PeerTable:
-    """Read a peer table from a ``.json`` or ``.toml`` file."""
-    if path.endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError as exc:  # pragma: no cover - py < 3.11 only
-            raise PeerTableError("TOML peer tables need Python >= 3.11") from exc
-        with open(path, "rb") as handle:
-            data: object = tomllib.load(handle)
-    else:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+    """Read a peer table from a JSON file."""
+    with open(path, encoding="utf-8") as handle:
+        data: object = json.load(handle)
     return parse_peer_table(data, source=path)
 
 

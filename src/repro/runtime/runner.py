@@ -476,7 +476,6 @@ async def serve_node(
     pid: int,
     trace_path: str | None = None,
     run_seconds: float | None = None,
-    announce: bool = True,
     state_dir: str | None = None,
     gc_depth: int | None = None,
 ) -> int:
@@ -511,29 +510,27 @@ async def serve_node(
     await control.start()
     if entry.ingress_port is not None:
         await runner.start_ingress()
-    if announce:
-        recovered = ""
-        if runner.recovery is not None and runner.recovery.recovered:
-            recovered = (
-                f" (recovered: {runner.recovery.snapshot_vertices} snapshot + "
-                f"{runner.recovery.replayed_vertices} wal vertices, "
-                f"{runner.recovery.replayed_commits} commits)"
-            )
-        ingress = (
-            f" ingress {entry.host}:{entry.ingress_port}"
-            if entry.ingress_port is not None
-            else ""
+    recovered = ""
+    if runner.recovery is not None and runner.recovery.recovered:
+        recovered = (
+            f" (recovered: {runner.recovery.snapshot_vertices} snapshot + "
+            f"{runner.recovery.replayed_vertices} wal vertices, "
+            f"{runner.recovery.replayed_commits} commits)"
         )
-        print(
-            f"node {pid}/{table.n} up: data {entry.host}:{entry.port} "
-            f"control {entry.host}:{entry.control_port}{ingress}{recovered}",
-            flush=True,
-        )
+    ingress = (
+        f" ingress {entry.host}:{entry.ingress_port}"
+        if entry.ingress_port is not None
+        else ""
+    )
+    print(
+        f"node {pid}/{table.n} up: data {entry.host}:{entry.port} "
+        f"control {entry.host}:{entry.control_port}{ingress}{recovered}",
+        flush=True,
+    )
     stopped_clean = await runner.wait_stopped(timeout=run_seconds)
     if trace_path is not None:
         count = runner.dump_trace(trace_path)
-        if announce:
-            print(f"node {pid}: wrote {count} events to {trace_path}", flush=True)
+        print(f"node {pid}: wrote {count} events to {trace_path}", flush=True)
     await control.close()
     await runner.close_links()
     await runner.close()

@@ -230,21 +230,12 @@ def parse_scenario(raw: dict[str, Any], origin: str = "<scenario>") -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Load and validate a scenario file (``.json`` or ``.toml``)."""
-    if path.endswith(".toml"):
-        import tomllib
-
-        with open(path, "rb") as stream:
-            try:
-                raw = tomllib.load(stream)
-            except tomllib.TOMLDecodeError as exc:
-                raise ConfigurationError(f"{path}: invalid TOML: {exc}") from exc
-    else:
-        with open(path, "r", encoding="utf-8") as stream:
-            try:
-                raw = json.load(stream)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+    """Load and validate a JSON scenario file."""
+    with open(path, "r", encoding="utf-8") as stream:
+        try:
+            raw = json.load(stream)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario(raw, origin=path)
 
 

@@ -11,10 +11,8 @@ or one WAL replay arm from the shipped code must make exactly the matching
 CONTRACT rule fire.
 """
 
-import json
 from pathlib import Path
 
-from repro.lint.baseline import load_baseline
 from repro.lint.cli import main
 from repro.lint.engine import discover_files, module_name_for, run
 from repro.lint.project import lint_project
@@ -41,15 +39,7 @@ def contract_lint(sources, docs=None):
 
 class TestShippedTree:
     def test_src_is_lint_clean(self, capsys):
-        exit_code = main(
-            [
-                str(REPO_ROOT / "src"),
-                "--baseline",
-                str(REPO_ROOT / "lint-baseline.json"),
-                "--root",
-                str(REPO_ROOT),
-            ]
-        )
+        exit_code = main([str(REPO_ROOT / "src"), "--root", str(REPO_ROOT)])
         assert exit_code == 0, capsys.readouterr().out
 
     def test_engine_sees_the_whole_package(self):
@@ -58,18 +48,6 @@ class TestShippedTree:
         # grows as the repo does; a collapse here means discovery broke).
         assert result.parse_errors == []
         assert result.files_checked >= 84
-
-    def test_committed_baseline_is_valid_and_minimal(self):
-        baseline_path = REPO_ROOT / "lint-baseline.json"
-        counts = load_baseline(baseline_path)
-        # The shipped tree carries no grandfathered violations: the two
-        # seed DET001 hits (crypto/shamir, sim/adversary) were fixed in the
-        # same PR that introduced the linter. Keep it that way.
-        assert counts == {}
-
-    def test_baseline_document_is_versioned(self):
-        document = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        assert document["version"] == 1
 
 
 class TestContractMutations:

@@ -25,7 +25,7 @@ FAST_LINKS = LinkConfig(initial_backoff=0.02, max_backoff=0.3)
 
 
 def _export(cell, slow=None):
-    result, observability = run_cell_traced(cell, slow=slow)
+    result, observability, _wire = run_cell_traced(cell, slow=slow)
     meta = dict(result["params"])
     return dumps_trace(
         observability.bus.events, meta=meta, metrics=observability.snapshot()

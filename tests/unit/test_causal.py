@@ -163,7 +163,7 @@ class TestRecordedTrace:
     @pytest.fixture(scope="class")
     def report_and_events(self):
         cell = smoke_cells(base_seed=1)[0]  # bracha-n4-b4
-        _, observability = run_cell_traced(cell)
+        _, observability, _wire = run_cell_traced(cell)
         events = observability.bus.events
         return stitch(events), events
 

@@ -58,8 +58,11 @@ class TestRoundTrips:
 
     def test_nested_slot_message(self):
         inner = SlotMessage(1, AbaEnvelope(0, AbaMessage("BVAL", 1, 1)))
-        outer = SlotMessage(2, inner)
-        assert decode_message(encode_message(outer)) == outer
+        assert decode_message(encode_message(inner)) == inner
+        # The SMR wraps once; a nested slot header is a malformed frame
+        # (the decoder must not recurse on a peer's say-so).
+        with pytest.raises(WireFormatError):
+            decode_message(encode_message(SlotMessage(2, inner)))
 
     @given(
         st.integers(min_value=0, max_value=65535),

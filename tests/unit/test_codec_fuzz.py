@@ -1,5 +1,6 @@
 """Codec robustness: arbitrary bytes must fail cleanly, never crash oddly."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,22 @@ from repro.common.errors import WireFormatError
 
 
 class TestDecodeFuzz:
+    def test_nested_slot_headers_raise_wire_format_error(self):
+        """5 000 nested tag-10 headers (45 KB): the decoder used to recurse
+        once per header and die of RecursionError, which no reader task
+        catches; one level of nesting is already malformed."""
+        from repro.baselines.smr import SlotMessage
+        from repro.broadcast.gossip import GossipSubscribe
+
+        header = b"\x0a" + (0).to_bytes(8, "big")
+        for depth in (2, 5000):
+            with pytest.raises(WireFormatError, match="tag 10"):
+                decode_message(header * depth)
+        once = SlotMessage(3, GossipSubscribe("topic"))
+        assert decode_message(encode_message(once)) == once
+        with pytest.raises(WireFormatError):
+            decode_message(encode_message(SlotMessage(4, once)))
+
     @settings(max_examples=200)
     @given(st.binary(min_size=0, max_size=200))
     def test_random_bytes_raise_wire_format_error_or_decode(self, data):

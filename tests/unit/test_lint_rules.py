@@ -115,10 +115,11 @@ class TestDet002WallClock:
         )
         assert codes(check(source, module="repro.obs.fixture")) == ["DET002"]
 
-    def test_perf_package_out_of_scope(self):
-        # perf/ measures real wall-clock on purpose; the rule must not fire.
+    def test_perf_package_in_scope(self):
+        # perf/ pins exact counts and owns no stopwatch (bench/ measures
+        # time): a clock read there would make BENCH_sim.json host-dependent.
         source = "import time\n\ndef f():\n    return time.perf_counter()\n"
-        assert check(source, module="repro.perf.fixture") == []
+        assert codes(check(source, module="repro.perf.fixture")) == ["DET002"]
 
     def test_scheduler_clock_clean(self):
         source = "def f(scheduler):\n    return scheduler.now\n"

@@ -208,22 +208,6 @@ class TestFiles:
         table = load_peer_table(str(path))
         assert table.n == 4
 
-    def test_toml_file(self, tmp_path):
-        path = tmp_path / "peers.toml"
-        path.write_text(
-            "\n".join(
-                ["n = 2", "seed = 1"]
-                + [
-                    f'[peers.{pid}]\nhost = "127.0.0.1"\nport = {9000 + pid}'
-                    for pid in range(2)
-                ]
-            ),
-            encoding="utf-8",
-        )
-        table = load_peer_table(str(path))
-        assert table.n == 2
-        assert table.addresses()[1] == ("127.0.0.1", 9001)
-
     def test_bad_file_names_source(self, tmp_path):
         data = table_dict()
         del data["peers"]["3"]

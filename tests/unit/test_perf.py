@@ -1,15 +1,19 @@
-"""Unit coverage for the perf layer: cells, documents, comparisons."""
+"""Unit coverage for the perf layer: cells, documents, the equality gate."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.perf
 from repro.perf.cells import SUITES, batch_nlogn, smoke_cells, suite_cells, table1_cells
-from repro.perf.compare import compare_documents
-from repro.perf.sweep import SCHEMA_VERSION, metric_payload, run_sweep
+from repro.perf.sweep import SCHEMA_VERSION, check_document, dumps_document, run_sweep
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def document(wall=1.0, bits=100, commits=8, events=50, suite="smoke"):
+def document(bits=100, commits=8, events=50, suite="smoke"):
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
@@ -21,10 +25,9 @@ def document(wall=1.0, bits=100, commits=8, events=50, suite="smoke"):
                     "total_bits": bits,
                     "commits": commits,
                 },
-                "timing": {"wall_clock_s": wall, "events_per_sec": events / wall},
             }
         },
-        "totals": {"cells": 1, "events": events, "cpu_seconds": wall},
+        "totals": {"cells": 1, "events": events},
     }
 
 
@@ -84,60 +87,78 @@ class TestSweepDocument:
         with pytest.raises(ValueError):
             run_sweep([cells[0], cells[0]], suite="smoke", jobs=1)
 
-    def test_metric_payload_strips_timing_and_timestamp(self):
-        doc_a = document(wall=1.0)
-        doc_b = document(wall=99.0)
-        doc_b["generated_at"] = "2026-08-05T00:00:00"
-        assert metric_payload(doc_a) == metric_payload(doc_b)
-        assert "wall_clock" not in metric_payload(doc_a)
-        # The payload is canonical JSON: key order never changes it.
-        reordered = json.loads(json.dumps(doc_a))
-        assert metric_payload(reordered) == metric_payload(doc_a)
+    def test_serialisation_is_canonical(self):
+        # Key order never changes the bytes on disk.
+        reordered = json.loads(json.dumps(document(), sort_keys=True))
+        assert dumps_document(reordered) == dumps_document(document())
+        assert dumps_document(document()).endswith("}\n")
 
-    def test_metric_payload_sees_metric_changes(self):
-        assert metric_payload(document(bits=100)) != metric_payload(document(bits=101))
+
+class TestCommittedBaseline:
+    """``BENCH_sim.json`` against the declared grid; runs no simulation."""
+
+    def test_cells_and_params_are_the_all_suite(self):
+        baseline = json.loads((REPO_ROOT / "BENCH_sim.json").read_text("utf-8"))
+        assert baseline["schema_version"] == SCHEMA_VERSION
+        assert baseline["suite"] == "all"
+        cells = suite_cells("all")
+        assert sorted(baseline["cells"]) == sorted(cell.name for cell in cells)
+        for cell in cells:
+            assert baseline["cells"][cell.name]["params"] == cell.params()
+        assert baseline["totals"]["cells"] == len(cells)
+
+    def test_file_is_its_own_serialisation_with_counts_only(self):
+        text = (REPO_ROOT / "BENCH_sim.json").read_text("utf-8")
+        baseline = json.loads(text)
+        assert dumps_document(baseline) == text
+        assert set(baseline) == {"schema_version", "suite", "cells", "totals"}
+        assert set(baseline["totals"]) == {"cells", "events"}
+        for cell in baseline["cells"].values():
+            assert set(cell) == {"params", "metrics"}
+
+
+class TestNoStopwatch:
+    def test_perf_imports_no_clock_profiler_or_environment(self):
+        banned = {"time", "resource", "tracemalloc", "cProfile", "pstats", "gc"}
+        for path in sorted(Path(repro.perf.__file__).parent.glob("*.py")):
+            source = path.read_text("utf-8")
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Import):
+                    imported = {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    imported = {(node.module or "").split(".")[0]}
+                else:
+                    continue
+                assert not imported & banned, (path.name, imported & banned)
+            assert "environ" not in source and "getenv" not in source, path.name
 
 
 class TestCompare:
     def test_identical_documents_pass(self):
-        result = compare_documents(document(), document())
-        assert result.ok
-        assert "OK" in result.render()
+        assert check_document(document(), document()) == []
 
-    def test_metric_drift_is_fatal_even_in_advisory_mode(self):
-        result = compare_documents(
-            document(bits=100), document(bits=200), wall_advisory=True
-        )
-        assert not result.ok
-        assert any("drifted" in error for error in result.errors)
+    def test_metric_drift_names_cell_and_key(self):
+        errors = check_document(document(bits=100), document(bits=200))
+        assert errors == ["cell-a: metrics.total_bits: baseline 100 != 200"]
 
-    def test_wall_regression_beyond_tolerance_fails(self):
-        result = compare_documents(
-            document(wall=1.0), document(wall=2.0), wall_tolerance=0.5
-        )
-        assert not result.ok
-        assert any("wall-clock" in error for error in result.errors)
-
-    def test_wall_regression_within_tolerance_passes(self):
-        result = compare_documents(
-            document(wall=1.0), document(wall=1.3), wall_tolerance=0.5
-        )
-        assert result.ok
-
-    def test_wall_advisory_downgrades_to_warning(self):
-        result = compare_documents(
-            document(wall=1.0), document(wall=5.0), wall_advisory=True
-        )
-        assert result.ok
-        assert result.warnings
-
-    def test_missing_cell_policy(self):
+    def test_param_drift_and_one_sided_keys_are_differences(self):
         new = document()
-        new["cells"] = {}
-        assert not compare_documents(document(), new).ok
-        assert compare_documents(document(), new, require_all_cells=False).ok
+        new["cells"]["cell-a"]["params"]["seed"] = 2
+        del new["cells"]["cell-a"]["metrics"]["commits"]
+        assert check_document(document(), new) == [
+            "cell-a: params.seed: baseline 1 != 2",
+            "cell-a: metrics.commits: baseline 8 != None",
+        ]
+
+    def test_only_swept_cells_are_compared(self):
+        baseline = document()
+        baseline["cells"]["cell-b"] = baseline["cells"]["cell-a"]
+        assert check_document(baseline, document()) == []
+        swept = document()
+        swept["cells"]["cell-c"] = swept["cells"]["cell-a"]
+        assert check_document(baseline, swept) == ["cell-c: not in the baseline"]
 
     def test_schema_mismatch_fails(self):
         new = document()
         new["schema_version"] = SCHEMA_VERSION + 1
-        assert not compare_documents(document(), new).ok
+        assert len(check_document(document(), new)) == 1

@@ -118,28 +118,10 @@ class TestLoadScenario:
         scenario = load_scenario(str(path))
         assert scenario.name == "j" and scenario.steps[0].pid == 2
 
-    def test_loads_toml(self, tmp_path):
-        path = tmp_path / "s.toml"
-        path.write_text(
-            'name = "t"\nwaves = 2\n\n[[steps]]\nkind = "slow"\npid = 0\n'
-            "delay = 0.2\n",
-            encoding="utf-8",
-        )
-        scenario = load_scenario(str(path))
-        assert scenario.name == "t" and scenario.waves == 2
-        assert scenario.steps[0].kind == "slow"
-        assert scenario.steps[0].delay == 0.2
-
     def test_invalid_json_reports_the_path(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="bad.json"):
-            load_scenario(str(path))
-
-    def test_invalid_toml_reports_the_path(self, tmp_path):
-        path = tmp_path / "bad.toml"
-        path.write_text("= broken =", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="bad.toml"):
             load_scenario(str(path))
 
     def test_repo_scenario_file_is_valid(self):
