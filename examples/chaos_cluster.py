@@ -88,11 +88,7 @@ async def main(trace_path: str) -> None:
         trace_path,
         observability.bus.events,
         meta={"example": "chaos_cluster", "n": 4, "seed": SEED},
-        metrics={
-            "registry": observability.snapshot(),
-            "chaos": fault,
-            "links": report,
-        },
+        metrics={**observability.snapshot(), "chaos": fault, "links": report},
     )
     print(f"trace: {len(observability.bus.events)} events -> {trace_path}")
 

@@ -9,8 +9,8 @@ encoding so the runtime does not depend on pickle:
   and struct helpers shared by all encoders;
 * :mod:`repro.codec.registry` — the type-tag registry and the public
   :func:`encode_message` / :func:`decode_message` entry points, covering
-  the broadcast, coin, and baseline protocols plus the payload types
-  (vertices, blocks, dispersal references).
+  the broadcast, coin, link and catch-up messages plus the payload types
+  (vertices, blocks).
 """
 
 from repro.codec.registry import decode_message, encode_message

@@ -1,22 +1,18 @@
 """Type-tagged encoders/decoders for every protocol message.
 
 Frame layout: ``1-byte type tag || type-specific body``. Payloads carried
-inside messages (vertices, blocks, dispersal references) use their own
-canonical codecs behind a 1-byte payload tag, so nested messages (e.g. a
-Bracha ECHO carrying a vertex, or a SlotMessage wrapping a VABA message)
-round-trip without pickle.
+inside messages (vertices, blocks) use their own canonical codecs behind a
+1-byte payload tag, so nested messages (a Bracha ECHO carrying a vertex)
+round-trip without pickle. The baseline SMRs (:mod:`repro.baselines`) run
+only under the simulator, which moves objects and never encodes, so their
+message types have no frames: message tags 6-10 and payload tag 3 are
+unassigned and decode as unknown tags.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.baselines.aba import AbaMessage
-from repro.baselines.dispersal import DispersalMessage
-from repro.baselines.dumbo import DispersalRef
-from repro.baselines.honeybadger import AbaEnvelope
-from repro.baselines.smr import SlotMessage
-from repro.baselines.vaba import VabaMessage
 from repro.broadcast.avid import AvidMessage
 from repro.broadcast.base import Payload
 from repro.broadcast.bracha import BrachaMessage
@@ -42,7 +38,7 @@ from repro.sim.wire import Message
 
 # --------------------------------------------------------------- payloads
 
-_PAYLOAD_TAGS: dict[type, int] = {Vertex: 1, Block: 2, DispersalRef: 3}
+_PAYLOAD_TAGS: dict[type, int] = {Vertex: 1, Block: 2}
 
 
 def _encode_payload(payload: Payload | None) -> bytes:
@@ -66,8 +62,6 @@ def _decode_payload(reader: Reader) -> Payload | None:
         if end != len(body):
             raise WireFormatError("trailing bytes after block")
         return block
-    if tag == 3:
-        return DispersalRef.from_bytes(body)
     raise WireFormatError(f"unknown payload tag {tag}")
 
 
@@ -162,68 +156,6 @@ def _dec_coin_share(reader: Reader) -> CoinShareMessage:
     return CoinShareMessage(reader.uint(8), reader.uint(17))
 
 
-def _enc_aba(msg: AbaMessage) -> bytes:
-    return encode_str(msg.kind) + encode_uint(msg.round, 8) + encode_uint(msg.value, 1)
-
-
-def _dec_aba(reader: Reader) -> AbaMessage:
-    return AbaMessage(reader.str_(), reader.uint(8), reader.uint(1))
-
-
-def _enc_aba_envelope(msg: AbaEnvelope) -> bytes:
-    return encode_uint(msg.index, 2) + _enc_aba(msg.inner)
-
-
-def _dec_aba_envelope(reader: Reader) -> AbaEnvelope:
-    return AbaEnvelope(reader.uint(2), _dec_aba(reader))
-
-
-def _enc_vaba(msg: VabaMessage) -> bytes:
-    return (
-        encode_str(msg.kind)
-        + encode_uint(msg.view, 8)
-        + encode_uint(msg.step, 1)
-        + _encode_payload(msg.value)
-    )
-
-
-def _dec_vaba(reader: Reader) -> VabaMessage:
-    return VabaMessage(
-        reader.str_(), reader.uint(8), reader.uint(1), _decode_payload(reader)
-    )
-
-
-def _enc_dispersal(msg: DispersalMessage) -> bytes:
-    return (
-        encode_str(msg.kind)
-        + encode_bytes(msg.root)
-        + encode_bool(msg.fragment_index >= 0)
-        + encode_uint(max(0, msg.fragment_index), 2)
-        + encode_bytes(msg.fragment)
-        + _encode_proof(msg.proof)
-        + encode_uint(msg.data_len, 4)
-    )
-
-
-def _dec_dispersal(reader: Reader) -> DispersalMessage:
-    kind = reader.str_()
-    root = reader.bytes_()
-    has_index = reader.bool_()
-    index = reader.uint(2)
-    return DispersalMessage(
-        kind,
-        root,
-        index if has_index else -1,
-        reader.bytes_(),
-        _decode_proof(reader),
-        reader.uint(4),
-    )
-
-
-def _enc_slot(msg: SlotMessage) -> bytes:
-    return encode_uint(msg.slot, 8) + encode_message(msg.inner)
-
-
 def _enc_link_ack(msg: LinkAck) -> bytes:
     return encode_uint(msg.cumulative, 8)
 
@@ -238,17 +170,6 @@ def _enc_link_heartbeat(msg: LinkHeartbeat) -> bytes:
 
 def _dec_link_heartbeat(reader: Reader) -> LinkHeartbeat:
     return LinkHeartbeat(reader.uint(8))
-
-
-def _dec_slot(reader: Reader) -> SlotMessage:
-    slot = reader.uint(8)
-    tag = reader.take(1)[0]
-    decoder = _DECODERS.get(tag)
-    if decoder is None or decoder is _dec_slot:
-        # The SMR wraps a protocol message exactly once; following a nested
-        # slot header would recurse once per header of a peer's frame.
-        raise WireFormatError(f"slot message cannot carry message tag {tag}")
-    return SlotMessage(slot, decoder(reader))
 
 
 def _enc_catchup_request(msg: CatchupRequest) -> bytes:
@@ -285,11 +206,6 @@ _REGISTRY: dict[type[Message], tuple[int, Callable[[Any], bytes]]] = {
     GossipMessage: (3, _enc_gossip),
     AvidMessage: (4, _enc_avid),
     CoinShareMessage: (5, _enc_coin_share),
-    AbaMessage: (6, _enc_aba),
-    AbaEnvelope: (7, _enc_aba_envelope),
-    VabaMessage: (8, _enc_vaba),
-    DispersalMessage: (9, _enc_dispersal),
-    SlotMessage: (10, _enc_slot),
     LinkAck: (11, _enc_link_ack),
     LinkHeartbeat: (12, _enc_link_heartbeat),
     CatchupRequest: (13, _enc_catchup_request),
@@ -302,11 +218,6 @@ _DECODERS: dict[int, Callable[[Reader], Message]] = {
     3: _dec_gossip,
     4: _dec_avid,
     5: _dec_coin_share,
-    6: _dec_aba,
-    7: _dec_aba_envelope,
-    8: _dec_vaba,
-    9: _dec_dispersal,
-    10: _dec_slot,
     11: _dec_link_ack,
     12: _dec_link_heartbeat,
     13: _dec_catchup_request,
@@ -323,17 +234,13 @@ def encode_message(message: Message) -> bytes:
     return bytes([tag]) + encoder(message)
 
 
-def _decode_from_reader(reader: Reader) -> Message:
+def decode_message(data: bytes) -> Message:
+    """Decode a canonical frame; rejects trailing bytes."""
+    reader = Reader(data)
     tag = reader.take(1)[0]
     decoder = _DECODERS.get(tag)
     if decoder is None:
         raise WireFormatError(f"unknown message tag {tag}")
-    return decoder(reader)
-
-
-def decode_message(data: bytes) -> Message:
-    """Decode a canonical frame; rejects trailing bytes."""
-    reader = Reader(data)
-    message = _decode_from_reader(reader)
+    message = decoder(reader)
     reader.expect_end()
     return message

@@ -23,11 +23,13 @@ from repro.broadcast.avid import AvidBroadcast
 from repro.broadcast.base import ReliableBroadcast
 from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.gossip import GossipBroadcast
+from repro.codec.frames import CatchupRequest, CatchupVertices
 from repro.coin.base import CoinProtocol
 from repro.coin.ideal import IdealCoin
 from repro.coin.threshold import CoinShareMessage, ThresholdCoin
 from repro.common.errors import ConfigurationError, WireFormatError
 from repro.common.types import round_of_wave
+from repro.core.ordering import DagRiderOrdering
 from repro.crypto.dealer import CoinDealer
 from repro.crypto.hashing import digest_of
 from repro.dag.builder import DagBuilder
@@ -38,7 +40,6 @@ from repro.sim.process import Process
 from repro.sim.wire import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.codec.frames import CatchupRequest, CatchupVertices
     from repro.storage.journal import NodeJournal
 
 #: Vertices per :class:`CatchupVertices` chunk when serving a catch-up.
@@ -169,7 +170,6 @@ class DagRiderNode(Process):
             coin_share_provider=share_provider,
             enable_weak_edges=enable_weak_edges,
             on_vertex_created=self._on_vertex_created,
-            obs=self.obs,
         )
         self.store = self.builder.store
 
@@ -186,17 +186,6 @@ class DagRiderNode(Process):
         )
         self.rbc.attach_obs(self.obs)
         self.builder.attach_broadcast(self.rbc)
-
-        # Resolved once here, not per message in on_message: repro.codec's
-        # registry pulls in the baselines package, which imports this module
-        # (an import cycle at module-load time only — it is settled by the
-        # time a node is constructed).
-        from repro.codec.frames import CatchupRequest, CatchupVertices
-
-        self._catchup_request_cls = CatchupRequest
-        self._catchup_vertices_cls = CatchupVertices
-
-        from repro.core.ordering import DagRiderOrdering  # cycle-free import
 
         self.ordering = DagRiderOrdering(
             pid,
@@ -238,22 +227,15 @@ class DagRiderNode(Process):
             if isinstance(self.coin, ThresholdCoin):
                 self.coin.on_message(src, message)
             return
-        if isinstance(message, self._catchup_request_cls):
+        if isinstance(message, CatchupRequest):
             self._serve_catchup(src, message)
             return
-        if isinstance(message, self._catchup_vertices_cls):
+        if isinstance(message, CatchupVertices):
             self._apply_catchup(src, message)
-
-    def _emit(self, kind: str, **fields) -> None:
-        """Record one protocol event on the deployment's shared event bus
-        (a no-op when observability is off)."""
-        obs = self.obs
-        if obs is not None:
-            obs.bus.emit(self.pid, kind, **fields)
 
     def _on_wave_ready(self, wave: int) -> None:
         self._wave_ready_time[wave] = self.now
-        self._emit("wave_ready", wave=wave)
+        self.emit("wave_ready", wave=wave)
         commits_before = len(self.ordering.commits)
         self.ordering.wave_ready(wave)
         for record in self.ordering.commits[commits_before:]:
@@ -261,7 +243,7 @@ class DagRiderNode(Process):
                 self._journal.record_commit(
                     record.wave, [v.ref for v in record.leader_chain]
                 )
-            self._emit(
+            self.emit(
                 "commit",
                 wave=record.wave,
                 leaders=len(record.leader_chain),
@@ -325,7 +307,7 @@ class DagRiderNode(Process):
         # it already used — the crash-equivocation hazard.
         if self._journal is not None:
             self._journal.record_created(vertex)
-        self._emit(
+        self.emit(
             "vertex_created",
             round=vertex.round,
             weak=len(vertex.weak_parents),
@@ -334,7 +316,7 @@ class DagRiderNode(Process):
     def _on_vertex_added(self, vertex: Vertex) -> None:
         if self._journal is not None:
             self._journal.record_vertex(vertex)
-        self._emit(
+        self.emit(
             "vertex_added",
             round=vertex.round,
             source=vertex.source,
@@ -362,7 +344,7 @@ class DagRiderNode(Process):
     def _record_delivery(self, block: Block, round_: int, source: int) -> None:
         entry = OrderedEntry(self.delivered_count, block, round_, source, self.now)
         self.ordered.append(entry)
-        self._emit("a_deliver", round=round_, source=source)
+        self.emit("a_deliver", round=round_, source=source)
         for listener in self._delivery_listeners:
             listener(entry)
 
@@ -439,8 +421,6 @@ class DagRiderNode(Process):
         self._send_catchup_requests()
 
     def _send_catchup_requests(self) -> None:
-        from repro.codec.frames import CatchupRequest  # cycle-free at runtime
-
         if not self._catchup_pending:
             return
         self._catchup_attempts += 1
@@ -448,7 +428,7 @@ class DagRiderNode(Process):
         request = CatchupRequest(from_round)
         for peer in sorted(self._catchup_pending):
             self.send(peer, request)
-        self._emit(
+        self.emit(
             "catchup_request",
             from_round=from_round,
             peers=len(self._catchup_pending),
@@ -457,17 +437,15 @@ class DagRiderNode(Process):
         if self._catchup_attempts < CATCHUP_ATTEMPTS:
             self.call_later(CATCHUP_RETRY_DELAY, self._send_catchup_requests)
 
-    def _serve_catchup(self, src: int, message: "CatchupRequest") -> None:
+    def _serve_catchup(self, src: int, message: CatchupRequest) -> None:
         """Answer a peer's catch-up with our DAG from its requested round."""
-        from repro.codec.frames import CatchupVertices  # cycle-free at runtime
-
         from_round = max(1, message.from_round)
         payloads = [
             vertex.to_bytes()
             for vertex in self.store.vertices()
             if vertex.round >= from_round
         ]
-        self._emit(
+        self.emit(
             "catchup_serve", peer=src, from_round=from_round, vertices=len(payloads)
         )
         chunks = [
@@ -478,7 +456,7 @@ class DagRiderNode(Process):
             done = index == len(chunks) - 1
             self.send(src, CatchupVertices(tuple(chunk), done=done))
 
-    def _apply_catchup(self, src: int, message: "CatchupVertices") -> None:
+    def _apply_catchup(self, src: int, message: CatchupVertices) -> None:
         if src not in self._catchup_pending:
             return  # unsolicited — we never asked this peer (or already done)
         applied = 0
@@ -493,7 +471,7 @@ class DagRiderNode(Process):
                 applied += 1
         if self._catchup_vertices is not None and applied:
             self._catchup_vertices.record(applied)
-        self._emit(
+        self.emit(
             "catchup_apply",
             peer=src,
             received=len(message.vertices),
@@ -503,7 +481,7 @@ class DagRiderNode(Process):
         if message.done:
             self._catchup_pending.discard(src)
             if not self._catchup_pending:
-                self._emit(
+                self.emit(
                     "catchup_done",
                     round=self.builder.round,
                     decided_wave=self.ordering.decided_wave,

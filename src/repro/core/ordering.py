@@ -35,7 +35,6 @@ from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex
 from repro.mempool.blocks import Block
 from repro.obs.context import Observability
-from repro.obs.spans import PHASE_COMMIT_WALK, PHASE_DELIVER, PHASE_WAVE_LEADER
 
 #: ``a_deliver(block, round, source)`` — the BAB output (paper §3).
 ADeliverCallback = Callable[[Block, int, int], None]
@@ -205,29 +204,31 @@ class DagRiderOrdering:
 
     def _try_commit(self, wave: int) -> None:
         obs = self._obs
-        if obs is not None:
-            election = obs.spans.begin(self.pid, PHASE_WAVE_LEADER, wave=wave)
         leader = self._leader_vertex(wave)
         if leader is None:
             if obs is not None:
-                obs.spans.end(self.pid, election, present=False)
+                obs.emit(
+                    self.pid,
+                    "wave_leader",
+                    wave=wave,
+                    leader=self.coin.leader_of(wave),
+                    present=False,
+                )
             return
         support = self.commit_support(wave, leader)
         committed = support >= self.commit_quorum
         if obs is not None:
-            obs.spans.end(self.pid, election, present=True, support=support)
             obs.emit(
                 self.pid,
                 "wave_leader",
                 wave=wave,
                 leader=leader.source,
+                present=True,
                 support=support,
                 committed=committed,
             )
         if not committed:
             return  # Line 36: no commit this wave
-        if obs is not None:
-            walk = obs.spans.begin(self.pid, PHASE_COMMIT_WALK, wave=wave)
         stack = [leader]
         current = leader
         for earlier in range(wave - 1, self.decided_wave, -1):  # Lines 39-43
@@ -239,14 +240,9 @@ class DagRiderOrdering:
                 current = candidate
         self.decided_wave = wave
         self._order_vertices(wave, stack)
-        if obs is not None:
-            obs.spans.end(self.pid, walk, chain=len(self.commits[-1].leader_chain))
 
     def _order_vertices(self, wave: int, stack: list[Vertex]) -> None:
         """Lines 51-57: deliver each leader's fresh causal history in order."""
-        obs = self._obs
-        if obs is not None:
-            delivery = obs.spans.begin(self.pid, PHASE_DELIVER, wave=wave)
         record = CommitRecord(wave=wave, time=self._clock())
         while stack:
             leader = stack.pop()
@@ -260,5 +256,3 @@ class DagRiderOrdering:
                 self.delivered_vertex_count += 1
                 self._a_deliver(vertex.block, vertex.round, vertex.source)
         self.commits.append(record)
-        if obs is not None:
-            obs.spans.end(self.pid, delivery, delivered=record.delivered_count)

@@ -26,8 +26,6 @@ from repro.common.config import SystemConfig
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex
 from repro.mempool.blocks import Block, BlockSource
-from repro.obs.context import Observability
-from repro.obs.spans import PHASE_BROADCAST, PHASE_DAG_INSERT
 
 #: ``wave_ready(w)`` — the Line 12 signal to the ordering layer.
 WaveReadyCallback = Callable[[int], None]
@@ -56,7 +54,6 @@ class DagBuilder:
         enable_weak_edges: bool = True,
         on_round_advance: Callable[[int], None] | None = None,
         on_vertex_created: VertexCreatedCallback | None = None,
-        obs: Observability | None = None,
     ) -> None:
         self.pid = pid
         self.config = config
@@ -65,7 +62,6 @@ class DagBuilder:
         self._on_wave_ready = on_wave_ready
         self._on_vertex_added = on_vertex_added
         self._on_vertex_created = on_vertex_created
-        self._obs = obs
         self._coin_share_provider = coin_share_provider
         # Ablation hook (DESIGN.md): disabling weak edges breaks the BAB
         # Validity property — the bench demonstrates it.
@@ -170,16 +166,7 @@ class DagBuilder:
                 if self.store.contains(vertex.ref):
                     self.buffer.remove(vertex)  # equivocation-shadowed slot
                     continue
-                if self._obs is not None:
-                    with self._obs.spans.span(
-                        self.pid,
-                        PHASE_DAG_INSERT,
-                        round=vertex.round,
-                        source=vertex.source,
-                    ):
-                        self.store.add(vertex)
-                else:
-                    self.store.add(vertex)
+                self.store.add(vertex)
                 self.buffer.remove(vertex)
                 self._settle_created(vertex)
                 moved = True
@@ -218,19 +205,11 @@ class DagBuilder:
         self.round += 1
         if self._rbc is None:
             raise RuntimeError("DagBuilder used before attach_broadcast")
-        if self._obs is not None:
-            with self._obs.spans.span(self.pid, PHASE_BROADCAST, round=self.round):
-                vertex = self._create_vertex(self.round, block)
-                self.created[vertex.round] = vertex
-                if self._on_vertex_created is not None:
-                    self._on_vertex_created(vertex)
-                self._rbc.r_bcast(vertex, self.round)
-        else:
-            vertex = self._create_vertex(self.round, block)
-            self.created[vertex.round] = vertex
-            if self._on_vertex_created is not None:
-                self._on_vertex_created(vertex)
-            self._rbc.r_bcast(vertex, self.round)
+        vertex = self._create_vertex(self.round, block)
+        self.created[vertex.round] = vertex
+        if self._on_vertex_created is not None:
+            self._on_vertex_created(vertex)
+        self._rbc.r_bcast(vertex, self.round)
         return True
 
     def _round_quorum(self, round_: int) -> int:

@@ -22,8 +22,7 @@ extensions: a bare name defined as a class in its own module is qualified
 (``BrachaMessage`` inside ``repro.broadcast.bracha`` resolves to
 ``repro.broadcast.bracha.BrachaMessage``, matching what an importer
 resolves), and ``self.<attr>`` reads resolve through simple
-``self.attr = Name`` aliases (the lazy-import dispatch pattern in
-``core/node.py``).
+``self.attr = Name`` aliases (the lazy-import dispatch pattern).
 """
 
 from __future__ import annotations
@@ -257,8 +256,8 @@ class ProjectModel:
     def emit_kinds(self) -> dict[str, list[Site]]:
         """Literal event kinds emitted anywhere outside the obs machinery.
 
-        Matches ``<anything>.emit(pid, "kind", ...)`` and the node wrapper
-        ``self._emit("kind", ...)`` — the kind is the first string-constant
+        Matches ``<anything>.emit(pid, "kind", ...)`` and a process's own
+        ``self.emit("kind", ...)`` — the kind is the first string-constant
         positional argument among the first two.
         """
         cached = self._indexes.get("emits")
@@ -272,7 +271,7 @@ class ProjectModel:
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("emit", "_emit")
+                    and node.func.attr == "emit"
                 ):
                     continue
                 for arg in node.args[:2]:

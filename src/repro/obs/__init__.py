@@ -1,4 +1,4 @@
-"""Unified observability: deterministic events, metrics, spans, trace tooling.
+"""Unified observability: deterministic events, metrics, trace tooling.
 
 The paper's claims are *measured* claims — Claim 6's ≤ 3/2 expected waves
 per commit, Table 1's bit counts, §3's asynchronous time units — so the
@@ -11,17 +11,16 @@ simulator, the protocol core, and the TCP runtime:
   time under TCP), so simulator traces are bit-reproducible for a seed.
 * :mod:`repro.obs.metrics` — a metrics registry: counters, gauges, and
   fixed-bucket histograms with deterministic snapshots.
-* :mod:`repro.obs.spans` — span-style phase tracking for the protocol
-  pipeline (vertex broadcast, DAG insertion, wave-leader election, commit
-  walk, delivery).
+* :mod:`repro.obs.spans` — span-style phase tracking with no in-tree
+  caller (``bench/trace.py`` patches it by name; see the module docstring).
 * :mod:`repro.obs.wire` — the §3 communication/time accounting collector
   both the simulator network and the TCP transport feed.
-* :mod:`repro.obs.export` — versioned JSONL trace export/import.
+* :mod:`repro.obs.export` — versioned JSONL trace export/import; a live
+  control-socket ``subscribe`` stream is the same document, line by line.
 * :mod:`repro.obs.analyze` — summaries, filters, and trace *diffing*
   (clean run vs. chaos run → which waves paid for redelivery).
-* :mod:`repro.obs.stream` — live telemetry: bounded-ring bus
-  subscribers, incremental metric deltas, the ``repro.obs.stream``
-  newline-JSON wire format, the flight recorder, and the stall detector.
+* :mod:`repro.obs.stream` — live telemetry's bounded event ring and the
+  quorum-frontier stall detector.
 * :mod:`repro.obs.causal` — cross-host causal stitching of merged traces
   into per-vertex chains with per-edge latency percentiles.
 * ``python -m repro.obs`` (:mod:`repro.obs.cli`) — record / summarize /
@@ -66,17 +65,7 @@ from repro.obs.spans import (
     PIPELINE_PHASES,
     SpanTracker,
 )
-from repro.obs.stream import (
-    STREAM_SCHEMA,
-    STREAM_VERSION,
-    FlightRecorder,
-    MetricsDelta,
-    StallDetector,
-    StreamFormatError,
-    StreamSubscriber,
-    decode_stream_line,
-    encode_stream_line,
-)
+from repro.obs.stream import StallDetector
 from repro.obs.wire import MetricsCollector
 
 __all__ = [
@@ -85,11 +74,9 @@ __all__ = [
     "EdgeStats",
     "Event",
     "EventBus",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsCollector",
-    "MetricsDelta",
     "MetricsRegistry",
     "Observability",
     "PHASE_BROADCAST",
@@ -98,13 +85,9 @@ __all__ = [
     "PHASE_DELIVER",
     "PHASE_WAVE_LEADER",
     "PIPELINE_PHASES",
-    "STREAM_SCHEMA",
-    "STREAM_VERSION",
     "Scalar",
     "SpanTracker",
     "StallDetector",
-    "StreamFormatError",
-    "StreamSubscriber",
     "TRACE_SCHEMA",
     "TRACE_VERSION",
     "Trace",
@@ -112,11 +95,9 @@ __all__ = [
     "TraceFormatError",
     "VertexChain",
     "WaveStats",
-    "decode_stream_line",
     "diff_traces",
     "dump_trace",
     "dumps_trace",
-    "encode_stream_line",
     "filter_events",
     "kind_counts",
     "load_trace",

@@ -131,6 +131,9 @@ def summarize(
     note = retention_note(meta, len(events))
     if note is not None:
         lines.append(note)
+    holes = (metrics or {}).get("dropped")
+    if isinstance(holes, int) and holes > 0:
+        lines.append(f"stream has holes: {holes} events lost to ring overflow")
     pids = sorted({event.pid for event in events})
     if events:
         lines.append(

@@ -105,9 +105,9 @@ class EventBus:
     def unsubscribe(self, subscriber: Subscriber) -> None:
         """Detach a subscriber added with :meth:`subscribe`; idempotent.
 
-        Live taps (:class:`repro.obs.stream.StreamSubscriber`, flight
-        recorders) come and go with control-socket connections, so
-        detaching must not error when the subscriber is already gone.
+        Live taps (a control-socket ``subscribe`` stream's ring) come and
+        go with connections, so detaching must not error when the
+        subscriber is already gone.
         """
         try:
             self._subscribers.remove(subscriber)

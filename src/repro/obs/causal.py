@@ -6,7 +6,7 @@ streams. This module joins them back together on **vertex identity** —
 the ``(round, source)`` pair that names each vertex exactly once in
 DAG-Rider — into per-vertex causal chains::
 
-    vertex_created ─→ r_deliver(×n) ─→ dag_insert(×n) ─→ wave_leader
+    vertex_created ─→ r_deliver(×n) ─→ vertex_added(×n) ─→ wave_leader
                                   ─→ a_deliver(×n) ─→ commit(×n)
 
 and computes per-edge latency percentiles, turning the single "commit

@@ -1,4 +1,4 @@
-"""The bundle a deployment hands to every layer: bus + registry + spans.
+"""The bundle a deployment hands to every layer: bus + registry.
 
 One :class:`Observability` instance per deployment (simulated or TCP): the
 network wires its clock in at construction, and every process, broadcast
@@ -15,7 +15,6 @@ from typing import Callable, Protocol
 from repro.obs.bus import EventBus
 from repro.obs.events import Scalar
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanTracker
 
 
 class ClockLike(Protocol):
@@ -26,12 +25,11 @@ class ClockLike(Protocol):
 
 
 class Observability:
-    """Shared event bus, metrics registry, and span tracker."""
+    """Shared event bus and metrics registry."""
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self.bus = EventBus(clock)
         self.registry = MetricsRegistry()
-        self.spans = SpanTracker(self.bus)
         self._clock_bound = clock is not None
 
     def attach_clock(self, scheduler: ClockLike, retain: int | None = None) -> None:

@@ -10,9 +10,12 @@ Layout of a trace file (one JSON document per line):
   "t": ...}`` plus ``"f": {...}`` when the event has fields. Keys are
   sorted and separators compact, so a deterministic event sequence
   serializes to byte-identical text.
-* optionally one **metrics footer**: ``{"schema": "repro.obs.metrics",
+* optionally **metrics records**: ``{"schema": "repro.obs.metrics",
   "version": 1, "metrics": {...}}`` carrying registry / wire-accounting
-  snapshots.
+  snapshots as absolute values. A finished trace has one, as its footer;
+  a control ``subscribe`` stream is the same document written live — the
+  header, each event as it happens, one metrics record per tick — so a
+  reader keeps the last record it sees.
 
 Two runs of the same seeded simulator cell therefore produce files that
 ``diff`` (the Unix tool *or* ``python -m repro.obs diff``) as empty — the
@@ -73,22 +76,31 @@ class Trace:
     version: int = TRACE_VERSION
 
 
+def header_line(meta: dict[str, object] | None = None) -> str:
+    """The header line of a trace (no trailing newline)."""
+    return _dumps({"meta": meta or {}, "schema": TRACE_SCHEMA, "version": TRACE_VERSION})
+
+
+def event_line(event: Event) -> str:
+    """One event as its trace line."""
+    return _dumps(event_record(event))
+
+
+def metrics_line(metrics: dict[str, object]) -> str:
+    """One metrics record as its trace line; a reader keeps the last one."""
+    return _dumps({"metrics": metrics, "schema": METRICS_SCHEMA, "version": TRACE_VERSION})
+
+
 def dumps_trace(
     events: Iterable[Event],
     meta: dict[str, object] | None = None,
     metrics: dict[str, object] | None = None,
 ) -> str:
     """Serialize a trace to JSONL text (trailing newline included)."""
-    lines = [
-        _dumps(
-            {"meta": meta or {}, "schema": TRACE_SCHEMA, "version": TRACE_VERSION}
-        )
-    ]
-    lines.extend(_dumps(event_record(event)) for event in events)
+    lines = [header_line(meta)]
+    lines.extend(event_line(event) for event in events)
     if metrics is not None:
-        lines.append(
-            _dumps({"metrics": metrics, "schema": METRICS_SCHEMA, "version": TRACE_VERSION})
-        )
+        lines.append(metrics_line(metrics))
     return "\n".join(lines) + "\n"
 
 
@@ -104,10 +116,10 @@ def dump_trace(
 
 
 def _load_lines(handle: IO[str]) -> Trace:
-    header_line = handle.readline()
-    if not header_line.strip():
+    first = handle.readline()
+    if not first.strip():
         raise TraceFormatError("empty trace file")
-    header = json.loads(header_line)
+    header = json.loads(first)
     if header.get("schema") != TRACE_SCHEMA:
         raise TraceFormatError(
             f"not a {TRACE_SCHEMA} file (schema={header.get('schema')!r})"

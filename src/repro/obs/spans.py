@@ -1,5 +1,9 @@
 """Span-style phase tracking for the protocol pipeline.
 
+No in-tree caller: no layer opens spans and ``Observability`` carries no
+tracker; the module stays because ``bench/trace.py`` patches
+``SpanTracker.begin``/``.end`` by name (ROADMAP, ``[benchmark]`` to-do).
+
 A span brackets one phase of work at one process: the tracker emits a
 ``span_begin`` event when the phase opens and a ``span_end`` event (with
 the elapsed time under the bus clock) when it closes. Spans nest per

@@ -35,7 +35,7 @@ the protocol logic depends on the simulator.
   one ``subscribe`` control-socket stream per runner folded into a
   per-node commit-frontier row (TTY repaint or plain ``live:`` lines),
   raw stream tees, and the quorum-frontier stall detector that triggers
-  flight-recorder dumps (``docs/observability.md`` "Live streaming and
+  ``flight`` dumps (``docs/observability.md`` "Live streaming and
   causal analysis").
 * :mod:`repro.runtime.consistency` — the digest-based prefix-consistency
   check both deployment shapes run over delivery logs.

@@ -40,8 +40,8 @@ TTY, as plain ``live:`` lines otherwise; ``--no-live`` turns it off) and
 tees each node's raw stream to ``node-<pid>.stream.jsonl``. A stall
 detector rides on the same streams: when the quorum commit frontier is
 flat for ``--stall-window`` seconds the driver pulls every node's
-``flight`` ring dump into ``stall-<k>.json``. A total-order violation
-likewise snapshots the rings into ``flight-consistency.json``, and a
+``flight`` dump (status + newest events) into ``stall-<k>.json``. A
+total-order violation likewise lands in ``flight-consistency.json``, and a
 boot, recovery or wave-target timeout into ``flight-timeout.json``,
 before the cluster is torn down.
 
@@ -394,13 +394,14 @@ class Fabric:
     def flight_dumps(
         self, reason: str, stalled_for: float | None = None, index: int | None = None
     ) -> Path:
-        """Pull every reachable node's flight-recorder ring into one file.
+        """Pull every reachable node's newest events into one file.
 
-        The ``flight`` control command makes each node dump its in-memory
-        last-K event ring (plus status and link report) and stamp its own
-        trace with ``flight_dump`` — so post-hoc analysis of the traces can
-        line the dumps up with protocol time. Unreachable nodes are recorded
-        as errors rather than aborting: diagnostics must degrade, not fail.
+        The ``flight`` control command makes each node reply with its
+        status and the tail of its event bus as a ``repro.obs.trace``
+        document, and stamp its own trace with ``flight_dump`` — so
+        post-hoc analysis of the traces can line the dumps up with protocol
+        time. Unreachable nodes are recorded as errors rather than
+        aborting: diagnostics must degrade, not fail.
         """
         request: dict[str, Any] = {"cmd": "flight", "reason": reason}
         if stalled_for is not None:
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--live-interval",
         type=float,
         default=1.0,
-        help="live view refresh / stream delta interval in seconds",
+        help="live view refresh / stream tick interval in seconds",
     )
     parser.add_argument(
         "--stall-window",
@@ -646,7 +647,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     )
                 live.set_banner("targets reached; collecting state")
                 # Verify and collect while the nodes are still live: a
-                # violation can then be answered with flight-recorder dumps.
+                # violation can then be answered with flight dumps.
                 prefix = fabric.check_consistency()
                 statuses = {entry.pid: fabric.status(entry.pid) for entry in table.peers}
                 traces = [fabric.trace(entry.pid) for entry in table.peers]
@@ -659,7 +660,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
                 return 1
             except FabricError as error:
-                # The moment the flight rings matter most: pull them
+                # The moment the newest events matter most: pull them
                 # before the teardown destroys them.
                 dump_path = fabric.flight_dumps("timeout")
                 print(f"fabric: {error} (flight dumps: {dump_path})", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 One reader thread per node holds a control-socket connection in
 ``subscribe`` streaming mode (see :class:`repro.runtime.runner.ControlServer`)
-and folds the incoming ``repro.obs.stream`` lines into a shared per-node
-table: commit frontier (decided wave), current round, ordered entries,
-transport queue depth, events seen, ring drops. A render thread repaints
+and folds the incoming lines — the node's ``repro.obs.trace`` document,
+written live — into a shared per-node table: commit frontier (decided
+wave), current round, ordered entries, transport queue depth, events
+seen, ring drops. A render thread repaints
 that table once per tick — in-place with ANSI cursor movement on a TTY,
 as plain periodic ``live:`` lines otherwise (CI logs stay greppable).
 
@@ -14,8 +15,9 @@ and when the quorum commit frontier goes flat for the configured window
 it fires the ``on_stall`` callback (the fabric driver uses it to pull
 ``flight`` dumps from every node).
 
-Raw stream lines are teed verbatim to ``<out_dir>/node-<pid>.stream.jsonl``
-so a run leaves replayable per-node streams next to its traces.
+Raw stream lines are teed verbatim to ``<out_dir>/node-<pid>.stream.jsonl``,
+so a run leaves each node's whole event history next to its windowed
+traces, in the format every ``python -m repro.obs`` subcommand reads.
 
 Everything here is driver-side tooling on real wall clocks
 (``time.monotonic``), matching the rest of :mod:`repro.runtime.fabric`;
@@ -24,6 +26,7 @@ nothing in this module runs inside a node.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
@@ -31,7 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TextIO
 
-from repro.obs.stream import StallDetector, StreamFormatError, decode_stream_line
+from repro.obs.export import METRICS_SCHEMA
+from repro.obs.stream import StallDetector
 from repro.runtime.linerpc import LineStream
 from repro.runtime.peers import PeerTable
 
@@ -240,24 +244,27 @@ class LiveView:
 
     def _fold_line(self, view: NodeView, text: str) -> None:
         try:
-            line = decode_stream_line(text)
-        except StreamFormatError:
+            line = json.loads(text)
+        except ValueError:
+            return
+        if not isinstance(line, dict):
             return
         with self._lock:
-            if line["type"] == "event":
+            if "kind" in line:
                 view.events += 1
                 return
-            if line["type"] != "delta":
+            if line.get("schema") != METRICS_SCHEMA:
+                return  # the header
+            tick = line.get("metrics")
+            if not isinstance(tick, dict):
                 return
-            body = line["delta"]
-            assert isinstance(body, dict)
-            status = body.get("status")
+            status = tick.get("status")
             if isinstance(status, dict):
                 view.decided_wave = int(status.get("decided_wave", -1))
                 view.current_round = int(status.get("current_round", -1))
                 view.ordered = int(status.get("ordered", 0))
                 view.queue_depth = int(status.get("queue_depth", 0))
-            view.dropped = int(body.get("dropped", 0) or 0)
+            view.dropped = int(tick.get("dropped", 0))
 
     # ----------------------------------------------------------- renderer
 

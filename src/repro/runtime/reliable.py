@@ -306,7 +306,6 @@ class ReliableLink:
                         dst=self.dst,
                         attempt=self._dial_attempts,
                     )
-                    self._obs.registry.counter("link.retries").inc()
                 if (
                     not self.degraded
                     and self._loop.time() - self._down_since >= cfg.degrade_after
@@ -332,7 +331,6 @@ class ReliableLink:
                         connection=self._connections,
                         unacked=len(self._unacked),
                     )
-                    self._obs.registry.counter("link.reconnects").inc()
             self.degraded = False
             self._down_since = None
             self._last_rx = self._loop.time()
@@ -367,7 +365,6 @@ class ReliableLink:
                     self._obs.emit(
                         self.pid, "link_redelivery", dst=self.dst, seq=seq
                     )
-                    self._obs.registry.counter("link.redeliveries").inc()
             self._check_liveness(idle=False)
 
     def _next_unwritten(self) -> tuple[int, bytes] | None:
@@ -481,7 +478,6 @@ class ReliableLink:
                 dst=self.dst,
                 error=type(exc).__name__,
             )
-            self._obs.registry.counter("link.task_errors").inc()
 
     async def _drop_connection(self) -> None:
         if self._reader_task is not None:

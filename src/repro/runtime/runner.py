@@ -21,15 +21,15 @@ error replies and shutdown: docs/runtime.md "Line RPC"). Its verbs:
 ``ping``, ``status``, ``log`` (position-wise entry digests for the
 cross-host prefix-consistency check), ``trace`` (the JSONL text, link
 counters in its footer, so a driver needs no shared filesystem), ``partition`` /
-``heal`` / ``slow`` (scenario fault injection), ``flight`` (dump the
-in-memory flight-recorder ring — the black box a stall diagnostic
-fetches), and ``stop``. One verb streams: ``subscribe`` answers with a
-``repro.obs.stream`` v1 header line and then, every ``interval`` seconds
-until the client disconnects or the node stops, writes the events
-buffered since the last tick (bounded ring, oldest dropped and counted
-under backpressure) plus one ``delta`` line carrying a status snapshot
-and the metric movement since the previous tick. See
-docs/observability.md "Live streaming and causal analysis".
+``heal`` / ``slow`` (scenario fault injection), ``flight`` (the newest
+:data:`FLIGHT_EVENTS` events of the bus as a trace — the black box a stall
+diagnostic fetches), and ``stop``. One verb streams: ``subscribe`` answers
+with this host's trace written live — the ``repro.obs.trace`` v1 header,
+then every ``interval`` seconds until the client disconnects or the node
+stops, the events buffered since the last tick (bounded ring, oldest
+dropped and counted under backpressure) plus one ``repro.obs.metrics``
+record carrying the status snapshot and the metrics as absolute values.
+See docs/observability.md "Live streaming and causal analysis".
 """
 
 from __future__ import annotations
@@ -42,17 +42,15 @@ from repro.common.errors import ConfigurationError
 from repro.core.node import DagRiderNode
 from repro.crypto.dealer import CoinDealer
 from repro.obs.context import Observability
-from repro.obs.export import dump_trace, dumps_trace
-from repro.obs.stream import (
-    DEFAULT_STREAM_CAPACITY,
-    FlightRecorder,
-    MetricsDelta,
-    StreamSubscriber,
-    delta_line,
-    encode_stream_line,
+from repro.obs.events import Event
+from repro.obs.export import (
+    dump_trace,
+    dumps_trace,
     event_line,
-    stream_header,
+    header_line,
+    metrics_line,
 )
+from repro.obs.stream import DEFAULT_STREAM_CAPACITY, EventRing
 from repro.runtime.consistency import full_digest_log
 from repro.runtime.linerpc import LineServer, Send
 from repro.runtime.peers import PeerTable, load_peer_table
@@ -63,6 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mempool.admission import Mempool
     from repro.mempool.gateway import IngressGateway
     from repro.runtime.chaos import ChaosTransport
+
+#: How many of the bus's newest events a ``flight`` dump carries.
+FLIGHT_EVENTS = 256
 
 
 class NodeRunner:
@@ -95,7 +96,6 @@ class NodeRunner:
         self.node: DagRiderNode | None = None
         self.journal: NodeJournal | None = None
         self.recovery: RecoveryReport | None = None
-        self.flight: FlightRecorder | None = None
         self.mempool: Mempool | None = None
         self.gateway: IngressGateway | None = None
 
@@ -114,10 +114,6 @@ class NodeRunner:
             obs=self.observability,
         )
         await self.network.start()
-        if self.observability is not None and self.flight is None:
-            # The black box: an always-on last-K ring of this node's own
-            # events, dumped over control on stall/consistency diagnostics.
-            self.flight = FlightRecorder(self.observability.bus)
         dealer = self._dealer
         if dealer is None:
             dealer = self.table.make_dealer()
@@ -228,7 +224,7 @@ class NodeRunner:
         depth = self.network.queue_depth if self.network is not None else 0
         if self.observability is not None:
             # Sampled here (every status poll and subscribe tick) so the
-            # live metric deltas carry transport backpressure.
+            # stream ticks carry transport backpressure.
             self.observability.registry.gauge("link.queue_depth").set(float(depth))
         status: dict[str, object] = {
             "ok": True,
@@ -265,7 +261,8 @@ class NodeRunner:
     def flight_dump(
         self, reason: str, stalled_for: float | None = None
     ) -> dict[str, object]:
-        """Dump the flight-recorder ring (the ``flight`` control command).
+        """The bus's newest :data:`FLIGHT_EVENTS` events as a trace (the
+        ``flight`` control command).
 
         Emits ``flight_dump`` into the node's own trace (so post-hoc
         analysis sees *when* diagnostics were taken), and — when the
@@ -274,8 +271,9 @@ class NodeRunner:
         frontier had been flat from the driver's point of view.
         """
         obs = self.observability
-        if obs is None or self.flight is None:
-            return {"ok": False, "pid": self.pid, "error": "no flight recorder"}
+        if obs is None:
+            return {"ok": False, "pid": self.pid, "error": "observability off"}
+        bus = obs.bus
         if reason == "stall":
             obs.emit(
                 self.pid,
@@ -283,28 +281,32 @@ class NodeRunner:
                 stalled_for=stalled_for,
                 decided_wave=self.node.decided_wave if self.node is not None else -1,
             )
-        dump = self.flight.dump(reason, obs.bus.now)
+        tail = list(bus.events)[-FLIGHT_EVENTS:]
+        meta = {**self.trace_meta(len(tail)), "reason": reason, "t": bus.now}
         obs.emit(
             self.pid,
             "flight_dump",
             reason=reason,
-            events=int(dump.get("count", 0) or 0),
-            overwritten=int(dump.get("overwritten", 0) or 0),
+            events=len(tail),
+            overwritten=meta["dropped_events"],
         )
         return {
             "ok": True,
             "pid": self.pid,
             "status": self.status(),
-            "link_report": self.link_report(),
-            "dump": dump,
+            "trace": dumps_trace(tail, meta=meta, metrics=self.trace_metrics()),
         }
 
     # -------------------------------------------------------------- tracing
 
-    def trace_meta(self) -> dict[str, object]:
-        """This host's trace header: who it is, and how many events older
-        than the bus's retention window the trace no longer holds."""
-        obs = self.observability
+    def trace_meta(self, held: int | None = None) -> dict[str, Any]:
+        """This host's header for a document that starts at the newest
+        ``held`` events of the bus (default: its whole retention window):
+        who it is, and how many older events the document does not hold."""
+        older = 0
+        if self.observability is not None:
+            bus = self.observability.bus
+            older = bus.dropped + (0 if held is None else len(bus.events) - held)
         return {
             "pid": self.pid,
             "n": self.config.n,
@@ -312,13 +314,16 @@ class NodeRunner:
             "coin_mode": self.table.coin_mode,
             "host": self.entry.host,
             "port": self.entry.port,
-            "dropped_events": obs.bus.dropped if obs is not None else 0,
+            "dropped_events": older,
         }
 
     def trace_metrics(self) -> dict[str, object]:
+        """The metrics record of this host's traces and stream ticks: the
+        registry snapshot's sections at top level (what ``python -m
+        repro.obs record`` writes and ``summarize`` reads) plus ``links``."""
         metrics: dict[str, object] = {"links": self.link_report()}
         if self.observability is not None:
-            metrics["registry"] = self.observability.snapshot()
+            metrics.update(self.observability.snapshot())
         return metrics
 
     def trace_text(self) -> str:
@@ -398,75 +403,57 @@ class ControlServer(LineServer):
         return self._reply(stopping=True)
 
     async def _serve_subscribe(self, request: dict[str, Any], send: Send) -> None:
-        """Stream ``repro.obs.stream`` lines until stop or client hang-up.
+        """Stream this host's trace, live, until stop or client hang-up.
 
-        Wire shape (compact newline-JSON): one header line, then per tick
-        of ``interval`` seconds everything the filter matched since the
-        last tick as ``{"event": ...}`` lines plus one ``{"delta": ...}``
-        line carrying the runner status, metric movement, and the
-        cumulative ring-drop count — one write per tick. The stream ends
-        with a final tick when the runner stops.
+        A ``repro.obs.trace`` v1 document written as it happens: the
+        header, then per tick of ``interval`` seconds every event emitted
+        since the last tick plus one ``repro.obs.metrics`` record —
+        :meth:`NodeRunner.trace_metrics` with the runner ``status``, the
+        cumulative ring-overflow count ``dropped``, the tick number
+        ``seq`` and the bus time ``t``, all absolute — in one write. The
+        stream ends with a final tick when the runner stops.
         """
         runner = self.runner
         obs = runner.observability
         if obs is None:
             raise ValueError("observability off")
-        kinds_raw = request.get("kinds")
-        kinds: list[str] | None = None
-        if isinstance(kinds_raw, list):
-            kinds = [str(kind) for kind in kinds_raw]
-        raw_round = request.get("min_round")
-        min_round = int(raw_round) if raw_round is not None else None
         interval = max(0.05, float(request.get("interval", 1.0)))
-        capacity = int(request.get("capacity", DEFAULT_STREAM_CAPACITY))
-        subscriber = StreamSubscriber(
-            obs.bus, capacity=capacity, kinds=kinds, min_round=min_round
-        )
-        deltas = MetricsDelta(obs.registry)
+        ring: EventRing[Event] = EventRing(DEFAULT_STREAM_CAPACITY)
+        obs.bus.subscribe(ring.append)
         live_gauge = obs.registry.gauge("stream.subscribers")
-        drop_counter = obs.registry.counter("stream.dropped")
         self._live_subscribers += 1
         live_gauge.set(self._live_subscribers)
         reported_drops = 0
         seq = 0
         try:
-            await send(
-                encode_stream_line(
-                    stream_header(runner.pid, subscriber.filters_dict(), interval)
-                )
-            )
+            await send(header_line({**runner.trace_meta(0), "interval": interval}))
             while True:
                 stopped = await runner.wait_stopped(timeout=interval)
-                lines = [
-                    encode_stream_line(event_line(event))
-                    for event in subscriber.drain()
-                ]
-                new_drops = subscriber.dropped - reported_drops
-                if new_drops:
-                    # Overflow is data, not just a log line: count it in
-                    # the registry and stamp the trace so post-hoc
-                    # analysis knows this stream has holes.
-                    reported_drops = subscriber.dropped
-                    drop_counter.inc(new_drops)
+                lines = [event_line(event) for event in ring.drain()]
+                if ring.dropped > reported_drops:
+                    # Overflow is data: stamp the node's own trace so
+                    # post-hoc analysis knows this stream has holes.
                     obs.emit(
                         runner.pid,
                         "stream_drop",
-                        dropped=new_drops,
-                        total=reported_drops,
+                        dropped=ring.dropped - reported_drops,
+                        total=ring.dropped,
                     )
+                    reported_drops = ring.dropped
                 seq += 1
-                delta = delta_line(
-                    seq,
-                    obs.bus.now,
-                    status=runner.status(),
-                    metrics=deltas.collect(),
-                    dropped=subscriber.dropped,
-                )
-                await send(*lines, encode_stream_line(delta))
+                status = runner.status()  # samples link.queue_depth first
+                tick = {
+                    **runner.trace_metrics(),
+                    "status": status,
+                    "dropped": ring.dropped,
+                    "seq": seq,
+                    "t": obs.bus.now,
+                }
+                await send(*lines, metrics_line(tick))
                 if stopped:
                     break
         finally:
-            subscriber.close()
+            obs.bus.unsubscribe(ring.append)
             self._live_subscribers -= 1
             live_gauge.set(self._live_subscribers)
 

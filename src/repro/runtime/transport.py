@@ -364,7 +364,6 @@ class TcpNetwork:
                 self.link_stats.peer_restarts += 1
                 if self.obs is not None:
                     self.obs.emit(self.pid, "link_peer_restart", src=src)
-                    self.obs.registry.counter("link.peer_restarts").inc()
             self._peer_incarnation[src] = incarnation
             prior = self._inbound.get(src)
             if prior is not None:

@@ -8,7 +8,7 @@ check across process boundaries, and merges the per-host traces. The live
 telemetry plane rides along: per-node ``subscribe`` streams feed the plain
 (non-TTY) progress view and are teed to ``node-<pid>.stream.jsonl``, the
 merged trace feeds ``python -m repro.obs causal``, and a partitioned
-quorum trips the stall detector into flight-recorder dumps.
+quorum trips the stall detector into ``flight`` dumps.
 """
 
 import json
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import decode_stream_line, loads_trace
+from repro.obs import load_trace, loads_trace
 from repro.runtime.peers import load_peer_table
 
 REPO = Path(__file__).resolve().parents[2]
@@ -136,22 +136,32 @@ class TestLiveTelemetry:
             assert f"live: node {pid}: wave" in result.stdout
         assert "live: quorum wave" in result.stdout
 
-    def test_stream_tees_are_valid_and_carry_deltas(self, fabric_run):
+    def test_stream_tees_are_traces_that_end_on_a_tick(self, fabric_run):
         out_dir, _result = fabric_run
         tees = sorted(out_dir.glob("node-*.stream.jsonl"))
         assert len(tees) == 4
-        for path in tees:
-            lines = path.read_text(encoding="utf-8").splitlines()
-            decoded = [decode_stream_line(text) for text in lines]
-            assert decoded[0]["type"] == "header"
-            kinds = {line["type"] for line in decoded}
-            assert "event" in kinds and "delta" in kinds
-            # The final delta carries the runner's last status snapshot.
-            last = [line for line in decoded if line["type"] == "delta"][-1]
-            status = last["delta"]["status"]
-            assert status["decided_wave"] >= 3
-            # A zero ring-drop count is elided from the wire entirely.
-            assert last["delta"].get("dropped", 0) == 0
+        for pid, path in enumerate(tees):
+            trace = load_trace(str(path))
+            assert trace.meta["pid"] == pid
+            assert {"commit", "a_deliver"} <= {event.kind for event in trace.events}
+            last = json.loads(path.read_text(encoding="utf-8").splitlines()[-1])
+            assert last["schema"] == "repro.obs.metrics"
+            # The final tick carries the runner's last status snapshot.
+            assert trace.metrics == last["metrics"]
+            assert trace.metrics["status"]["decided_wave"] >= 3
+            assert trace.metrics["dropped"] == 0
+        # One host's whole history, in the format the analysis CLI reads.
+        for command in (["summarize"], ["filter", "--kind", "commit"], ["causal"]):
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.obs", *command, str(tees[0])],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                cwd=str(REPO),
+                env=ENV,
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip()
 
     def test_causal_stitch_covers_the_merged_trace(self, fabric_run):
         out_dir, _result = fabric_run
@@ -227,10 +237,9 @@ class TestStallDiagnostics:
         for node in document["nodes"].values():
             assert node["ok"], node
             assert node["status"]["decided_wave"] >= 0
-            assert "link_report" in node
-            ring = node["dump"]
-            assert ring["reason"] == "stall"
-            assert ring["count"] > 0
-            kinds = [event["kind"] for event in ring["events"]]
-            # The dump request itself stamps the ring before it is read.
-            assert "stall_detected" in kinds
+            trace = loads_trace(node["trace"])
+            assert trace.meta["reason"] == "stall"
+            assert 0 < len(trace.events) <= 256
+            assert "links" in trace.metrics
+            # The dump request itself stamps the log before its tail is cut.
+            assert "stall_detected" in [event.kind for event in trace.events]

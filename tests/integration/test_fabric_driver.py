@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 from repro.common.config import SystemConfig
+from repro.obs import loads_trace
 from repro.runtime import fabric as fabric_module
 from repro.runtime.fabric import Fabric
 from repro.runtime.peers import allocate_port_block, make_peer_table
@@ -81,5 +82,6 @@ def test_missed_target_exits_2_and_leaves_the_flight_rings(tmp_path):
     for node in document["nodes"].values():
         assert node["ok"], node
         assert node["status"]["decided_wave"] >= 1
-        assert node["dump"]["reason"] == "timeout"
-        assert node["dump"]["count"] > 0
+        trace = loads_trace(node["trace"])
+        assert trace.meta["reason"] == "timeout"
+        assert 0 < len(trace.events) <= 256

@@ -71,14 +71,12 @@ class TestContractMutations:
         )
 
     def test_deleting_catchup_dispatch_fails_contract001(self):
-        # CatchupRequest is dispatched through a self-attribute alias in
-        # core/node.py; dropping the alias assignment must be caught too.
         sources = real_tree_sources()
         node = sources["repro.core.node"]
-        needle = "self._catchup_request_cls = CatchupRequest"
+        needle = "isinstance(message, CatchupRequest)"
         assert needle in node
         sources["repro.core.node"] = node.replace(
-            needle, "self._catchup_request_cls = None"
+            needle, "isinstance(message, CatchupVertices)"
         )
         violations = contract_lint(sources)
         assert any(

@@ -3,16 +3,22 @@
 The fabric tests reach ``LiveView`` only through a whole ``scripts/fabric.py``
 subprocess run; this drives it directly. The cluster (and one
 ``ControlServer`` per runner) lives on a background thread's event loop,
-because the view's readers are blocking ``LineStream`` threads.
+because the view's readers are blocking ``LineStream`` threads. What the
+view tees is each node's ``repro.obs.trace`` document written live, so the
+tees are read back with the tools every other trace is read with.
 """
 
 import asyncio
+import json
 import threading
 import time
 
 from repro.common.config import SystemConfig
+from repro.obs import load_trace, stitch, summarize
+from repro.obs.cli import main as obs_main
 from repro.obs.context import Observability
-from repro.obs.stream import decode_stream_line
+from repro.obs.export import METRICS_SCHEMA
+from repro.runtime import runner as runner_module
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.fabric import Fabric
 from repro.runtime.live import LiveView
@@ -20,9 +26,9 @@ from repro.runtime.peers import make_peer_table
 from repro.runtime.runner import ControlServer
 
 
-def test_streams_are_teed_folded_and_drained_on_stop(
-    free_peers, free_port, tmp_path, capsys
-):
+def tee_a_cluster(free_peers, free_port, tmp_path, until):
+    """Run a 4-node cluster under a ``LiveView`` until every tee's text
+    satisfies ``until``, then stop in the fabric's order; the tee paths."""
     config = SystemConfig(n=4, seed=21)
     peers = free_peers(4)
     control_ports = {pid: free_port() for pid in range(4)}
@@ -63,7 +69,7 @@ def test_streams_are_teed_folded_and_drained_on_stop(
     tees = [tmp_path / f"node-{pid}.stream.jsonl" for pid in range(4)]
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
-        if all(tee.exists() and '"delta"' in tee.read_text() for tee in tees):
+        if all(tee.exists() and until(tee.read_text()) for tee in tees):
             break
         time.sleep(0.05)
 
@@ -73,16 +79,67 @@ def test_streams_are_teed_folded_and_drained_on_stop(
     view.stop()
     thread.join(30.0)
     assert finished.get("ok")
+    return tees
 
-    for tee in tees:
-        lines = [decode_stream_line(text) for text in tee.read_text().splitlines()]
-        assert lines[0]["type"] == "header"
-        assert lines[-1]["type"] == "delta"
+
+def test_streams_are_teed_folded_and_drained_on_stop(
+    free_peers, free_port, tmp_path, capsys
+):
+    tees = tee_a_cluster(
+        free_peers,
+        free_port,
+        tmp_path,
+        until=lambda text: '"kind":"commit"' in text and METRICS_SCHEMA in text,
+    )
+    for pid, tee in enumerate(tees):
+        lines = [json.loads(text) for text in tee.read_text().splitlines()]
+        ticks = [line["metrics"] for line in lines if line.get("schema") == METRICS_SCHEMA]
         # The final tick is taken after the stop: nothing newer exists.
-        seqs = [line["delta"]["seq"] for line in lines if line["type"] == "delta"]
-        assert seqs == list(range(1, len(seqs) + 1))
+        assert lines[-1]["metrics"] is ticks[-1]
+        assert [tick["seq"] for tick in ticks] == list(range(1, len(ticks) + 1))
+
+        # The tee is a trace: the loader keeps the header and the last tick.
+        trace = load_trace(str(tee))
+        assert trace.meta["pid"] == pid and trace.meta["interval"] == 0.1
+        assert len(trace.events) == len(lines) - 1 - len(ticks)
+        assert trace.metrics == ticks[-1]
+        assert trace.metrics["status"]["decided_wave"] >= 1
+        assert trace.metrics["links"]["frames_sent"] > 0
+        text = summarize(trace.events, meta=trace.meta, metrics=trace.metrics)
+        assert "node.commit_latency: count=" in text
+        # 4 096 events is ~1 s of this unpaced in-loop cluster: no holes
+        # unless the box stalled that long, and then the summary says so.
+        assert ("stream has holes" in text) == (trace.metrics["dropped"] > 0)
+        assert stitch(trace.events).stitched_chains > 0
+
+        commits = tmp_path / f"commits-{pid}.jsonl"
+        assert obs_main(
+            ["filter", str(tee), "--kind", "commit", "--out", str(commits)]
+        ) == 0
+        kept = load_trace(str(commits))
+        assert kept.events and {event.kind for event in kept.events} == {"commit"}
+        assert kept.metrics == trace.metrics
+
     out = capsys.readouterr().out
     final_table = out[out.rindex("live: quorum wave"):]
     for pid in range(4):
         assert f"live: node {pid}: wave" in final_table
     assert final_table.count("[stopped]") == 4
+
+
+def test_a_ring_too_small_for_a_tick_says_so_in_the_tee(
+    free_peers, free_port, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(runner_module, "DEFAULT_STREAM_CAPACITY", 8)
+    tees = tee_a_cluster(
+        free_peers, free_port, tmp_path, until=lambda text: "stream_drop" in text
+    )
+    for tee in tees:
+        trace = load_trace(str(tee))
+        assert trace.metrics["dropped"] > 0
+        assert (
+            f"stream has holes: {trace.metrics['dropped']} events lost"
+            in summarize(trace.events, meta=trace.meta, metrics=trace.metrics)
+        )
+    out = capsys.readouterr().out
+    assert "drops " in out[out.rindex("live: quorum wave"):]

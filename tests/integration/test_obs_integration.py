@@ -13,7 +13,7 @@ The acceptance contract of the observability layer:
 import asyncio
 
 from repro.common.config import SystemConfig
-from repro.obs import Observability, diff_traces, dumps_trace, loads_trace
+from repro.obs import Observability, diff_traces, dumps_trace, loads_trace, summarize
 from repro.obs.cli import main as obs_main
 from repro.perf.cells import smoke_cells
 from repro.perf.runner import run_cell_traced
@@ -44,6 +44,23 @@ class TestSimDeterminism:
         diff = diff_traces(trace_a.events, trace_b.events)
         assert diff.identical
         assert diff.empty
+
+    def test_clean_cell_trace_is_the_pipeline_kinds_and_nothing_else(self):
+        """Each fact once: a fault-free cell emits the catalog's protocol
+        pipeline kinds only — no ``span_begin``/``span_end`` brackets."""
+        _result, observability, _wire = run_cell_traced(smoke_cells(base_seed=1)[0])
+        assert observability.bus.kinds() == {
+            "vertex_created",
+            "r_deliver",
+            "vertex_added",
+            "wave_ready",
+            "wave_leader",
+            "commit",
+            "a_deliver",
+        }
+        # bracha-n4-b4 emitted 1 144 events while spans bracketed the five
+        # pipeline phases (552 of them markers); it is 592 without.
+        assert len(observability.bus.events) <= 0.6 * 1144
 
     def test_different_seed_traces_differ(self):
         cell_a = smoke_cells(base_seed=1)[0]
@@ -89,17 +106,17 @@ class TestRuntimeTraces:
         )
         assert reached
         cluster.check_total_order()
-        return observability
+        return cluster
 
     def test_chaos_trace_reports_fault_kinds_clean_trace_lacks(self, free_peers):
-        clean = self._run_cluster(free_peers(4), seed=11)
+        clean = self._run_cluster(free_peers(4), seed=11).observability
         chaotic = self._run_cluster(
             free_peers(4),
             seed=11,
             chaos_config=ChaosConfig(
                 drop_rate=0.3, duplicate_rate=0.05, sever_every=20
             ),
-        )
+        ).observability
         clean_kinds = clean.bus.kinds()
         chaos_kinds = chaotic.bus.kinds()
         # The protocol pipeline shows up in both.
@@ -116,11 +133,22 @@ class TestRuntimeTraces:
         assert diff.kind_deltas["chaos_drop"][0] == 0  # only in B
 
     def test_clean_cluster_records_protocol_metrics(self, free_peers):
-        observability = self._run_cluster(free_peers(4), seed=12)
-        snapshot = observability.snapshot()
-        assert snapshot["counters"].get("link.redeliveries", 0) == 0
+        cluster = self._run_cluster(free_peers(4), seed=12)
+        snapshot = cluster.observability.snapshot()
+        assert cluster.link_report()["redeliveries"] == 0
         assert "node.commit_latency" in snapshot["histograms"]
         assert snapshot["histograms"]["node.commit_latency"]["count"] > 0
+
+    def test_summarize_prints_a_runtime_traces_metrics(self, free_peers):
+        """Regression: the runner nested its registry under ``registry``,
+        where ``summarize`` (reading the top-level sections ``record``
+        writes) never found it — no runtime trace ever printed them."""
+        cluster = self._run_cluster(free_peers(4), seed=13)
+        trace = loads_trace(cluster.runners[0].trace_text())
+        assert trace.metrics["links"]["frames_sent"] > 0
+        text = summarize(trace.events, meta=trace.meta, metrics=trace.metrics)
+        assert "histograms:" in text
+        assert "node.commit_latency: count=" in text
 
 
 class TestCli:

@@ -6,6 +6,7 @@ from repro.common.config import SystemConfig
 from repro.obs import Observability, loads_trace
 from repro.runtime import transport
 from repro.runtime.cluster import LocalCluster
+from repro.runtime.runner import FLIGHT_EVENTS
 
 
 def run_cluster(
@@ -69,3 +70,11 @@ class TestTcpRuntime:
         trace = loads_trace(cluster.runners[0].trace_text())
         assert len(trace.events) <= window
         assert trace.meta["dropped_events"] == bus.dropped
+        # Four booted runners hung nothing on the bus: an emit reaches this
+        # test's tap and the window's drop counter, no per-runner recorder.
+        assert bus._subscribers == [seen.append, bus._count_emit]
+        # `flight` is the newest events of that same window.
+        newest = seen[-FLIGHT_EVENTS:]
+        flight = loads_trace(cluster.runners[1].flight_dump("manual")["trace"])
+        assert flight.events == newest
+        assert flight.meta["dropped_events"] == len(seen) - 1 - FLIGHT_EVENTS

@@ -14,9 +14,15 @@ everything else — key order, separators, error texts, the header → acks →
 One line differs from the parent on purpose: the gateway used to say
 ``unknown ingress command 'x'`` where the control socket said ``unknown
 command 'x'``; with one server there is one text.
+
+Two replies were re-recorded when the observability plane stopped keeping
+a second copy of each fact: a ``subscribe`` stream is the node's
+``repro.obs.trace`` document written live (its request keeps ``interval``
+only), and ``flight`` answers with the bus tail as such a document.
 """
 
 import asyncio
+import json
 import re
 
 from repro.common.config import SystemConfig
@@ -34,12 +40,12 @@ INGRESS = AdmissionConfig(
 
 _CLOCKS = re.compile(
     r'"(ordered|decided_wave|current_round|queue_depth|e2e|round|position'
-    r'|sequence)": -?[0-9.e-]+'
+    r'|sequence|port|t|dropped_events)"(: ?)-?[0-9.e-]+'
 )
 
 
 def mask(line: bytes) -> str:
-    return _CLOCKS.sub(r'"\1": #', line.decode())
+    return _CLOCKS.sub(r'"\1"\2#', line.decode())
 
 
 def tx(index: int) -> str:
@@ -77,13 +83,20 @@ CONTROL_GOLDEN = [
     '{"ok": true, "pid": 0, "stopping": true}\n',
 ]
 
-SUBSCRIBE_REQUEST = (
-    b'{"cmd": "subscribe", "interval": 0.05, "kinds": ["commit"], '
-    b'"min_round": 2, "capacity": 16}\n'
-)
+SUBSCRIBE_REQUEST = b'{"cmd": "subscribe", "interval": 0.05}\n'
 SUBSCRIBE_HEADER = (
-    '{"filters":{"kinds":["commit"],"min_round":2},"interval":0.05,"pid":0,'
-    '"schema":"repro.obs.stream","version":1}\n'
+    '{"meta":{"coin_mode":"ideal","dropped_events":#,"host":"127.0.0.1",'
+    '"interval":0.05,"n":4,"pid":0,"port":#,"seed":14},'
+    '"schema":"repro.obs.trace","version":1}\n'
+)
+
+FLIGHT_REQUEST = b'{"cmd": "flight", "reason": "golden"}\n'
+#: The reply's ``trace`` string is a trace document: this header, the
+#: newest 256 events, the metrics footer.
+FLIGHT_HEADER = (
+    '{"meta":{"coin_mode":"ideal","dropped_events":#,"host":"127.0.0.1",'
+    '"n":4,"pid":0,"port":#,"reason":"golden","seed":14,'
+    '"t":#},"schema":"repro.obs.trace","version":1}'
 )
 
 INGRESS_SCRIPT = [
@@ -208,20 +221,36 @@ def test_control_and_ingress_replies_are_byte_identical(free_peers, free_port):
         sub_header = (await read_lines(sub_reader, 1))[0]
         ingress = await converse(ingress_port, INGRESS_SCRIPT)
         ack_lines += await read_lines(ack_reader, 5)
+        flight_reader, flight_writer = await asyncio.open_connection(
+            "127.0.0.1", control_port, limit=1 << 20
+        )
+        flight_writer.write(FLIGHT_REQUEST)
+        flight = await asyncio.wait_for(flight_reader.readline(), 20.0)
+        flight_writer.close()
         control_lines = await converse(control_port, CONTROL_SCRIPT)
-        # ``stop`` ends the subscription with one last delta, then EOF.
+        # ``stop`` ends the subscription with one last tick, then EOF.
         tail = await asyncio.wait_for(sub_reader.read(), 10.0)
         ack_writer.close()
         sub_writer.close()
-        return control_lines, sub_header, tail, ingress, ack_lines
+        return control_lines, sub_header, tail, flight, ingress, ack_lines
 
-    control, sub_header, sub_tail, ingress, acks = on_node_zero(
+    control, sub_header, sub_tail, flight, ingress, acks = on_node_zero(
         free_peers, free_port, conversation
     )
     assert control == CONTROL_GOLDEN
     assert sub_header == SUBSCRIBE_HEADER
     last = sub_tail.decode().splitlines()[-1]
-    assert last.startswith('{"delta":{') and '"status":{' in last
+    assert last.startswith('{"metrics":{"counters":{') and '"status":{' in last
+    assert last.endswith('},"schema":"repro.obs.metrics","version":1}')
+    # ``flight``: the ``status`` reply, then the trace as one JSON string.
+    status = CONTROL_GOLDEN[1].strip()
+    assert mask(flight).startswith(
+        f'{{"ok": true, "pid": 0, "status": {status}, "trace": "'
+    )
+    header, *events, footer = json.loads(flight)["trace"].splitlines()
+    assert mask(header.encode()) == FLIGHT_HEADER
+    assert len(events) == 256
+    assert footer.startswith('{"metrics":{"counters":{')
     assert ingress == INGRESS_GOLDEN
     assert acks == ACK_GOLDEN
 

@@ -4,26 +4,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.broadcast.bracha import BrachaMessage
 from repro.codec import decode_message, encode_message
 from repro.common.errors import WireFormatError
+from repro.mempool.blocks import Block
 
 
 class TestDecodeFuzz:
-    def test_nested_slot_headers_raise_wire_format_error(self):
-        """5 000 nested tag-10 headers (45 KB): the decoder used to recurse
-        once per header and die of RecursionError, which no reader task
-        catches; one level of nesting is already malformed."""
-        from repro.baselines.smr import SlotMessage
-        from repro.broadcast.gossip import GossipSubscribe
-
-        header = b"\x0a" + (0).to_bytes(8, "big")
-        for depth in (2, 5000):
-            with pytest.raises(WireFormatError, match="tag 10"):
-                decode_message(header * depth)
-        once = SlotMessage(3, GossipSubscribe("topic"))
-        assert decode_message(encode_message(once)) == once
-        with pytest.raises(WireFormatError):
-            decode_message(encode_message(SlotMessage(4, once)))
+    def test_baseline_smr_tags_are_unknown_tags(self):
+        """Tags 6-10 (and payload tag 3) framed the baseline SMRs' messages,
+        which run only under the simulator and are never encoded: from a
+        socket they are unknown tags like any other. (5 000 nested tag-10
+        slot headers once recursed the decoder into a RecursionError that
+        no reader task catches.)"""
+        for tag in range(6, 11):
+            with pytest.raises(WireFormatError, match=f"unknown message tag {tag}$"):
+                decode_message(bytes([tag]) + bytes(16))
+        with pytest.raises(WireFormatError, match="unknown message tag 10$"):
+            decode_message((b"\x0a" + bytes(8)) * 5000)
+        echo = bytearray(encode_message(BrachaMessage("ECHO", 1, 2, Block(0, 1))))
+        payload_tag = len(echo) - len(Block(0, 1).to_bytes()) - 5
+        assert echo[payload_tag] == 2
+        echo[payload_tag] = 3
+        with pytest.raises(WireFormatError, match="unknown payload tag 3$"):
+            decode_message(bytes(echo))
 
     @settings(max_examples=200)
     @given(st.binary(min_size=0, max_size=200))
@@ -54,11 +58,8 @@ class TestDecodeFuzz:
     @settings(max_examples=60)
     @given(st.binary(min_size=2, max_size=120), st.integers(min_value=0, max_value=119))
     def test_bit_flips_never_crash(self, base, position):
-        from repro.baselines.vaba import VabaMessage
-        from repro.mempool.blocks import Block
-
         frame = bytearray(
-            encode_message(VabaMessage("PROMOTE", 1, 2, Block(0, 1, (base,))))
+            encode_message(BrachaMessage("SEND", 1, 2, Block(0, 1, (base,))))
         )
         frame[position % len(frame)] ^= 0xFF
         try:

@@ -693,7 +693,7 @@ class TestContract001FrameDispatch:
         assert violations == []
 
     def test_self_attr_alias_counts_as_dispatch(self):
-        # The lazy-import idiom from core/node.py: the class is bound to an
+        # The lazy-import idiom: the class is bound to an
         # instance attribute and dispatched through it.
         dispatcher = (
             "from repro.dag.vertex import Vertex\n"

@@ -15,7 +15,6 @@ from repro.obs import (
     Counter,
     Event,
     EventBus,
-    FlightRecorder,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -104,9 +103,6 @@ class TestEventBus:
         assert bus.of_kind("early") == []
         # Subscribers are not readers of the window: they saw everything.
         assert seen == early + late
-        flight = FlightRecorder(bus, capacity=2)
-        newest = [bus.emit_at(9.0, 0, "newest", i=i) for i in range(3)]
-        assert flight.ring.peek() == newest[-2:]
 
     def test_retain_last_trims_a_longer_log(self):
         bus = EventBus()
@@ -329,6 +325,10 @@ class TestAnalysis:
         assert "older dropped" not in whole
         windowed = summarize(events, meta={"dropped_events": 7})
         assert "trace is the last 4 events; 7 older dropped" in windowed
+        # A subscribe tee's last tick says what its ring lost on the way.
+        assert "holes" not in summarize(events, metrics={"dropped": 0})
+        holed = summarize(events, metrics={"dropped": 3})
+        assert "stream has holes: 3 events lost to ring overflow" in holed
 
     def test_summarize_mentions_kinds_and_waves(self):
         text = summarize(self._trace(), meta={"cell": "x"})

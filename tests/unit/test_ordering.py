@@ -6,6 +6,7 @@ from repro.core.ordering import DagRiderOrdering
 from repro.dag.store import DagStore
 from repro.dag.vertex import Ref, Vertex
 from repro.mempool.blocks import Block
+from repro.obs.context import Observability
 
 
 class ScriptedCoin(CoinProtocol):
@@ -50,7 +51,7 @@ def fill_waves(store: DagStore, waves: int, n: int = 4, skip: dict | None = None
             store.add(vertex(round_, source, prev))
 
 
-def make_ordering(store, leaders, n=4, auto=True):
+def make_ordering(store, leaders, n=4, auto=True, obs=None):
     config = SystemConfig(n=n, seed=0)
     coin = ScriptedCoin(leaders, auto=auto)
     delivered = []
@@ -60,6 +61,7 @@ def make_ordering(store, leaders, n=4, auto=True):
         store,
         coin,
         a_deliver=lambda b, r, s: delivered.append((r, s)),
+        obs=obs,
     )
     return ordering, coin, delivered
 
@@ -83,6 +85,19 @@ class TestCommitRule:
         ordering.wave_ready(1)
         assert ordering.decided_wave == 0
         assert delivered == []
+
+    def test_wave_leader_event_is_the_ordering_layers_whole_trace(self):
+        obs = Observability()
+        store = DagStore(4)
+        fill_waves(store, 2, skip={1: {3}})  # wave 1's leader vertex absent
+        ordering, _coin, _delivered = make_ordering(store, {1: 3, 2: 0}, obs=obs)
+        ordering.wave_ready(1)
+        ordering.wave_ready(2)
+        assert [event.detail for event in obs.bus] == [
+            {"leader": 3, "present": False, "wave": 1},
+            {"committed": True, "leader": 0, "present": True, "support": 4, "wave": 2},
+        ]
+        assert obs.bus.kinds() == {"wave_leader"}
 
     def test_insufficient_support_no_commit(self):
         store = DagStore(4)

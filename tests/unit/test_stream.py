@@ -1,33 +1,40 @@
-"""Unit tests for the live telemetry plane (``repro.obs.stream``).
+"""Unit tests for the live telemetry plane.
 
 Covers the bounded event ring (overflow drops oldest + counts), the
-filtered bus subscriber, metric-delta encoding (a folded stream of
-deltas reproduces the registry's absolute state), the newline-JSON
-stream wire format, the flight recorder, and the stall detector
-(a frozen quorum trips it; a slow-but-progressing one does not).
+control socket's ``subscribe`` verb (a ``repro.obs.trace`` document
+written live: header, bare event lines, one metrics record per tick) and
+``flight`` verb (the bus tail as a trace) served by an unbooted
+``NodeRunner``, and the stall detector (a frozen quorum trips it; a
+slow-but-progressing one does not).
 """
+
+import asyncio
+import json
 
 import pytest
 
-from repro.obs import EventBus, MetricsRegistry, Observability
-from repro.obs.stream import (
-    DEFAULT_STREAM_CAPACITY,
-    EventRing,
-    FlightRecorder,
-    MetricsDelta,
-    STREAM_SCHEMA,
-    STREAM_VERSION,
-    StallDetector,
-    StreamFormatError,
-    StreamSubscriber,
-    apply_delta,
-    decode_stream_line,
-    delta_line,
-    encode_stream_line,
+from repro.common.config import SystemConfig
+from repro.obs import EventBus, Observability, loads_trace
+from repro.obs.export import (
+    METRICS_SCHEMA,
+    TRACE_SCHEMA,
     event_line,
-    registry_totals,
-    stream_header,
+    metrics_line,
+    record_event,
 )
+from repro.obs.stream import DEFAULT_STREAM_CAPACITY, EventRing, StallDetector
+from repro.runtime import runner as runner_module
+from repro.runtime.live import LiveView
+from repro.runtime.peers import make_peer_table
+from repro.runtime.runner import FLIGHT_EVENTS, ControlServer, NodeRunner
+
+
+def unbooted_runner(obs):
+    """A runner that never binds its data socket: the control verbs under
+    test here read only its observability bundle."""
+    config = SystemConfig(n=4, seed=9)
+    peers = {pid: ("127.0.0.1", 1 + pid) for pid in range(4)}
+    return NodeRunner(make_peer_table(peers, config), 0, observability=obs)
 
 
 class TestEventRing:
@@ -56,154 +63,168 @@ class TestEventRing:
 
 
 class TestStreamSubscriber:
-    def test_receives_events_after_subscribe(self):
-        bus = EventBus()
-        bus.emit_at(0.0, 0, "before")
-        sub = StreamSubscriber(bus, capacity=8)
-        bus.emit_at(1.0, 0, "after")
-        events = sub.drain()
-        assert [event.kind for event in events] == ["after"]
-        assert sub.total_matched == 1
+    """The ``subscribe`` verb on one connection, ticking every 50 ms."""
 
-    def test_kind_filter(self):
-        bus = EventBus()
-        sub = StreamSubscriber(bus, capacity=8, kinds=["commit"])
-        bus.emit_at(1.0, 0, "commit", wave=1)
-        bus.emit_at(2.0, 0, "vertex_added", round=1, source=0)
-        assert [event.kind for event in sub.drain()] == ["commit"]
+    @staticmethod
+    def subscribed(port, script, before=lambda obs: None):
+        """Run ``script(obs, next_tick, writer)`` once the stream's header
+        arrived; ``next_tick()`` reads up to and including the next metrics
+        record that follows at least one event line (ticks of a quiet
+        interval are skipped) and returns ``(event lines, its metrics)``."""
 
-    def test_min_round_filter_passes_unrounded_events(self):
-        bus = EventBus()
-        sub = StreamSubscriber(bus, capacity=8, min_round=5)
-        bus.emit_at(1.0, 0, "vertex_added", round=3, source=0)
-        bus.emit_at(2.0, 0, "vertex_added", round=7, source=0)
-        bus.emit_at(3.0, 0, "commit", wave=2)  # no round field: passes
-        kinds = [(event.kind, event.get("round")) for event in sub.drain()]
-        assert kinds == [("vertex_added", 7), ("commit", None)]
+        async def scenario():
+            obs = Observability()
+            before(obs)
+            control = ControlServer(unbooted_runner(obs), "127.0.0.1", port)
+            await control.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"cmd": "subscribe", "interval": 0.05}\n')
 
-    def test_overflow_counted_via_dropped_property(self):
-        bus = EventBus()
-        sub = StreamSubscriber(bus, capacity=2)
-        for index in range(5):
-            bus.emit_at(float(index), 0, "tick", seq=index)
-        assert sub.dropped == 3
-        assert [event.get("seq") for event in sub.drain()] == [3, 4]
+            async def next_line():
+                return json.loads(await asyncio.wait_for(reader.readline(), 10.0))
 
-    def test_close_detaches_from_bus(self):
-        bus = EventBus()
-        sub = StreamSubscriber(bus, capacity=8)
-        sub.close()
-        sub.close()  # idempotent
-        bus.emit_at(1.0, 0, "late")
-        assert sub.drain() == []
+            async def next_tick():
+                events = []
+                while True:
+                    line = await next_line()
+                    if line.get("schema") != METRICS_SCHEMA:
+                        events.append(line)
+                    elif events:
+                        return events, line["metrics"]
 
-    def test_filters_dict_round_trips_into_header(self):
-        bus = EventBus()
-        sub = StreamSubscriber(bus, capacity=8, kinds=["b", "a"], min_round=2)
-        header = stream_header(3, sub.filters_dict(), 0.5)
-        decoded = decode_stream_line(encode_stream_line(header))
-        assert decoded["type"] == "header"
-        assert decoded["pid"] == 3
-        assert decoded["filters"] == {"kinds": ["a", "b"], "min_round": 2}
-        assert decoded["interval"] == 0.5
+            try:
+                header = await next_line()
+                assert header["schema"] == TRACE_SCHEMA
+                assert header["meta"]["pid"] == 0
+                assert header["meta"]["interval"] == 0.05
+                # Everything emitted so far is older than the stream.
+                assert header["meta"]["dropped_events"] == len(obs.bus.events)
+                return await script(obs, next_tick, writer)
+            finally:
+                writer.close()
+                await control.close()
 
+        return asyncio.run(scenario())
 
-class TestMetricsDelta:
-    def test_deltas_fold_back_to_registry_totals(self):
-        registry = MetricsRegistry()
-        delta = MetricsDelta(registry)
-        state: dict[str, object] = {}
+    def test_receives_events_after_subscribe(self, free_port):
+        async def script(obs, next_tick, _writer):
+            obs.emit(0, "after", seq=1)
+            return await next_tick()
 
-        registry.counter("sent").inc(3)
-        registry.gauge("depth").set(5.0)
-        registry.histogram("lat").record(1.5)
-        apply_delta(state, delta.collect())
+        events, tick = self.subscribed(
+            free_port(), script, before=lambda obs: obs.emit(0, "before")
+        )
+        assert events == [{"f": {"seq": 1}, "kind": "after", "pid": 0, "t": 0.0}]
+        # A tick is the runner's metrics record plus its status, absolute.
+        assert tick["seq"] >= 1 and tick["dropped"] == 0
+        assert tick["status"]["pid"] == 0 and tick["status"]["ready"] is False
+        assert tick["gauges"]["stream.subscribers"]["value"] == 1
+        assert {"counters", "histograms", "links", "t"} <= set(tick)
 
-        registry.counter("sent").inc(2)
-        registry.gauge("depth").set(2.0)
-        registry.histogram("lat").record(0.5)
-        registry.histogram("lat").record(4.0)
-        apply_delta(state, delta.collect())
+    def test_overflow_counted_via_dropped_property(self, free_port, monkeypatch):
+        monkeypatch.setattr(runner_module, "DEFAULT_STREAM_CAPACITY", 2)
 
-        assert state == registry_totals(registry)
-        assert state["counters"] == {"sent": 5}
-        assert state["gauges"] == {"depth": 2.0}
-        assert state["histograms"] == {"lat": {"count": 3, "sum": 6.0}}
+        async def script(obs, next_tick, _writer):
+            for index in range(5):  # one burst between two ticks
+                obs.emit(0, "tick", seq=index)
+            first = await next_tick()
+            return first, await next_tick()
 
-    def test_quiet_tick_encodes_empty_delta(self):
-        registry = MetricsRegistry()
-        delta = MetricsDelta(registry)
-        registry.counter("sent").inc()
-        assert delta.collect() != {}
-        moved = delta.collect()
-        # Counters/histograms with no movement vanish; gauges report their
-        # current value every tick (they are levels, not increments).
-        assert "counters" not in moved
-        assert "histograms" not in moved
+        (events, tick), (marker, later) = self.subscribed(free_port(), script)
+        assert [line["f"]["seq"] for line in events] == [3, 4]
+        assert tick["dropped"] == 3
+        # The hole is stamped into the node's own event log as well.
+        assert [(line["kind"], line["f"]) for line in marker] == [
+            ("stream_drop", {"dropped": 3, "total": 3})
+        ]
+        assert later["dropped"] == 3  # cumulative, not per tick
 
-    def test_delta_survives_wire_round_trip(self):
-        registry = MetricsRegistry()
-        delta = MetricsDelta(registry)
-        registry.counter("sent").inc(7)
-        line = delta_line(1, 2.5, status={"ok": True}, metrics=delta.collect())
-        decoded = decode_stream_line(encode_stream_line(line))
-        assert decoded["type"] == "delta"
-        body = decoded["delta"]
-        assert body["seq"] == 1 and body["t"] == 2.5
-        assert body["metrics"] == {"counters": {"sent": 7}}
+    def test_close_detaches_from_bus(self, free_port):
+        async def script(obs, _next_tick, writer):
+            attached = list(obs.bus._subscribers)
+            writer.close()
+            for _ in range(200):
+                if not obs.bus._subscribers:
+                    break
+                await asyncio.sleep(0.05)
+            return attached, list(obs.bus._subscribers)
+
+        attached, after_hangup = self.subscribed(free_port(), script)
+        assert len(attached) == 1
+        assert after_hangup == []
 
 
 class TestWireFormat:
     def test_event_line_round_trip(self):
         bus = EventBus()
         event = bus.emit_at(1.25, 2, "commit", wave=3, delivered=4)
-        decoded = decode_stream_line(encode_stream_line(event_line(event)))
-        assert decoded["type"] == "event"
-        assert decoded["decoded"] == event
-
-    def test_bad_version_rejected(self):
-        text = encode_stream_line(
-            {"schema": STREAM_SCHEMA, "version": STREAM_VERSION + 1, "pid": 0}
-        )
-        with pytest.raises(StreamFormatError):
-            decode_stream_line(text)
+        assert record_event(json.loads(event_line(event))) == event
 
     def test_garbage_rejected(self):
-        for bad in ["not json", "[1,2]", '{"neither": 1}']:
-            with pytest.raises(StreamFormatError):
-                decode_stream_line(bad)
+        """The driver's fold skips a line it cannot read — a torn write, a
+        foreign record — without dropping the stream or the view's state."""
+        view = LiveView(unbooted_runner(None).table, {"cmd": "subscribe"})
+        node = view._nodes[0]
+        view._fold_line(node, metrics_line({"status": {"decided_wave": 4}, "dropped": 2}))
+        for bad in ["not json", "[1,2]", '{"neither": 1}', '{"metrics": 7, "schema": "x"}']:
+            view._fold_line(node, bad)
+        assert (node.decided_wave, node.dropped, node.events) == (4, 2, 0)
 
     def test_default_capacity_is_sane(self):
         assert DEFAULT_STREAM_CAPACITY >= 1024
 
 
 class TestFlightRecorder:
+    """The ``flight`` verb: no recorder, the newest events of the bus."""
+
     def test_keeps_last_k_and_counts_overwrites(self):
         obs = Observability()
-        flight = FlightRecorder(obs.bus, capacity=4)
-        for index in range(10):
+        runner = unbooted_runner(obs)
+        for index in range(FLIGHT_EVENTS + 10):
             obs.emit(0, "tick", seq=index)
-        dump = flight.dump("manual", 9.0)
-        assert dump["count"] == 4
-        assert dump["overwritten"] == 6
-        assert [record["f"]["seq"] for record in dump["events"]] == [6, 7, 8, 9]
-        assert dump["reason"] == "manual"
-        assert flight.dumps_taken == 1
+        reply = runner.flight_dump("manual")
+        assert reply["ok"] and reply["pid"] == 0
+        assert reply["status"]["pid"] == 0
+        trace = loads_trace(reply["trace"])
+        assert trace.events == list(obs.bus.events)[10 : FLIGHT_EVENTS + 10]
+        assert trace.meta["reason"] == "manual"
+        assert trace.meta["dropped_events"] == 10
+        assert trace.meta["t"] == 0.0
+        assert "links" in trace.metrics and "counters" in trace.metrics
+        # The dump stamps the log it was taken from, after the fact.
+        stamp = obs.bus.events[-1]
+        assert stamp.kind == "flight_dump"
+        assert stamp.detail == {
+            "events": FLIGHT_EVENTS, "overwritten": 10, "reason": "manual"
+        }
+
+    def test_tail_of_a_window_smaller_than_the_dump(self):
+        obs = Observability()
+        obs.bus.retain_last(8)
+        runner = unbooted_runner(obs)
+        for index in range(20):
+            obs.emit(0, "tick", seq=index)
+        trace = loads_trace(runner.flight_dump("manual")["trace"])
+        assert [event.get("seq") for event in trace.events] == list(range(12, 20))
+        assert trace.meta["dropped_events"] == 12
 
     def test_dump_is_non_destructive(self):
         obs = Observability()
-        flight = FlightRecorder(obs.bus, capacity=4)
+        runner = unbooted_runner(obs)
         obs.emit(0, "tick", seq=0)
-        first = flight.dump("a", 1.0)
-        second = flight.dump("b", 2.0)
-        assert first["events"] == second["events"]
+        first = loads_trace(runner.flight_dump("a")["trace"])
+        second = loads_trace(runner.flight_dump("b")["trace"])
+        # The second dump holds what the first did, plus the first's stamp.
+        assert second.events[: len(first.events)] == first.events
+        assert [event.kind for event in second.events] == ["tick", "flight_dump"]
 
-    def test_close_detaches(self):
+    def test_stall_reason_stamps_the_log_before_the_tail_is_cut(self):
         obs = Observability()
-        flight = FlightRecorder(obs.bus, capacity=4)
-        flight.close()
-        obs.emit(0, "tick", seq=0)
-        assert flight.dump("after", 1.0)["count"] == 0
+        runner = unbooted_runner(obs)
+        trace = loads_trace(runner.flight_dump("stall", stalled_for=2.5)["trace"])
+        assert [(e.kind, e.get("stalled_for")) for e in trace.events] == [
+            ("stall_detected", 2.5)
+        ]
 
 
 class TestStallDetector:
