@@ -11,6 +11,7 @@ unassigned and decode as unknown tags.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable
 
 from repro.broadcast.avid import AvidMessage
@@ -40,6 +41,27 @@ from repro.sim.wire import Message
 
 _PAYLOAD_TAGS: dict[type, int] = {Vertex: 1, Block: 2}
 
+#: Vertices the parse-once memo below holds. One vertex reaches a process
+#: as a SEND, up to n ECHOs and n READYs (and again in catch-up chunks), all
+#: within a few rounds of each other, so the memo only has to span the
+#: rounds in flight: 256 is 64 rounds at n = 4 and ten at n = 25, and at
+#: most a few MB of full 64-transaction blocks.
+VERTEX_MEMO_BOUND = 256
+
+
+@lru_cache(maxsize=VERTEX_MEMO_BOUND)
+def decode_vertex(body: bytes) -> Vertex:
+    """Parse a canonical vertex body once per process.
+
+    Keyed by the exact bytes, never by ``(round, source)``: an
+    equivocator's two vertices for one slot stay two objects with two
+    digests. Every frame that repeats a body — and every replica of an
+    in-loop cluster — gets the same immutable :class:`Vertex`, whose
+    re-encoding and digest are cached on it. A body that fails to parse
+    raises every time it is seen (exceptions are not remembered).
+    """
+    return Vertex.from_bytes(body)
+
 
 def _encode_payload(payload: Payload | None) -> bytes:
     if payload is None:
@@ -56,7 +78,7 @@ def _decode_payload(reader: Reader) -> Payload | None:
         return None
     body = reader.bytes_()
     if tag == 1:
-        return Vertex.from_bytes(body)
+        return decode_vertex(body)
     if tag == 2:
         block, end = Block.from_bytes(body)
         if end != len(body):

@@ -24,6 +24,7 @@ from repro.broadcast.base import ReliableBroadcast
 from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.gossip import GossipBroadcast
 from repro.codec.frames import CatchupRequest, CatchupVertices
+from repro.codec.registry import decode_vertex
 from repro.coin.base import CoinProtocol
 from repro.coin.ideal import IdealCoin
 from repro.coin.threshold import CoinShareMessage, ThresholdCoin
@@ -462,7 +463,7 @@ class DagRiderNode(Process):
         applied = 0
         for data in message.vertices:
             try:
-                vertex = Vertex.from_bytes(data)
+                vertex = decode_vertex(data)
             except WireFormatError:
                 continue  # damaged or hostile payload; the rest may be fine
             before = self.store.contains(vertex.ref)

@@ -127,7 +127,7 @@ class DagBuilder:
         return True
 
     def on_blocks_available(self) -> None:
-        """Unblock the Line 17 ``wait until`` after an ``a_bcast`` enqueue."""
+        """Unblock the Line 17 ``wait until``: ``a_bcast`` or a client gave a block."""
         self._advance()
 
     # ------------------------------------------------------------- the loop
@@ -199,7 +199,7 @@ class DagBuilder:
             self._on_wave_ready(wave)
         block = self.block_source.dequeue()
         if block is None:
-            return False  # Line 17's ``wait until`` — resumed by a_bcast
+            return False  # Line 17's ``wait until`` — see on_blocks_available
         if self._on_round_advance is not None:
             self._on_round_advance(self.round)
         self.round += 1

@@ -11,11 +11,12 @@ clock-injected so it unit-tests deterministically:
   ``max_pending_bytes``); past either budget the submission is refused
   with a ``busy-*`` reason the gateway surfaces to the client as an
   explicit busy response — backpressure, never silent growth.
-* **Batching** — :meth:`Mempool.take_batch` cuts the pending buffer into
-  a :class:`repro.mempool.blocks.Block`-sized batch when a size trigger
-  fires (``batch_txs`` transactions or ``batch_bytes`` bytes pending) or
-  the oldest pending transaction has waited ``batch_deadline`` seconds —
-  so a busy node fills blocks and an idle one still bounds latency.
+* **Batching** — :meth:`Mempool.take_batch` cuts whatever is pending into
+  one :class:`repro.mempool.blocks.Block`'s worth (at most ``batch_txs``
+  transactions and ``batch_bytes`` payload bytes). The caller is the
+  node's own round advance (Algorithm 2 Line 17), so the buffer drains at
+  the rate the node proposes: a stalled node keeps its budget full and
+  answers ``busy``.
 * **Delivery tracking** — a flushed batch is remembered under its block's
   ``(proposer, sequence)`` identity until :meth:`Mempool.deliveries` sees
   that block atomically delivered, stamping each transaction's
@@ -48,8 +49,8 @@ REASON_BUSY_TXS = "busy-txs"
 REASON_BUSY_BYTES = "busy-bytes"
 REASON_OVERSIZE = "oversize"
 
-#: Bucket bounds for the mempool-depth histogram (pending transactions at
-#: each batch flush).
+#: Bucket bounds for the mempool-depth histogram (pending transactions
+#: when a block is cut).
 DEPTH_BOUNDS: tuple[float, ...] = (
     1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0,
 )
@@ -69,17 +70,15 @@ E2E_LATENCY_BOUNDS: tuple[float, ...] = (
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Mempool budgets and batching triggers (peer-table ``ingress`` keys).
+    """Mempool budgets and block caps (peer-table ``ingress`` keys).
 
     Attributes:
         max_pending_txs: Pending-buffer budget in transactions.
         max_pending_bytes: Pending-buffer budget in payload bytes.
         max_tx_bytes: Largest single transaction accepted.
-        batch_txs: Flush when this many transactions are pending (also the
-            batch size cap).
-        batch_bytes: Flush when this many payload bytes are pending.
-        batch_deadline: Flush a non-empty buffer after the oldest pending
-            transaction has waited this many seconds.
+        batch_txs: Most transactions one block carries.
+        batch_bytes: Most payload bytes one block carries (a single larger
+            transaction still travels, alone).
     """
 
     max_pending_txs: int = 4096
@@ -87,7 +86,6 @@ class AdmissionConfig:
     max_tx_bytes: int = 64 * 1024
     batch_txs: int = 64
     batch_bytes: int = 128 * 1024
-    batch_deadline: float = 0.05
 
     def __post_init__(self) -> None:
         for name in (
@@ -99,12 +97,6 @@ class AdmissionConfig:
                 raise ConfigurationError(
                     f"ingress {name} must be a positive integer, got {value!r}"
                 )
-        if not isinstance(self.batch_deadline, (int, float)) or isinstance(
-            self.batch_deadline, bool
-        ) or self.batch_deadline <= 0:
-            raise ConfigurationError(
-                f"ingress batch_deadline must be > 0, got {self.batch_deadline!r}"
-            )
         if self.batch_txs > self.max_pending_txs:
             raise ConfigurationError(
                 f"ingress batch_txs ({self.batch_txs}) exceeds "
@@ -248,31 +240,21 @@ class Mempool:
 
     # ------------------------------------------------------------- batching
 
-    def batch_due(self) -> bool:
-        """True when a size or deadline trigger says to flush now."""
-        if not self._pending:
-            return False
+    def take_batch(self) -> list[PendingTx]:
+        """Cut whatever is pending into one block's worth, oldest first:
+        at most ``batch_txs`` transactions and ``batch_bytes`` payload
+        bytes, but never fewer than one transaction when any is pending."""
         config = self.config
-        if len(self._pending) >= config.batch_txs:
-            return True
-        if self._pending_bytes >= config.batch_bytes:
-            return True
-        oldest = self._pending[0]
-        return self._clock() - oldest.submitted_at >= config.batch_deadline
-
-    def take_batch(self, force: bool = False) -> list[PendingTx]:
-        """Cut up to ``batch_txs`` pending transactions into a batch.
-
-        Returns an empty list unless a trigger is due (or ``force`` is set
-        with anything pending — the gateway's shutdown flush).
-        """
-        if not (self.batch_due() or (force and self._pending)):
-            return []
+        pending = self._pending
         batch: list[PendingTx] = []
-        while self._pending and len(batch) < self.config.batch_txs:
-            tx = self._pending.popleft()
-            self._pending_bytes -= len(tx.data)
-            batch.append(tx)
+        size = 0
+        while pending and len(batch) < config.batch_txs:
+            grown = size + len(pending[0].data)
+            if batch and grown > config.batch_bytes:
+                break
+            batch.append(pending.popleft())
+            size = grown
+        self._pending_bytes -= size
         return batch
 
     def register_flush(self, sequence: int, batch: list[PendingTx]) -> None:

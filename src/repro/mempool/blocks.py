@@ -5,6 +5,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.broadcast.base import Payload
 from repro.common.errors import WireFormatError
@@ -75,12 +76,19 @@ class TransactionGenerator:
         return (header + filler)[: max(self._tx_bytes, len(header))]
 
 
+#: ``producer(sequence)`` — the transactions of the block that would take
+#: ``sequence``, cut at the moment it is asked; empty when it has none.
+BlockProducer = Callable[[int], tuple[bytes, ...]]
+
+
 @dataclass
 class BlockSource:
     """The ``blocksToPropose`` queue of Algorithm 1.
 
-    Explicitly enqueued blocks (``a_bcast``) are served first; when the queue
-    is empty and a generator is configured, a synthetic block of
+    Explicitly enqueued blocks (``a_bcast``) are served first; then the
+    :attr:`producer` (the ingress gateway's pending client transactions,
+    cut into a block only when a vertex is there to carry it); when both
+    are empty and a generator is configured, a synthetic block of
     ``batch_size`` transactions is minted so the proposer never stalls —
     the paper's "each process atomically broadcasts infinitely many blocks".
     """
@@ -88,6 +96,7 @@ class BlockSource:
     proposer: int
     generator: TransactionGenerator | None = None
     batch_size: int = 1
+    producer: BlockProducer | None = field(default=None, init=False, repr=False)
     # A deque, not a list: the runtime ingress path enqueues sustained
     # client batches, and list.pop(0) is O(n) per dequeue (quadratic over
     # a busy queue); popleft() keeps the proposal path O(1).
@@ -122,13 +131,15 @@ class BlockSource:
         self._sequence = max(self._sequence, sequence)
 
     def dequeue(self) -> Block | None:
-        """Pop the next block to propose; None only when :attr:`empty`."""
+        """The next block to propose (Algorithm 2 Line 17), or None."""
         if self._queue:
             return self._queue.popleft()
-        if self.generator is None:
-            return None
+        txs = self.producer(self._sequence + 1) if self.producer else ()
+        if not txs:
+            if self.generator is None:
+                return None
+            txs = tuple(
+                self.generator.next_transaction() for _ in range(self.batch_size)
+            )
         self._sequence += 1
-        txs = tuple(
-            self.generator.next_transaction() for _ in range(self.batch_size)
-        )
         return Block(self.proposer, self._sequence, txs)

@@ -16,18 +16,18 @@ backpressure"; framing and error replies: "Line RPC"). Its verbs:
   client transaction it carried, stamped with the end-to-end latency
   from submit to wave commit.
 
-A supervised background task flushes the mempool on the admission
-config's size/deadline triggers, feeding batches into the node's own
-``a_bcast`` path (``BlockSource`` → ``DagBuilder``), and a delivery
-listener on the node maps committed blocks back to the waiting batches.
-The protocol hot path never blocks on a slow ack reader: per-connection
-ack buffers are bounded rings, oldest dropped and counted.
+There is no flush task and no timer: the round is the batching clock. The
+gateway installs itself as the node's ``BlockSource.producer``, so each
+vertex the node creates (Algorithm 2 Line 17) takes whatever is pending at
+that moment as its block, and a delivery listener on the node maps
+committed blocks back to the waiting batches. The protocol hot path never
+blocks on a slow ack reader: per-connection ack buffers are bounded rings,
+oldest dropped and counted.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 from typing import TYPE_CHECKING, Any
 
 from repro.mempool.admission import Admission, Mempool
@@ -38,8 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.node import DagRiderNode, OrderedEntry
     from repro.obs.context import Observability
 
-#: Acks buffered per ``ack`` connection before oldest-first eviction.
+#: Acks buffered per ``ack`` connection before oldest-first eviction, and
+#: the most a client may ask for instead (``"capacity"``).
 DEFAULT_ACK_CAPACITY = 4096
+MAX_ACK_CAPACITY = 65536
 
 
 class IngressGateway(LineServer):
@@ -63,7 +65,6 @@ class IngressGateway(LineServer):
         self.mempool = mempool
         self.obs = obs
         self.pid = mempool.pid
-        self._flush_task: asyncio.Task[None] | None = None
         #: Per ``ack`` connection: its bounded ring of encoded ack lines and
         #: the event that wakes its writer.
         self._ack_streams: dict[EventRing[str], asyncio.Event] = {}
@@ -73,58 +74,28 @@ class IngressGateway(LineServer):
     async def start(self) -> None:
         await super().start()
         self.node.add_delivery_listener(self._on_delivered)
-        # Supervised flusher: a crash is telemetry, not a silent stall.
-        self._flush_task = asyncio.get_running_loop().create_task(
-            self._flush_loop()
-        )
-        self._flush_task.add_done_callback(self._flush_done)
+        self.node.block_source.producer = self._cut_block
 
     async def close(self) -> None:
         if self._closing:
             return
         self._closing = True
-        # Last flush: whatever is pending still reaches the proposal queue
-        # (delivery acks for it will only flow if the node keeps running).
-        self._flush_once(force=True)
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._flush_task
+        # Whatever is pending still reaches the proposal queue (delivery
+        # acks for it will only flow if the node keeps running).
+        while batch := self.mempool.take_batch():
+            block = self.node.a_bcast(*(tx.data for tx in batch))
+            self.mempool.register_flush(block.sequence, batch)
         for wakeup in self._ack_streams.values():
             wakeup.set()
         await super().close()
 
     # ------------------------------------------------------------- batching
 
-    def _flush_once(self, force: bool = False) -> None:
-        """Cut one due batch into a block on the node's proposal queue."""
-        batch = self.mempool.take_batch(force=force)
-        if not batch:
-            return
-        block = self.node.a_bcast(*(tx.data for tx in batch))
-        self.mempool.register_flush(block.sequence, batch)
-
-    async def _flush_loop(self) -> None:
-        # Tick at half the deadline so a lone transaction waits at most
-        # ~1.5 deadlines; size triggers fire on the next tick after filling.
-        interval = self.mempool.config.batch_deadline / 2.0
-        while True:
-            await asyncio.sleep(interval)
-            self._flush_once()
-
-    def _flush_done(self, task: asyncio.Task[None]) -> None:
-        if task.cancelled():
-            return
-        error = task.exception()
-        if error is None:
-            return
-        if self.obs is not None:
-            self.obs.registry.counter("ingress.task_errors").inc()
-            self.obs.emit(
-                self.pid,
-                "ingress_task_error",
-                error=f"{type(error).__name__}: {error}",
-            )
+    def _cut_block(self, sequence: int) -> tuple[bytes, ...]:
+        """The node is creating a vertex: what is pending is its block."""
+        batch = self.mempool.take_batch()
+        self.mempool.register_flush(sequence, batch)
+        return tuple(tx.data for tx in batch)
 
     # ------------------------------------------------------------- delivery
 
@@ -167,7 +138,8 @@ class IngressGateway(LineServer):
 
     # ------------------------------------------------------------- protocol
 
-    def _admit(self, raw_tx: object) -> Admission:
+    @staticmethod
+    def _parse_tx(raw_tx: object) -> bytes:
         if not isinstance(raw_tx, str):
             raise ValueError("tx must be a hex string")
         try:
@@ -176,7 +148,16 @@ class IngressGateway(LineServer):
             raise ValueError("tx is not valid hex") from None
         if not data:
             raise ValueError("tx must not be empty")
-        return self.mempool.submit(data)
+        return data
+
+    def _admit(self, txs: list[bytes]) -> list[Admission]:
+        """Admit one request's (already parsed) transactions."""
+        results = [self.mempool.submit(data) for data in txs]
+        self._emit_request_events(results)
+        # Line 17's wake: a node without a synthetic generator may be
+        # waiting for exactly this block.
+        self.node.builder.on_blocks_available()
+        return results
 
     def _emit_request_events(self, results: list[Admission]) -> None:
         """One ``tx_submitted``/``tx_rejected`` event per request outcome."""
@@ -215,16 +196,16 @@ class IngressGateway(LineServer):
         return result
 
     def _submit(self, request: dict[str, Any]) -> dict[str, object]:
-        admission = self._admit(request.get("tx"))
-        self._emit_request_events([admission])
+        (admission,) = self._admit([self._parse_tx(request.get("tx"))])
         return {"ok": True, "pid": self.pid, **self._result_dict(admission)}
 
     def _submit_batch(self, request: dict[str, Any]) -> dict[str, object]:
         raw_txs = request.get("txs")
         if not isinstance(raw_txs, list) or not raw_txs:
             raise ValueError("txs must be a non-empty list of hex strings")
-        results = [self._admit(raw) for raw in raw_txs]
-        self._emit_request_events(results)
+        # Parse every element before admitting any: an error reply means
+        # nothing of the request was admitted.
+        results = self._admit([self._parse_tx(raw) for raw in raw_txs])
         return {
             "ok": True,
             "pid": self.pid,
@@ -243,8 +224,11 @@ class IngressGateway(LineServer):
         overflowed since the last burst, the burst ends with the
         cumulative ``{"dropped": N}`` marker.
         """
-        capacity = int(request.get("capacity", DEFAULT_ACK_CAPACITY))
-        ring: EventRing[str] = EventRing(max(1, capacity))
+        # Clamped as a float: ``1e999`` parses to ``inf``, which ``int`` refuses.
+        capacity = float(request.get("capacity", DEFAULT_ACK_CAPACITY))
+        ring: EventRing[str] = EventRing(
+            int(max(1.0, min(capacity, MAX_ACK_CAPACITY)))
+        )
         wakeup = asyncio.Event()
         self._ack_streams[ring] = wakeup
         reported_drops = 0

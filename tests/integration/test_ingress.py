@@ -4,8 +4,9 @@ Two layers:
 
 * in-loop — a ``LocalCluster`` with ingress ports serves the newline-JSON
   client protocol: submits admit and ack, duplicates are idempotent, an
-  over-budget burst gets explicit ``busy`` rejections, and delivery acks
-  stream with end-to-end latencies once the containing wave commits;
+  over-budget burst gets explicit ``busy`` rejections, delivery acks
+  stream with end-to-end latencies once the containing wave commits, and
+  a node cut off from its quorum refuses load instead of queueing it;
 * real processes — a ``tcp-node`` runner is SIGKILLed mid-run and
   restarted from its ``--state-dir``; transactions re-submitted to the
   recovered node are proposed under *fresh* block sequences and acked
@@ -25,10 +26,8 @@ from repro.runtime.linerpc import LineClient
 from repro.runtime.peers import allocate_port_block, make_peer_table
 from repro.runtime.transport import RETAINED_EVENTS
 
-#: Fast triggers so a test's handful of txs flushes immediately.
-FAST_INGRESS = AdmissionConfig(
-    max_pending_txs=8, batch_txs=4, batch_deadline=0.02, max_tx_bytes=256
-)
+#: Small budgets so a test's handful of txs reaches them.
+FAST_INGRESS = AdmissionConfig(max_pending_txs=8, batch_txs=4, max_tx_bytes=256)
 
 
 async def open_ack_stream(address):
@@ -193,6 +192,68 @@ class TestGatewayInLoop:
 
         asyncio.run(scenario())
         assert len(obs.bus.events) <= RETAINED_EVENTS
+
+    def test_isolated_node_refuses_instead_of_queueing(self, free_peers, free_port):
+        """Backpressure follows the protocol, not a clock: a node cut off
+        from its quorum proposes nothing, so it must hold at most its budget
+        and say ``busy`` — not keep cutting blocks it cannot broadcast.
+        (The timer-driven flusher failed this: ``in_flight`` grew by
+        ``batch_txs`` per tick for as long as load was offered.)"""
+        ingress = AdmissionConfig(max_pending_txs=16, batch_txs=4, max_tx_bytes=256)
+        ingress_port = free_port()
+        cluster = LocalCluster(
+            SystemConfig(n=4, seed=23),
+            peers=free_peers(4),
+            ingress_ports={0: ingress_port},
+            ingress=ingress,
+        )
+        address = ("127.0.0.1", ingress_port)
+
+        async def scenario():
+            await cluster.start()
+            try:
+                acks_stream = await open_ack_stream(address)
+                client = await LineClient.open(address)
+                node, mempool = cluster.nodes[0], cluster.runners[0].mempool
+                cluster.networks[0].block_peers({1, 2, 3})
+                # Frames already received may finish one more round; after
+                # that node 0 has no quorum and its round stands still.
+                await asyncio.sleep(0.3)
+                stalled_round = node.current_round
+                accepted, refused = set(), 0
+                for burst in range(5):  # five times the budget
+                    txs = [
+                        f"isolated-{burst}-{i}".encode().hex()
+                        for i in range(ingress.max_pending_txs)
+                    ]
+                    response = await client.call({"cmd": "submit_batch", "txs": txs})
+                    for result in response["results"]:
+                        if result["accepted"]:
+                            accepted.add(result["txid"])
+                        else:
+                            assert result["busy"] and result["reason"] == "busy-txs"
+                            refused += 1
+                    await asyncio.sleep(0.05)
+                    status = mempool.status()
+                    assert status["pending"] <= ingress.max_pending_txs
+                    assert status["in_flight"] == 0
+                assert node.current_round == stalled_round
+                assert len(accepted) == ingress.max_pending_txs
+                assert refused == 4 * ingress.max_pending_txs
+
+                cluster.networks[0].heal()
+                acks = await read_acks(acks_stream, accepted)
+                assert sorted(ack["txid"] for ack in acks) == sorted(accepted)
+                status = mempool.status()
+                assert status["delivered"] == len(accepted)
+                assert status["pending"] == 0 and status["in_flight"] == 0
+                assert cluster.check_total_order() > 0
+                await client.close()
+                await acks_stream.close()
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
 
 
 class TestCrashRecoveryIngress:

@@ -1,4 +1,6 @@
-"""Mempool admission control: budgets, batching triggers, delivery stamps."""
+"""Mempool admission control: budgets, block caps, delivery stamps."""
+
+from dataclasses import fields
 
 import pytest
 
@@ -39,9 +41,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=field):
             AdmissionConfig(**{field: 0})
 
-    def test_zero_deadline_rejected(self):
-        with pytest.raises(ConfigurationError, match="batch_deadline"):
-            AdmissionConfig(batch_deadline=0)
+    def test_five_fields_and_no_deadline(self):
+        assert [f.name for f in fields(AdmissionConfig)] == [
+            "max_pending_txs", "max_pending_bytes", "max_tx_bytes",
+            "batch_txs", "batch_bytes",
+        ]
+        with pytest.raises(TypeError):
+            AdmissionConfig(batch_deadline=0.05)
 
     def test_batch_larger_than_budget_rejected(self):
         with pytest.raises(ConfigurationError, match="exceeds"):
@@ -104,43 +110,34 @@ class TestAdmission:
 
 
 class TestBatching:
-    def test_no_batch_until_trigger(self):
-        clock = FakeClock()
-        pool = make_mempool(clock=clock, batch_txs=4, batch_deadline=1.0)
-        pool.submit(b"a")
-        assert not pool.batch_due()
+    def test_takes_whatever_is_pending(self):
+        # No trigger and no deadline: the caller is a vertex being created,
+        # and it carries what there is, be it one transaction.
+        pool = make_mempool(batch_txs=4)
         assert pool.take_batch() == []
+        pool.submit(b"lonely")
+        assert [tx.data for tx in pool.take_batch()] == [b"lonely"]
+        assert pool.pending_txs == 0 and pool.pending_bytes == 0
 
     def test_count_trigger(self):
         pool = make_mempool(batch_txs=2)
         pool.submit(b"a")
         pool.submit(b"b")
         pool.submit(b"c")
-        assert pool.batch_due()
         batch = pool.take_batch()
         assert [tx.data for tx in batch] == [b"a", b"b"]
         assert pool.pending_txs == 1
 
     def test_byte_trigger(self):
         pool = make_mempool(batch_bytes=10, batch_txs=64)
-        pool.submit(b"x" * 12)
-        assert pool.batch_due()
-        assert len(pool.take_batch()) == 1
-
-    def test_deadline_trigger(self):
-        clock = FakeClock()
-        pool = make_mempool(clock=clock, batch_txs=64, batch_deadline=0.5)
-        pool.submit(b"lonely")
-        assert not pool.batch_due()
-        clock.now = 0.6
-        assert pool.batch_due()
-        assert len(pool.take_batch()) == 1
-
-    def test_force_flush_ignores_triggers(self):
-        pool = make_mempool(batch_txs=64, batch_deadline=10.0)
-        pool.submit(b"a")
-        assert pool.take_batch() == []
-        assert len(pool.take_batch(force=True)) == 1
+        for data in (b"a" * 4, b"b" * 4, b"c" * 4, b"d" * 12, b"e"):
+            pool.submit(data)
+        sizes = []
+        while batch := pool.take_batch():
+            sizes.append([len(tx.data) for tx in batch])
+        # Never over the cap, except a lone transaction larger than it.
+        assert sizes == [[4, 4], [4], [12], [1]]
+        assert pool.pending_bytes == 0
 
     def test_batch_frees_byte_budget(self):
         pool = make_mempool(max_pending_bytes=10, batch_txs=1)

@@ -103,6 +103,34 @@ class TestBlockSource:
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == 5
 
+    def test_producer_sits_between_the_queue_and_the_generator(self):
+        source = BlockSource(0, TransactionGenerator(1, 0), batch_size=2)
+        pending = [(b"client-1",), (b"client-2", b"client-3")]
+        asked = []
+
+        def producer(sequence):
+            asked.append(sequence)
+            return pending.pop(0) if pending else ()
+
+        source.producer = producer
+        explicit = source.enqueue_transactions(b"urgent")
+        blocks = [source.dequeue() for _ in range(4)]
+        assert blocks[0] == explicit  # the queue first; the producer not asked
+        assert [block.transactions for block in blocks[1:3]] == [
+            (b"client-1",), (b"client-2", b"client-3"),
+        ]
+        assert len(blocks[3]) == 2  # nothing pending: the generator mints
+        # The source owns the numbering: the producer is told the sequence
+        # its block will take, and an empty answer consumes none.
+        assert asked == [2, 3, 4]
+        assert [block.sequence for block in blocks] == [1, 2, 3, 4]
+
+    def test_empty_producer_without_generator_stalls(self):
+        source = BlockSource(0)
+        source.producer = lambda sequence: ()
+        assert source.dequeue() is None
+        assert source.sequence == 0
+
     def test_drain_scales_linearly(self):
         # Regression guard for the O(n) list.pop(0) dequeue: draining a
         # deep explicit queue must cost O(1) per block. With the old

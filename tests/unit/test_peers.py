@@ -179,6 +179,12 @@ class TestIngressAndGc:
         with pytest.raises(PeerTableError, match="unknown ingress keys"):
             parse_peer_table(table_dict(ingress={"warp_factor": 9}))
 
+    def test_retired_batch_deadline_key_rejected(self):
+        # A key until the round became the batching clock: a table that
+        # still carries it must not load with the deadline silently ignored.
+        with pytest.raises(PeerTableError, match="unknown ingress keys.*batch_deadline"):
+            parse_peer_table(table_dict(ingress={"batch_deadline": 0.05}))
+
     def test_bad_ingress_value_rejected(self):
         with pytest.raises(ConfigurationError, match="batch_txs"):
             parse_peer_table(table_dict(ingress={"batch_txs": 0}))
