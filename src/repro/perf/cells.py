@@ -30,9 +30,8 @@ class BenchCell:
         max_events: Event budget; the run fails if the target is not
             reached within it.
         fault: Optional fault injected by the runner; ``"crash_restart"``
-            runs one process as a :class:`repro.core.faulty.RecoveringNode`
-            (the sim-side analogue of the runtime's ChaosTransport
-            ``crash_restart`` fault).
+            runs one process as a :class:`repro.core.faulty.RecoveringNode`,
+            an in-memory crash and rejoin.
     """
 
     name: str

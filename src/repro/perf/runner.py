@@ -46,9 +46,9 @@ def _build(
     node_factories = None
     node_kwargs = None
     if cell.fault == "crash_restart":
-        # The sim-side twin of the runtime's ChaosTransport crash_restart
-        # fault: one process goes down mid-run and rejoins after replaying
-        # the backlog its reliable links held.
+        # An in-memory crash: one process goes down mid-run and rejoins
+        # after replaying the backlog its reliable links held (a real
+        # process death is the runtime scenario matrix's SIGKILL).
         node_factories = {CRASH_PID: RecoveringNode}
         node_kwargs = {
             CRASH_PID: {"crash_round": CRASH_ROUND, "downtime": CRASH_DOWNTIME}

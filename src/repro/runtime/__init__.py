@@ -17,8 +17,8 @@ the protocol logic depends on the simulator.
   the paper's §2 reliable-link assumption on real sockets.
 * :mod:`repro.runtime.chaos` — seeded, deterministic fault injection
   (drops, duplicates, delays, severed connections, dial failures) for
-  robustness tests and examples.
-* :mod:`repro.runtime.peers` — declarative peer tables (JSON/TOML):
+  robustness tests and examples; a frame's whole fate is one ``plan`` call.
+* :mod:`repro.runtime.peers` — declarative peer tables (JSON):
   pid -> host:port plus the SystemConfig/LinkConfig/coin knobs one file
   needs to describe a whole deployment.
 * :mod:`repro.runtime.runner` — :class:`NodeRunner` boots ONE node from a

@@ -11,41 +11,33 @@ and decides, per frame and per dial attempt, whether to misbehave:
 * **delay** — the frame (and, head-of-line, everything queued behind it)
   is held for a bounded time, modelling congestion;
 * **sever** — the connection is cut after every ``sever_every``-th
-  successfully written frame on a link;
+  first-attempt frame on a link that chaos did not drop;
 * **dial failure** — ``open_connection`` is made to fail, exercising the
   retry/backoff path.
-* **crash-restart** — after every ``crash_every``-th first-attempt frame a
-  node writes (across all its links), the whole node blacks out for
-  ``crash_downtime`` seconds: every connection is cut and inbound dials are
-  refused until the rebirth deadline. This models a process crash + restart
-  *within* one OS process; real ``SIGKILL`` + re-exec crashes are driven by
-  the scenario matrix in :mod:`repro.runtime.fabric`.
+
+A frame's whole fate — the first four — is one :meth:`ChaosTransport.plan`
+call. Process death is not modelled here: in memory it is
+:class:`repro.core.faulty.RecoveringNode` in the simulator, for real it is
+the scenario matrix's ``SIGKILL`` (:mod:`repro.runtime.scenario`).
 
 Every decision is derived from ``(seed, link, seq)`` via
 :func:`repro.common.rng.derive_rng`, so the *schedule* — which frames on
-which links are dropped, duplicated, or delayed — is a pure function of the
-seed and is identical across runs and across :class:`ChaosTransport`
-instances. (Wall-clock interleaving of a real asyncio run is not replayed;
-the protocol's guarantees must hold for every interleaving, which is
-exactly what chaos tests assert.)
-
-Drops apply only to a frame's *first* transmission attempt: retransmissions
-of a frame that chaos already dropped pass through, so redelivery always
-eventually succeeds and liveness is preserved.
+which links are dropped, duplicated, delayed or severed — is a pure
+function of the seed and is identical across runs and across
+:class:`ChaosTransport` instances. (Wall-clock interleaving of a real
+asyncio run is not replayed; the protocol's guarantees must hold for every
+interleaving, which is exactly what chaos tests assert.) Only a frame's
+*first* transmission misbehaves, so redelivery always eventually succeeds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng
 from repro.obs.context import Observability
-
-#: ``handler(downtime_seconds)`` — a node-level blackout trigger.
-CrashHandler = Callable[[float], None]
 
 _RATES = ("drop_rate", "duplicate_rate", "delay_rate", "dial_fail_rate")
 
@@ -60,13 +52,10 @@ class ChaosConfig:
         duplicate_rate: Chance a frame is written twice.
         delay_rate: Chance a frame is held before writing.
         max_delay: Upper bound (seconds) for an injected delay.
-        sever_every: Cut a link's connection after every this-many written
-            frames (guarantees each busy link is severed); None disables.
+        sever_every: Cut a link's connection after every this-many
+            first-attempt frames chaos did not drop (guarantees each busy
+            link is severed); None disables.
         dial_fail_rate: Chance a dial attempt fails (drives backoff).
-        crash_every: Black out a node after every this-many first-attempt
-            frames it writes across all its links; None disables.
-        crash_downtime: How long (seconds) a crashed node stays dark
-            before its links may reconnect.
     """
 
     drop_rate: float = 0.0
@@ -75,8 +64,6 @@ class ChaosConfig:
     max_delay: float = 0.02
     sever_every: int | None = None
     dial_fail_rate: float = 0.0
-    crash_every: int | None = None
-    crash_downtime: float = 0.25
 
     def __post_init__(self) -> None:
         for name in _RATES:
@@ -87,19 +74,23 @@ class ChaosConfig:
             raise ConfigurationError(f"negative max_delay {self.max_delay}")
         if self.sever_every is not None and self.sever_every < 1:
             raise ConfigurationError(f"sever_every must be >= 1, got {self.sever_every}")
-        if self.crash_every is not None and self.crash_every < 1:
-            raise ConfigurationError(f"crash_every must be >= 1, got {self.crash_every}")
-        if self.crash_downtime < 0:
-            raise ConfigurationError(f"negative crash_downtime {self.crash_downtime}")
 
 
 @dataclass(frozen=True)
 class FrameFate:
-    """What chaos decided for one frame transmission."""
+    """What chaos decided for one frame transmission: hold it ``delay``
+    seconds, then either ``drop`` it (cutting the connection) or write it
+    (twice when ``duplicate``) and cut the connection after it when
+    ``sever``."""
 
     drop: bool = False
     duplicate: bool = False
     delay: float = 0.0
+    sever: bool = False
+
+
+#: The fate of a frame chaos leaves alone (a retransmission, or no chaos).
+NO_FAULT = FrameFate()
 
 
 class ChaosTransport:
@@ -122,36 +113,29 @@ class ChaosTransport:
         self.severs = 0
         self.dial_failures = 0
         self.severs_by_link: Counter[tuple[int, int]] = Counter()
-        self.crashes = 0
         self._seen: dict[tuple[int, int], int] = {}
-        self._written_seen: dict[tuple[int, int], int] = {}
-        self._write_counts: Counter[tuple[int, int]] = Counter()
-        self._crash_seen: dict[tuple[int, int], int] = {}
-        self._node_frames: Counter[int] = Counter()
-        self._crash_handlers: dict[int, CrashHandler] = {}
-
-    def bind_node(self, pid: int, handler: CrashHandler) -> None:
-        """Register a node's blackout trigger for the crash-restart fault."""
-        self._crash_handlers[pid] = handler
+        #: Per link: first-attempt frames chaos did not drop (sever cadence).
+        self._kept: Counter[tuple[int, int]] = Counter()
 
     def _roll(self, *labels: object) -> float:
         return derive_rng(self.seed, "chaos", *labels).random()
 
     def plan(self, src: int, dst: int, seq: int) -> FrameFate:
-        """Decide the fate of frame ``seq`` on the ``src -> dst`` link.
+        """Decide the whole fate of frame ``seq`` on the ``src -> dst`` link.
 
         Deterministic in ``(seed, src, dst, seq)``. Only a frame's *first*
         transmission misbehaves: retransmissions pass clean, otherwise a
         sever-triggered redelivery burst would re-roll the dice and the
-        fault rates would compound into a reconnect storm.
+        fault rates would compound into a reconnect storm. A planned frame
+        counts toward the sever cadence even if its write then fails.
         """
         cfg = self.config
-        if seq <= self._seen.get((src, dst), 0):
-            return FrameFate()
-        self._seen[(src, dst)] = seq
+        link = (src, dst)
+        if seq <= self._seen.get(link, 0):
+            return NO_FAULT
+        self._seen[link] = seq
         self.first_attempts += 1
-        drop = self._roll(src, dst, seq, "drop") < cfg.drop_rate
-        if drop:
+        if self._roll(src, dst, seq, "drop") < cfg.drop_rate:
             self.drops += 1
             if self.obs is not None:
                 self.obs.emit(src, "chaos_drop", dst=dst, seq=seq)
@@ -167,52 +151,14 @@ class ChaosTransport:
             self.delays += 1
             if self.obs is not None:
                 self.obs.emit(src, "chaos_delay", dst=dst, seq=seq, delay=delay)
-        return FrameFate(drop=False, duplicate=duplicate, delay=delay)
-
-    def sever_after_write(self, src: int, dst: int, seq: int) -> bool:
-        """True when the link should be cut after the frame just written.
-
-        Counts first-attempt data frames only, so redelivery bursts after a
-        cut do not immediately trigger the next one.
-        """
-        link = (src, dst)
-        if self.config.sever_every is None or seq <= self._written_seen.get(link, 0):
-            return False
-        self._written_seen[link] = seq
-        self._write_counts[link] += 1
-        if self._write_counts[link] % self.config.sever_every == 0:
+        self._kept[link] += 1
+        sever = cfg.sever_every is not None and self._kept[link] % cfg.sever_every == 0
+        if sever:
             self.severs += 1
             self.severs_by_link[link] += 1
             if self.obs is not None:
                 self.obs.emit(src, "chaos_sever", dst=dst, seq=seq)
-            return True
-        return False
-
-    def crash_after_write(self, src: int, dst: int, seq: int) -> bool:
-        """True when node ``src`` should crash after the frame just written.
-
-        Counts first-attempt frames node-wide (all of ``src``'s links), so
-        a chatty node crashes on schedule regardless of how its traffic is
-        spread. The bound handler blacks the node out; this returns True so
-        the writing link also cuts itself immediately.
-        """
-        cfg = self.config
-        if cfg.crash_every is None or seq <= self._crash_seen.get((src, dst), 0):
-            return False
-        self._crash_seen[(src, dst)] = seq
-        self._node_frames[src] += 1
-        if self._node_frames[src] % cfg.crash_every != 0:
-            return False
-        handler = self._crash_handlers.get(src)
-        if handler is None:
-            return False
-        self.crashes += 1
-        if self.obs is not None:
-            self.obs.emit(
-                src, "chaos_crash_restart", downtime=cfg.crash_downtime, seq=seq
-            )
-        handler(cfg.crash_downtime)
-        return True
+        return FrameFate(duplicate=duplicate, delay=delay, sever=sever)
 
     def fail_dial(self, src: int, dst: int, attempt: int) -> bool:
         """True when dial ``attempt`` on the ``src -> dst`` link should fail."""
@@ -237,5 +183,4 @@ class ChaosTransport:
             "delays": self.delays,
             "severs": self.severs,
             "dial_failures": self.dial_failures,
-            "crashes": self.crashes,
         }

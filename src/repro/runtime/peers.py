@@ -232,7 +232,7 @@ def _parse_peer(pid_key: object, raw: object, n: int, source: str) -> PeerEntry:
 
 
 def parse_peer_table(data: object, source: str = "peer table") -> PeerTable:
-    """Validate a decoded JSON/TOML document into a :class:`PeerTable`."""
+    """Validate a decoded JSON document into a :class:`PeerTable`."""
     if not isinstance(data, Mapping):
         raise PeerTableError(f"{source}: top level must be an object")
     unknown = set(data) - _TABLE_KEYS

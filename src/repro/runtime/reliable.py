@@ -37,10 +37,10 @@ from repro.codec import decode_message, encode_message
 from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.errors import ConfigurationError, WireFormatError
 from repro.common.rng import derive_rng
-from repro.obs.context import Observability
+from repro.runtime.chaos import NO_FAULT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.chaos import ChaosTransport
+    from repro.runtime.transport import TcpNetwork
     from repro.sim.wire import Message
 
 #: ``4-byte body length`` prefix on every frame (body = seq + codec bytes).
@@ -67,10 +67,6 @@ CONNECTION_ERRORS = (ConnectionError, OSError, asyncio.IncompleteReadError)
 def frame_bytes(seq: int, payload: bytes) -> bytes:
     """One wire frame: length header, sequence number, codec payload."""
     return HEADER.pack(SEQ.size + len(payload)) + SEQ.pack(seq) + payload
-
-
-class ChaosSever(ConnectionError):
-    """Raised by the write path when chaos cuts the connection."""
 
 
 @dataclass(frozen=True)
@@ -153,39 +149,21 @@ class ReliableLink:
     ``enqueue`` is the only entry point the network uses; a background pump
     task owns the connection: dial (with backoff), handshake, redeliver the
     unacked backlog, then stream new frames and heartbeats while a reader
-    task consumes cumulative acks from the same connection.
+    task consumes cumulative acks from the same connection. The network's
+    partition and slow-peer state is read when it dials and when it writes.
     """
 
-    def __init__(
-        self,
-        pid: int,
-        dst: int,
-        addr: tuple[str, int],
-        loop: asyncio.AbstractEventLoop,
-        stats: LinkStats,
-        config: LinkConfig,
-        seed: int,
-        n: int,
-        chaos: "ChaosTransport | None" = None,
-        obs: Observability | None = None,
-        incarnation: int = 0,
-    ):
-        self.pid = pid
+    def __init__(self, network: "TcpNetwork", dst: int):
+        self.pid = network.pid
         self.dst = dst
-        self.addr = addr
-        self.incarnation = incarnation
         self.degraded = False
-        #: Extra per-frame write delay (seconds) — the "slow peer" fault.
-        self.extra_delay = 0.0
-        self._suspend_deadline = 0.0
-        self._blocked = False
-        self._loop = loop
-        self._stats = stats
-        self._config = config
-        self._n = n
-        self._chaos = chaos
-        self._obs = obs
-        self._rng = derive_rng(seed, "link-jitter", pid, dst)
+        self._network = network
+        self._loop = network.loop
+        self._stats = network.link_stats
+        self._config = network.link_config
+        self._n = network.config.n
+        self._obs = network.obs
+        self._rng = derive_rng(network.config.seed, "link-jitter", self.pid, dst)
         self._unacked: deque[tuple[int, bytes]] = deque()
         self._next_seq = 1
         self._acked = 0  # highest cumulatively acked seq
@@ -195,7 +173,7 @@ class ReliableLink:
         self._dial_attempts = 0
         self._heartbeat_nonce = 0
         self._down_since: float | None = None
-        self._last_rx = loop.time()
+        self._last_rx = self._loop.time()
         self._wake = asyncio.Event()
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task[None] | None = None
@@ -245,18 +223,6 @@ class ReliableLink:
         writer.close()
         return 1
 
-    def suspend_until(self, deadline: float) -> None:
-        """Blackout helper: cut the connection and hold redials until
-        ``deadline`` (loop time) — the sending half of a simulated crash."""
-        self._suspend_deadline = max(self._suspend_deadline, deadline)
-        self.sever()
-
-    def set_blocked(self, blocked: bool) -> None:
-        """Partition helper: while blocked, the link stays down (no dials)."""
-        self._blocked = blocked
-        if blocked:
-            self.sever()
-
     def _trim_degraded(self) -> None:
         while len(self._unacked) > self._config.max_degraded_queue:
             self._unacked.popleft()
@@ -279,21 +245,20 @@ class ReliableLink:
         backoff = cfg.initial_backoff
         if self._down_since is None:
             self._down_since = self._loop.time()
+        network = self._network
         while not self._closed:
-            hold = self._suspend_deadline - self._loop.time()
-            if self._blocked or hold > 0:
-                # Crashed or partitioned: stay dark, poll until released.
-                await asyncio.sleep(min(max(hold, 0.02), 0.1))
+            if self.dst in network.blocked:
+                await asyncio.sleep(0.02)  # partitioned: poll until healed
                 continue
             self._dial_attempts += 1
             writer = None
             try:
-                if self._chaos is not None and self._chaos.fail_dial(
+                if network.chaos is not None and network.chaos.fail_dial(
                     self.pid, self.dst, self._dial_attempts
                 ):
                     raise ConnectionRefusedError("chaos: dial failure injected")
-                reader, writer = await asyncio.open_connection(*self.addr)
-                writer.write(HANDSHAKE.pack(self.pid, self.incarnation))
+                reader, writer = await asyncio.open_connection(*network.peers[self.dst])
+                writer.write(HANDSHAKE.pack(self.pid, network.incarnation))
                 await writer.drain()
             except CONNECTION_ERRORS:
                 if writer is not None:
@@ -374,34 +339,26 @@ class ReliableLink:
         return None
 
     async def _write_frame(self, seq: int, payload: bytes) -> None:
-        fate = None
-        if self._chaos is not None:
-            fate = self._chaos.plan(self.pid, self.dst, seq)
-        if self.extra_delay > 0:
-            await asyncio.sleep(self.extra_delay)
-        if fate is not None and fate.delay > 0:
+        network, chaos = self._network, self._network.chaos
+        fate = NO_FAULT if chaos is None else chaos.plan(self.pid, self.dst, seq)
+        delay = network.peer_delay + fate.delay
+        if delay > 0:
             # Head-of-line: frames behind this one wait too (congestion model).
-            await asyncio.sleep(fate.delay)
-        if fate is not None and fate.drop:
-            raise ChaosSever(f"chaos dropped frame {seq} to {self.dst}")
+            await asyncio.sleep(delay)
+        if self.dst in network.blocked:  # partitioned mid-delay, or a dial raced it
+            raise ConnectionResetError(f"partitioned from {self.dst}")
+        if fate.drop:
+            raise ConnectionResetError(f"chaos dropped frame {seq} to {self.dst}")
         writer = self._writer
         if writer is None or writer.is_closing():
             raise ConnectionResetError("connection lost")
         data = frame_bytes(seq, payload)
         writer.write(data)
-        if fate is not None and fate.duplicate:
+        if fate.duplicate:
             writer.write(data)
         await writer.drain()
-        if self._chaos is not None and self._chaos.sever_after_write(
-            self.pid, self.dst, seq
-        ):
-            raise ChaosSever(f"chaos severed link to {self.dst}")
-        if self._chaos is not None and self._chaos.crash_after_write(
-            self.pid, self.dst, seq
-        ):
-            # The bound handler just blacked out the whole node (including
-            # this link); cut the write loop at the crash point too.
-            raise ChaosSever(f"chaos crash-restarted node {self.pid}")
+        if fate.sever:
+            raise ConnectionResetError(f"chaos severed link to {self.dst}")
 
     async def _send_heartbeat(self) -> None:
         writer = self._writer

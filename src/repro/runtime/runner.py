@@ -78,7 +78,6 @@ class NodeRunner:
         dealer: CoinDealer | None = None,
         node_kwargs: dict[str, Any] | None = None,
         state_dir: str | None = None,
-        fsync: str = "commit",
     ):
         self.table = table
         self.pid = pid
@@ -89,7 +88,6 @@ class NodeRunner:
         self._dealer = dealer
         self._node_kwargs = dict(node_kwargs or {})
         self.state_dir = state_dir
-        self._fsync = fsync
         self._stop = asyncio.Event()
         self._closed = False
         self.network: TcpNetwork | None = None
@@ -119,10 +117,7 @@ class NodeRunner:
             dealer = self.table.make_dealer()
         if self.state_dir is not None:
             self.journal = NodeJournal(
-                self.state_dir,
-                pid=self.pid,
-                fsync=self._fsync,
-                obs=self.observability,
+                self.state_dir, pid=self.pid, obs=self.observability
             )
         if self.table.gc_depth is not None:
             # The table's memory policy; an explicit node_kwargs override
@@ -374,10 +369,12 @@ class ControlServer(LineServer):
         return {"ok": True, "pid": self.runner.pid, **fields}
 
     def _partition(self, request: dict[str, Any]) -> dict[str, object]:
-        peers = sorted(int(p) for p in request.get("peers", []))
+        peers, n = request.get("peers", []), self.runner.config.n
+        if not isinstance(peers, list) or any(type(p) is not int or not 0 <= p < n for p in peers):
+            raise ValueError(f"peers must be a list of pids in [0, {n})")
         if self.runner.network is not None:
             self.runner.network.block_peers(set(peers))
-        return self._reply(blocked=peers)
+        return self._reply(blocked=sorted(peers))
 
     def _heal(self, request: dict[str, Any]) -> dict[str, object]:
         if self.runner.network is not None:

@@ -1,6 +1,6 @@
 """Declarative chaos scenarios for the fabric driver.
 
-A scenario is a JSON or TOML document describing a run shape (``n``,
+A scenario is a JSON document describing a run shape (``n``,
 ``seed``, ``coin``, target ``waves``) plus an ordered list of fault steps
 the driver executes against *real runner processes* — real ``SIGKILL``,
 real re-exec with ``--state-dir``, real TCP partitions over each node's
@@ -25,11 +25,11 @@ Step kinds:
   = SIGTERM) once any surviving node's decided wave reaches ``at_wave``,
   wait ``restart_after`` seconds, then respawn it from its state dir and
   require the cross-host digest prefix check to pass after recovery;
-* ``churn`` — a crash repeated ``cycles`` times (crash loop);
 * ``partition`` — split the cluster into ``groups`` (each node blocks every
   pid outside its group) for ``heal_after`` seconds, then heal;
-* ``slow`` — add ``delay`` seconds before every frame ``pid`` writes, for
-  ``duration`` seconds.
+* ``slow`` — add ``delay`` seconds (at most
+  :data:`repro.runtime.transport.MAX_PEER_DELAY`) before every frame ``pid``
+  writes, for ``duration`` seconds.
 
 Validation is strict and upfront — a typo'd scenario fails before any
 process is spawned, not twenty seconds into a run. :func:`run_scenario`
@@ -40,17 +40,19 @@ so the step vocabulary — parse and dispatch — lives in this one module.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import ConfigurationError, FabricError
+from repro.runtime.transport import MAX_PEER_DELAY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (fabric imports this module)
     from repro.runtime.fabric import Fabric
     from repro.runtime.live import LiveView
 
-STEP_KINDS = ("crash", "churn", "partition", "slow")
+STEP_KINDS = ("crash", "partition", "slow")
 CRASH_SIGNALS = ("kill", "term")
 
 
@@ -67,7 +69,6 @@ class ScenarioStep:
     heal_after: float = 2.0
     delay: float = 0.05
     duration: float = 2.0
-    cycles: int = 1
 
 
 #: Scenario runs bound node memory by default: delivered waves are
@@ -91,14 +92,18 @@ class Scenario:
     steps: tuple[ScenarioStep, ...] = field(default=())
 
 
-def _require_number(raw: dict[str, Any], key: str, where: str, minimum: float = 0.0) -> None:
+def _require_number(
+    raw: dict[str, Any], key: str, where: str, minimum: float = 0.0, maximum: float = math.inf
+) -> None:
     value = raw.get(key)
     if value is None:
         return
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigurationError(f"{where}: {key} must be a number, got {value!r}")
-    if value < minimum:
-        raise ConfigurationError(f"{where}: {key} must be >= {minimum}, got {value}")
+    if not math.isfinite(value) or not minimum <= value <= maximum:
+        raise ConfigurationError(
+            f"{where}: {key} must be finite and in [{minimum}, {maximum}], got {value}"
+        )
 
 
 def parse_step(raw: dict[str, Any], index: int, n: int) -> ScenarioStep:
@@ -113,19 +118,20 @@ def parse_step(raw: dict[str, Any], index: int, n: int) -> ScenarioStep:
         )
     known = {
         "kind", "pid", "groups", "at_wave", "signal",
-        "restart_after", "heal_after", "delay", "duration", "cycles",
+        "restart_after", "heal_after", "delay", "duration",
     }
     unknown = set(raw) - known
     if unknown:
         raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
     for key, minimum in (
         ("at_wave", 1), ("restart_after", 0.0), ("heal_after", 0.0),
-        ("delay", 0.0), ("duration", 0.0), ("cycles", 1),
+        ("duration", 0.0),
     ):
         _require_number(raw, key, where, minimum)
+    _require_number(raw, "delay", where, 0.0, MAX_PEER_DELAY)
 
     pid = raw.get("pid")
-    if kind in ("crash", "churn", "slow"):
+    if kind in ("crash", "slow"):
         if not isinstance(pid, int) or isinstance(pid, bool) or not 0 <= pid < n:
             raise ConfigurationError(
                 f"{where}: {kind} needs a pid in [0, {n}), got {pid!r}"
@@ -177,7 +183,6 @@ def parse_step(raw: dict[str, Any], index: int, n: int) -> ScenarioStep:
         heal_after=float(raw.get("heal_after", 2.0)),
         delay=float(raw.get("delay", 0.05)),
         duration=float(raw.get("duration", 2.0)),
-        cycles=int(raw.get("cycles", 1)),
     )
 
 
@@ -285,9 +290,8 @@ def run_scenario(
             )
         live.set_banner(label)
         live.note(f"fabric: scenario: step {index}: {step.kind}")
-        if step.kind in ("crash", "churn"):
-            for _cycle in range(step.cycles if step.kind == "churn" else 1):
-                _crash_step(step, fabric, deadline, live)
+        if step.kind == "crash":
+            _crash_step(step, fabric, deadline, live)
         elif step.kind == "partition":
             for group in step.groups:
                 others = [p for p in range(scenario.n) if p not in group]

@@ -59,6 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the window belong to a ``subscribe`` stream (docs/observability.md).
 RETAINED_EVENTS = 32_768
 
+#: Longest slow-peer delay (seconds) :meth:`TcpNetwork.set_peer_delay`
+#: accepts. A link sleeps the delay before each frame and reads the fault
+#: again only at the next one, so ``heal`` takes effect within one in-flight
+#: delay; the chaos scenarios use 50 ms and a delayed benchmark 25 ms.
+MAX_PEER_DELAY = 1.0
+
 
 class AsyncScheduler:
     """Adapter exposing the simulator scheduler's surface over asyncio."""
@@ -66,26 +72,14 @@ class AsyncScheduler:
     def __init__(self, loop: asyncio.AbstractEventLoop):
         self._loop = loop
         self._epoch = loop.time()
-        self._handles: dict[int, asyncio.TimerHandle] = {}
-        self._next = 0
 
     @property
     def now(self) -> float:
         """Seconds since this scheduler was created."""
         return self._loop.time() - self._epoch
 
-    def call_later(self, delay: float, callback: Callable[[], object]) -> int:
-        handle_id = self._next
-        self._next += 1
-        self._handles[handle_id] = self._loop.call_later(
-            delay, lambda: (self._handles.pop(handle_id, None), callback())
-        )
-        return handle_id
-
-    def cancel(self, handle_id: int) -> None:
-        handle = self._handles.pop(handle_id, None)
-        if handle is not None:
-            handle.cancel()
+    def call_later(self, delay: float, callback: Callable[[], object]) -> None:
+        self._loop.call_later(delay, callback)
 
 
 class _Inbound:
@@ -118,8 +112,8 @@ class TcpNetwork:
         self.config = config
         self.pid = pid
         self.peers = peers
-        loop = loop if loop is not None else asyncio.get_running_loop()
-        self.scheduler = AsyncScheduler(loop)
+        self.loop = loop if loop is not None else asyncio.get_running_loop()
+        self.scheduler = AsyncScheduler(self.loop)
         self.metrics = MetricsCollector()
         self.link_config = link_config if link_config is not None else LinkConfig()
         self.link_stats = LinkStats()
@@ -130,7 +124,6 @@ class TcpNetwork:
             # monotonic time axis and one retention window (see
             # Observability.attach_clock).
             obs.attach_clock(self.scheduler, retain=RETAINED_EVENTS)
-        self._loop = loop
         self._process: "Process | None" = None
         self._server: asyncio.AbstractServer | None = None
         self._links: dict[int, ReliableLink] = {}
@@ -144,11 +137,10 @@ class TcpNetwork:
         self._peer_incarnation: dict[int, int] = {}
         self._accept_tasks: set[asyncio.Task[None]] = set()
         self._closed = False
-        self._blackout_until = 0.0  # loop time; crash_restart fault window
-        self._blocked: set[int] = set()  # partitioned peers (both directions)
-        self._peer_delay = 0.0
-        if chaos is not None:
-            chaos.bind_node(pid, self.simulate_crash)
+        #: Runtime faults, read by every link when it dials and writes:
+        #: the partitioned peers (both directions) and the slow-peer delay.
+        self.blocked: frozenset[int] = frozenset()
+        self.peer_delay = 0.0
 
     # ------------------------------------------------------- node interface
 
@@ -166,7 +158,7 @@ class TcpNetwork:
         if src != self.pid:
             raise RuntimeError("a node may only send as itself")
         if dst == self.pid:
-            self._loop.call_soon(self._deliver, src, message)
+            self.loop.call_soon(self._deliver, src, message)
             return
         self.metrics.record_send(
             src, message.wire_size_cached(self.config.n), message.tag(), True
@@ -183,7 +175,7 @@ class TcpNetwork:
         tag = message.tag()
         for dst in self.config.processes:
             if dst == self.pid:
-                self._loop.call_soon(self._deliver, src, message)
+                self.loop.call_soon(self._deliver, src, message)
                 continue
             self.metrics.record_send(src, bits, tag, True)
             if payload is None:
@@ -195,26 +187,7 @@ class TcpNetwork:
     def _link_for(self, dst: int) -> ReliableLink:
         link = self._links.get(dst)
         if link is None:
-            link = ReliableLink(
-                pid=self.pid,
-                dst=dst,
-                addr=self.peers[dst],
-                loop=self._loop,
-                stats=self.link_stats,
-                config=self.link_config,
-                seed=self.config.seed,
-                n=self.config.n,
-                chaos=self.chaos,
-                obs=self.obs,
-                incarnation=self.incarnation,
-            )
-            # A link created mid-fault inherits the node's current faults.
-            link.extra_delay = self._peer_delay
-            if dst in self._blocked:
-                link.set_blocked(True)
-            if self._blackout_until > self._loop.time():
-                link.suspend_until(self._blackout_until)
-            self._links[dst] = link
+            link = self._links[dst] = ReliableLink(self, dst)
         return link
 
     @property
@@ -249,49 +222,28 @@ class TcpNetwork:
                 cut += 1
         return cut
 
-    def simulate_crash(self, downtime: float) -> int:
-        """Black this node out for ``downtime`` seconds (crash_restart fault).
-
-        Every live connection is cut, outbound redials are held, and inbound
-        connections are refused until the rebirth deadline. The node's
-        in-memory protocol state survives — this models a crash + instant
-        state recovery; full process death is the scenario matrix's job.
-        Returns the number of connections cut.
-        """
-        self._blackout_until = max(
-            self._blackout_until, self._loop.time() + downtime
-        )
-        for link in self._links.values():
-            link.suspend_until(self._blackout_until)
-        cut = 0
-        for state in list(self._inbound.values()):
-            if not state.writer.is_closing():
-                state.writer.close()
-                cut += 1
-        if self.obs is not None:
-            self.obs.emit(self.pid, "node_blackout", downtime=downtime)
-        return cut
-
     def block_peers(self, peers: set[int] | frozenset[int]) -> None:
-        """Partition helper: stop talking to (and hearing from) ``peers``."""
-        self._blocked = set(peers) - {self.pid}
+        """Partition helper: cut every connection to and from ``peers`` and
+        refuse new ones, both directions, until :meth:`heal`."""
+        self.blocked = frozenset(peers) - {self.pid}
         for dst, link in self._links.items():
-            link.set_blocked(dst in self._blocked)
+            if dst in self.blocked:
+                link.sever()
         for src, state in list(self._inbound.items()):
-            if src in self._blocked and not state.writer.is_closing():
+            if src in self.blocked and not state.writer.is_closing():
                 state.writer.close()
 
     def heal(self) -> None:
         """Lift any partition installed by :meth:`block_peers`."""
-        self._blocked = set()
-        for link in self._links.values():
-            link.set_blocked(False)
+        self.blocked = frozenset()
 
     def set_peer_delay(self, delay: float) -> None:
         """Slow-peer fault: add ``delay`` seconds before every frame write."""
-        self._peer_delay = max(0.0, delay)
-        for link in self._links.values():
-            link.extra_delay = self._peer_delay
+        if not 0.0 <= delay <= MAX_PEER_DELAY:  # also refuses NaN
+            raise ValueError(
+                f"delay must be in [0, {MAX_PEER_DELAY}] seconds, got {delay}"
+            )
+        self.peer_delay = delay
 
     # ------------------------------------------------------------ lifecycle
 
@@ -352,9 +304,9 @@ class TcpNetwork:
                 # Never trust an out-of-range (or self-addressed) pid byte.
                 self.link_stats.handshake_rejects += 1
                 return
-            if self._loop.time() < self._blackout_until or src in self._blocked:
-                # Crashed (blacked out) or partitioned from this peer:
-                # refuse the connection; the sender backs off and redials.
+            if src in self.blocked:
+                # Partitioned from this peer: refuse the connection; the
+                # sender backs off and redials.
                 return
             last = self._peer_incarnation.get(src)
             if last is not None and last != incarnation:
@@ -430,7 +382,7 @@ class TcpNetwork:
         if state.ack_pending:
             return
         state.ack_pending = True
-        self._loop.call_soon(self._flush_ack, src, state)
+        self.loop.call_soon(self._flush_ack, src, state)
 
     def _flush_ack(self, src: int, state: _Inbound) -> None:
         state.ack_pending = False

@@ -62,6 +62,6 @@ class Process:
         """Send ``message`` to all processes (including self)."""
         self.network.broadcast(self.pid, message)
 
-    def call_later(self, delay: float, callback: Callable[[], None]) -> int:
+    def call_later(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule a local callback (used for retries/timeouts in baselines)."""
-        return self.network.scheduler.call_later(delay, callback)
+        self.network.scheduler.call_later(delay, callback)

@@ -1,6 +1,7 @@
 """Reliable-link layer: framing, chaos determinism, acks, lifecycle."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
 from repro.runtime.chaos import ChaosConfig, ChaosTransport
-from repro.runtime.peers import allocate_port_block
+from repro.runtime.peers import allocate_port_block, make_peer_table
 from repro.runtime.reliable import (
     HANDSHAKE,
     HEADER,
@@ -19,7 +20,8 @@ from repro.runtime.reliable import (
     LinkStats,
     frame_bytes,
 )
-from repro.runtime.transport import TcpNetwork
+from repro.runtime.runner import ControlServer, NodeRunner
+from repro.runtime.transport import MAX_PEER_DELAY, TcpNetwork
 
 
 
@@ -144,11 +146,23 @@ class TestChaosDeterminism:
 
     def test_sever_cadence_counts_first_writes_only(self):
         chaos = ChaosTransport(4, ChaosConfig(sever_every=10))
-        cuts = sum(chaos.sever_after_write(0, 1, seq) for seq in range(1, 31))
+        cuts = sum(chaos.plan(0, 1, seq).sever for seq in range(1, 31))
         assert cuts == 3
         # Rewriting old frames (a redelivery burst) never triggers a cut.
-        assert not any(chaos.sever_after_write(0, 1, seq) for seq in range(1, 31))
+        assert not any(chaos.plan(0, 1, seq).sever for seq in range(1, 31))
         assert chaos.severs == 3
+
+    def test_sever_cadence_skips_dropped_frames(self):
+        chaos = ChaosTransport(6, ChaosConfig(drop_rate=0.4, sever_every=3))
+        fates = [chaos.plan(0, 1, seq) for seq in range(1, 301)]
+        kept = [fate for fate in fates if not fate.drop]
+        assert 0 < chaos.drops < 300
+        # One plan per frame decides both: a dropped frame is never also
+        # severed, and every third frame chaos kept is.
+        assert [fate.sever for fate in kept] == [
+            index % 3 == 2 for index in range(len(kept))
+        ]
+        assert chaos.severs == len(kept) // 3
 
 
 class TestReliableDelivery:
@@ -367,6 +381,90 @@ class TestHandshakeHardening:
                 await net.close()
 
         asyncio.run(main())
+
+
+class TestRuntimeFaults:
+    def test_peer_first_contacted_during_partition_is_not_dialled(self):
+        """A link created while its peer is partitioned away stays dark
+        until ``heal``: the partition is the network's, not the link's."""
+
+        async def main():
+            nets, _sinks = make_pair(
+                link_config=LinkConfig(initial_backoff=0.01, max_backoff=0.05)
+            )
+            dials = []
+
+            async def count_dial(reader, writer):
+                dials.append(await reader.readexactly(HANDSHAKE.size))
+                writer.close()
+
+            peer = await asyncio.start_server(count_dial, *nets[0].peers[1])
+            try:
+                nets[0].block_peers({1})
+                nets[0].send(0, 1, GossipSubscribe("held"))  # first contact
+                await asyncio.sleep(0.3)
+                assert dials == []
+                nets[0].heal()
+                assert await eventually(lambda: len(dials) >= 1)
+            finally:
+                peer.close()
+                for net in nets:
+                    await net.close()
+
+        asyncio.run(main())
+
+    def test_peer_delay_is_bounded(self):
+        async def main():
+            nets, _sinks = make_pair()
+            for bad in (float("inf"), float("nan"), MAX_PEER_DELAY + 0.5, -0.1):
+                with pytest.raises(ValueError):
+                    nets[0].set_peer_delay(bad)
+            assert nets[0].peer_delay == 0.0
+            nets[0].set_peer_delay(MAX_PEER_DELAY)
+            assert nets[0].peer_delay == MAX_PEER_DELAY
+            for net in nets:
+                await net.close()
+
+        asyncio.run(main())
+
+    def test_fault_verbs_refuse_bad_arguments(self, free_peers, free_port):
+        """``slow`` with an unbounded delay used to stall the node's links
+        forever (a sleep ``heal`` cannot wake), and ``partition`` with a
+        string ``peers`` silently blocked the pids of its characters."""
+        requests = [
+            b'{"cmd": "slow", "delay": 1e999}',
+            b'{"cmd": "slow", "delay": NaN}',
+            b'{"cmd": "slow", "delay": 2.5}',
+            b'{"cmd": "partition", "peers": "12"}',
+            b'{"cmd": "partition", "peers": [1, 4]}',
+            b'{"cmd": "partition", "peers": [true]}',
+            b'{"cmd": "partition", "peers": {"1": 2}}',
+        ]
+        table = make_peer_table(free_peers(4), SystemConfig(n=4, seed=3))
+        port = free_port()
+
+        async def main():
+            runner = NodeRunner(table, 0)
+            await runner.boot()
+            control = ControlServer(runner, "127.0.0.1", port)
+            await control.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"\n".join(requests) + b"\n")
+            replies = [
+                json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+                for _ in requests
+            ]
+            writer.close()
+            network = runner.network
+            await control.close()
+            await runner.close()
+            return replies, network
+
+        replies, network = asyncio.run(main())
+        assert [reply["ok"] for reply in replies] == [False] * len(requests)
+        assert "delay must be in [0, 1.0]" in replies[0]["error"]
+        assert replies[3]["error"] == "peers must be a list of pids in [0, 4)"
+        assert network.peer_delay == 0.0 and network.blocked == frozenset()
 
 
 class TestLoopRequirement:

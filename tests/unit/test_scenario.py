@@ -23,7 +23,7 @@ class TestParseScenario:
         assert scenario.waves == 5
         step = scenario.steps[0]
         assert (step.kind, step.pid, step.signal) == ("crash", 1, "kill")
-        assert step.at_wave == 1 and step.cycles == 1
+        assert step.at_wave == 1
 
     def test_explicit_fields_override(self):
         scenario = parse_scenario(
@@ -84,13 +84,35 @@ class TestParseStep:
             {"kind": "crash", "pid": True},  # bool is not a pid
             {"kind": "crash", "pid": 0, "signal": "hup"},
             {"kind": "crash", "pid": 0, "at_wave": 0},
-            {"kind": "churn", "pid": 0, "cycles": 0},
+            {"kind": "slow", "pid": 0, "delay": 1.5},  # above MAX_PEER_DELAY
             {"kind": "slow", "pid": 0, "delay": -0.1},
         ],
     )
     def test_invalid_steps_rejected(self, broken):
         with pytest.raises(ConfigurationError):
             parse_step(broken, 0, 4)
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"kind": "slow", "pid": 0, "delay": float("inf")},
+            {"kind": "slow", "pid": 0, "delay": float("nan")},
+            {"kind": "slow", "pid": 0, "duration": float("inf")},
+            {"kind": "crash", "pid": 0, "restart_after": float("nan")},
+            {"kind": "partition", "groups": [[0, 1, 2], [3]], "heal_after": 1e999},
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, step):
+        """``1e999`` in a JSON file decodes to ``inf``; a slow step with it
+        used to stall its node's links for good."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_step(step, 0, 4)
+
+    def test_slow_delay_bound_is_inclusive(self):
+        from repro.runtime.transport import MAX_PEER_DELAY
+
+        step = parse_step({"kind": "slow", "pid": 0, "delay": MAX_PEER_DELAY}, 0, 4)
+        assert step.delay == MAX_PEER_DELAY
 
     def test_partition_groups_must_cover_every_pid_once(self):
         good = parse_step(
@@ -131,6 +153,20 @@ class TestLoadScenario:
         scenario = load_scenario(str(repo / "scenarios" / "crash-restart.json"))
         assert scenario.name == "crash-restart"
         assert scenario.steps[0].kind == "crash"
+
+    def test_repo_partition_slow_scenario_is_valid(self):
+        # Slow one node, then cut a minority off: the two faults nothing
+        # else runs end to end across real processes.
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[2]
+        scenario = load_scenario(str(repo / "scenarios" / "partition-slow.json"))
+        assert scenario.name == "partition-slow"
+        slow, partition = scenario.steps
+        assert (slow.kind, slow.pid, slow.delay, slow.duration) == ("slow", 2, 0.05, 2.0)
+        assert slow.at_wave == 1
+        assert partition.kind == "partition" and partition.at_wave == 2
+        assert partition.groups == ((0, 1, 2), (3,)) and partition.heal_after == 2.0
 
     def test_repo_stall_probe_scenario_is_valid(self):
         # The committed stall-probe scenario splits n=4 into 2+2: neither
