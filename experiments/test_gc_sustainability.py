@@ -5,13 +5,11 @@ The paper keeps the DAG forever (fine for analysis); its descendants
 DAG grows without bound in memory (one vertex per process per round, and
 ancestor bitsets that grow linearly in total vertices). This experiment
 quantifies that: the same workload with and without `gc_depth`, comparing
-retained vertices and wall time for one event budget — and asserts the GC
+retained vertices for one event budget — and asserts the GC
 run delivers the *identical* log.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
@@ -24,13 +22,10 @@ def run(gc_depth: int | None) -> dict:
     deployment = DagRiderDeployment(
         SystemConfig(n=4, seed=SEED), default_node_kwargs={"gc_depth": gc_depth}
     )
-    started = time.perf_counter()
     deployment.run(max_events=EVENTS)
-    wall = time.perf_counter() - started
     deployment.check_total_order()
     node = deployment.correct_nodes[0]
     return {
-        "wall": wall,
         "rounds": node.current_round,
         "retained": node.store.vertex_count,
         "collected": node.store.collected_count,
@@ -43,10 +38,10 @@ def test_gc_sustainability(report):
 
     no_gc, with_gc = results[None], results[8]
     lines = [
-        f"{'configuration':<16}{'rounds':>8}{'retained vertices':>19}{'collected':>11}{'wall s':>8}",
-        "-" * 62,
-        f"{'no GC (paper)':<16}{no_gc['rounds']:>8}{no_gc['retained']:>19}{no_gc['collected']:>11}{no_gc['wall']:>8.1f}",
-        f"{'gc_depth=8':<16}{with_gc['rounds']:>8}{with_gc['retained']:>19}{with_gc['collected']:>11}{with_gc['wall']:>8.1f}",
+        f"{'configuration':<16}{'rounds':>8}{'retained vertices':>19}{'collected':>11}",
+        "-" * 54,
+        f"{'no GC (paper)':<16}{no_gc['rounds']:>8}{no_gc['retained']:>19}{no_gc['collected']:>11}",
+        f"{'gc_depth=8':<16}{with_gc['rounds']:>8}{with_gc['retained']:>19}{with_gc['collected']:>11}",
         "",
         f"identical delivery logs: {no_gc['log'] == with_gc['log']}",
         "(same event budget; GC bounds the working set so memory stays",

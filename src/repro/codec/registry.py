@@ -39,8 +39,6 @@ from repro.sim.wire import Message
 
 # --------------------------------------------------------------- payloads
 
-_PAYLOAD_TAGS: dict[type, int] = {Vertex: 1, Block: 2}
-
 #: Vertices the parse-once memo below holds. One vertex reaches a process
 #: as a SEND, up to n ECHOs and n READYs (and again in catch-up chunks), all
 #: within a few rounds of each other, so the memo only has to span the
@@ -63,6 +61,21 @@ def decode_vertex(body: bytes) -> Vertex:
     return Vertex.from_bytes(body)
 
 
+def _decode_block(body: bytes) -> Block:
+    block, end = Block.from_bytes(body)
+    if end != len(body):
+        raise WireFormatError("trailing bytes after block")
+    return block
+
+
+#: The one payload table: tag -> (type, decode). Tag 0 is "no payload".
+_PAYLOADS: dict[int, tuple[type, Callable[[bytes], Payload]]] = {
+    1: (Vertex, decode_vertex),
+    2: (Block, _decode_block),
+}
+_PAYLOAD_TAGS: dict[type, int] = {type_: tag for tag, (type_, _) in _PAYLOADS.items()}
+
+
 def _encode_payload(payload: Payload | None) -> bytes:
     if payload is None:
         return b"\x00"
@@ -74,17 +87,13 @@ def _encode_payload(payload: Payload | None) -> bytes:
 
 def _decode_payload(reader: Reader) -> Payload | None:
     tag = reader.take(1)[0]
-    if tag == 0:
+    if not tag:
         return None
     body = reader.bytes_()
-    if tag == 1:
-        return decode_vertex(body)
-    if tag == 2:
-        block, end = Block.from_bytes(body)
-        if end != len(body):
-            raise WireFormatError("trailing bytes after block")
-        return block
-    raise WireFormatError(f"unknown payload tag {tag}")
+    entry = _PAYLOADS.get(tag)
+    if entry is None:
+        raise WireFormatError(f"unknown payload tag {tag}")
+    return entry[1](body)
 
 
 # --------------------------------------------------------------- messages
@@ -218,32 +227,28 @@ def _dec_catchup_vertices(reader: Reader) -> CatchupVertices:
 
 # --------------------------------------------------------------- registry
 
-# Encoders are stored behind their concrete message type, so the common
-# value type erases the parameter to Any; encode_message re-establishes
-# the pairing by construction (each encoder is registered under the type
-# it accepts).
+# The one frame table: (tag, type, encode, decode). Both lookups below are
+# derived from it, so a frame cannot gain an encoder without a decoder.
+# Each encoder takes the concrete type of its own row, so the common
+# column type erases the parameter to Any.
+_FRAMES: tuple[
+    tuple[int, type[Message], Callable[[Any], bytes], Callable[[Reader], Message]], ...
+] = (
+    (1, BrachaMessage, _enc_bracha, _dec_bracha),
+    (2, GossipSubscribe, _enc_subscribe, _dec_subscribe),
+    (3, GossipMessage, _enc_gossip, _dec_gossip),
+    (4, AvidMessage, _enc_avid, _dec_avid),
+    (5, CoinShareMessage, _enc_coin_share, _dec_coin_share),
+    (11, LinkAck, _enc_link_ack, _dec_link_ack),
+    (12, LinkHeartbeat, _enc_link_heartbeat, _dec_link_heartbeat),
+    (13, CatchupRequest, _enc_catchup_request, _dec_catchup_request),
+    (14, CatchupVertices, _enc_catchup_vertices, _dec_catchup_vertices),
+)
 _REGISTRY: dict[type[Message], tuple[int, Callable[[Any], bytes]]] = {
-    BrachaMessage: (1, _enc_bracha),
-    GossipSubscribe: (2, _enc_subscribe),
-    GossipMessage: (3, _enc_gossip),
-    AvidMessage: (4, _enc_avid),
-    CoinShareMessage: (5, _enc_coin_share),
-    LinkAck: (11, _enc_link_ack),
-    LinkHeartbeat: (12, _enc_link_heartbeat),
-    CatchupRequest: (13, _enc_catchup_request),
-    CatchupVertices: (14, _enc_catchup_vertices),
+    type_: (tag, encode) for tag, type_, encode, _ in _FRAMES
 }
-
 _DECODERS: dict[int, Callable[[Reader], Message]] = {
-    1: _dec_bracha,
-    2: _dec_subscribe,
-    3: _dec_gossip,
-    4: _dec_avid,
-    5: _dec_coin_share,
-    11: _dec_link_ack,
-    12: _dec_link_heartbeat,
-    13: _dec_catchup_request,
-    14: _dec_catchup_vertices,
+    tag: decode for tag, _, _, decode in _FRAMES
 }
 
 

@@ -14,33 +14,17 @@ Run as ``python -m repro.lint src/`` (or ``scripts/lint.py``); see
 """
 
 from repro.lint.engine import LintResult, lint_source, run
-from repro.lint.project import (
-    PROJECT_RULES,
-    ProjectModel,
-    ProjectRule,
-    check_project,
-    lint_project,
-    project_rule_table,
-    register_project,
-)
 from repro.lint.registry import RULES, ModuleContext, Rule, register, rule_table
 from repro.lint.violations import Violation
 
 __all__ = [
     "LintResult",
     "ModuleContext",
-    "PROJECT_RULES",
-    "ProjectModel",
-    "ProjectRule",
     "RULES",
     "Rule",
     "Violation",
-    "check_project",
-    "lint_project",
     "lint_source",
-    "project_rule_table",
     "register",
-    "register_project",
     "rule_table",
     "run",
 ]

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.lint.engine import LintResult, run
-from repro.lint.project import project_rule_table
 from repro.lint.registry import rule_table
 from repro.lint.violations import Violation
 
@@ -90,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the whole-program contract rules (CONTRACT*); useful "
-        "when linting a partial tree",
-    )
     return parser
 
 
@@ -104,9 +97,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        # Importing the rules package (via engine -> rules) registered both
-        # tiers; engine is already imported above.
-        for code, scope, summary in sorted(rule_table() + project_rule_table()):
+        # Importing the engine imported the rules package, which registered
+        # every rule.
+        for code, scope, summary in rule_table():
             print(f"{code:12s} [{scope}] {summary}")
         return 0
 
@@ -116,7 +109,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: no such path(s): {', '.join(map(str, missing))}", file=sys.stderr)
         return 2
 
-    result = run(paths, root=args.root, project=not args.no_project)
+    result = run(paths, root=args.root)
     if args.fmt == "json":
         print(_format_json(result))
     else:

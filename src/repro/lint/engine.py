@@ -1,11 +1,8 @@
-"""File discovery and per-module/whole-program orchestration.
+"""File discovery and per-module orchestration.
 
 The engine walks the given paths, parses each ``.py`` file once, runs every
-applicable per-file rule (see :mod:`repro.lint.registry`), then assembles
-the parsed modules into a :class:`repro.lint.project.ProjectModel` and runs
-the cross-module contract rules over it. Inline suppressions apply to both
-tiers (a project violation anchored in a python file honours that file's
-suppression comments). All ordering is deterministic — paths are sorted,
+applicable rule (see :mod:`repro.lint.registry`) and applies the file's
+inline suppressions. All ordering is deterministic — paths are sorted,
 violations are sorted by position — so the linter obeys its own rules.
 """
 
@@ -16,10 +13,8 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
-# Importing the rules package populates both rule registries as a side
-# effect (per-file rules and project-tier contract rules).
+# Importing the rules package populates the rule registry as a side effect.
 import repro.lint.rules  # noqa: F401
-from repro.lint.project import ProjectModel, check_project
 from repro.lint.registry import ModuleContext, check_module
 from repro.lint.suppress import is_suppressed, parse_suppressions
 from repro.lint.violations import Violation, sort_key
@@ -117,19 +112,9 @@ def lint_source(
     return active, suppressed
 
 
-def run(paths: list[Path], *, root: Path, project: bool = True) -> LintResult:
-    """Lint every file under ``paths``.
-
-    With ``project`` (the default) the parsed modules are additionally fed
-    to the whole-program contract rules. Contract rules anchored on modules
-    outside ``paths`` stay silent, but catalog-style rules (emitted events
-    vs. docs) see only the modules actually linted — lint the full tree
-    (the default ``src``) for the contracts to be meaningful, or pass
-    ``--no-project`` for partial sweeps.
-    """
+def run(paths: list[Path], *, root: Path) -> LintResult:
+    """Lint every file under ``paths``."""
     result = LintResult()
-    contexts: list[ModuleContext] = []
-    suppressions_by_path: dict[str, dict[int, set[str]]] = {}
     for file_path in discover_files(paths):
         rel = relative_posix(file_path, root)
         try:
@@ -139,7 +124,6 @@ def run(paths: list[Path], *, root: Path, project: bool = True) -> LintResult:
             result.parse_errors.append((rel, str(exc)))
             continue
         result.files_checked += 1
-        contexts.append(context)
         if "repro" in file_path.parts:
             inside = file_path.parts[file_path.parts.index("repro") + 1 :]
             size = result.loc.setdefault(
@@ -151,16 +135,7 @@ def run(paths: list[Path], *, root: Path, project: bool = True) -> LintResult:
             size["code"] += code_lines(source)
         violations = check_module(context)
         suppressions = parse_suppressions(context.lines)
-        suppressions_by_path[rel] = suppressions
         for violation in violations:
-            if is_suppressed(violation, suppressions):
-                result.suppressed.append(violation)
-            else:
-                result.violations.append(violation)
-    if project:
-        model = ProjectModel.from_contexts(contexts, root=root)
-        for violation in check_project(model):
-            suppressions = suppressions_by_path.get(violation.path, {})
             if is_suppressed(violation, suppressions):
                 result.suppressed.append(violation)
             else:

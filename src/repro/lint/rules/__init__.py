@@ -5,9 +5,8 @@ Rule inventory (see ``docs/static-analysis.md`` for rationale and examples):
 * DET001–DET004 — :mod:`repro.lint.rules.determinism`
 * ASYNC001–ASYNC003 — :mod:`repro.lint.rules.async_rules`
 * EXC001 — :mod:`repro.lint.rules.exceptions`
-* CONTRACT001–CONTRACT005 — :mod:`repro.lint.rules.contracts` (project tier)
 """
 
-from repro.lint.rules import async_rules, contracts, determinism, exceptions
+from repro.lint.rules import async_rules, determinism, exceptions
 
-__all__ = ["async_rules", "contracts", "determinism", "exceptions"]
+__all__ = ["async_rules", "determinism", "exceptions"]

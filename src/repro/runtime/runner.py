@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import ConfigurationError
@@ -389,10 +390,10 @@ class ControlServer(LineServer):
         return self._reply(delay=delay)
 
     def _flight(self, request: dict[str, Any]) -> dict[str, object]:
-        raw_stalled = request.get("stalled_for")
+        stalled = request.get("stalled_for")
         return self.runner.flight_dump(
             str(request.get("reason", "manual")),
-            stalled_for=float(raw_stalled) if raw_stalled is not None else None,
+            stalled_for=None if stalled is None else _finite(stalled, "stalled_for"),
         )
 
     def _stop(self, request: dict[str, Any]) -> dict[str, object]:
@@ -414,7 +415,7 @@ class ControlServer(LineServer):
         obs = runner.observability
         if obs is None:
             raise ValueError("observability off")
-        interval = max(0.05, float(request.get("interval", 1.0)))
+        interval = max(0.05, _finite(request.get("interval", 1.0), "interval"))
         ring: EventRing[Event] = EventRing(DEFAULT_STREAM_CAPACITY)
         obs.bus.subscribe(ring.append)
         live_gauge = obs.registry.gauge("stream.subscribers")
@@ -453,6 +454,15 @@ class ControlServer(LineServer):
             obs.bus.unsubscribe(ring.append)
             self._live_subscribers -= 1
             live_gauge.set(self._live_subscribers)
+
+
+def _finite(value: Any, name: str) -> float:
+    """``value`` as a float; JSON's ``1e999`` (``inf``) and ``NaN`` are
+    refused, since neither is a time a trace or a wait can carry."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {number}")
+    return number
 
 
 async def serve_node(

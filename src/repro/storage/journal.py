@@ -275,6 +275,13 @@ def recover_node(node: "DagRiderNode", journal: NodeJournal) -> RecoveryReport:
                 ) from exc
             node.ordering.replay_commit(wave, refs)
             replayed_commits += 1
+        else:
+            # A kind the journal writes but this loop does not replay would
+            # otherwise be skipped silently; fail the recovery instead.
+            raise StorageError(
+                f"{journal.wal_path}: record {record.seq} has kind "
+                f"{record.kind}, which recovery does not replay"
+            )
 
     builder.restore_created(created)
     rebroadcast = node.finish_recovery()

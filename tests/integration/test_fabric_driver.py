@@ -3,6 +3,7 @@ that misses its target. ``test_fabric.py`` covers the runs that succeed."""
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from repro.obs import loads_trace
 from repro.runtime import fabric as fabric_module
 from repro.runtime.fabric import Fabric
 from repro.runtime.peers import allocate_port_block, make_peer_table
+from repro.runtime.runner import ControlServer, NodeRunner
 
 REPO = Path(__file__).resolve().parents[2]
 ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
@@ -85,3 +87,12 @@ def test_missed_target_exits_2_and_leaves_the_flight_rings(tmp_path):
         trace = loads_trace(node["trace"])
         assert trace.meta["reason"] == "timeout"
         assert 0 < len(trace.events) <= 256
+
+
+def test_driver_issues_exactly_the_verbs_a_runner_serves(free_peers):
+    """The two ends of the control socket live in different processes, so
+    nothing but this test notices a verb one side dropped or renamed."""
+    issued = set(re.findall(r'"cmd": "(\w+)"', Path(fabric_module.__file__).read_text()))
+    table = make_peer_table(free_peers(4), SystemConfig(n=4, seed=3))
+    server = ControlServer(NodeRunner(table, 0), "127.0.0.1", 0)
+    assert issued == set(server._verbs) | set(server._streams)

@@ -8,7 +8,9 @@ from repro.broadcast.avid import AvidMessage
 from repro.broadcast.bracha import BrachaMessage
 from repro.broadcast.gossip import GossipMessage, GossipSubscribe
 from repro.codec import decode_message, encode_message
+from repro.codec.frames import CatchupRequest, CatchupVertices, LinkAck, LinkHeartbeat
 from repro.codec.primitives import Reader, encode_bytes, encode_uint
+from repro.codec.registry import _FRAMES, _PAYLOAD_TAGS
 from repro.coin.threshold import CoinShareMessage
 from repro.common.errors import WireFormatError
 from repro.dag.vertex import Ref, Vertex
@@ -33,6 +35,11 @@ SAMPLES = [
     GossipMessage("READY", 1, 9, sample_vertex()),
     AvidMessage("VAL", 0, 3, b"\x11" * 32, 2, b"frag-bytes", (b"\x22" * 32,), 123),
     CoinShareMessage(7, 2**127 + 5),
+    GossipMessage("SEND", 3, 4, Block(3, 4, (b"tx-c",))),
+    LinkAck(41),
+    LinkHeartbeat(9),
+    CatchupRequest(12),
+    CatchupVertices((sample_vertex().to_bytes(),), done=True),
 ]
 
 
@@ -55,6 +62,16 @@ class TestRoundTrips:
         )
         message = BrachaMessage("ECHO", source % 100, round_, vertex)
         assert decode_message(encode_message(message)) == message
+
+
+class TestTables:
+    def test_tags_and_types_are_unique_across_the_frame_table(self):
+        assert len({row[0] for row in _FRAMES}) == len({row[1] for row in _FRAMES}) == len(_FRAMES)
+
+    def test_every_frame_and_payload_type_has_a_round_trip_sample(self):
+        assert {type(message) for message in SAMPLES} == {row[1] for row in _FRAMES}
+        payloads = {type(getattr(message, "payload", None)) for message in SAMPLES}
+        assert payloads - {type(None)} == set(_PAYLOAD_TAGS)
 
 
 class TestErrors:

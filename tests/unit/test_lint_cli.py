@@ -117,7 +117,7 @@ class TestLocSection:
 
         package = Path(repro.__file__).parent
         assert main([str(package), "--root", str(package.parent.parent),
-                     "--format", "json", "--no-project"]) == 0
+                     "--format", "json"]) == 0
         loc = json.loads(capsys.readouterr().out)["loc"]
         on_disk = {p.name for p in package.iterdir() if (p / "__init__.py").exists()}
         assert set(loc) == on_disk | {"."}

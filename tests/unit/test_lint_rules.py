@@ -9,7 +9,7 @@ ASYNC001–003 only in the asyncio packages, runtime/ and mempool/).
 
 import pytest
 
-from repro.lint import PROJECT_RULES, RULES, lint_project, lint_source
+from repro.lint import RULES, lint_source
 
 
 def codes(violations):
@@ -40,18 +40,8 @@ class TestRegistry:
             "EXC001",
         }
 
-    def test_all_project_rules_registered(self):
-        assert {r.code for r in PROJECT_RULES} == {
-            "CONTRACT001",
-            "CONTRACT002",
-            "CONTRACT003",
-            "CONTRACT004",
-            "CONTRACT005",
-        }
-
     def test_rules_have_summaries(self):
         assert all(r.summary for r in RULES)
-        assert all(r.summary for r in PROJECT_RULES)
 
 
 class TestDet001GlobalRandom:
@@ -543,384 +533,6 @@ class TestAsync003FireAndForgetTask:
         active, suppressed = check_suppressed(source, module=self.RUNTIME)
         assert active == []
         assert codes(suppressed) == ["ASYNC003"]
-
-
-# --------------------------------------------------------- project fixtures
-
-OBS_DOC_OK = (
-    "# Observability\n"
-    "\n"
-    "## Event catalog\n"
-    "\n"
-    "| kind | fields |\n"
-    "|------|--------|\n"
-    "| `commit` | `wave` |\n"
-    "\n"
-    "## Metric catalog\n"
-    "\n"
-    "| name | type |\n"
-    "|------|------|\n"
-    "| `node.commits` | counter |\n"
-)
-
-EMITTER = (
-    "class Node:\n"
-    "    def deliver(self, wave):\n"
-    "        self.obs.emit(self.pid, 'commit', wave=wave)\n"
-    "        self.obs.registry.counter('node.commits').inc()\n"
-)
-
-
-def fixture_codec(
-    *, heartbeat_tag=2, decoders_complete=True, payload_arm=True
-):
-    decoders = "1: _dec_ack, 2: _dec_hb" if decoders_complete else "1: _dec_ack"
-    arm = "    if tag == 1:\n        return Vertex.from_bytes(body)\n" if payload_arm else ""
-    return (
-        "from repro.codec.frames import LinkAck, LinkHeartbeat\n"
-        "from repro.dag.vertex import Vertex\n"
-        "\n"
-        "_REGISTRY = {\n"
-        "    LinkAck: (1, _enc_ack),\n"
-        f"    LinkHeartbeat: ({heartbeat_tag}, _enc_hb),\n"
-        "}\n"
-        f"_DECODERS = {{{decoders}}}\n"
-        "_PAYLOAD_TAGS = {Vertex: 1}\n"
-        "\n"
-        "def _decode_payload(reader):\n"
-        "    tag = reader.take(1)[0]\n"
-        "    if tag == 0:\n"
-        "        return None\n"
-        f"{arm}"
-        "    raise ValueError(tag)\n"
-    )
-
-
-DISPATCHER_FULL = (
-    "from repro.codec.frames import LinkAck, LinkHeartbeat\n"
-    "from repro.dag.vertex import Vertex\n"
-    "\n"
-    "def on_frame(message):\n"
-    "    if isinstance(message, LinkAck):\n"
-    "        return 'ack'\n"
-    "    if isinstance(message, LinkHeartbeat):\n"
-    "        return 'hb'\n"
-    "    if isinstance(message, Vertex):\n"
-    "        return 'vertex'\n"
-)
-
-
-class TestContract001FrameDispatch:
-    def test_clean_when_every_frame_dispatched(self):
-        violations = lint_project(
-            {
-                "repro.codec.registry": fixture_codec(),
-                "repro.runtime.transport": DISPATCHER_FULL,
-            }
-        )
-        assert violations == []
-
-    def test_missing_dispatch_flagged_at_registry_entry(self):
-        dispatcher = DISPATCHER_FULL.replace(
-            "    if isinstance(message, LinkHeartbeat):\n        return 'hb'\n",
-            "",
-        )
-        violations = lint_project(
-            {
-                "repro.codec.registry": fixture_codec(),
-                "repro.runtime.transport": dispatcher,
-            }
-        )
-        assert codes(violations) == ["CONTRACT001"]
-        assert "LinkHeartbeat" in violations[0].message
-        assert violations[0].path == "src/repro/codec/registry.py"
-
-    def test_duplicate_tag_flagged(self):
-        violations = lint_project(
-            {
-                "repro.codec.registry": fixture_codec(heartbeat_tag=1),
-                "repro.runtime.transport": DISPATCHER_FULL,
-            }
-        )
-        assert any(
-            v.code == "CONTRACT001" and "already used" in v.message
-            for v in violations
-        )
-
-    def test_missing_decoder_flagged(self):
-        violations = lint_project(
-            {
-                "repro.codec.registry": fixture_codec(decoders_complete=False),
-                "repro.runtime.transport": DISPATCHER_FULL,
-            }
-        )
-        assert any(
-            v.code == "CONTRACT001" and "no decoder" in v.message
-            for v in violations
-        )
-
-    def test_missing_payload_arm_flagged(self):
-        violations = lint_project(
-            {
-                "repro.codec.registry": fixture_codec(payload_arm=False),
-                "repro.runtime.transport": DISPATCHER_FULL,
-            }
-        )
-        assert any(
-            v.code == "CONTRACT001" and "_decode_payload" in v.message
-            for v in violations
-        )
-
-    def test_typed_handler_counts_as_dispatch(self):
-        dispatcher = (
-            "from repro.codec.frames import LinkAck, LinkHeartbeat\n"
-            "from repro.dag.vertex import Vertex\n"
-            "\n"
-            "class Sink:\n"
-            "    def handle(self, src: int, message: LinkAck):\n"
-            "        pass\n"
-            "\n"
-            "def on_frame(message):\n"
-            "    if isinstance(message, (LinkHeartbeat, Vertex)):\n"
-            "        return True\n"
-        )
-        violations = lint_project(
-            {
-                "repro.codec.registry": fixture_codec(),
-                "repro.runtime.transport": dispatcher,
-            }
-        )
-        assert violations == []
-
-    def test_self_attr_alias_counts_as_dispatch(self):
-        # The lazy-import idiom: the class is bound to an
-        # instance attribute and dispatched through it.
-        dispatcher = (
-            "from repro.dag.vertex import Vertex\n"
-            "\n"
-            "class Sink:\n"
-            "    def __init__(self):\n"
-            "        from repro.codec.frames import LinkAck, LinkHeartbeat\n"
-            "        self._ack_cls = LinkAck\n"
-            "        self._hb_cls = LinkHeartbeat\n"
-            "    def on_message(self, message):\n"
-            "        if isinstance(message, self._ack_cls):\n"
-            "            return 'ack'\n"
-            "        if isinstance(message, self._hb_cls):\n"
-            "            return 'hb'\n"
-            "        if isinstance(message, Vertex):\n"
-            "            return 'vertex'\n"
-        )
-        violations = lint_project(
-            {
-                "repro.codec.registry": fixture_codec(),
-                "repro.runtime.transport": dispatcher,
-            }
-        )
-        assert violations == []
-
-    def test_codec_internal_isinstance_is_not_evidence(self):
-        codec_only = {
-            "repro.codec.registry": fixture_codec() + (
-                "\n"
-                "def roundtrip(message):\n"
-                "    assert isinstance(message, LinkAck)\n"
-                "    assert isinstance(message, LinkHeartbeat)\n"
-                "    assert isinstance(message, Vertex)\n"
-            )
-        }
-        violations = lint_project(codec_only)
-        assert codes(violations) == ["CONTRACT001"] * 3
-
-    def test_absent_registry_module_is_quiet(self):
-        assert lint_project({"repro.runtime.transport": DISPATCHER_FULL}) == []
-
-    def test_suppression_silences(self):
-        codec = fixture_codec().replace(
-            "    LinkAck: (1, _enc_ack),\n",
-            "    # repro-lint: ignore[CONTRACT001] fixture frame, sim-only\n"
-            "    LinkAck: (1, _enc_ack),\n",
-        )
-        dispatcher = DISPATCHER_FULL.replace(
-            "    if isinstance(message, LinkAck):\n        return 'ack'\n", ""
-        )
-        sources = {
-            "repro.codec.registry": codec,
-            "repro.runtime.transport": dispatcher,
-        }
-        assert lint_project(sources) == []
-
-
-class TestContract002EventCatalog:
-    def test_documented_and_emitted_clean(self):
-        violations = lint_project(
-            {"repro.core.fixture": EMITTER}, docs={"docs/observability.md": OBS_DOC_OK}
-        )
-        assert violations == []
-
-    def test_undocumented_kind_flagged_at_emit_site(self):
-        doc = OBS_DOC_OK.replace("| `commit` | `wave` |\n", "")
-        violations = lint_project(
-            {"repro.core.fixture": EMITTER}, docs={"docs/observability.md": doc}
-        )
-        assert codes(violations) == ["CONTRACT002"]
-        assert violations[0].path == "src/repro/core/fixture.py"
-        assert "commit" in violations[0].message
-
-    def test_stale_doc_row_flagged_at_doc_line(self):
-        doc = OBS_DOC_OK.replace(
-            "| `commit` | `wave` |\n",
-            "| `commit` | `wave` |\n| `ghost_event` | — |\n",
-        )
-        violations = lint_project(
-            {"repro.core.fixture": EMITTER}, docs={"docs/observability.md": doc}
-        )
-        assert codes(violations) == ["CONTRACT002"]
-        assert violations[0].path == "docs/observability.md"
-        assert "ghost_event" in violations[0].message
-
-    def test_missing_doc_flagged(self):
-        violations = lint_project({"repro.core.fixture": EMITTER})
-        assert "CONTRACT002" in codes(violations)
-
-
-class TestContract003MetricCatalog:
-    def test_undocumented_metric_flagged(self):
-        doc = OBS_DOC_OK.replace("| `node.commits` | counter |\n", "")
-        violations = lint_project(
-            {"repro.core.fixture": EMITTER}, docs={"docs/observability.md": doc}
-        )
-        assert codes(violations) == ["CONTRACT003"]
-
-    def test_stale_metric_row_flagged(self):
-        doc = OBS_DOC_OK.replace(
-            "| `node.commits` | counter |\n",
-            "| `node.commits` | counter |\n| `ghost.metric` | counter |\n",
-        )
-        violations = lint_project(
-            {"repro.core.fixture": EMITTER}, docs={"docs/observability.md": doc}
-        )
-        assert codes(violations) == ["CONTRACT003"]
-        assert violations[0].path == "docs/observability.md"
-
-    def test_conflicting_instrument_kinds_flagged(self):
-        source = EMITTER + (
-            "    def timing(self, v):\n"
-            "        self.obs.registry.histogram('node.commits').record(v)\n"
-        )
-        violations = lint_project(
-            {"repro.core.fixture": source},
-            docs={"docs/observability.md": OBS_DOC_OK},
-        )
-        assert any(
-            v.code == "CONTRACT003" and "instrument" in v.message
-            for v in violations
-        )
-
-
-JOURNAL_OK = (
-    "from repro.storage.wal import WAL_COMMIT, WAL_VERTEX\n"
-    "\n"
-    "class Journal:\n"
-    "    def record_vertex(self, data):\n"
-    "        self.wal.append(WAL_VERTEX, data)\n"
-    "    def record_commit(self, data):\n"
-    "        self.wal.append(WAL_COMMIT, data)\n"
-    "\n"
-    "def recover_node(journal):\n"
-    "    for record in journal.tail_records:\n"
-    "        if record.kind == WAL_VERTEX:\n"
-    "            pass\n"
-    "        elif record.kind == WAL_COMMIT:\n"
-    "            pass\n"
-)
-
-
-class TestContract004WalReplay:
-    def test_written_and_replayed_clean(self):
-        assert lint_project({"repro.storage.journal": JOURNAL_OK}) == []
-
-    def test_missing_replay_arm_flagged_at_append(self):
-        source = JOURNAL_OK.replace(
-            "        elif record.kind == WAL_COMMIT:\n            pass\n", ""
-        )
-        violations = lint_project({"repro.storage.journal": source})
-        assert codes(violations) == ["CONTRACT004"]
-        assert "WAL_COMMIT" in violations[0].message
-        assert "no replay" in violations[0].message
-
-    def test_unwritten_replay_arm_flagged_at_compare(self):
-        source = JOURNAL_OK.replace(
-            "from repro.storage.wal import WAL_COMMIT, WAL_VERTEX\n",
-            "from repro.storage.wal import WAL_COMMIT, WAL_CREATED, WAL_VERTEX\n",
-        ).replace(
-            "        elif record.kind == WAL_COMMIT:\n",
-            "        elif record.kind == WAL_CREATED:\n"
-            "            pass\n"
-            "        elif record.kind == WAL_COMMIT:\n",
-        )
-        violations = lint_project({"repro.storage.journal": source})
-        assert codes(violations) == ["CONTRACT004"]
-        assert "WAL_CREATED" in violations[0].message
-
-    def test_absent_journal_module_is_quiet(self):
-        assert lint_project({"repro.storage.wal": "WAL_VERTEX = 1\n"}) == []
-
-
-RUNNER_OK = (
-    "class ControlServer(LineServer):\n"
-    "    def __init__(self, runner, host, port):\n"
-    "        super().__init__(\n"
-    "            host, port,\n"
-    "            verbs={'ping': lambda _: {'ok': True}, 'stop': self._stop},\n"
-    "            streams={'subscribe': self._serve_subscribe},\n"
-    "        )\n"
-)
-
-FABRIC_OK = (
-    "def drive(call, address):\n"
-    "    call(address, {'cmd': 'ping'})\n"
-    "    call(address, {'cmd': 'stop'})\n"
-    "    LiveView({'cmd': 'subscribe', 'interval': 1.0})\n"
-)
-
-CONTROL_OK = {
-    "repro.runtime.runner": RUNNER_OK,
-    "repro.runtime.fabric": FABRIC_OK,
-}
-
-
-class TestContract005ControlProtocol:
-    def test_served_and_issued_clean(self):
-        assert lint_project(CONTROL_OK) == []
-
-    def test_served_but_never_issued_flagged(self):
-        fabric = FABRIC_OK.replace("    call(address, {'cmd': 'stop'})\n", "")
-        violations = lint_project({**CONTROL_OK, "repro.runtime.fabric": fabric})
-        assert codes(violations) == ["CONTRACT005"]
-        assert violations[0].path == "src/repro/runtime/runner.py"
-        assert "stop" in violations[0].message
-
-    def test_streaming_verb_counts_as_served(self):
-        fabric = FABRIC_OK.replace(
-            "    LiveView({'cmd': 'subscribe', 'interval': 1.0})\n", ""
-        )
-        violations = lint_project({**CONTROL_OK, "repro.runtime.fabric": fabric})
-        assert codes(violations) == ["CONTRACT005"]
-        assert "subscribe" in violations[0].message
-
-    def test_issued_but_never_served_flagged(self):
-        fabric = FABRIC_OK + "    call(address, {'cmd': 'drain'})\n"
-        violations = lint_project({**CONTROL_OK, "repro.runtime.fabric": fabric})
-        assert codes(violations) == ["CONTRACT005"]
-        assert violations[0].path == "src/repro/runtime/fabric.py"
-        assert "drain" in violations[0].message
-
-    def test_absent_fabric_module_is_quiet(self):
-        assert lint_project({"repro.runtime.runner": RUNNER_OK}) == []
-
-    def test_absent_runner_module_is_quiet(self):
-        assert lint_project({"repro.runtime.fabric": FABRIC_OK}) == []
 
 
 class TestExc001SwallowedFaults:

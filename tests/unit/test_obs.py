@@ -3,8 +3,13 @@
 Covers the pieces the rest of the repo leans on: typed events with sorted
 scalar fields, the clock-injected bus, fixed-bucket histograms (inclusive
 upper bounds, overflow), LIFO span nesting, the versioned JSONL export
-round-trip, and the trace summarize/diff analysis.
+round-trip, the trace summarize/diff analysis, and that the catalogs in
+docs/observability.md list exactly what the code records.
 """
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
@@ -367,3 +372,46 @@ class TestAnalysis:
         )
         (change,) = diff.wave_changes
         assert change.changed["delivered"] == (6, 8)
+
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+def recorded_names() -> tuple[set[str], set[str]]:
+    """Event kinds passed to ``emit`` and metric names passed to
+    ``counter``/``gauge``/``histogram`` as literals under ``src/repro``,
+    outside ``obs/`` (which defines those methods) and ``lint/``."""
+    kinds: set[str] = set()
+    metrics: set[str] = set()
+    package = REPO / "src" / "repro"
+    for path in package.rglob("*.py"):
+        if path.relative_to(package).parts[0] in ("obs", "lint"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            literals = [
+                arg.value
+                for arg in node.args[:2]
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            ]
+            if literals and node.func.attr == "emit":
+                kinds.add(literals[0])
+            elif literals and node.func.attr in ("counter", "gauge", "histogram"):
+                metrics.add(literals[0])
+    return kinds, metrics
+
+
+def catalog(heading: str) -> set[str]:
+    """Backticked first-column names of the tables under ``## heading``."""
+    text = (REPO / "docs" / "observability.md").read_text()
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `([\w.]+)`", section, re.MULTILINE))
+
+
+class TestCatalogs:
+    def test_event_catalog_is_what_the_code_emits(self):
+        assert catalog("Event catalog") == recorded_names()[0]
+
+    def test_metric_catalog_is_what_the_code_records(self):
+        assert catalog("Metric catalog") == recorded_names()[1]

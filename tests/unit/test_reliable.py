@@ -10,9 +10,11 @@ from repro.codec import decode_message, encode_message
 from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
+from repro.obs.context import Observability
 from repro.runtime.chaos import ChaosConfig, ChaosTransport
 from repro.runtime.peers import allocate_port_block, make_peer_table
 from repro.runtime.reliable import (
+    CONTROL_SEQ,
     HANDSHAKE,
     HEADER,
     SEQ,
@@ -314,6 +316,23 @@ class TestHandshakeHardening:
 
         asyncio.run(main())
 
+    def test_heartbeat_is_answered_with_a_link_ack(self):
+        async def main():
+            nets, _sinks = make_pair(n=2)
+            await nets[0].start()
+            reader, writer = await asyncio.open_connection(*nets[0].peers[0])
+            writer.write(HANDSHAKE.pack(1, 1))
+            writer.write(frame_bytes(CONTROL_SEQ, encode_message(LinkHeartbeat(5))))
+            (length,) = HEADER.unpack(await asyncio.wait_for(reader.readexactly(HEADER.size), 5.0))
+            body = await reader.readexactly(length)
+            assert SEQ.unpack(body[: SEQ.size]) == (CONTROL_SEQ,)
+            assert decode_message(body[SEQ.size :]) == LinkAck(0)
+            writer.close()
+            for net in nets:
+                await net.close()
+
+        asyncio.run(main())
+
     def test_duplicate_connection_superseded(self):
         async def main():
             nets, sinks = make_pair(n=2)
@@ -440,31 +459,50 @@ class TestRuntimeFaults:
             b'{"cmd": "partition", "peers": [true]}',
             b'{"cmd": "partition", "peers": {"1": 2}}',
         ]
-        table = make_peer_table(free_peers(4), SystemConfig(n=4, seed=3))
-        port = free_port()
-
-        async def main():
-            runner = NodeRunner(table, 0)
-            await runner.boot()
-            control = ControlServer(runner, "127.0.0.1", port)
-            await control.start()
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(b"\n".join(requests) + b"\n")
-            replies = [
-                json.loads(await asyncio.wait_for(reader.readline(), 10.0))
-                for _ in requests
-            ]
-            writer.close()
-            network = runner.network
-            await control.close()
-            await runner.close()
-            return replies, network
-
-        replies, network = asyncio.run(main())
+        replies, network = control_replies(requests, free_peers, free_port)
         assert [reply["ok"] for reply in replies] == [False] * len(requests)
         assert "delay must be in [0, 1.0]" in replies[0]["error"]
         assert replies[3]["error"] == "peers must be a list of pids in [0, 4)"
         assert network.peer_delay == 0.0 and network.blocked == frozenset()
+
+    def test_trace_verbs_refuse_non_finite_numbers(self, free_peers, free_port):
+        """``subscribe`` with ``interval`` 1e999 wrote ``Infinity`` (not
+        JSON) into its header and never ticked; ``flight`` put ``inf`` into
+        the node's own trace."""
+        requests = [
+            b'{"cmd": "flight", "reason": "stall", "stalled_for": 1e999}',
+            b'{"cmd": "flight", "reason": "stall", "stalled_for": NaN}',
+            b'{"cmd": "subscribe", "interval": 1e999}',
+        ]
+        replies, _ = control_replies(requests, free_peers, free_port)
+        assert [reply["ok"] for reply in replies] == [False] * len(requests)
+        assert replies[2]["error"] == "interval must be a finite number, got inf"
+
+
+def control_replies(requests, free_peers, free_port):
+    """Send ``requests`` down one control connection of a booted runner;
+    returns the parsed replies and the runner's network."""
+    table = make_peer_table(free_peers(4), SystemConfig(n=4, seed=3))
+    port = free_port()
+
+    async def main():
+        runner = NodeRunner(table, 0, observability=Observability())
+        await runner.boot()
+        control = ControlServer(runner, "127.0.0.1", port)
+        await control.start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b"\n".join(requests) + b"\n")
+        replies = [
+            json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+            for _ in requests
+        ]
+        writer.close()
+        network = runner.network
+        await control.close()
+        await runner.close()
+        return replies, network
+
+    return asyncio.run(main())
 
 
 class TestLoopRequirement:
