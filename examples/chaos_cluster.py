@@ -28,7 +28,6 @@ from repro.obs.context import Observability
 from repro.obs.export import dump_trace
 from repro.runtime.chaos import ChaosConfig, ChaosTransport
 from repro.runtime.cluster import LocalCluster
-from repro.runtime.reliable import LinkConfig
 
 SEED = 42
 
@@ -49,7 +48,6 @@ async def main(trace_path: str) -> None:
     cluster = LocalCluster(
         SystemConfig(n=4, seed=SEED),
         base_port=9600,
-        link_config=LinkConfig(initial_backoff=0.02, max_backoff=0.3),
         chaos=chaos,
         observability=observability,
     )

@@ -133,7 +133,6 @@ def cmd_tcp_node(args: argparse.Namespace) -> int:
         trace_path=args.trace,
         run_seconds=args.run_seconds,
         state_dir=args.state_dir,
-        gc_depth=args.gc_depth,
     )
 
 
@@ -193,12 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir",
         help="durable state directory (WAL + snapshots); enables crash "
         "recovery — on boot the node replays it and rejoins via catch-up",
-    )
-    node.add_argument(
-        "--gc-depth",
-        type=int,
-        help="compact delivered DAG rounds keeping this margin (bounded "
-        "memory); overrides the peer table's gc_depth",
     )
     node.set_defaults(fn=cmd_tcp_node)
     return parser

@@ -9,7 +9,7 @@ no wall clocks in simulated time, no set-order or ``id()`` leaks), plus the
 asyncio-runtime hygiene rules production DAG-BFT implementations enforce
 with linters.
 
-Run as ``python -m repro.lint src/`` (or ``scripts/lint.py``); see
+Run as ``python -m repro.lint src/``; see
 ``docs/static-analysis.md`` for the rule guide and the suppression syntax.
 """
 

@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.lint`` / ``scripts/lint.py``.
+"""Command-line front end: ``python -m repro.lint``.
 
 Exit codes (CI contract):
 

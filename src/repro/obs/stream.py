@@ -64,10 +64,6 @@ class EventRing(Generic[T]):
         self._items.clear()
         return items
 
-    def peek(self) -> list[T]:
-        """The buffered items, oldest first, without consuming them."""
-        return list(self._items)
-
 
 # ------------------------------------------------------------ stall detector
 
@@ -87,20 +83,17 @@ class StallDetector:
     simulator-friendly.
     """
 
-    def __init__(self, n: int, quorum: int | None = None, window: float = 30.0) -> None:
+    def __init__(self, n: int, window: float = 30.0) -> None:
         if n < 1:
             raise ValueError(f"detector needs n >= 1, got {n}")
         self.n = n
-        # Default quorum: n - f with f = (n - 1) // 3, the BFT availability
-        # bound — progress is only *expected* of n - f nodes.
-        self.quorum = quorum if quorum is not None else n - (n - 1) // 3
-        if not 1 <= self.quorum <= n:
-            raise ValueError(f"quorum {self.quorum} out of range for n={n}")
+        # n - f with f = (n - 1) // 3, the BFT availability bound: progress
+        # is only *expected* of n - f nodes.
+        self.quorum = n - (n - 1) // 3
         self.window = window
         self._frontier: dict[int, int] = {}
         self._quorum_wave = -1
         self._advanced_at: float | None = None
-        self.stalls_reported = 0
 
     def observe(self, pid: int, decided_wave: int, now: float) -> None:
         """Record one node's commit frontier at time ``now``."""
@@ -137,7 +130,6 @@ class StallDetector:
         if self._advanced_at is None:
             return False
         if now - self._advanced_at >= self.window:
-            self.stalls_reported += 1
             self._advanced_at = now  # re-arm
             return True
         return False

@@ -14,13 +14,14 @@ the protocol logic depends on the simulator.
 * :mod:`repro.runtime.reliable` — the reliable-link layer under the
   transport: per-peer sequenced queues, ack-based redelivery, seeded
   exponential backoff, heartbeats, and degraded-peer bounding, restoring
-  the paper's §2 reliable-link assumption on real sockets.
+  the paper's §2 reliable-link assumption on real sockets. Its timings
+  are module constants.
 * :mod:`repro.runtime.chaos` — seeded, deterministic fault injection
   (drops, duplicates, delays, severed connections, dial failures) for
   robustness tests and examples; a frame's whole fate is one ``plan`` call.
 * :mod:`repro.runtime.peers` — declarative peer tables (JSON):
-  pid -> host:port plus the SystemConfig/LinkConfig/coin knobs one file
-  needs to describe a whole deployment.
+  pid -> host:port plus the SystemConfig, coin, ``gc_depth`` and ingress
+  settings — the one place a deployment's choices live.
 * :mod:`repro.runtime.runner` — :class:`NodeRunner` boots ONE node from a
   peer table (the ``python -m repro tcp-node`` unit) with a small control
   socket for readiness probes, state aggregation, and shutdown.
@@ -60,7 +61,7 @@ from repro.runtime.peers import (
     make_peer_table,
     parse_peer_table,
 )
-from repro.runtime.reliable import LinkConfig, LinkStats, ReliableLink
+from repro.runtime.reliable import LinkStats, ReliableLink
 from repro.runtime.runner import ControlServer, NodeRunner
 from repro.runtime.transport import AsyncScheduler, TcpNetwork
 
@@ -71,7 +72,6 @@ __all__ = [
     "ControlServer",
     "DEFAULT_STALL_WINDOW",
     "FrameFate",
-    "LinkConfig",
     "LinkStats",
     "LiveView",
     "LocalCluster",

@@ -11,7 +11,7 @@ share their boot/teardown code.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 import asyncio
 
@@ -23,7 +23,7 @@ from repro.obs.context import Observability
 from repro.runtime.consistency import check_prefix_consistency, full_digest_log
 from repro.runtime.peers import PeerTable, make_peer_table
 from repro.runtime.runner import NodeRunner
-from repro.runtime.transport import LinkConfig, TcpNetwork
+from repro.runtime.transport import TcpNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.chaos import ChaosTransport
@@ -40,48 +40,45 @@ class LocalCluster:
         ), timeout=30.0))
 
     Pass ``chaos`` (a :class:`repro.runtime.chaos.ChaosTransport`) to inject
-    seeded faults on every link, ``link_config`` to tune the reliable
-    links' backoff/heartbeat/degradation knobs, and ``peers`` (pid ->
-    ``(host, port)``) to place nodes on explicit addresses instead of the
-    contiguous ``base_port + pid`` block — tests use freshly allocated
-    free ports this way so parallel runs cannot collide.
+    seeded faults on every link, ``gc_depth`` to bound each node's DAG
+    (it goes into the peer table, the one place a runner reads it), and
+    ``peers`` (pid -> ``(host, port)``) to place nodes on explicit
+    addresses instead of the contiguous ``base_port + pid`` block on
+    localhost — tests use freshly allocated free ports this way so
+    parallel runs cannot collide.
     """
 
     def __init__(
         self,
         config: SystemConfig,
         base_port: int = 9100,
-        host: str = "127.0.0.1",
         coin_mode: str = "ideal",
-        link_config: LinkConfig | None = None,
         chaos: "ChaosTransport | None" = None,
         observability: Observability | None = None,
         peers: dict[int, tuple[str, int]] | None = None,
         state_dirs: dict[int, str] | None = None,
         ingress_ports: dict[int, int] | None = None,
         ingress: "AdmissionConfig | None" = None,
-        **node_kwargs: Any,
+        gc_depth: int | None = None,
     ):
         self.config = config
         self.peers = (
             dict(peers)
             if peers is not None
-            else {pid: (host, base_port + pid) for pid in config.processes}
+            else {pid: ("127.0.0.1", base_port + pid) for pid in config.processes}
         )
         self.table: PeerTable = make_peer_table(
             self.peers,
             config,
             coin_mode=coin_mode,
-            link=link_config,
             ingress_ports=ingress_ports,
+            gc_depth=gc_depth,
             ingress=ingress,
         )
-        self._coin_mode = coin_mode
         self._chaos = chaos
         self.observability = observability
         if chaos is not None and observability is not None:
             chaos.obs = observability
-        self._node_kwargs = node_kwargs
         #: pid -> state directory; listed nodes journal to disk and can be
         #: restarted from it (see tests/integration/test_crash_recovery.py).
         self._state_dirs = dict(state_dirs or {})
@@ -108,7 +105,6 @@ class LocalCluster:
                 observability=self.observability,
                 chaos=self._chaos,
                 dealer=dealer,
-                node_kwargs=self._node_kwargs,
                 state_dir=self._state_dirs.get(pid),
             )
             await runner.boot()

@@ -2,13 +2,16 @@
 
 A peer table is the unit of configuration for the multi-host runner: every
 host gets the same file, and ``python -m repro tcp-node --peers table.json
---pid K`` boots exactly one node from it. The table folds together
+--pid K`` boots exactly one node from it. The table is the one place a
+deployment's choices live; a setting no deployment chooses is a constant
+in the module that uses it (the link timings in
+:mod:`repro.runtime.reliable`, the WAL's fsync rule in
+:mod:`repro.storage.wal`). The table folds together
 
 * the :class:`repro.common.config.SystemConfig` knobs (``n``, ``seed``,
-  ``wave_length``, ``genesis_size``, ``byzantine``);
+  ``wave_length``, ``genesis_size``);
 * the coin setup (``coin_mode`` plus the dealer's key-material seed — the
   trusted-dealer analogue of distributing threshold keys at setup);
-* the :class:`repro.runtime.reliable.LinkConfig` knobs under ``"link"``;
 * the runtime memory/ingress policy: ``"gc_depth"`` (DAG compaction
   margin in rounds; omitted = unbounded) and the
   :class:`repro.mempool.admission.AdmissionConfig` knobs under
@@ -21,7 +24,7 @@ Schema (a JSON file)::
 
     {
       "n": 4, "seed": 1, "coin_mode": "threshold", "dealer_seed": 99,
-      "link": {"initial_backoff": 0.02},
+      "gc_depth": 8,
       "peers": {
         "0": {"host": "10.0.0.1", "port": 9001, "control_port": 9101},
         "1": {"host": "10.0.0.2", "port": 9001, "control_port": 9101},
@@ -46,7 +49,6 @@ from repro.common.errors import ConfigurationError
 from repro.core.node import COIN_MODES
 from repro.crypto.dealer import CoinDealer
 from repro.mempool.admission import AdmissionConfig
-from repro.runtime.reliable import LinkConfig
 
 
 class PeerTableError(ConfigurationError):
@@ -55,10 +57,9 @@ class PeerTableError(ConfigurationError):
 
 _TABLE_KEYS = {
     "n", "seed", "coin_mode", "dealer_seed", "wave_length",
-    "genesis_size", "byzantine", "link", "peers", "gc_depth", "ingress",
+    "genesis_size", "peers", "gc_depth", "ingress",
 }
 _PEER_KEYS = {"host", "port", "control_port", "ingress_port"}
-_LINK_KEYS = {f.name for f in fields(LinkConfig)}
 _INGRESS_KEYS = {f.name for f in fields(AdmissionConfig)}
 
 
@@ -102,8 +103,6 @@ class PeerTable:
     dealer_seed: int | None = None
     wave_length: int | None = None
     genesis_size: int | None = None
-    byzantine: frozenset[int] = frozenset()
-    link: LinkConfig = LinkConfig()
     #: DAG GC margin: delivered waves are compacted keeping this many
     #: rounds of straggler slack (``None`` = paper-faithful unbounded).
     gc_depth: int | None = None
@@ -116,9 +115,7 @@ class PeerTable:
             kwargs["wave_length"] = self.wave_length
         if self.genesis_size is not None:
             kwargs["genesis_size"] = self.genesis_size
-        return SystemConfig(
-            n=self.n, seed=self.seed, byzantine=self.byzantine, **kwargs
-        )
+        return SystemConfig(n=self.n, seed=self.seed, **kwargs)
 
     def entry(self, pid: int) -> PeerEntry:
         if not 0 <= pid < self.n:
@@ -163,15 +160,6 @@ class PeerTable:
             data["wave_length"] = self.wave_length
         if self.genesis_size is not None:
             data["genesis_size"] = self.genesis_size
-        if self.byzantine:
-            data["byzantine"] = sorted(self.byzantine)
-        if self.link != LinkConfig():
-            defaults = LinkConfig()
-            data["link"] = {
-                f.name: getattr(self.link, f.name)
-                for f in fields(LinkConfig)
-                if getattr(self.link, f.name) != getattr(defaults, f.name)
-            }
         if self.gc_depth is not None:
             data["gc_depth"] = self.gc_depth
         if self.ingress != AdmissionConfig():
@@ -287,23 +275,6 @@ def parse_peer_table(data: object, source: str = "peer table") -> PeerTable:
                 )
             seen[address] = owner
 
-    link = LinkConfig()
-    if "link" in data:
-        raw_link = data["link"]
-        if not isinstance(raw_link, Mapping):
-            raise PeerTableError(f"{source}: 'link' must be an object")
-        unknown = set(raw_link) - _LINK_KEYS
-        if unknown:
-            raise PeerTableError(f"{source}: unknown link keys {sorted(unknown)}")
-        link = LinkConfig(**raw_link)  # LinkConfig validates value ranges
-
-    byzantine = frozenset()
-    if "byzantine" in data:
-        raw_byz = data["byzantine"]
-        if not isinstance(raw_byz, (list, tuple)):
-            raise PeerTableError(f"{source}: 'byzantine' must be a list of pids")
-        byzantine = frozenset(int(b) for b in raw_byz)
-
     gc_depth: int | None = None
     if "gc_depth" in data:
         gc_depth = _require_int(data, "gc_depth", source)
@@ -322,8 +293,7 @@ def parse_peer_table(data: object, source: str = "peer table") -> PeerTable:
             raise PeerTableError(
                 f"{source}: unknown ingress keys {sorted(unknown)}"
             )
-        # AdmissionConfig validates value ranges (like LinkConfig above).
-        ingress = AdmissionConfig(**raw_ingress)
+        ingress = AdmissionConfig(**raw_ingress)  # validates value ranges
 
     table = PeerTable(
         n=n,
@@ -341,8 +311,6 @@ def parse_peer_table(data: object, source: str = "peer table") -> PeerTable:
             if "genesis_size" in data
             else None
         ),
-        byzantine=byzantine,
-        link=link,
         gc_depth=gc_depth,
         ingress=ingress,
     )
@@ -361,16 +329,15 @@ def make_peer_table(
     addresses: Mapping[int, tuple[str, int]],
     config: SystemConfig,
     coin_mode: str = "ideal",
-    link: LinkConfig | None = None,
     control_ports: Mapping[int, int] | None = None,
-    dealer_seed: int | None = None,
     ingress_ports: Mapping[int, int] | None = None,
     gc_depth: int | None = None,
     ingress: AdmissionConfig | None = None,
 ) -> PeerTable:
-    """Build a table programmatically (clusters, fabric, tests)."""
-    if coin_mode != "ideal" and dealer_seed is None:
-        dealer_seed = config.seed
+    """Build a table programmatically (clusters, fabric, tests).
+
+    A non-ideal coin's dealer seed is the run seed.
+    """
     peers = tuple(
         PeerEntry(
             pid,
@@ -386,11 +353,9 @@ def make_peer_table(
         seed=config.seed,
         peers=peers,
         coin_mode=coin_mode,
-        dealer_seed=dealer_seed,
+        dealer_seed=None if coin_mode == "ideal" else config.seed,
         wave_length=config.wave_length,
         genesis_size=config.genesis_size,
-        byzantine=config.byzantine,
-        link=link if link is not None else LinkConfig(),
         gc_depth=gc_depth,
         ingress=ingress if ingress is not None else AdmissionConfig(),
     )

@@ -13,11 +13,16 @@ runtime adds a classic reliable-link layer on top:
 * dial failures back off **exponentially with seeded jitter** (all
   randomness derives from the run seed via :func:`repro.common.rng.derive_rng`);
 * idle links exchange **heartbeats**; a link that stops acknowledging past
-  ``heartbeat_timeout`` is torn down and redialed;
-* a peer that stays unreachable past ``degrade_after`` is marked
+  :data:`HEARTBEAT_TIMEOUT` is torn down and redialed;
+* a peer that stays unreachable past :data:`DEGRADE_AFTER` is marked
   **degraded** and its queue bounded (oldest frames dropped) — BAB
   tolerates the loss of ``f`` processes, so a correct sender must not
   buffer without bound for a dead one.
+
+The timings are module constants, not configuration: the §2 model asks
+only that links eventually deliver, so no timer value is part of the
+protocol. A link reads them each time it uses them, so a test can
+monkeypatch them.
 
 Ack/heartbeat bits are tallied in :class:`LinkStats` (``control_bits``),
 *not* in :class:`repro.obs.wire.MetricsCollector`, so the runtime's §3
@@ -35,7 +40,7 @@ from typing import TYPE_CHECKING
 
 from repro.codec import decode_message, encode_message
 from repro.codec.frames import LinkAck, LinkHeartbeat
-from repro.common.errors import ConfigurationError, WireFormatError
+from repro.common.errors import WireFormatError
 from repro.common.rng import derive_rng
 from repro.runtime.chaos import NO_FAULT
 
@@ -69,47 +74,26 @@ def frame_bytes(seq: int, payload: bytes) -> bytes:
     return HEADER.pack(SEQ.size + len(payload)) + SEQ.pack(seq) + payload
 
 
-@dataclass(frozen=True)
-class LinkConfig:
-    """Tuning knobs for every reliable link of one node.
-
-    Attributes:
-        initial_backoff: First redial delay after a dial failure (seconds).
-        backoff_factor: Multiplier applied per consecutive failure.
-        max_backoff: Backoff ceiling.
-        jitter: Fraction of each backoff randomized away (seeded), so a
-            cluster restarting together does not redial in lockstep.
-        heartbeat_interval: Idle time before the sender probes the link.
-        heartbeat_timeout: Silence (no acks) after which a connection is
-            presumed dead and torn down for redial.
-        degrade_after: Continuous unreachability after which a peer is
-            marked degraded and its queue bounded.
-        max_degraded_queue: Unacked-frame cap for a degraded peer; the
-            oldest frames are dropped beyond it.
-    """
-
-    initial_backoff: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff: float = 2.0
-    jitter: float = 0.5
-    heartbeat_interval: float = 1.0
-    heartbeat_timeout: float = 5.0
-    degrade_after: float = 10.0
-    max_degraded_queue: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.initial_backoff <= 0 or self.max_backoff < self.initial_backoff:
-            raise ConfigurationError(
-                f"invalid backoff range [{self.initial_backoff}, {self.max_backoff}]"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(f"backoff_factor {self.backoff_factor} < 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(f"jitter {self.jitter} outside [0, 1]")
-        if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
-            raise ConfigurationError("heartbeat intervals must be positive")
-        if self.degrade_after <= 0 or self.max_degraded_queue < 1:
-            raise ConfigurationError("invalid degraded-peer settings")
+#: First redial delay after a dial failure (seconds).
+INITIAL_BACKOFF = 0.05
+#: Multiplier applied to the redial delay per consecutive failure.
+BACKOFF_FACTOR = 2.0
+#: Redial delay ceiling (seconds).
+MAX_BACKOFF = 2.0
+#: Fraction of each backoff randomized away (seeded), so a cluster
+#: restarting together does not redial in lockstep.
+JITTER = 0.5
+#: Idle time (seconds) before the sender probes the link.
+HEARTBEAT_INTERVAL = 1.0
+#: Silence (no acks, seconds) after which a connection is presumed dead and
+#: torn down for redial.
+HEARTBEAT_TIMEOUT = 5.0
+#: Continuous unreachability (seconds) after which a peer is marked
+#: degraded and its queue bounded.
+DEGRADE_AFTER = 10.0
+#: Unacked-frame cap for a degraded peer; the oldest frames are dropped
+#: beyond it.
+MAX_DEGRADED_QUEUE = 1024
 
 
 @dataclass
@@ -160,7 +144,6 @@ class ReliableLink:
         self._network = network
         self._loop = network.loop
         self._stats = network.link_stats
-        self._config = network.link_config
         self._n = network.config.n
         self._obs = network.obs
         self._rng = derive_rng(network.config.seed, "link-jitter", self.pid, dst)
@@ -224,7 +207,7 @@ class ReliableLink:
         return 1
 
     def _trim_degraded(self) -> None:
-        while len(self._unacked) > self._config.max_degraded_queue:
+        while len(self._unacked) > MAX_DEGRADED_QUEUE:
             self._unacked.popleft()
             self._stats.dropped_degraded += 1
 
@@ -241,8 +224,7 @@ class ReliableLink:
                 await self._drop_connection()
 
     async def _connect(self) -> None:
-        cfg = self._config
-        backoff = cfg.initial_backoff
+        backoff = INITIAL_BACKOFF
         if self._down_since is None:
             self._down_since = self._loop.time()
         network = self._network
@@ -273,15 +255,15 @@ class ReliableLink:
                     )
                 if (
                     not self.degraded
-                    and self._loop.time() - self._down_since >= cfg.degrade_after
+                    and self._loop.time() - self._down_since >= DEGRADE_AFTER
                 ):
                     self.degraded = True
                     self._trim_degraded()
                     if self._obs is not None:
                         self._obs.emit(self.pid, "link_degraded", dst=self.dst)
                         self._obs.registry.counter("link.degraded").inc()
-                await asyncio.sleep(backoff * (1.0 - cfg.jitter * self._rng.random()))
-                backoff = min(backoff * cfg.backoff_factor, cfg.max_backoff)
+                await asyncio.sleep(backoff * (1.0 - JITTER * self._rng.random()))
+                backoff = min(backoff * BACKOFF_FACTOR, MAX_BACKOFF)
                 continue
             self._writer = writer
             self._conn_written = self._acked
@@ -311,9 +293,7 @@ class ReliableLink:
                 if self._next_unwritten() is not None:  # enqueue raced the clear
                     continue
                 try:
-                    await asyncio.wait_for(
-                        self._wake.wait(), self._config.heartbeat_interval
-                    )
+                    await asyncio.wait_for(self._wake.wait(), HEARTBEAT_INTERVAL)
                 except asyncio.TimeoutError:
                     await self._send_heartbeat()
                     self._check_liveness(idle=True)
@@ -378,7 +358,7 @@ class ReliableLink:
         path back) is gone; on an idle link heartbeats should keep acks
         flowing, so prolonged silence is equally fatal.
         """
-        stale = self._loop.time() - self._last_rx > self._config.heartbeat_timeout
+        stale = self._loop.time() - self._last_rx > HEARTBEAT_TIMEOUT
         if stale and (idle or self._unacked):
             raise ConnectionResetError("peer unresponsive: ack timeout")
 

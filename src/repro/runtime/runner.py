@@ -77,7 +77,6 @@ class NodeRunner:
         observability: Observability | None = None,
         chaos: "ChaosTransport | None" = None,
         dealer: CoinDealer | None = None,
-        node_kwargs: dict[str, Any] | None = None,
         state_dir: str | None = None,
     ):
         self.table = table
@@ -87,7 +86,6 @@ class NodeRunner:
         self.observability = observability
         self._chaos = chaos
         self._dealer = dealer
-        self._node_kwargs = dict(node_kwargs or {})
         self.state_dir = state_dir
         self._stop = asyncio.Event()
         self._closed = False
@@ -108,7 +106,6 @@ class NodeRunner:
             self.config,
             self.pid,
             self.table.addresses(),
-            link_config=self.table.link,
             chaos=self._chaos,
             obs=self.observability,
         )
@@ -120,17 +117,13 @@ class NodeRunner:
             self.journal = NodeJournal(
                 self.state_dir, pid=self.pid, obs=self.observability
             )
-        if self.table.gc_depth is not None:
-            # The table's memory policy; an explicit node_kwargs override
-            # (tests, LocalCluster callers) still wins.
-            self._node_kwargs.setdefault("gc_depth", self.table.gc_depth)
         self.node = DagRiderNode(
             self.pid,
             self.network,
             coin_mode=self.table.coin_mode,
             dealer=dealer,
             journal=self.journal,
-            **self._node_kwargs,
+            gc_depth=self.table.gc_depth,
         )
         if self.journal is not None:
             # Replay snapshot + WAL into the freshly built stack *before*
@@ -471,32 +464,22 @@ async def serve_node(
     trace_path: str | None = None,
     run_seconds: float | None = None,
     state_dir: str | None = None,
-    gc_depth: int | None = None,
 ) -> int:
     """Run one node process until stopped over control (or the deadline).
 
     The ``python -m repro tcp-node`` body. Returns the process exit code:
     0 after a clean control-socket stop, 2 when ``run_seconds`` expired
     first (so orphaned runners are visible to whatever launched them).
-    An explicit ``gc_depth`` (the CLI's ``--gc-depth``) overrides the
-    table's; the ingress gateway starts whenever the table gives this pid
-    an ``ingress_port``.
+    The ingress gateway starts whenever the table gives this pid an
+    ``ingress_port``.
     """
     entry = table.entry(pid)
     if entry.control_port is None:
         raise ConfigurationError(
             f"peer {pid} has no control_port; tcp-node needs one to be driven"
         )
-    observability = Observability()
-    node_kwargs: dict[str, Any] = {}
-    if gc_depth is not None:
-        node_kwargs["gc_depth"] = gc_depth
     runner = NodeRunner(
-        table,
-        pid,
-        observability=observability,
-        state_dir=state_dir,
-        node_kwargs=node_kwargs,
+        table, pid, observability=Observability(), state_dir=state_dir
     )
     await runner.boot()
     runner.launch()
@@ -537,7 +520,6 @@ def run_node(
     trace_path: str | None = None,
     run_seconds: float | None = 300.0,
     state_dir: str | None = None,
-    gc_depth: int | None = None,
 ) -> int:
     """Synchronous entry point used by the CLI."""
     return asyncio.run(
@@ -547,6 +529,5 @@ def run_node(
             trace_path=trace_path,
             run_seconds=run_seconds,
             state_dir=state_dir,
-            gc_depth=gc_depth,
         )
     )

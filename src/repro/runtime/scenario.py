@@ -93,13 +93,21 @@ class Scenario:
 
 
 def _require_number(
-    raw: dict[str, Any], key: str, where: str, minimum: float = 0.0, maximum: float = math.inf
+    raw: dict[str, Any],
+    key: str,
+    where: str,
+    minimum: float = 0.0,
+    maximum: float = math.inf,
+    integer: bool = False,
 ) -> None:
-    value = raw.get(key)
-    if value is None:
+    """Refuse a present ``key`` that is not a finite number in range (an
+    ``integer`` key also refuses a float: ``2.5`` waves is not 2)."""
+    if key not in raw:
         return
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigurationError(f"{where}: {key} must be a number, got {value!r}")
+    value = raw[key]
+    if not isinstance(value, int if integer else (int, float)) or isinstance(value, bool):
+        expected = "an integer" if integer else "a number"
+        raise ConfigurationError(f"{where}: {key} must be {expected}, got {value!r}")
     if not math.isfinite(value) or not minimum <= value <= maximum:
         raise ConfigurationError(
             f"{where}: {key} must be finite and in [{minimum}, {maximum}], got {value}"
@@ -123,11 +131,9 @@ def parse_step(raw: dict[str, Any], index: int, n: int) -> ScenarioStep:
     unknown = set(raw) - known
     if unknown:
         raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
-    for key, minimum in (
-        ("at_wave", 1), ("restart_after", 0.0), ("heal_after", 0.0),
-        ("duration", 0.0),
-    ):
-        _require_number(raw, key, where, minimum)
+    _require_number(raw, "at_wave", where, 1, integer=True)
+    for key in ("restart_after", "heal_after", "duration"):
+        _require_number(raw, key, where)
     _require_number(raw, "delay", where, 0.0, MAX_PEER_DELAY)
 
     pid = raw.get("pid")
@@ -177,7 +183,7 @@ def parse_step(raw: dict[str, Any], index: int, n: int) -> ScenarioStep:
         kind=kind,
         pid=pid if isinstance(pid, int) and not isinstance(pid, bool) else None,
         groups=groups,
-        at_wave=int(raw.get("at_wave", 1)),
+        at_wave=raw.get("at_wave", 1),
         signal=signal,
         restart_after=float(raw.get("restart_after", 0.5)),
         heal_after=float(raw.get("heal_after", 2.0)),
@@ -203,8 +209,9 @@ def parse_scenario(raw: dict[str, Any], origin: str = "<scenario>") -> Scenario:
     coin = raw.get("coin", "ideal")
     if coin not in ("ideal", "threshold", "piggyback"):
         raise ConfigurationError(f"{origin}: unknown coin mode {coin!r}")
-    for key, minimum in (("seed", 0), ("waves", 1), ("timeout", 1.0)):
-        _require_number(raw, key, origin, minimum)
+    _require_number(raw, "seed", origin, 0, integer=True)
+    _require_number(raw, "waves", origin, 1, integer=True)
+    _require_number(raw, "timeout", origin, 1.0)
     gc_depth = raw.get("gc_depth", DEFAULT_SCENARIO_GC_DEPTH)
     if gc_depth is not None and (
         not isinstance(gc_depth, int) or isinstance(gc_depth, bool) or gc_depth < 1
@@ -225,9 +232,9 @@ def parse_scenario(raw: dict[str, Any], origin: str = "<scenario>") -> Scenario:
     return Scenario(
         name=name,
         n=n,
-        seed=int(raw.get("seed", 7)),
+        seed=raw.get("seed", 7),
         coin=coin,
-        waves=int(raw.get("waves", 5)),
+        waves=raw.get("waves", 5),
         timeout=float(raw.get("timeout", 120.0)),
         gc_depth=gc_depth,
         steps=steps,

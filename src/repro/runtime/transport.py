@@ -41,7 +41,6 @@ from repro.runtime.reliable import (
     HANDSHAKE,
     HEADER,
     SEQ,
-    LinkConfig,
     LinkStats,
     ReliableLink,
     frame_bytes,
@@ -95,8 +94,7 @@ class _Inbound:
 class TcpNetwork:
     """One node's view of the cluster over TCP, with reliable links.
 
-    Must be constructed inside a running asyncio loop (or be handed one
-    explicitly via ``loop``).
+    Must be constructed inside a running asyncio loop.
     """
 
     def __init__(
@@ -104,18 +102,15 @@ class TcpNetwork:
         config: SystemConfig,
         pid: int,
         peers: dict[int, tuple[str, int]],
-        loop: asyncio.AbstractEventLoop | None = None,
-        link_config: LinkConfig | None = None,
         chaos: "ChaosTransport | None" = None,
         obs: Observability | None = None,
     ):
         self.config = config
         self.pid = pid
         self.peers = peers
-        self.loop = loop if loop is not None else asyncio.get_running_loop()
+        self.loop = asyncio.get_running_loop()
         self.scheduler = AsyncScheduler(self.loop)
         self.metrics = MetricsCollector()
-        self.link_config = link_config if link_config is not None else LinkConfig()
         self.link_stats = LinkStats()
         self.chaos = chaos
         self.obs = obs
@@ -150,9 +145,6 @@ class TcpNetwork:
         if process.pid != self.pid:
             raise RuntimeError(f"process {process.pid} on network for {self.pid}")
         self._process = process
-
-    def is_correct(self, pid: int) -> bool:
-        return self.config.is_correct(pid)
 
     def send(self, src: int, dst: int, message: "Message") -> None:
         if src != self.pid:

@@ -82,7 +82,6 @@ class NodeJournal:
         self,
         state_dir: str,
         pid: int = 0,
-        fsync: str = "commit",
         obs: Observability | None = None,
     ) -> None:
         os.makedirs(state_dir, exist_ok=True)
@@ -100,9 +99,7 @@ class NodeJournal:
             os.path.join(state_dir, "digests.log"),
             snapshot.ordered_count if snapshot is not None else 0,
         )
-        self.wal, records = WriteAheadLog.open(
-            self.wal_path, fsync=fsync, start_seq=covered
-        )
+        self.wal, records = WriteAheadLog.open(self.wal_path, start_seq=covered)
         #: WAL records the snapshot does not already cover, replay input.
         self.tail_records: list[WalRecord] = [
             record for record in records if record.seq > covered
@@ -133,7 +130,7 @@ class NodeJournal:
 
     def record_created(self, vertex: Vertex) -> None:
         """Journal this node's own vertex; durable before it is broadcast."""
-        seq = self.wal.append(WAL_CREATED, vertex.to_bytes(), force_sync=True)
+        seq = self.wal.append(WAL_CREATED, vertex.to_bytes())
         self._emit_append(WAL_CREATED, seq, vertex.round)
 
     def record_commit(self, wave: int, leader_refs: Sequence[Ref]) -> None:

@@ -15,11 +15,14 @@ Three record kinds:
 * ``WAL_VERTEX`` — a vertex entered the local DAG (payload: canonical
   vertex bytes);
 * ``WAL_CREATED`` — this node created a vertex and is about to broadcast
-  it (fsynced *before* the broadcast regardless of policy, so a restarted
-  node re-broadcasts the identical bytes instead of equivocating);
+  it (fsynced *before* the broadcast, so a restarted node re-broadcasts
+  the identical bytes instead of equivocating);
 * ``WAL_COMMIT`` — a wave committed (payload: wave number plus the leader
   chain in delivery order), enough to replay ``order_vertices``
   deterministically.
+
+One fsync rule: a ``CREATED`` or ``COMMIT`` append fsyncs, a ``VERTEX``
+append does not (a vertex lost in a crash is re-fetched by catch-up).
 
 Tail recovery is corruption-tolerant: reading stops at the first record
 whose header is truncated, whose CRC mismatches, or whose body is short,
@@ -50,12 +53,9 @@ WAL_COMMIT = 3
 
 _KINDS = frozenset({WAL_VERTEX, WAL_CREATED, WAL_COMMIT})
 
-#: fsync policies: every append, on commit/created records, or never.
-FSYNC_POLICIES = ("always", "commit", "never")
-
-#: Records that carry irreversible protocol promises; the "commit" policy
-#: fsyncs exactly these (a CREATED record must hit disk before the vertex
-#: is broadcast, a COMMIT record pins the delivered prefix).
+#: Records that carry irreversible protocol promises, fsynced on append (a
+#: CREATED record must hit disk before the vertex is broadcast, a COMMIT
+#: record pins the delivered prefix).
 _DURABLE_KINDS = frozenset({WAL_CREATED, WAL_COMMIT})
 
 
@@ -104,7 +104,7 @@ def read_wal(path: str) -> tuple[list[WalRecord], int]:
 
 
 class WriteAheadLog:
-    """Append side of one node's WAL, with explicit fsync policy.
+    """Append side of one node's WAL; durable kinds are fsynced on append.
 
     Opening recovers the existing file first: intact records are returned
     by :meth:`open`, the corrupt tail (if any) is truncated, and appends
@@ -113,13 +113,8 @@ class WriteAheadLog:
     snapshot written just before the last crash).
     """
 
-    def __init__(self, path: str, fsync: str = "commit") -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ConfigurationError(
-                f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}"
-            )
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.fsync = fsync
         self.appended = 0
         self.synced = 0
         self._next_seq = 1
@@ -127,10 +122,10 @@ class WriteAheadLog:
 
     @classmethod
     def open(
-        cls, path: str, fsync: str = "commit", start_seq: int = 0
+        cls, path: str, start_seq: int = 0
     ) -> tuple["WriteAheadLog", list[WalRecord]]:
         """Recover ``path`` and position it for appending."""
-        wal = cls(path, fsync=fsync)
+        wal = cls(path)
         records, good_length = read_wal(path)
         stream = open(path, "ab")
         if stream.tell() > good_length:
@@ -145,8 +140,9 @@ class WriteAheadLog:
         """Sequence number the next append will carry."""
         return self._next_seq
 
-    def append(self, kind: int, payload: bytes, force_sync: bool = False) -> int:
-        """Append one record; returns its sequence number."""
+    def append(self, kind: int, payload: bytes) -> int:
+        """Append one record (fsynced if its kind is durable); returns its
+        sequence number."""
         if self._stream is None:
             raise ConfigurationError("WAL is closed")
         if kind not in _KINDS:
@@ -155,9 +151,7 @@ class WriteAheadLog:
         self._next_seq += 1
         self._stream.write(_encode_record(seq, kind, payload))
         self.appended += 1
-        if force_sync or self.fsync == "always" or (
-            self.fsync == "commit" and kind in _DURABLE_KINDS
-        ):
+        if kind in _DURABLE_KINDS:
             self.sync()
         return seq
 

@@ -5,20 +5,11 @@ import asyncio
 from repro.common.config import SystemConfig
 from repro.runtime.chaos import ChaosConfig, ChaosTransport
 from repro.runtime.cluster import LocalCluster
-from repro.runtime.reliable import LinkConfig
-
-#: Aggressive backoff so reconnect storms resolve quickly in tests.
-FAST_LINKS = LinkConfig(initial_backoff=0.02, max_backoff=0.3)
 
 
-def chaos_cluster(peers, seed, chaos_config, n=4, link_config=FAST_LINKS):
+def chaos_cluster(peers, seed, chaos_config, n=4):
     chaos = ChaosTransport(seed, chaos_config)
-    cluster = LocalCluster(
-        SystemConfig(n=n, seed=seed),
-        peers=peers,
-        link_config=link_config,
-        chaos=chaos,
-    )
+    cluster = LocalCluster(SystemConfig(n=n, seed=seed), peers=peers, chaos=chaos)
     return cluster, chaos
 
 

@@ -48,16 +48,17 @@ class Killed(Exception):
 def sim_life(root, wave, journaled=True, recover=False):
     """One life of a simulated 4-node cluster, journaling under ``root``.
 
-    ``fsync="always"`` flushes every append, so whatever was appended when
-    a life ends — cleanly or by :class:`Killed` — is what the next one
-    finds, as after a real kill. A recovering life replays every journal
-    and asks its peers for the suffix, as ``NodeRunner.launch`` does.
+    Closing the journals flushes every append, so whatever was appended
+    when a life ends — cleanly or by :class:`Killed` — is what the next
+    one finds, as after a real kill. A recovering life replays every
+    journal and asks its peers for the suffix, as ``NodeRunner.launch``
+    does.
     """
     config = SystemConfig(n=4, seed=5)
     journals = {}
     if journaled:
         journals = {
-            pid: NodeJournal(str(root / f"node-{pid}"), pid, fsync="always")
+            pid: NodeJournal(str(root / f"node-{pid}"), pid)
             for pid in config.processes
         }
     deployment = DagRiderDeployment(
@@ -81,7 +82,7 @@ def sim_life(root, wave, journaled=True, recover=False):
 
 def recover_alone(root, pid=0):
     """Replay ``pid``'s journal into a fresh, never-started node."""
-    journal = NodeJournal(str(root / f"node-{pid}"), pid, fsync="always")
+    journal = NodeJournal(str(root / f"node-{pid}"), pid)
     node = DagRiderDeployment(
         SystemConfig(n=4, seed=5), node_kwargs={pid: {"gc_depth": 4}}
     ).nodes[pid]
@@ -195,13 +196,13 @@ class TestDigestLogCrashWindows:
         assert len(set(third_records)) == len(third_records)
 
 
-def run_with_state(peers, state_dirs, target, seed=5, timeout=60.0, **node_kwargs):
+def run_with_state(peers, state_dirs, target, seed=5, timeout=60.0, gc_depth=None):
     """One LocalCluster run until every node ordered >= target entries."""
     cluster = LocalCluster(
         SystemConfig(n=4, seed=seed),
         peers=peers,
         state_dirs=state_dirs,
-        **node_kwargs,
+        gc_depth=gc_depth,
     )
 
     async def main():

@@ -19,9 +19,6 @@ from repro.perf.cells import smoke_cells
 from repro.perf.runner import run_cell_traced
 from repro.runtime.chaos import ChaosConfig, ChaosTransport
 from repro.runtime.cluster import LocalCluster
-from repro.runtime.reliable import LinkConfig
-
-FAST_LINKS = LinkConfig(initial_backoff=0.02, max_backoff=0.3)
 
 
 def _export(cell, slow=None):
@@ -93,7 +90,6 @@ class TestRuntimeTraces:
         cluster = LocalCluster(
             SystemConfig(n=4, seed=seed),
             peers=peers,
-            link_config=FAST_LINKS,
             chaos=chaos,
             observability=observability,
         )

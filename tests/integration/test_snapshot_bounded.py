@@ -39,7 +39,7 @@ def journaled_deployment(journals=None):
 
 def test_snapshot_and_rebroadcast_bounded_over_100_compactions(tmp_path, monkeypatch):
     journals = {
-        pid: NodeJournal(str(tmp_path / f"node-{pid}"), pid, fsync="never")
+        pid: NodeJournal(str(tmp_path / f"node-{pid}"), pid)
         for pid in range(4)
     }
     snapshot_path = journals[0].snapshot_path
@@ -120,7 +120,7 @@ def test_snapshot_and_rebroadcast_bounded_over_100_compactions(tmp_path, monkeyp
     node = deployment.nodes[0]
     in_flight = node.builder.round - node.store.collected_floor + 1
     restarted = journaled_deployment().nodes[0]
-    journal = NodeJournal(str(tmp_path / "node-0"), 0, fsync="never")
+    journal = NodeJournal(str(tmp_path / "node-0"), 0)
     try:
         report = recover_node(restarted, journal)
     finally:

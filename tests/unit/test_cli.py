@@ -24,6 +24,12 @@ class TestParser:
         args = build_parser().parse_args(["baseline", "--protocol", "dumbo"])
         assert args.protocol == "dumbo"
 
+    def test_tcp_node_takes_gc_depth_from_the_table_only(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["tcp-node", "--peers", "p.json", "--pid", "0", "--gc-depth", "4"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --gc-depth 4" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run_command(self, capsys):

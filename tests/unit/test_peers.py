@@ -39,20 +39,10 @@ class TestParsing:
         assert table.make_dealer() is None
 
     def test_system_config_knobs_fold_in(self):
-        table = parse_peer_table(
-            table_dict(wave_length=5, genesis_size=3, byzantine=[1])
-        )
+        table = parse_peer_table(table_dict(wave_length=5, genesis_size=3))
         config = table.system_config()
         assert config.wave_length == 5
         assert config.genesis_size == 3
-        assert config.byzantine == frozenset({1})
-
-    def test_link_knobs_fold_in(self):
-        table = parse_peer_table(
-            table_dict(link={"initial_backoff": 0.02, "max_backoff": 0.3})
-        )
-        assert table.link.initial_backoff == 0.02
-        assert table.link.max_backoff == 0.3
 
     def test_round_trip_through_to_dict(self):
         config = SystemConfig(n=4, seed=3)
@@ -112,15 +102,38 @@ class TestRejections:
         with pytest.raises(PeerTableError, match="unknown keys"):
             parse_peer_table(table_dict(extra=1))
 
-    def test_unknown_link_key(self):
-        with pytest.raises(PeerTableError, match="unknown link keys"):
-            parse_peer_table(table_dict(link={"warp_factor": 9}))
-
-    def test_retired_ack_every_frame_knob_is_an_unknown_link_key(self):
-        # The per-frame-ack comparison knob is gone (PR 14); a table that
-        # still names it must fail loudly, not be silently ignored.
-        with pytest.raises(PeerTableError, match="unknown link keys.*ack_every_frame"):
-            parse_peer_table(table_dict(link={"ack_every_frame": True}))
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            # Link timings are constants of repro.runtime.reliable, not
+            # table keys, whatever the table says about them.
+            ("link", {"initial_backoff": 0.02}),
+            ("link", {"ack_every_frame": True}),
+            ("link", {"warp_factor": 9}),
+            ("link", {}),
+            # Nothing in the runtime read it; [1.9] and [True] used to
+            # parse as pid 1 and ["x"] escaped as a bare ValueError.
+            ("byzantine", [1]),
+            ("byzantine", [1.9]),
+            ("byzantine", [True]),
+            ("byzantine", ["x"]),
+        ],
+        ids=[
+            "link-initial_backoff",
+            "link-ack_every_frame",
+            "link-warp_factor",
+            "link-empty",
+            "byzantine-pid",
+            "byzantine-float",
+            "byzantine-bool",
+            "byzantine-string",
+        ],
+    )
+    def test_retired_keys_are_unknown(self, key, value):
+        # A table that still names a retired setting must fail loudly, not
+        # load with the setting silently ignored.
+        with pytest.raises(PeerTableError, match=f"unknown keys \\['{key}'\\]"):
+            parse_peer_table(table_dict(**{key: value}))
 
     def test_port_out_of_range(self):
         data = table_dict()

@@ -11,6 +11,7 @@ from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
 from repro.obs.context import Observability
+from repro.runtime import reliable
 from repro.runtime.chaos import ChaosConfig, ChaosTransport
 from repro.runtime.peers import allocate_port_block, make_peer_table
 from repro.runtime.reliable import (
@@ -18,7 +19,6 @@ from repro.runtime.reliable import (
     HANDSHAKE,
     HEADER,
     SEQ,
-    LinkConfig,
     LinkStats,
     frame_bytes,
 )
@@ -38,18 +38,22 @@ class Sink:
         self.received.append((src, message))
 
 
-def make_pair(n=2, seed=7, link_config=None, chaos=None):
+def make_pair(n=2, seed=7, chaos=None):
     ports = allocate_port_block(n)
     peers = {pid: ("127.0.0.1", ports[pid]) for pid in range(n)}
     config = SystemConfig(n=n, seed=seed)
-    nets = [
-        TcpNetwork(config, pid, peers, link_config=link_config, chaos=chaos)
-        for pid in range(n)
-    ]
+    nets = [TcpNetwork(config, pid, peers, chaos=chaos) for pid in range(n)]
     sinks = [Sink(pid) for pid in range(n)]
     for net, sink in zip(nets, sinks):
         net.register(sink)
     return nets, sinks
+
+
+def patch_links(monkeypatch, **constants):
+    """Shorten the link timings for one test (``ReliableLink`` reads the
+    module constants each time it uses them)."""
+    for name, value in constants.items():
+        monkeypatch.setattr(reliable, name, value)
 
 
 async def eventually(predicate, timeout=10.0, poll=0.01):
@@ -88,14 +92,6 @@ class TestFraming:
 
 
 class TestConfigs:
-    def test_link_config_rejects_bad_backoff(self):
-        with pytest.raises(ConfigurationError):
-            LinkConfig(initial_backoff=0.0)
-        with pytest.raises(ConfigurationError):
-            LinkConfig(initial_backoff=1.0, max_backoff=0.5)
-        with pytest.raises(ConfigurationError):
-            LinkConfig(jitter=1.5)
-
     def test_chaos_config_rejects_bad_rates(self):
         with pytest.raises(ConfigurationError):
             ChaosConfig(drop_rate=1.0)
@@ -168,10 +164,11 @@ class TestChaosDeterminism:
 
 
 class TestReliableDelivery:
-    def test_in_order_delivery_with_acks_and_heartbeats(self):
+    def test_in_order_delivery_with_acks_and_heartbeats(self, monkeypatch):
+        patch_links(monkeypatch, HEARTBEAT_INTERVAL=0.05, HEARTBEAT_TIMEOUT=2.0)
+
         async def main():
-            link_config = LinkConfig(heartbeat_interval=0.05, heartbeat_timeout=2.0)
-            nets, sinks = make_pair(link_config=link_config)
+            nets, sinks = make_pair()
             await nets[1].start()
             for i in range(50):
                 nets[0].send(0, 1, GossipSubscribe(f"m{i}"))
@@ -195,11 +192,11 @@ class TestReliableDelivery:
 
         asyncio.run(main())
 
-    def test_sever_triggers_reconnect_and_redelivery(self):
+    def test_sever_triggers_reconnect_and_redelivery(self, monkeypatch):
+        patch_links(monkeypatch, INITIAL_BACKOFF=0.01, MAX_BACKOFF=0.1)
+
         async def main():
-            nets, sinks = make_pair(
-                link_config=LinkConfig(initial_backoff=0.01, max_backoff=0.1)
-            )
+            nets, sinks = make_pair()
             await nets[1].start()
             for i in range(20):
                 nets[0].send(0, 1, GossipSubscribe(f"a{i}"))
@@ -233,15 +230,17 @@ class TestReliableDelivery:
 
         asyncio.run(main())
 
-    def test_degraded_peer_bounds_queue_then_recovers(self):
+    def test_degraded_peer_bounds_queue_then_recovers(self, monkeypatch):
+        patch_links(
+            monkeypatch,
+            INITIAL_BACKOFF=0.01,
+            MAX_BACKOFF=0.03,
+            DEGRADE_AFTER=0.15,
+            MAX_DEGRADED_QUEUE=5,
+        )
+
         async def main():
-            link_config = LinkConfig(
-                initial_backoff=0.01,
-                max_backoff=0.03,
-                degrade_after=0.15,
-                max_degraded_queue=5,
-            )
-            nets, sinks = make_pair(link_config=link_config)
+            nets, sinks = make_pair()
             # Peer 1 is down: nobody listens on its port yet.
             for i in range(25):
                 nets[0].send(0, 1, GossipSubscribe(f"m{i}"))
@@ -403,14 +402,13 @@ class TestHandshakeHardening:
 
 
 class TestRuntimeFaults:
-    def test_peer_first_contacted_during_partition_is_not_dialled(self):
+    def test_peer_first_contacted_during_partition_is_not_dialled(self, monkeypatch):
         """A link created while its peer is partitioned away stays dark
         until ``heal``: the partition is the network's, not the link's."""
+        patch_links(monkeypatch, INITIAL_BACKOFF=0.01, MAX_BACKOFF=0.05)
 
         async def main():
-            nets, _sinks = make_pair(
-                link_config=LinkConfig(initial_backoff=0.01, max_backoff=0.05)
-            )
+            nets, _sinks = make_pair()
             dials = []
 
             async def count_dial(reader, writer):

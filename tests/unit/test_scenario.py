@@ -69,6 +69,16 @@ class TestParseScenario:
         with pytest.raises(ConfigurationError):
             parse_scenario(["not", "an", "object"])
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("seed", 7.9), ("waves", 2.5), ("seed", True), ("waves", None), ("timeout", None)],
+    )
+    def test_counts_are_not_truncated(self, key, value):
+        """``"seed": 7.9`` ran as seed 7 and ``"waves": 2.5`` as 2; a null
+        escaped as a bare ``TypeError`` from ``int``/``float``."""
+        with pytest.raises(ConfigurationError, match=key):
+            parse_scenario(minimal(**{key: value}))
+
 
 class TestParseStep:
     def test_unknown_keys_rejected(self):
@@ -107,6 +117,12 @@ class TestParseStep:
         used to stall its node's links for good."""
         with pytest.raises(ConfigurationError, match="finite"):
             parse_step(step, 0, 4)
+
+    @pytest.mark.parametrize("at_wave", [1.5, True, None])
+    def test_at_wave_must_be_an_integer(self, at_wave):
+        """``"at_wave": 1.5`` fired the step at wave 1."""
+        with pytest.raises(ConfigurationError, match="at_wave"):
+            parse_step({"kind": "crash", "pid": 0, "at_wave": at_wave}, 0, 4)
 
     def test_slow_delay_bound_is_inclusive(self):
         from repro.runtime.transport import MAX_PEER_DELAY

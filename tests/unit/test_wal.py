@@ -129,27 +129,17 @@ class TestWalSequencing:
         wal.close()
 
 
-class TestWalFsyncPolicy:
-    def test_policy_validated(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            WriteAheadLog(str(tmp_path / "w"), fsync="sometimes")
-
-    @pytest.mark.parametrize(
-        "policy,expected",
-        [("always", 3), ("commit", 2), ("never", 0)],
-    )
-    def test_sync_counts_per_policy(self, tmp_path, policy, expected):
-        wal, _ = open_wal(tmp_path / "wal.log", fsync=policy)
-        wal.append(WAL_VERTEX, b"v")  # not durable under "commit"
-        wal.append(WAL_CREATED, b"own")
-        wal.append(WAL_COMMIT, b"c")
-        assert wal.synced == expected
-        wal.close()
-
-    def test_force_sync_overrides_never(self, tmp_path):
-        wal, _ = open_wal(tmp_path / "wal.log", fsync="never")
-        wal.append(WAL_VERTEX, b"v", force_sync=True)
-        assert wal.synced == 1
+class TestWalSyncRule:
+    def test_created_and_commit_appends_sync_once_and_vertex_appends_never(
+        self, tmp_path
+    ):
+        wal, _ = open_wal(tmp_path / "wal.log")
+        synced = []
+        for kind in (WAL_VERTEX, WAL_CREATED, WAL_VERTEX, WAL_COMMIT):
+            before = wal.synced
+            wal.append(kind, b"x")
+            synced.append(wal.synced - before)
+        assert synced == [0, 1, 0, 1]
         wal.close()
 
 
