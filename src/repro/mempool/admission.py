@@ -159,7 +159,8 @@ class Mempool:
         pid: int,
         config: AdmissionConfig | None = None,
         clock: Callable[[], float] | None = None,
-        obs: "Observability | None" = None,
+        *,
+        obs: Observability,
     ) -> None:
         self.pid = pid
         self.config = config if config is not None else AdmissionConfig()
@@ -174,27 +175,15 @@ class Mempool:
         self.submitted_total = 0
         self.rejected_total = 0
         self.delivered_total = 0
-        if obs is not None:
-            registry = obs.registry
-            self._depth_histogram = registry.histogram(
-                "mempool.depth", DEPTH_BOUNDS
-            )
-            self._fill_histogram = registry.histogram(
-                "ingress.batch_fill", FILL_BOUNDS
-            )
-            self._latency_histogram = registry.histogram(
-                "ingress.e2e_latency", E2E_LATENCY_BOUNDS
-            )
-            self._submitted_counter = registry.counter("ingress.submitted")
-            self._rejected_counter = registry.counter("ingress.rejected")
-            self._delivered_counter = registry.counter("ingress.delivered")
-        else:
-            self._depth_histogram = None
-            self._fill_histogram = None
-            self._latency_histogram = None
-            self._submitted_counter = None
-            self._rejected_counter = None
-            self._delivered_counter = None
+        registry = obs.registry
+        self._depth_histogram = registry.histogram("mempool.depth", DEPTH_BOUNDS)
+        self._fill_histogram = registry.histogram("ingress.batch_fill", FILL_BOUNDS)
+        self._latency_histogram = registry.histogram(
+            "ingress.e2e_latency", E2E_LATENCY_BOUNDS
+        )
+        self._submitted_counter = registry.counter("ingress.submitted")
+        self._rejected_counter = registry.counter("ingress.rejected")
+        self._delivered_counter = registry.counter("ingress.delivered")
 
     # ------------------------------------------------------------ admission
 
@@ -228,14 +217,12 @@ class Mempool:
         self._pending_bytes += len(data)
         self._tracked.add(txid)
         self.submitted_total += 1
-        if self._submitted_counter is not None:
-            self._submitted_counter.inc()
+        self._submitted_counter.inc()
         return Admission(True, txid)
 
     def _reject(self, txid: str, reason: str) -> Admission:
         self.rejected_total += 1
-        if self._rejected_counter is not None:
-            self._rejected_counter.inc()
+        self._rejected_counter.inc()
         return Admission(False, txid, reason)
 
     # ------------------------------------------------------------- batching
@@ -267,10 +254,8 @@ class Mempool:
             return
         self._in_flight[sequence] = batch
         self._in_flight_txs += len(batch)
-        if self._depth_histogram is not None:
-            self._depth_histogram.record(float(len(self._pending) + len(batch)))
-        if self._fill_histogram is not None:
-            self._fill_histogram.record(float(len(batch)))
+        self._depth_histogram.record(float(len(self._pending) + len(batch)))
+        self._fill_histogram.record(float(len(batch)))
 
     # ------------------------------------------------------------- delivery
 
@@ -293,12 +278,10 @@ class Mempool:
         for tx in batch:
             self._tracked.discard(tx.txid)
             latency = max(0.0, now - tx.submitted_at)
-            if self._latency_histogram is not None:
-                self._latency_histogram.record(latency)
+            self._latency_histogram.record(latency)
             delivered.append(DeliveredTx(tx.txid, latency))
         self.delivered_total += len(delivered)
-        if self._delivered_counter is not None:
-            self._delivered_counter.inc(len(delivered))
+        self._delivered_counter.inc(len(delivered))
         return delivered
 
     def status(self) -> dict[str, int]:

@@ -53,7 +53,7 @@ class IngressGateway(LineServer):
         mempool: Mempool,
         host: str,
         port: int,
-        obs: "Observability | None" = None,
+        obs: Observability,
     ) -> None:
         super().__init__(
             host,
@@ -107,14 +107,13 @@ class IngressGateway(LineServer):
         delivered = self.mempool.deliveries(block.sequence)
         if not delivered:
             return
-        if self.obs is not None:
-            self.obs.emit(
-                self.pid,
-                "tx_delivered",
-                count=len(delivered),
-                sequence=block.sequence,
-                round=entry.round,
-            )
+        self.obs.emit(
+            self.pid,
+            "tx_delivered",
+            count=len(delivered),
+            sequence=block.sequence,
+            round=entry.round,
+        )
         if not self._ack_streams:
             return
         lines = [
@@ -161,8 +160,6 @@ class IngressGateway(LineServer):
 
     def _emit_request_events(self, results: list[Admission]) -> None:
         """One ``tx_submitted``/``tx_rejected`` event per request outcome."""
-        if self.obs is None:
-            return
         accepted = sum(
             1 for result in results
             if result.accepted and result.reason is None

@@ -3,14 +3,14 @@
 One :class:`Observability` instance per deployment (simulated or TCP): the
 network wires its clock in at construction, and every process, broadcast
 endpoint, ordering state machine, and reliable link that sees it emits
-into the shared bus/registry. Everything degrades to no-ops when a layer
-is handed ``None`` instead — observability is strictly opt-in and costs a
-``None`` check on the hot paths when off.
+into the shared bus/registry. It is optional in the simulator (layers
+handed ``None`` skip emission at the cost of a ``None`` check) and always
+on in the TCP runtime, whose bus keeps a bounded window of events.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.obs.bus import EventBus
 from repro.obs.events import Scalar
@@ -27,10 +27,10 @@ class ClockLike(Protocol):
 class Observability:
     """Shared event bus and metrics registry."""
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self.bus = EventBus(clock)
+    def __init__(self) -> None:
+        self.bus = EventBus()
         self.registry = MetricsRegistry()
-        self._clock_bound = clock is not None
+        self._clock_bound = False
 
     def attach_clock(self, scheduler: ClockLike, retain: int | None = None) -> None:
         """Bind the bus clock to ``scheduler.now`` — first binding wins.

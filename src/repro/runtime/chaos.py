@@ -16,9 +16,11 @@ and decides, per frame and per dial attempt, whether to misbehave:
   retry/backoff path.
 
 A frame's whole fate — the first four — is one :meth:`ChaosTransport.plan`
-call. Process death is not modelled here: in memory it is
-:class:`repro.core.faulty.RecoveringNode` in the simulator, for real it is
-the scenario matrix's ``SIGKILL`` (:mod:`repro.runtime.scenario`).
+call. This module decides and counts; the link that suffers a fault records
+it, as a ``chaos_*`` event on its node's bus. Process death is not modelled
+here: in memory it is :class:`repro.core.faulty.RecoveringNode` in the
+simulator, for real it is the scenario matrix's ``SIGKILL``
+(:mod:`repro.runtime.scenario`).
 
 Every decision is derived from ``(seed, link, seq)`` via
 :func:`repro.common.rng.derive_rng`, so the *schedule* — which frames on
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng
-from repro.obs.context import Observability
 
 _RATES = ("drop_rate", "duplicate_rate", "delay_rate", "dial_fail_rate")
 
@@ -51,7 +52,7 @@ class ChaosConfig:
             connection cut, as TCP loss implies).
         duplicate_rate: Chance a frame is written twice.
         delay_rate: Chance a frame is held before writing.
-        max_delay: Upper bound (seconds) for an injected delay.
+        max_delay: Upper bound (seconds) for an injected delay; positive.
         sever_every: Cut a link's connection after every this-many
             first-attempt frames chaos did not drop (guarantees each busy
             link is severed); None disables.
@@ -70,8 +71,8 @@ class ChaosConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1), got {value}")
-        if self.max_delay < 0:
-            raise ConfigurationError(f"negative max_delay {self.max_delay}")
+        if self.max_delay <= 0:
+            raise ConfigurationError(f"max_delay must be > 0, got {self.max_delay}")
         if self.sever_every is not None and self.sever_every < 1:
             raise ConfigurationError(f"sever_every must be >= 1, got {self.sever_every}")
 
@@ -103,9 +104,6 @@ class ChaosTransport:
     def __init__(self, seed: int, config: ChaosConfig):
         self.seed = seed
         self.config = config
-        #: Optional event sink — the cluster attaches its bundle so injected
-        #: faults land in the same trace as the protocol/link events.
-        self.obs: Observability | None = None
         self.first_attempts = 0
         self.drops = 0
         self.duplicates = 0
@@ -137,35 +135,25 @@ class ChaosTransport:
         self.first_attempts += 1
         if self._roll(src, dst, seq, "drop") < cfg.drop_rate:
             self.drops += 1
-            if self.obs is not None:
-                self.obs.emit(src, "chaos_drop", dst=dst, seq=seq)
             return FrameFate(drop=True)
         duplicate = self._roll(src, dst, seq, "dup") < cfg.duplicate_rate
         if duplicate:
             self.duplicates += 1
-            if self.obs is not None:
-                self.obs.emit(src, "chaos_duplicate", dst=dst, seq=seq)
         delay = 0.0
         if self._roll(src, dst, seq, "delay") < cfg.delay_rate:
             delay = cfg.max_delay * self._roll(src, dst, seq, "delay-size")
             self.delays += 1
-            if self.obs is not None:
-                self.obs.emit(src, "chaos_delay", dst=dst, seq=seq, delay=delay)
         self._kept[link] += 1
         sever = cfg.sever_every is not None and self._kept[link] % cfg.sever_every == 0
         if sever:
             self.severs += 1
             self.severs_by_link[link] += 1
-            if self.obs is not None:
-                self.obs.emit(src, "chaos_sever", dst=dst, seq=seq)
         return FrameFate(duplicate=duplicate, delay=delay, sever=sever)
 
     def fail_dial(self, src: int, dst: int, attempt: int) -> bool:
         """True when dial ``attempt`` on the ``src -> dst`` link should fail."""
         if self._roll(src, dst, "dial", attempt) < self.config.dial_fail_rate:
             self.dial_failures += 1
-            if self.obs is not None:
-                self.obs.emit(src, "chaos_dial_fail", dst=dst, attempt=attempt)
             return True
         return False
 

@@ -39,8 +39,10 @@ class LocalCluster:
             len(node.ordered) >= 10 for node in cluster.nodes
         ), timeout=30.0))
 
-    Pass ``chaos`` (a :class:`repro.runtime.chaos.ChaosTransport`) to inject
-    seeded faults on every link, ``gc_depth`` to bound each node's DAG
+    Every runner emits into one shared ``observability`` bundle, built
+    here when none is passed. Pass ``chaos`` (a
+    :class:`repro.runtime.chaos.ChaosTransport`) to inject seeded faults
+    on every link, ``gc_depth`` to bound each node's DAG
     (it goes into the peer table, the one place a runner reads it), and
     ``peers`` (pid -> ``(host, port)``) to place nodes on explicit
     addresses instead of the contiguous ``base_port + pid`` block on
@@ -76,9 +78,10 @@ class LocalCluster:
             ingress=ingress,
         )
         self._chaos = chaos
-        self.observability = observability
-        if chaos is not None and observability is not None:
-            chaos.obs = observability
+        #: The one bundle every runner (and so every link) emits into.
+        self.observability = (
+            observability if observability is not None else Observability()
+        )
         #: pid -> state directory; listed nodes journal to disk and can be
         #: restarted from it (see tests/integration/test_crash_recovery.py).
         self._state_dirs = dict(state_dirs or {})

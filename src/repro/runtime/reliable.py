@@ -42,9 +42,10 @@ from repro.codec import decode_message, encode_message
 from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.errors import WireFormatError
 from repro.common.rng import derive_rng
-from repro.runtime.chaos import NO_FAULT
+from repro.runtime.chaos import NO_FAULT, FrameFate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.chaos import ChaosTransport
     from repro.runtime.transport import TcpNetwork
     from repro.sim.wire import Message
 
@@ -134,7 +135,8 @@ class ReliableLink:
     task owns the connection: dial (with backoff), handshake, redeliver the
     unacked backlog, then stream new frames and heartbeats while a reader
     task consumes cumulative acks from the same connection. The network's
-    partition and slow-peer state is read when it dials and when it writes.
+    partition and slow-peer state is read when it dials and when it writes;
+    the chaos faults it suffers are recorded as ``chaos_*`` events.
     """
 
     def __init__(self, network: "TcpNetwork", dst: int):
@@ -238,6 +240,12 @@ class ReliableLink:
                 if network.chaos is not None and network.chaos.fail_dial(
                     self.pid, self.dst, self._dial_attempts
                 ):
+                    self._obs.emit(
+                        self.pid,
+                        "chaos_dial_fail",
+                        dst=self.dst,
+                        attempt=self._dial_attempts,
+                    )
                     raise ConnectionRefusedError("chaos: dial failure injected")
                 reader, writer = await asyncio.open_connection(*network.peers[self.dst])
                 writer.write(HANDSHAKE.pack(self.pid, network.incarnation))
@@ -246,22 +254,17 @@ class ReliableLink:
                 if writer is not None:
                     writer.close()
                 self._stats.retries += 1
-                if self._obs is not None:
-                    self._obs.emit(
-                        self.pid,
-                        "link_retry",
-                        dst=self.dst,
-                        attempt=self._dial_attempts,
-                    )
+                self._obs.emit(
+                    self.pid, "link_retry", dst=self.dst, attempt=self._dial_attempts
+                )
                 if (
                     not self.degraded
                     and self._loop.time() - self._down_since >= DEGRADE_AFTER
                 ):
                     self.degraded = True
                     self._trim_degraded()
-                    if self._obs is not None:
-                        self._obs.emit(self.pid, "link_degraded", dst=self.dst)
-                        self._obs.registry.counter("link.degraded").inc()
+                    self._obs.emit(self.pid, "link_degraded", dst=self.dst)
+                    self._obs.registry.counter("link.degraded").inc()
                 await asyncio.sleep(backoff * (1.0 - JITTER * self._rng.random()))
                 backoff = min(backoff * BACKOFF_FACTOR, MAX_BACKOFF)
                 continue
@@ -270,14 +273,13 @@ class ReliableLink:
             self._connections += 1
             if self._connections > 1:
                 self._stats.reconnects += 1
-                if self._obs is not None:
-                    self._obs.emit(
-                        self.pid,
-                        "link_reconnect",
-                        dst=self.dst,
-                        connection=self._connections,
-                        unacked=len(self._unacked),
-                    )
+                self._obs.emit(
+                    self.pid,
+                    "link_reconnect",
+                    dst=self.dst,
+                    connection=self._connections,
+                    unacked=len(self._unacked),
+                )
             self.degraded = False
             self._down_since = None
             self._last_rx = self._loop.time()
@@ -306,10 +308,7 @@ class ReliableLink:
             self._stats.frames_sent += 1
             if redelivery:
                 self._stats.redeliveries += 1
-                if self._obs is not None:
-                    self._obs.emit(
-                        self.pid, "link_redelivery", dst=self.dst, seq=seq
-                    )
+                self._obs.emit(self.pid, "link_redelivery", dst=self.dst, seq=seq)
             self._check_liveness(idle=False)
 
     def _next_unwritten(self) -> tuple[int, bytes] | None:
@@ -320,7 +319,7 @@ class ReliableLink:
 
     async def _write_frame(self, seq: int, payload: bytes) -> None:
         network, chaos = self._network, self._network.chaos
-        fate = NO_FAULT if chaos is None else chaos.plan(self.pid, self.dst, seq)
+        fate = NO_FAULT if chaos is None else self._plan(chaos, seq)
         delay = network.peer_delay + fate.delay
         if delay > 0:
             # Head-of-line: frames behind this one wait too (congestion model).
@@ -339,6 +338,20 @@ class ReliableLink:
         await writer.drain()
         if fate.sever:
             raise ConnectionResetError(f"chaos severed link to {self.dst}")
+
+    def _plan(self, chaos: "ChaosTransport", seq: int) -> FrameFate:
+        """Frame ``seq``'s fate from chaos, each planned fault recorded."""
+        obs, pid, dst = self._obs, self.pid, self.dst
+        fate = chaos.plan(pid, dst, seq)
+        if fate.drop:
+            obs.emit(pid, "chaos_drop", dst=dst, seq=seq)
+        if fate.duplicate:
+            obs.emit(pid, "chaos_duplicate", dst=dst, seq=seq)
+        if fate.delay:
+            obs.emit(pid, "chaos_delay", dst=dst, seq=seq, delay=fate.delay)
+        if fate.sever:
+            obs.emit(pid, "chaos_sever", dst=dst, seq=seq)
+        return fate
 
     async def _send_heartbeat(self) -> None:
         writer = self._writer
@@ -408,13 +421,9 @@ class ReliableLink:
         if exc is None:
             return
         self._stats.task_failures += 1
-        if self._obs is not None:
-            self._obs.emit(
-                self.pid,
-                "link_task_error",
-                dst=self.dst,
-                error=type(exc).__name__,
-            )
+        self._obs.emit(
+            self.pid, "link_task_error", dst=self.dst, error=type(exc).__name__
+        )
 
     async def _drop_connection(self) -> None:
         if self._reader_task is not None:

@@ -14,7 +14,7 @@ deployment shapes:
 Every runner carries an :class:`repro.obs.context.Observability` bundle:
 process runners always create their own (per-host trace, the clock bound
 to this node's transport scheduler) and export a ``repro.obs.trace`` v1
-JSONL on shutdown; in-loop clusters may share one bundle across runners.
+JSONL on shutdown; an in-loop cluster shares one bundle across its runners.
 
 The control socket is a :class:`repro.runtime.linerpc.LineServer` (framing,
 error replies and shutdown: docs/runtime.md "Line RPC"). Its verbs:
@@ -44,13 +44,7 @@ from repro.core.node import DagRiderNode
 from repro.crypto.dealer import CoinDealer
 from repro.obs.context import Observability
 from repro.obs.events import Event
-from repro.obs.export import (
-    dump_trace,
-    dumps_trace,
-    event_line,
-    header_line,
-    metrics_line,
-)
+from repro.obs.export import dumps_trace, event_line, header_line, metrics_line
 from repro.obs.stream import DEFAULT_STREAM_CAPACITY, EventRing
 from repro.runtime.consistency import full_digest_log
 from repro.runtime.linerpc import LineServer, Send
@@ -74,7 +68,8 @@ class NodeRunner:
         self,
         table: PeerTable,
         pid: int,
-        observability: Observability | None = None,
+        *,
+        observability: Observability,
         chaos: "ChaosTransport | None" = None,
         dealer: CoinDealer | None = None,
         state_dir: str | None = None,
@@ -106,8 +101,8 @@ class NodeRunner:
             self.config,
             self.pid,
             self.table.addresses(),
-            chaos=self._chaos,
             obs=self.observability,
+            chaos=self._chaos,
         )
         await self.network.start()
         dealer = self._dealer
@@ -211,10 +206,9 @@ class NodeRunner:
         """Liveness snapshot the fabric driver polls."""
         node = self.node
         depth = self.network.queue_depth if self.network is not None else 0
-        if self.observability is not None:
-            # Sampled here (every status poll and subscribe tick) so the
-            # stream ticks carry transport backpressure.
-            self.observability.registry.gauge("link.queue_depth").set(float(depth))
+        # Sampled here (every status poll and subscribe tick) so the
+        # stream ticks carry transport backpressure.
+        self.observability.registry.gauge("link.queue_depth").set(float(depth))
         status: dict[str, object] = {
             "ok": True,
             "pid": self.pid,
@@ -260,8 +254,6 @@ class NodeRunner:
         frontier had been flat from the driver's point of view.
         """
         obs = self.observability
-        if obs is None:
-            return {"ok": False, "pid": self.pid, "error": "observability off"}
         bus = obs.bus
         if reason == "stall":
             obs.emit(
@@ -292,10 +284,8 @@ class NodeRunner:
         """This host's header for a document that starts at the newest
         ``held`` events of the bus (default: its whole retention window):
         who it is, and how many older events the document does not hold."""
-        older = 0
-        if self.observability is not None:
-            bus = self.observability.bus
-            older = bus.dropped + (0 if held is None else len(bus.events) - held)
+        bus = self.observability.bus
+        older = bus.dropped + (0 if held is None else len(bus.events) - held)
         return {
             "pid": self.pid,
             "n": self.config.n,
@@ -310,30 +300,23 @@ class NodeRunner:
         """The metrics record of this host's traces and stream ticks: the
         registry snapshot's sections at top level (what ``python -m
         repro.obs record`` writes and ``summarize`` reads) plus ``links``."""
-        metrics: dict[str, object] = {"links": self.link_report()}
-        if self.observability is not None:
-            metrics.update(self.observability.snapshot())
-        return metrics
+        return {"links": self.link_report(), **self.observability.snapshot()}
 
     def trace_text(self) -> str:
         """This host's ``repro.obs.trace`` v1 JSONL as a string: at most
         the bus's retention window, never the node's whole history."""
-        events = (
-            self.observability.bus.events if self.observability is not None else []
-        )
         return dumps_trace(
-            events, meta=self.trace_meta(), metrics=self.trace_metrics()
+            self.observability.bus.events,
+            meta=self.trace_meta(),
+            metrics=self.trace_metrics(),
         )
 
     def dump_trace(self, path: str) -> int:
-        """Write this host's trace file; returns the event count."""
-        events = (
-            self.observability.bus.events if self.observability is not None else []
-        )
-        dump_trace(
-            path, events, meta=self.trace_meta(), metrics=self.trace_metrics()
-        )
-        return len(events)
+        """Write this host's trace file (:meth:`trace_text`); returns the
+        event count."""
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(self.trace_text())
+        return len(self.observability.bus.events)
 
 
 class ControlServer(LineServer):
@@ -406,8 +389,6 @@ class ControlServer(LineServer):
         """
         runner = self.runner
         obs = runner.observability
-        if obs is None:
-            raise ValueError("observability off")
         interval = max(0.05, _finite(request.get("interval", 1.0), "interval"))
         ring: EventRing[Event] = EventRing(DEFAULT_STREAM_CAPACITY)
         obs.bus.subscribe(ring.append)

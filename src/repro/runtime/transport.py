@@ -102,8 +102,9 @@ class TcpNetwork:
         config: SystemConfig,
         pid: int,
         peers: dict[int, tuple[str, int]],
+        *,
+        obs: Observability,
         chaos: "ChaosTransport | None" = None,
-        obs: Observability | None = None,
     ):
         self.config = config
         self.pid = pid
@@ -114,11 +115,10 @@ class TcpNetwork:
         self.link_stats = LinkStats()
         self.chaos = chaos
         self.obs = obs
-        if obs is not None:
-            # First network in wins: a whole cluster's events share one
-            # monotonic time axis and one retention window (see
-            # Observability.attach_clock).
-            obs.attach_clock(self.scheduler, retain=RETAINED_EVENTS)
+        # First network in wins: a whole cluster's events share one
+        # monotonic time axis and one retention window (see
+        # Observability.attach_clock).
+        obs.attach_clock(self.scheduler, retain=RETAINED_EVENTS)
         self._process: "Process | None" = None
         self._server: asyncio.AbstractServer | None = None
         self._links: dict[int, ReliableLink] = {}
@@ -306,8 +306,7 @@ class TcpNetwork:
                 # so the surviving cursor would swallow everything it sends.
                 self._recv_cursor[src] = 0
                 self.link_stats.peer_restarts += 1
-                if self.obs is not None:
-                    self.obs.emit(self.pid, "link_peer_restart", src=src)
+                self.obs.emit(self.pid, "link_peer_restart", src=src)
             self._peer_incarnation[src] = incarnation
             prior = self._inbound.get(src)
             if prior is not None:

@@ -82,7 +82,8 @@ class NodeJournal:
         self,
         state_dir: str,
         pid: int = 0,
-        obs: Observability | None = None,
+        *,
+        obs: Observability,
     ) -> None:
         os.makedirs(state_dir, exist_ok=True)
         self.state_dir = state_dir
@@ -115,13 +116,12 @@ class NodeJournal:
     # ------------------------------------------------------------ hot hooks
 
     def _emit_append(self, kind: int, seq: int, round_: int) -> None:
-        if self.obs is not None:
-            # Field named ``record`` (not ``kind``): the event bus already
-            # uses ``kind`` for the event name itself.
-            self.obs.emit(
-                self.pid, "wal_append", record=_KIND_NAMES[kind], seq=seq, round=round_
-            )
-            self.obs.registry.counter("wal.appends").inc()
+        # Field named ``record`` (not ``kind``): the event bus already
+        # uses ``kind`` for the event name itself.
+        self.obs.emit(
+            self.pid, "wal_append", record=_KIND_NAMES[kind], seq=seq, round=round_
+        )
+        self.obs.registry.counter("wal.appends").inc()
 
     def record_vertex(self, vertex: Vertex) -> None:
         """Journal a vertex that just entered the local DAG."""
@@ -174,16 +174,15 @@ class NodeJournal:
         self.wal.truncate()
         self.snapshot_state = snapshot
         self.snapshots_written += 1
-        if self.obs is not None:
-            self.obs.emit(
-                self.pid,
-                "snapshot_written",
-                floor=snapshot.floor,
-                vertices=len(snapshot.vertices),
-                bytes=size,
-                last_wal_seq=snapshot.last_wal_seq,
-            )
-            self.obs.registry.counter("wal.snapshots").inc()
+        self.obs.emit(
+            self.pid,
+            "snapshot_written",
+            floor=snapshot.floor,
+            vertices=len(snapshot.vertices),
+            bytes=size,
+            last_wal_seq=snapshot.last_wal_seq,
+        )
+        self.obs.registry.counter("wal.snapshots").inc()
 
     def close(self) -> None:
         self.wal.close()
@@ -293,16 +292,16 @@ def recover_node(node: "DagRiderNode", journal: NodeJournal) -> RecoveryReport:
         rebroadcast=rebroadcast,
         duration=duration,
     )
-    if journal.obs is not None:
-        journal.obs.emit(journal.pid, "wal_replay", **report.as_dict())
-        journal.obs.emit(
-            journal.pid,
-            "node_recover",
-            decided_wave=node.ordering.decided_wave,
-            round=builder.round,
-            ordered=node.delivered_count,
-        )
-        journal.obs.registry.histogram("storage.replay_seconds").record(duration)
+    obs = journal.obs
+    obs.emit(journal.pid, "wal_replay", **report.as_dict())
+    obs.emit(
+        journal.pid,
+        "node_recover",
+        decided_wave=node.ordering.decided_wave,
+        round=builder.round,
+        ordered=node.delivered_count,
+    )
+    obs.registry.histogram("storage.replay_seconds").record(duration)
     return report
 
 

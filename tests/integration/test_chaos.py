@@ -1,6 +1,7 @@
 """Robustness of the TCP runtime under seeded fault injection."""
 
 import asyncio
+from collections import Counter
 
 from repro.common.config import SystemConfig
 from repro.runtime.chaos import ChaosConfig, ChaosTransport
@@ -102,6 +103,42 @@ class TestChaosAcceptance:
         for node in cluster.nodes:
             keys = [(e.round, e.source) for e in node.ordered]
             assert len(keys) == len(set(keys))
+
+
+class TestChaosEvents:
+    def test_each_chaos_event_kind_matches_its_counter(self, free_peers):
+        """The link that suffers a fault records it: every ``chaos_*`` event
+        on the cluster's bus answers to one count in ``chaos.report()``."""
+        cluster, chaos = chaos_cluster(
+            free_peers(4),
+            seed=11,
+            chaos_config=ChaosConfig(
+                drop_rate=0.2,
+                duplicate_rate=0.1,
+                delay_rate=0.1,
+                max_delay=0.005,
+                sever_every=15,
+                dial_fail_rate=0.2,
+            ),
+        )
+        reached = asyncio.run(
+            cluster.run_until(ordered_at_least(cluster, 8), timeout=60.0)
+        )
+        assert reached
+        bus = cluster.observability.bus
+        assert bus.dropped == 0  # the whole run is on the bus
+        seen = Counter(event.kind for event in bus.events)
+        report = chaos.report()
+        counters = {
+            "chaos_drop": "drops",
+            "chaos_duplicate": "duplicates",
+            "chaos_delay": "delays",
+            "chaos_sever": "severs",
+            "chaos_dial_fail": "dial_failures",
+        }
+        for kind, counter in counters.items():
+            assert report[counter] > 0, counter
+            assert seen[kind] == report[counter], kind
 
 
 class TestChaosOffParity:

@@ -30,6 +30,7 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.common.errors import StorageError
 from repro.core.harness import DagRiderDeployment
+from repro.obs.context import Observability
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.consistency import full_digest_log
 from repro.storage import journal as journal_module
@@ -58,7 +59,7 @@ def sim_life(root, wave, journaled=True, recover=False):
     journals = {}
     if journaled:
         journals = {
-            pid: NodeJournal(str(root / f"node-{pid}"), pid)
+            pid: NodeJournal(str(root / f"node-{pid}"), pid, obs=Observability())
             for pid in config.processes
         }
     deployment = DagRiderDeployment(
@@ -82,7 +83,7 @@ def sim_life(root, wave, journaled=True, recover=False):
 
 def recover_alone(root, pid=0):
     """Replay ``pid``'s journal into a fresh, never-started node."""
-    journal = NodeJournal(str(root / f"node-{pid}"), pid)
+    journal = NodeJournal(str(root / f"node-{pid}"), pid, obs=Observability())
     node = DagRiderDeployment(
         SystemConfig(n=4, seed=5), node_kwargs={pid: {"gc_depth": 4}}
     ).nodes[pid]
@@ -155,7 +156,7 @@ class TestDigestLogCrashWindows:
         else:
             os.truncate(path, counted * DIGEST_BYTES - 5)
         with pytest.raises(StorageError, match="digests.log"):
-            NodeJournal(str(tmp_path / "node-0"), 0)
+            NodeJournal(str(tmp_path / "node-0"), 0, obs=Observability())
 
     def test_torn_tail_past_the_count_is_cut(self, tmp_path):
         expected = full_digest_log(sim_life(tmp_path, 4).nodes[0])
@@ -176,7 +177,7 @@ class TestDigestLogCrashWindows:
         struct.pack_into(">I", data, 4, 1)  # header: magic, version, crc
         path.write_bytes(bytes(data))
         with pytest.raises(StorageError, match="unsupported version 1"):
-            NodeJournal(str(tmp_path / "node-0"), 0)
+            NodeJournal(str(tmp_path / "node-0"), 0, obs=Observability())
 
     def test_second_life_appends_after_the_first_lifes_records(self, tmp_path):
         path = tmp_path / "node-0" / "digests.log"

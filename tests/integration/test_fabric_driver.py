@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from repro.common.config import SystemConfig
-from repro.obs import loads_trace
+from repro.obs import Observability, loads_trace
 from repro.runtime import fabric as fabric_module
 from repro.runtime.fabric import Fabric
 from repro.runtime.peers import allocate_port_block, make_peer_table
@@ -94,5 +94,6 @@ def test_driver_issues_exactly_the_verbs_a_runner_serves(free_peers):
     nothing but this test notices a verb one side dropped or renamed."""
     issued = set(re.findall(r'"cmd": "(\w+)"', Path(fabric_module.__file__).read_text()))
     table = make_peer_table(free_peers(4), SystemConfig(n=4, seed=3))
-    server = ControlServer(NodeRunner(table, 0), "127.0.0.1", 0)
+    runner = NodeRunner(table, 0, observability=Observability())
+    server = ControlServer(runner, "127.0.0.1", 0)
     assert issued == set(server._verbs) | set(server._streams)

@@ -6,7 +6,8 @@ from repro.common.config import SystemConfig
 from repro.obs import Observability, loads_trace
 from repro.runtime import transport
 from repro.runtime.cluster import LocalCluster
-from repro.runtime.runner import FLIGHT_EVENTS
+from repro.runtime.linerpc import LineClient
+from repro.runtime.runner import FLIGHT_EVENTS, ControlServer
 
 
 def run_cluster(
@@ -51,6 +52,38 @@ class TestTcpRuntime:
         cluster, reached = run_cluster(free_peers(4))
         assert reached
         assert all(net.metrics.correct_bits_total > 0 for net in cluster.networks)
+
+    def test_bundle_less_cluster_serves_flight_and_subscribe(
+        self, free_peers, free_port
+    ):
+        """A cluster built without ``observability=`` makes its own bundle,
+        so a control socket over one of its runners answers ``flight`` with
+        a trace and ``subscribe`` with a stream header."""
+        cluster = LocalCluster(SystemConfig(n=4, seed=5), peers=free_peers(4))
+        port = free_port()
+
+        async def main():
+            await cluster.start()
+            control = ControlServer(cluster.runners[0], "127.0.0.1", port)
+            await control.start()
+            try:
+                while not all(len(node.ordered) >= 2 for node in cluster.nodes):
+                    await asyncio.sleep(0.05)
+                async with await LineClient.open(("127.0.0.1", port)) as client:
+                    flight = await client.call({"cmd": "flight"})
+                async with await LineClient.open(("127.0.0.1", port)) as client:
+                    header = await client.call({"cmd": "subscribe"})
+            finally:
+                await control.close()
+                await cluster.stop()
+            return flight, header
+
+        flight, header = asyncio.run(asyncio.wait_for(main(), 45.0))
+        assert flight["ok"] is True
+        trace = loads_trace(flight["trace"])
+        assert trace.meta["pid"] == 0 and trace.events
+        assert header["schema"] == "repro.obs.trace"
+        assert header["meta"]["pid"] == 0
 
     def test_event_bus_is_a_window_not_a_lifetime(self, free_peers, monkeypatch):
         window = 400  # a few rounds' worth, so a short run overflows it

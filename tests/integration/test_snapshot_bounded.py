@@ -23,6 +23,7 @@ from repro.dag.vertex import Vertex
 from repro.storage.digests import DIGEST_BYTES
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
+from repro.obs.context import Observability
 from repro.storage.journal import NodeJournal, recover_node
 
 GC_DEPTH = 8
@@ -39,7 +40,7 @@ def journaled_deployment(journals=None):
 
 def test_snapshot_and_rebroadcast_bounded_over_100_compactions(tmp_path, monkeypatch):
     journals = {
-        pid: NodeJournal(str(tmp_path / f"node-{pid}"), pid)
+        pid: NodeJournal(str(tmp_path / f"node-{pid}"), pid, obs=Observability())
         for pid in range(4)
     }
     snapshot_path = journals[0].snapshot_path
@@ -120,7 +121,7 @@ def test_snapshot_and_rebroadcast_bounded_over_100_compactions(tmp_path, monkeyp
     node = deployment.nodes[0]
     in_flight = node.builder.round - node.store.collected_floor + 1
     restarted = journaled_deployment().nodes[0]
-    journal = NodeJournal(str(tmp_path / "node-0"), 0)
+    journal = NodeJournal(str(tmp_path / "node-0"), 0, obs=Observability())
     try:
         report = recover_node(restarted, journal)
     finally:

@@ -6,6 +6,7 @@ from repro.broadcast.gossip import GossipSubscribe
 from repro.codec import encode_message
 from repro.codec.frames import LinkAck
 from repro.common.config import SystemConfig
+from repro.obs.context import Observability
 from repro.runtime.peers import allocate_port_block
 from repro.runtime.reliable import HANDSHAKE, frame_bytes
 from repro.runtime.transport import TcpNetwork
@@ -41,7 +42,7 @@ async def busy_link_control_bits() -> tuple[int, int]:
     """
     ports = allocate_port_block(2)
     peers = {pid: ("127.0.0.1", ports[pid]) for pid in range(2)}
-    net = TcpNetwork(SystemConfig(n=2, seed=3), 0, peers)
+    net = TcpNetwork(SystemConfig(n=2, seed=3), 0, peers, obs=Observability())
     sink = Sink(0)
     net.register(sink)
     await net.start()
@@ -84,7 +85,7 @@ def test_batched_ack_is_cumulative():
     async def main():
         ports = allocate_port_block(2)
         peers = {pid: ("127.0.0.1", ports[pid]) for pid in range(2)}
-        net = TcpNetwork(SystemConfig(n=2, seed=3), 0, peers)
+        net = TcpNetwork(SystemConfig(n=2, seed=3), 0, peers, obs=Observability())
         net.register(Sink(0))
         await net.start()
         try:
@@ -125,7 +126,7 @@ def test_broadcast_encodes_once(monkeypatch):
 
         ports = allocate_port_block(4)
         peers = {pid: ("127.0.0.1", ports[pid]) for pid in range(4)}
-        net = TcpNetwork(SystemConfig(n=4, seed=3), 0, peers)
+        net = TcpNetwork(SystemConfig(n=4, seed=3), 0, peers, obs=Observability())
         sink = Sink(0)
         net.register(sink)
 

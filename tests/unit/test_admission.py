@@ -24,8 +24,10 @@ class FakeClock:
         return self.now
 
 
-def make_mempool(clock=None, obs=None, **config) -> Mempool:
-    return Mempool(0, config=AdmissionConfig(**config), clock=clock, obs=obs)
+def make_mempool(clock=None, **config) -> Mempool:
+    return Mempool(
+        0, config=AdmissionConfig(**config), clock=clock, obs=Observability()
+    )
 
 
 class TestConfig:

@@ -21,6 +21,8 @@ from repro.runtime.linerpc import LineClient
 @contextlib.asynccontextmanager
 async def gateway_on_sim(port, ingress=None, node_kwargs=None, obs=None):
     """(deployment, node 0, its mempool, its gateway, a connected client)."""
+    if obs is None:
+        obs = Observability()
     deployment = DagRiderDeployment(
         SystemConfig(n=4, seed=20), node_kwargs=node_kwargs, observability=obs
     )

@@ -42,7 +42,10 @@ def make_pair(n=2, seed=7, chaos=None):
     ports = allocate_port_block(n)
     peers = {pid: ("127.0.0.1", ports[pid]) for pid in range(n)}
     config = SystemConfig(n=n, seed=seed)
-    nets = [TcpNetwork(config, pid, peers, chaos=chaos) for pid in range(n)]
+    obs = Observability()
+    nets = [
+        TcpNetwork(config, pid, peers, obs=obs, chaos=chaos) for pid in range(n)
+    ]
     sinks = [Sink(pid) for pid in range(n)]
     for net, sink in zip(nets, sinks):
         net.register(sink)
@@ -97,6 +100,10 @@ class TestConfigs:
             ChaosConfig(drop_rate=1.0)
         with pytest.raises(ConfigurationError):
             ChaosConfig(sever_every=0)
+        # A planned delay is a positive wait, so every counted delay is one
+        # the link records as ``chaos_delay``.
+        with pytest.raises(ConfigurationError, match="max_delay"):
+            ChaosConfig(delay_rate=0.5, max_delay=0.0)
 
 
 class TestChaosDeterminism:
@@ -508,4 +515,4 @@ class TestLoopRequirement:
         config = SystemConfig(n=2, seed=1)
         peers = {0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)}
         with pytest.raises(RuntimeError):
-            TcpNetwork(config, 0, peers)
+            TcpNetwork(config, 0, peers, obs=Observability())
