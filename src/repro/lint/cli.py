@@ -2,8 +2,7 @@
 
 Exit codes (CI contract):
 
-* ``0`` — no violations (suppressed hits are counted but do not fail the
-  run);
+* ``0`` — no violations;
 * ``1`` — at least one violation or unparsable file;
 * ``2`` — usage error (a path that does not exist).
 """
@@ -18,30 +17,17 @@ from typing import Sequence
 
 from repro.lint.engine import LintResult, run
 from repro.lint.registry import rule_table
-from repro.lint.violations import Violation
 
 
-def _format_text(result: LintResult, *, show_suppressed: bool) -> str:
-    lines: list[str] = []
-
-    def emit(violation: Violation, tag: str = "") -> None:
-        suffix = f"  [{tag}]" if tag else ""
-        lines.append(
-            f"{violation.path}:{violation.line}:{violation.col + 1}: "
-            f"{violation.code} {violation.message}{suffix}"
-        )
-
-    for path, error in result.parse_errors:
-        lines.append(f"{path}: PARSE error: {error}")
-    for violation in result.violations:
-        emit(violation)
-    if show_suppressed:
-        for violation in result.suppressed:
-            emit(violation, "suppressed")
+def _format_text(result: LintResult) -> str:
+    lines = [f"{path}: PARSE error: {error}" for path, error in result.parse_errors]
+    lines += [
+        f"{v.path}:{v.line}:{v.col + 1}: {v.code} {v.message}"
+        for v in result.violations
+    ]
     lines.append(
         f"{result.files_checked} files checked: "
-        f"{len(result.violations)} violations, "
-        f"{len(result.suppressed)} suppressed"
+        f"{len(result.violations)} violations"
         + (f", {len(result.parse_errors)} unparsable" if result.parse_errors else "")
     )
     return "\n".join(lines)
@@ -51,7 +37,6 @@ def _format_json(result: LintResult) -> str:
     document = {
         "files_checked": result.files_checked,
         "violations": [v.to_dict() for v in result.violations],
-        "suppressed": [v.to_dict() for v in result.suppressed],
         "parse_errors": [
             {"path": path, "error": error} for path, error in result.parse_errors
         ],
@@ -74,11 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="also print suppressed violations (text format)",
     )
     parser.add_argument(
         "--root",
@@ -113,5 +93,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.fmt == "json":
         print(_format_json(result))
     else:
-        print(_format_text(result, show_suppressed=args.show_suppressed))
+        print(_format_text(result))
     return 0 if result.ok else 1

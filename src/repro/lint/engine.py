@@ -1,9 +1,9 @@
 """File discovery and per-module orchestration.
 
-The engine walks the given paths, parses each ``.py`` file once, runs every
-applicable rule (see :mod:`repro.lint.registry`) and applies the file's
-inline suppressions. All ordering is deterministic — paths are sorted,
-violations are sorted by position — so the linter obeys its own rules.
+The engine walks the given paths, parses each ``.py`` file once and runs
+every applicable rule (see :mod:`repro.lint.registry`). All ordering is
+deterministic — paths are sorted, violations are sorted by position — so
+the linter obeys its own rules.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 # Importing the rules package populates the rule registry as a side effect.
 import repro.lint.rules  # noqa: F401
 from repro.lint.registry import ModuleContext, check_module
-from repro.lint.suppress import is_suppressed, parse_suppressions
 from repro.lint.violations import Violation, sort_key
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
@@ -28,7 +27,6 @@ class LintResult:
 
     files_checked: int = 0
     violations: list[Violation] = field(default_factory=list)
-    suppressed: list[Violation] = field(default_factory=list)
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     #: Per top-level package of ``repro`` ("." = its own modules): files,
     #: physical lines, code lines (no blanks/comments/docstrings). A trend
@@ -76,19 +74,30 @@ def discover_files(paths: list[Path]) -> list[Path]:
     return sorted(found)
 
 
+def package_parts(path: Path) -> tuple[str, ...] | None:
+    """The parts of ``path`` below its innermost ``repro`` directory.
+
+    None when no directory on the path is named ``repro``. Innermost, so a
+    checkout that is itself called ``repro`` still anchors at the package:
+    ``/x/repro/src/repro/dag/store.py`` gives ``("dag", "store.py")``.
+    """
+    directories = path.parts[:-1]
+    if "repro" not in directories:
+        return None
+    anchor = len(directories) - directories[::-1].index("repro")
+    return path.parts[anchor:]
+
+
 def module_name_for(path: Path) -> str:
     """Dotted module name for ``path``, anchored at the ``repro`` package.
 
     Files outside the package (scripts, tests) get their stem, which leaves
     ``ModuleContext.package`` empty so only all-package rules apply.
     """
-    parts = list(path.with_suffix("").parts)
-    if "repro" in parts:
-        parts = parts[parts.index("repro") :]
-    else:
-        parts = parts[-1:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
+    inside = package_parts(path)
+    parts = [path.stem] if inside is None else ["repro", *inside[:-1], path.stem]
+    if parts[-1] == "__init__":
+        parts.pop()
     return ".".join(parts)
 
 
@@ -102,14 +111,10 @@ def relative_posix(path: Path, root: Path) -> str:
 
 def lint_source(
     source: str, *, path: str = "<snippet>", module: str = "snippet"
-) -> tuple[list[Violation], list[Violation]]:
-    """Lint one source string; returns (active, suppressed). Test-friendly."""
+) -> list[Violation]:
+    """Lint one source string, violations in position order. Test-friendly."""
     context = ModuleContext.from_source(path, module, source)
-    violations = sorted(check_module(context), key=sort_key)
-    suppressions = parse_suppressions(context.lines)
-    active = [v for v in violations if not is_suppressed(v, suppressions)]
-    suppressed = [v for v in violations if is_suppressed(v, suppressions)]
-    return active, suppressed
+    return sorted(check_module(context), key=sort_key)
 
 
 def run(paths: list[Path], *, root: Path) -> LintResult:
@@ -124,8 +129,8 @@ def run(paths: list[Path], *, root: Path) -> LintResult:
             result.parse_errors.append((rel, str(exc)))
             continue
         result.files_checked += 1
-        if "repro" in file_path.parts:
-            inside = file_path.parts[file_path.parts.index("repro") + 1 :]
+        inside = package_parts(file_path)
+        if inside is not None:
             size = result.loc.setdefault(
                 inside[0] if len(inside) > 1 else ".",
                 {"files": 0, "lines": 0, "code": 0},
@@ -133,13 +138,6 @@ def run(paths: list[Path], *, root: Path) -> LintResult:
             size["files"] += 1
             size["lines"] += len(context.lines)
             size["code"] += code_lines(source)
-        violations = check_module(context)
-        suppressions = parse_suppressions(context.lines)
-        for violation in violations:
-            if is_suppressed(violation, suppressions):
-                result.suppressed.append(violation)
-            else:
-                result.violations.append(violation)
+        result.violations.extend(check_module(context))
     result.violations.sort(key=sort_key)
-    result.suppressed.sort(key=sort_key)
     return result

@@ -2,7 +2,7 @@
 
 Every rule is a small :class:`ast.NodeVisitor` subclass declaring:
 
-* ``code`` — its identifier (``DET001``, ``ASYNC001``, ...);
+* ``code`` — its identifier (``DET001``, ``ASYNC003``, ...);
 * ``summary`` — a one-line description used by ``--list-rules`` and docs;
 * ``packages`` — the ``repro`` subpackages it applies to (None = all);
 * ``exempt_modules`` — dotted module names excluded even inside an
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.lint.names import collect_imports
 from repro.lint.violations import Violation
@@ -136,14 +136,9 @@ def rule_table() -> list[tuple[str, str, str]]:
     return rows
 
 
-def check_module(
-    context: ModuleContext,
-    rule_filter: Callable[[type[Rule]], bool] | None = None,
-) -> list[Violation]:
+def check_module(context: ModuleContext) -> list[Violation]:
     """Run every applicable rule over one module and collect violations."""
     violations: list[Violation] = []
     for rule_cls in applicable_rules(context):
-        if rule_filter is not None and not rule_filter(rule_cls):
-            continue
         violations.extend(rule_cls(context).run())
     return violations

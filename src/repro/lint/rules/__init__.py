@@ -2,11 +2,10 @@
 
 Rule inventory (see ``docs/static-analysis.md`` for rationale and examples):
 
-* DET001–DET004 — :mod:`repro.lint.rules.determinism`
-* ASYNC001–ASYNC003 — :mod:`repro.lint.rules.async_rules`
-* EXC001 — :mod:`repro.lint.rules.exceptions`
+* DET001–DET003 — :mod:`repro.lint.rules.determinism`
+* ASYNC003 — :mod:`repro.lint.rules.async_rules`
 """
 
-from repro.lint.rules import async_rules, determinism, exceptions
+from repro.lint.rules import async_rules, determinism
 
-__all__ = ["async_rules", "determinism", "exceptions"]
+__all__ = ["async_rules", "determinism"]

@@ -1,18 +1,18 @@
-"""Determinism rules DET001–DET004.
+"""Determinism rules DET001–DET003.
 
 The reproduction's load-bearing invariant is bit-identical deterministic
 metrics: ``python -m repro.perf --check`` fails on any drift from the
 committed ``BENCH_sim.json``. These rules statically forbid the constructs
 that have historically broken that class of invariant in simulator
-codebases: unseeded randomness, wall-clock reads, set-iteration-order
-leaks, and ``id()``-keyed ordering.
+codebases: unseeded randomness, wall-clock reads and set-iteration-order
+leaks.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.names import call_origin, dotted_origin, imported_module_names
+from repro.lint.names import call_origin, imported_module_names
 from repro.lint.registry import Rule, register
 
 #: Wall-clock reads banned inside simulated-time packages (DET002). The
@@ -38,11 +38,6 @@ WALL_CLOCK_ORIGINS = frozenset(
 #: Consumers whose output order mirrors their argument's iteration order;
 #: feeding a set straight into one of these leaks the order (DET003).
 ORDER_ESCAPING_CALLS = frozenset({"list", "tuple", "enumerate", "iter"})
-
-#: Sort-like callables whose ``key=`` is checked for id() (DET004).
-SORT_LIKE_ORIGINS = frozenset(
-    {"sorted", "min", "max", "heapq.nsmallest", "heapq.nlargest"}
-)
 
 
 @register
@@ -309,78 +304,4 @@ class SetOrderEscapeRule(Rule):
             and node.args
         ):
             self._check_iterable(node.args[0], "str.join()")
-        self.generic_visit(node)
-
-
-def _mentions_id_call(node: ast.expr, imports: dict[str, str]) -> bool:
-    """True when ``node`` is/contains a call to the builtin ``id``."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call) and call_origin(child, imports) == "id":
-            return True
-    return False
-
-
-@register
-class IdentityOrderRule(Rule):
-    """DET004: sorting or keying on ``id()``/object identity.
-
-    CPython ``id()`` is an address: it differs run-to-run, so any order or
-    key derived from it is nondeterministic. Flags ``key=id`` (or a lambda
-    calling ``id``) on sort-like calls and ``.sort()``, comparisons between
-    ``id()`` results, and ``id()`` used as a dict/set key.
-    """
-
-    code = "DET004"
-    summary = "sorting or keying on id()/object identity (address-dependent)"
-    packages = None
-
-    def _check_key_kwarg(self, node: ast.Call, what: str) -> None:
-        for keyword in node.keywords:
-            if keyword.arg != "key":
-                continue
-            value = keyword.value
-            is_id = (
-                dotted_origin(value, self.context.imports) == "id"
-                or isinstance(value, ast.Lambda)
-                and _mentions_id_call(value.body, self.context.imports)
-            )
-            if is_id:
-                self.report(
-                    node,
-                    f"{what} keyed on id(); object addresses differ "
-                    "run-to-run — key on a stable field instead",
-                )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        origin = call_origin(node, self.context.imports)
-        if origin in SORT_LIKE_ORIGINS:
-            self._check_key_kwarg(node, f"{origin}()")
-        elif isinstance(node.func, ast.Attribute) and node.func.attr == "sort":
-            self._check_key_kwarg(node, ".sort()")
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        ordered_ops = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-        if any(isinstance(op, ordered_ops) for op in node.ops):
-            operands = [node.left, *node.comparators]
-            if any(
-                isinstance(operand, ast.Call)
-                and call_origin(operand, self.context.imports) == "id"
-                for operand in operands
-            ):
-                self.report(
-                    node,
-                    "orders by comparing id() results; addresses are not "
-                    "stable across runs",
-                )
-        self.generic_visit(node)
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if isinstance(node.ctx, ast.Store) and isinstance(node.slice, ast.Call):
-            if call_origin(node.slice, self.context.imports) == "id":
-                self.report(
-                    node,
-                    "stores under an id() key; the mapping's iteration "
-                    "order will vary run-to-run",
-                )
         self.generic_visit(node)

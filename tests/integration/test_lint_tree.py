@@ -1,13 +1,18 @@
 """The shipped tree must satisfy its own determinism lint.
 
 This is the acceptance criterion ``python -m repro.lint src/`` exits 0,
-pinned as a test so a violation (e.g. a stray ``import random`` or a
-blocking call in a coroutine) fails tier-1 locally, not just the CI lint
-job. Runs the engine in-process against the real repo root.
+pinned as a test so a violation (e.g. a stray ``import random`` or an
+unsupervised task) fails tier-1 locally, not just the CI lint job. Runs
+the engine in-process against the real repo root.
+
+``TestKeptRules`` holds, per rule, the mutation that only that rule catches:
+the reason the rule stays (docs/static-analysis.md "Last real finding per
+rule").
 """
 
 from pathlib import Path
 
+from repro.lint import lint_source
 from repro.lint.cli import main
 from repro.lint.engine import run
 
@@ -25,3 +30,25 @@ class TestShippedTree:
         # grows as the repo does; a collapse here means discovery broke).
         assert result.parse_errors == []
         assert result.files_checked >= 84
+
+
+class TestKeptRules:
+    def test_det002_catches_a_wall_clock_watchdog_in_the_scheduler(self):
+        # An hour-long budget never trips on a fast host, so every test and
+        # the count gate pass; on a slow one the counts move.
+        source = (REPO_ROOT / "src" / "repro" / "sim" / "scheduler.py").read_text()
+        for old, new in (
+            ("import heapq\n", "import heapq\nimport time\n"),
+            (
+                "        remaining = max_events\n        while queue:\n",
+                "        remaining = max_events\n"
+                "        deadline = time.monotonic() + 3600.0\n"
+                "        while queue:\n"
+                "            if time.monotonic() > deadline:\n"
+                "                return\n",
+            ),
+        ):
+            assert source.count(old) == 1
+            source = source.replace(old, new)
+        violations = lint_source(source, module="repro.sim.scheduler")
+        assert [v.code for v in violations] == ["DET002", "DET002"]
