@@ -11,27 +11,3 @@
 * :mod:`repro.analysis.render` — ASCII rendering of a local DAG (the
   Figure 1 / Figure 2 reproductions).
 """
-
-from repro.analysis.chain_quality import chain_quality_report, check_chain_quality
-from repro.analysis.complexity import fit_exponent, select_model
-from repro.analysis.latency import (
-    commit_sizes,
-    delivery_latencies,
-    inter_commit_times,
-    throughput,
-)
-from repro.analysis.render import render_dag
-from repro.analysis.stats import summarize
-
-__all__ = [
-    "chain_quality_report",
-    "check_chain_quality",
-    "commit_sizes",
-    "delivery_latencies",
-    "fit_exponent",
-    "inter_commit_times",
-    "render_dag",
-    "select_model",
-    "summarize",
-    "throughput",
-]

@@ -30,22 +30,3 @@ channels and model crash/scheduling adversaries faithfully; Byzantine
 the originals prevent it with threshold signatures, and Table 1's
 communication/time/fairness comparisons do not depend on it.
 """
-
-from repro.baselines.aba import BinaryAgreement
-from repro.baselines.aleph import AlephNode, build_aleph_cluster
-from repro.baselines.dispersal import AvidDispersal
-from repro.baselines.dumbo import DumboSlot
-from repro.baselines.honeybadger import HoneyBadgerSlot
-from repro.baselines.smr import SmrNode
-from repro.baselines.vaba import VabaSlot
-
-__all__ = [
-    "AlephNode",
-    "AvidDispersal",
-    "BinaryAgreement",
-    "DumboSlot",
-    "HoneyBadgerSlot",
-    "SmrNode",
-    "VabaSlot",
-    "build_aleph_cluster",
-]

@@ -18,17 +18,3 @@ Instantiations, matching the rows of Table 1:
   information dispersal [14]: Reed-Solomon fragments + Merkle authentication,
   O(n² log n + n·|m|) bits.
 """
-
-from repro.broadcast.avid import AvidBroadcast
-from repro.broadcast.base import DeliverCallback, Payload, ReliableBroadcast
-from repro.broadcast.bracha import BrachaBroadcast
-from repro.broadcast.gossip import GossipBroadcast
-
-__all__ = [
-    "AvidBroadcast",
-    "BrachaBroadcast",
-    "DeliverCallback",
-    "GossipBroadcast",
-    "Payload",
-    "ReliableBroadcast",
-]

@@ -6,19 +6,3 @@
 * :mod:`repro.codes.merkle` — Merkle trees with membership proofs, used to
   authenticate fragments against the dispersal root.
 """
-
-from repro.codes.gf256 import gf_add, gf_div, gf_inv, gf_mul, gf_pow
-from repro.codes.merkle import MerkleTree, verify_proof
-from repro.codes.reed_solomon import rs_decode, rs_encode
-
-__all__ = [
-    "MerkleTree",
-    "gf_add",
-    "gf_div",
-    "gf_inv",
-    "gf_mul",
-    "gf_pow",
-    "rs_decode",
-    "rs_encode",
-    "verify_proof",
-]

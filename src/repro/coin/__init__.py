@@ -19,9 +19,3 @@ Two implementations:
   the instance secret, and any ``f + 1`` verified shares reconstruct it;
   the leader is the hash of the secret mod ``n``.
 """
-
-from repro.coin.base import CoinProtocol
-from repro.coin.ideal import IdealCoin
-from repro.coin.threshold import CoinShareMessage, ThresholdCoin
-
-__all__ = ["CoinProtocol", "CoinShareMessage", "IdealCoin", "ThresholdCoin"]

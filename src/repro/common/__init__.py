@@ -5,50 +5,3 @@ identifiers and arithmetic (paper §5), quorum sizes (paper §2), the system
 configuration object, the exception hierarchy, deterministic RNG derivation,
 and big-integer bitset helpers used for DAG reachability queries.
 """
-
-from repro.common.config import SystemConfig
-from repro.common.errors import (
-    ConfigurationError,
-    DagError,
-    ProtocolError,
-    ReproError,
-    SecretSharingError,
-    WireFormatError,
-)
-from repro.common.rng import derive_rng, derive_seed
-from repro.common.types import (
-    GENESIS_ROUND,
-    WAVE_LENGTH,
-    ProcessId,
-    Round,
-    Wave,
-    byzantine_quorum,
-    fault_tolerance,
-    round_of_wave,
-    validity_quorum,
-    wave_of_round,
-    wave_round_index,
-)
-
-__all__ = [
-    "GENESIS_ROUND",
-    "WAVE_LENGTH",
-    "ConfigurationError",
-    "DagError",
-    "ProcessId",
-    "ProtocolError",
-    "ReproError",
-    "Round",
-    "SecretSharingError",
-    "SystemConfig",
-    "Wave",
-    "WireFormatError",
-    "byzantine_quorum",
-    "derive_rng",
-    "derive_seed",
-    "fault_tolerance",
-    "round_of_wave",
-    "validity_quorum",
-    "wave_of_round",
-    "wave_round_index",
-]

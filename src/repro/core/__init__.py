@@ -11,19 +11,3 @@
 * :mod:`repro.core.harness` — convenience builder for whole simulated
   deployments.
 """
-
-from repro.core.faulty import CrashNode, EquivocatingNode, SilentNode
-from repro.core.harness import DagRiderDeployment
-from repro.core.node import DagRiderNode, OrderedEntry
-from repro.core.ordering import CommitRecord, DagRiderOrdering
-
-__all__ = [
-    "CommitRecord",
-    "CrashNode",
-    "DagRiderDeployment",
-    "DagRiderNode",
-    "DagRiderOrdering",
-    "EquivocatingNode",
-    "OrderedEntry",
-    "SilentNode",
-]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.broadcast.bracha import BrachaMessage
 from repro.core.node import DagRiderNode
 from repro.dag.vertex import Vertex
-from repro.mempool.blocks import Block
+from repro.mempool.blocks import Block, BlockSource
 from repro.sim.wire import Message
 
 
@@ -108,8 +108,6 @@ class SilentNode(DagRiderNode):
     """
 
     def __init__(self, pid, network, **kwargs):
-        from repro.mempool.blocks import BlockSource
-
         kwargs["block_source"] = BlockSource(pid)
         super().__init__(pid, network, **kwargs)
 
@@ -123,8 +121,6 @@ class EquivocatingNode(DagRiderNode):
     """
 
     def __init__(self, pid, network, **kwargs):
-        from repro.mempool.blocks import BlockSource
-
         kwargs.setdefault("broadcast", "bracha")
         kwargs["block_source"] = BlockSource(pid)  # never propose honestly
         super().__init__(pid, network, **kwargs)

@@ -30,6 +30,7 @@ from typing import Callable
 
 from repro.coin.base import CoinProtocol
 from repro.common.config import SystemConfig
+from repro.common.errors import StorageError
 from repro.common.types import round_of_wave
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex
@@ -160,8 +161,6 @@ class DagRiderOrdering:
         for ref in reversed(leader_refs):
             vertex = self.store.get(ref)
             if vertex is None:
-                from repro.common.errors import StorageError
-
                 raise StorageError(
                     f"commit replay for wave {wave}: leader {ref} not in store"
                 )

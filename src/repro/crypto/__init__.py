@@ -9,24 +9,3 @@
   allows for the coin, handing each process a key that yields its share of
   any coin instance.
 """
-
-from repro.crypto.dealer import CoinDealer, CoinKey
-from repro.crypto.hashing import digest_bytes, digest_int, digest_of
-from repro.crypto.shamir import (
-    PRIME,
-    lagrange_interpolate_at_zero,
-    reconstruct_secret,
-    share_secret,
-)
-
-__all__ = [
-    "CoinDealer",
-    "CoinKey",
-    "PRIME",
-    "digest_bytes",
-    "digest_int",
-    "digest_of",
-    "lagrange_interpolate_at_zero",
-    "reconstruct_secret",
-    "share_secret",
-]

@@ -10,9 +10,3 @@
   2f+1-vertices round-advance rule, vertex creation with weak-edge
   completion, and the ``wave_ready`` signal to the ordering layer.
 """
-
-from repro.dag.builder import DagBuilder
-from repro.dag.store import DagStore
-from repro.dag.vertex import Ref, Vertex, genesis_vertices
-
-__all__ = ["DagBuilder", "DagStore", "Ref", "Vertex", "genesis_vertices"]

@@ -13,19 +13,3 @@ is fixed in the code or in the rule.
 Run as ``python -m repro.lint src/``; see ``docs/static-analysis.md`` for
 the rule guide.
 """
-
-from repro.lint.engine import LintResult, lint_source, run
-from repro.lint.registry import RULES, ModuleContext, Rule, register, rule_table
-from repro.lint.violations import Violation
-
-__all__ = [
-    "LintResult",
-    "ModuleContext",
-    "RULES",
-    "Rule",
-    "Violation",
-    "lint_source",
-    "register",
-    "rule_table",
-    "run",
-]

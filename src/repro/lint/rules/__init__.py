@@ -7,5 +7,3 @@ Rule inventory (see ``docs/static-analysis.md`` for rationale and examples):
 """
 
 from repro.lint.rules import async_rules, determinism
-
-__all__ = ["async_rules", "determinism"]

@@ -6,7 +6,3 @@ transactions per block. :class:`repro.mempool.blocks.BlockSource` models
 both: explicitly enqueued blocks (the ``a_bcast`` path) take priority, and an
 optional synthetic generator keeps the queue non-empty forever.
 """
-
-from repro.mempool.blocks import Block, BlockSource, TransactionGenerator
-
-__all__ = ["Block", "BlockSource", "TransactionGenerator"]

@@ -31,79 +31,3 @@ The package is dependency-light by design: it imports nothing from
 emit into it without cycles. It is in scope for the determinism lint's
 DET002/DET003 rules — no wall-clock reads, no set-order leaks.
 """
-
-from repro.obs.analyze import (
-    TraceDiff,
-    WaveStats,
-    diff_traces,
-    filter_events,
-    kind_counts,
-    summarize,
-    wave_stats,
-)
-from repro.obs.bus import EventBus
-from repro.obs.causal import CausalReport, EdgeStats, VertexChain, stitch
-from repro.obs.context import Observability
-from repro.obs.events import Event, Scalar, make_fields
-from repro.obs.export import (
-    TRACE_SCHEMA,
-    TRACE_VERSION,
-    Trace,
-    TraceFormatError,
-    dump_trace,
-    dumps_trace,
-    load_trace,
-    loads_trace,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.spans import (
-    PHASE_BROADCAST,
-    PHASE_COMMIT_WALK,
-    PHASE_DAG_INSERT,
-    PHASE_DELIVER,
-    PHASE_WAVE_LEADER,
-    PIPELINE_PHASES,
-    SpanTracker,
-)
-from repro.obs.stream import StallDetector
-from repro.obs.wire import MetricsCollector
-
-__all__ = [
-    "CausalReport",
-    "Counter",
-    "EdgeStats",
-    "Event",
-    "EventBus",
-    "Gauge",
-    "Histogram",
-    "MetricsCollector",
-    "MetricsRegistry",
-    "Observability",
-    "PHASE_BROADCAST",
-    "PHASE_COMMIT_WALK",
-    "PHASE_DAG_INSERT",
-    "PHASE_DELIVER",
-    "PHASE_WAVE_LEADER",
-    "PIPELINE_PHASES",
-    "Scalar",
-    "SpanTracker",
-    "StallDetector",
-    "TRACE_SCHEMA",
-    "TRACE_VERSION",
-    "Trace",
-    "TraceDiff",
-    "TraceFormatError",
-    "VertexChain",
-    "WaveStats",
-    "diff_traces",
-    "dump_trace",
-    "dumps_trace",
-    "filter_events",
-    "kind_counts",
-    "load_trace",
-    "loads_trace",
-    "make_fields",
-    "stitch",
-    "summarize",
-    "wave_stats",
-]

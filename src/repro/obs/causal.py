@@ -381,16 +381,3 @@ def _collect_edges(
                     corrected(pid, delivered_at) - corrected(source, chain.created)
                 )
     return {name: edge_stats(values) for name, values in samples.items()}
-
-
-__all__ = [
-    "CAUSAL_SCHEMA",
-    "CAUSAL_VERSION",
-    "CausalReport",
-    "EDGES",
-    "EdgeStats",
-    "VertexChain",
-    "edge_stats",
-    "percentile",
-    "stitch",
-]

@@ -14,7 +14,8 @@ latency moved). ``causal`` joins a merged multi-host trace into
 per-vertex causal chains with per-edge latency percentiles and a
 cross-host clock-skew report (:mod:`repro.obs.causal`); it exits 1 when
 no chains could be stitched — an empty result means the trace carries no
-delivered vertices, which is itself a finding.
+delivered vertices, which is itself a finding. Any command exits 2, as
+diff(1) does on trouble, when a file cannot be read or is not a trace.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 
 from repro.obs.analyze import diff_traces, filter_events, retention_note, summarize
 from repro.obs.causal import stitch
-from repro.obs.export import Trace, dump_trace, dumps_trace, load_trace
+from repro.obs.export import Trace, TraceFormatError, dump_trace, dumps_trace, load_trace
 
 
 def _parse_slow(spec: str) -> tuple[int, float]:
@@ -192,4 +193,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (OSError, TraceFormatError) as error:
+        print(f"repro.obs: {error}", file=sys.stderr)
+        return 2
     return result

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Any, Iterable
 
 from repro.obs.events import Event, make_fields
 
@@ -63,7 +63,10 @@ def record_event(record: dict[str, object]) -> Event:
     fields = record.get("f", {})
     if not isinstance(fields, dict):
         raise TraceFormatError(f"event field bag is not an object: {fields!r}")
-    return Event(float(time), int(pid), str(kind), make_fields(fields))  # type: ignore[arg-type]
+    try:
+        return Event(float(time), int(pid), str(kind), make_fields(fields))  # type: ignore[arg-type]
+    except (TypeError, ValueError) as error:
+        raise TraceFormatError(f"event line has a bad value: {error}") from None
 
 
 @dataclass
@@ -115,11 +118,21 @@ def dump_trace(
         handle.write(dumps_trace(events, meta=meta, metrics=metrics))
 
 
+def _json_object(line: str, number: int) -> dict[str, Any]:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as error:
+        raise TraceFormatError(f"line {number}: not JSON ({error.msg})") from None
+    if not isinstance(record, dict):
+        raise TraceFormatError(f"line {number}: not a JSON object: {line.strip()[:40]}")
+    return record
+
+
 def _load_lines(handle: IO[str]) -> Trace:
     first = handle.readline()
     if not first.strip():
         raise TraceFormatError("empty trace file")
-    header = json.loads(first)
+    header = _json_object(first, 1)
     if header.get("schema") != TRACE_SCHEMA:
         raise TraceFormatError(
             f"not a {TRACE_SCHEMA} file (schema={header.get('schema')!r})"
@@ -130,15 +143,17 @@ def _load_lines(handle: IO[str]) -> Trace:
             f"unsupported trace version {version!r} (this build reads {TRACE_VERSION})"
         )
     trace = Trace(meta=header.get("meta", {}), version=version)
-    for line in handle:
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(handle, start=2):
+        if not line.strip():
             continue
-        record = json.loads(line)
+        record = _json_object(line, number)
         if record.get("schema") == METRICS_SCHEMA:
             trace.metrics = record.get("metrics", {})
             continue
-        trace.events.append(record_event(record))
+        try:
+            trace.events.append(record_event(record))
+        except TraceFormatError as error:
+            raise TraceFormatError(f"line {number}: {error}") from None
     return trace
 
 

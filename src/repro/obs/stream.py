@@ -133,6 +133,3 @@ class StallDetector:
             self._advanced_at = now  # re-arm
             return True
         return False
-
-
-__all__ = ["DEFAULT_STREAM_CAPACITY", "EventRing", "StallDetector"]

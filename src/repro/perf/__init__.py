@@ -15,26 +15,3 @@ byte-identical whether cells run serially or in parallel, and identical
 across machines. Nothing here reads a clock (DET002 enforces it); time and
 memory are measured by ``bench/``.
 """
-
-from repro.perf.cells import SUITES, BenchCell, suite_cells
-from repro.perf.runner import run_cell, run_cell_traced
-from repro.perf.sweep import (
-    SCHEMA_VERSION,
-    check_document,
-    dumps_document,
-    render_summary,
-    run_sweep,
-)
-
-__all__ = [
-    "BenchCell",
-    "SCHEMA_VERSION",
-    "SUITES",
-    "check_document",
-    "dumps_document",
-    "render_summary",
-    "run_cell",
-    "run_cell_traced",
-    "run_sweep",
-    "suite_cells",
-]

@@ -43,50 +43,3 @@ the protocol logic depends on the simulator.
 
 See ``docs/runtime.md`` for the full design.
 """
-
-from repro.runtime.chaos import ChaosConfig, ChaosTransport, FrameFate
-from repro.runtime.cluster import LocalCluster
-from repro.runtime.live import DEFAULT_STALL_WINDOW, LiveView, NodeView
-from repro.runtime.consistency import (
-    check_prefix_consistency,
-    digest_log,
-    entry_digest,
-)
-from repro.runtime.peers import (
-    PeerEntry,
-    PeerTable,
-    PeerTableError,
-    allocate_port_block,
-    load_peer_table,
-    make_peer_table,
-    parse_peer_table,
-)
-from repro.runtime.reliable import LinkStats, ReliableLink
-from repro.runtime.runner import ControlServer, NodeRunner
-from repro.runtime.transport import AsyncScheduler, TcpNetwork
-
-__all__ = [
-    "AsyncScheduler",
-    "ChaosConfig",
-    "ChaosTransport",
-    "ControlServer",
-    "DEFAULT_STALL_WINDOW",
-    "FrameFate",
-    "LinkStats",
-    "LiveView",
-    "LocalCluster",
-    "NodeRunner",
-    "NodeView",
-    "PeerEntry",
-    "PeerTable",
-    "PeerTableError",
-    "ReliableLink",
-    "TcpNetwork",
-    "allocate_port_block",
-    "check_prefix_consistency",
-    "digest_log",
-    "entry_digest",
-    "load_peer_table",
-    "make_peer_table",
-    "parse_peer_table",
-]

@@ -5,8 +5,8 @@ sequence. Comparing ``(round, source)`` slots is not enough: reliable
 broadcast *should* prevent two different blocks occupying one slot, but the
 consistency check exists precisely to catch the runs where something below
 it broke — so each delivered entry is reduced to a SHA-256 digest over its
-slot *and* block bytes (:func:`repro.core.node.entry_digest`, re-exported
-here), and the digests are compared position by position.
+slot *and* block bytes (:func:`repro.core.node.entry_digest`), and the
+digests are compared position by position.
 
 The same check runs in three places with the same semantics:
 
@@ -23,14 +23,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.common.errors import ConsistencyError
-from repro.core.node import DagRiderNode, digest_log, entry_digest
-
-__all__ = [
-    "check_prefix_consistency",
-    "digest_log",
-    "entry_digest",
-    "full_digest_log",
-]
+from repro.core.node import DagRiderNode
 
 
 def full_digest_log(node: DagRiderNode) -> list[str]:

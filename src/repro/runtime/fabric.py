@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, ConsistencyError, FabricError
 from repro.obs.export import Trace, dumps_trace, loads_trace
 from repro.runtime import linerpc
@@ -97,8 +98,6 @@ def plan_table(
     additionally gets a client transaction port, and ``gc_depth`` sets
     the table-wide DAG compaction margin (bounded memory).
     """
-    from repro.common.config import SystemConfig
-
     assignment = {pid: hosts[pid % len(hosts)] for pid in range(n)}
     per_pid = 3 if ingress else 2
     addresses: dict[int, tuple[str, int]] = {}

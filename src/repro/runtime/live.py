@@ -32,7 +32,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Mapping, TextIO
 
 from repro.obs.export import METRICS_SCHEMA
 from repro.obs.stream import StallDetector
@@ -303,10 +303,3 @@ def _is_tty(sink: TextIO) -> bool:
         return bool(sink.isatty())
     except (AttributeError, ValueError):
         return False
-
-
-__all__: Sequence[str] = [
-    "DEFAULT_STALL_WINDOW",
-    "LiveView",
-    "NodeView",
-]

@@ -42,6 +42,8 @@ from typing import TYPE_CHECKING, Any
 from repro.common.errors import ConfigurationError
 from repro.core.node import DagRiderNode
 from repro.crypto.dealer import CoinDealer
+from repro.mempool.admission import Mempool
+from repro.mempool.gateway import IngressGateway
 from repro.obs.context import Observability
 from repro.obs.events import Event
 from repro.obs.export import dumps_trace, event_line, header_line, metrics_line
@@ -53,8 +55,6 @@ from repro.runtime.transport import TcpNetwork
 from repro.storage.journal import NodeJournal, RecoveryReport, recover_node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mempool.admission import Mempool
-    from repro.mempool.gateway import IngressGateway
     from repro.runtime.chaos import ChaosTransport
 
 #: How many of the bus's newest events a ``flight`` dump carries.
@@ -149,11 +149,6 @@ class NodeRunner:
             raise ConfigurationError(
                 f"peer {self.pid} has no ingress_port in the table"
             )
-        # Local imports: the gateway is itself a runtime.linerpc server, so
-        # importing it at module scope would cycle through this package.
-        from repro.mempool.admission import Mempool
-        from repro.mempool.gateway import IngressGateway
-
         node = self.node
         self.mempool = Mempool(
             self.pid,

@@ -15,45 +15,5 @@ This package is the substrate the paper's model (§2) runs on:
   delays to targeted leader suppression.
 
 The §3 accounting (bits sent, asynchronous time units) the network feeds
-is :class:`repro.obs.wire.MetricsCollector`, re-exported here.
+is :class:`repro.obs.wire.MetricsCollector`.
 """
-
-from repro.obs.wire import MetricsCollector
-from repro.sim.adversary import (
-    Adversary,
-    FixedDelay,
-    GroupVictimDelay,
-    LeaderSuppressionAdversary,
-    PartitionDelay,
-    SlowProcessDelay,
-    UniformDelay,
-)
-from repro.sim.network import Network
-from repro.sim.process import Process
-from repro.sim.scheduler import Scheduler
-from repro.sim.wire import (
-    BITS_PER_DIGEST,
-    BITS_PER_ROUND,
-    BITS_PER_SHARE,
-    Message,
-    bits_for_process_id,
-)
-
-__all__ = [
-    "Adversary",
-    "BITS_PER_DIGEST",
-    "BITS_PER_ROUND",
-    "BITS_PER_SHARE",
-    "FixedDelay",
-    "GroupVictimDelay",
-    "LeaderSuppressionAdversary",
-    "Message",
-    "MetricsCollector",
-    "Network",
-    "PartitionDelay",
-    "Process",
-    "Scheduler",
-    "SlowProcessDelay",
-    "UniformDelay",
-    "bits_for_process_id",
-]

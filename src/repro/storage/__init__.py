@@ -16,31 +16,3 @@ The package is intentionally outside the determinism-lint scope
 (``repro.lint`` DET002): durable storage is runtime-side and may consult
 ``time.monotonic`` for replay-duration metrics.
 """
-
-from repro.storage.digests import DigestLog
-from repro.storage.journal import NodeJournal, RecoveryReport, recover_node
-from repro.storage.snapshot import Snapshot, load_snapshot, write_snapshot
-from repro.storage.wal import (
-    WAL_COMMIT,
-    WAL_CREATED,
-    WAL_VERTEX,
-    WalRecord,
-    WriteAheadLog,
-    read_wal,
-)
-
-__all__ = [
-    "DigestLog",
-    "NodeJournal",
-    "RecoveryReport",
-    "Snapshot",
-    "WAL_COMMIT",
-    "WAL_CREATED",
-    "WAL_VERTEX",
-    "WalRecord",
-    "WriteAheadLog",
-    "load_snapshot",
-    "read_wal",
-    "recover_node",
-    "write_snapshot",
-]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import load_trace, loads_trace
+from repro.obs.export import load_trace, loads_trace
 from repro.runtime.peers import load_peer_table
 
 REPO = Path(__file__).resolve().parents[2]

@@ -11,7 +11,8 @@ import time
 from pathlib import Path
 
 from repro.common.config import SystemConfig
-from repro.obs import Observability, loads_trace
+from repro.obs.context import Observability
+from repro.obs.export import loads_trace
 from repro.runtime import fabric as fabric_module
 from repro.runtime.fabric import Fabric
 from repro.runtime.peers import allocate_port_block, make_peer_table

@@ -12,9 +12,8 @@ rule").
 
 from pathlib import Path
 
-from repro.lint import lint_source
 from repro.lint.cli import main
-from repro.lint.engine import run
+from repro.lint.engine import lint_source, run
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

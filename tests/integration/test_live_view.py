@@ -14,10 +14,11 @@ import threading
 import time
 
 from repro.common.config import SystemConfig
-from repro.obs import load_trace, stitch, summarize
+from repro.obs.analyze import summarize
+from repro.obs.causal import stitch
 from repro.obs.cli import main as obs_main
 from repro.obs.context import Observability
-from repro.obs.export import METRICS_SCHEMA
+from repro.obs.export import METRICS_SCHEMA, load_trace
 from repro.runtime import runner as runner_module
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.fabric import Fabric

@@ -13,8 +13,10 @@ The acceptance contract of the observability layer:
 import asyncio
 
 from repro.common.config import SystemConfig
-from repro.obs import Observability, diff_traces, dumps_trace, loads_trace, summarize
+from repro.obs.analyze import diff_traces, summarize
 from repro.obs.cli import main as obs_main
+from repro.obs.context import Observability
+from repro.obs.export import dumps_trace, loads_trace
 from repro.perf.cells import smoke_cells
 from repro.perf.runner import run_cell_traced
 from repro.runtime.chaos import ChaosConfig, ChaosTransport
@@ -185,6 +187,14 @@ class TestCli:
         filtered = loads_trace(commits.read_text())
         assert filtered.events
         assert {event.kind for event in filtered.events} == {"commit"}
+
+    def test_unreadable_or_malformed_trace_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        assert obs_main(["diff", missing, missing]) == 2
+        not_object = tmp_path / "list.jsonl"
+        not_object.write_text("[1]\n")
+        assert obs_main(["summarize", str(not_object)]) == 2
+        assert capsys.readouterr().err.startswith("repro.obs: ")
 
     def test_unknown_cell_exits_with_error(self):
         import pytest

@@ -3,7 +3,8 @@
 import asyncio
 
 from repro.common.config import SystemConfig
-from repro.obs import Observability, loads_trace
+from repro.obs.context import Observability
+from repro.obs.export import loads_trace
 from repro.runtime import transport
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.linerpc import LineClient

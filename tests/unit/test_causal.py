@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.obs import EventBus
+from repro.obs.bus import EventBus
 from repro.obs.causal import EDGES, edge_stats, percentile, stitch
 from repro.perf.cells import smoke_cells
 from repro.perf.runner import run_cell_traced

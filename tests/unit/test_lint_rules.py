@@ -8,7 +8,8 @@ included).
 
 import pytest
 
-from repro.lint import RULES, lint_source
+from repro.lint.engine import lint_source
+from repro.lint.registry import RULES
 
 
 def codes(violations):

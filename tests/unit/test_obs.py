@@ -13,28 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import (
-    PHASE_COMMIT_WALK,
-    PHASE_DELIVER,
-    PIPELINE_PHASES,
-    Counter,
-    Event,
-    EventBus,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Observability,
-    SpanTracker,
-    TraceFormatError,
-    diff_traces,
-    dumps_trace,
-    filter_events,
-    kind_counts,
-    loads_trace,
-    make_fields,
-    summarize,
-    wave_stats,
-)
+from repro.obs.analyze import diff_traces, filter_events, kind_counts, summarize, wave_stats
+from repro.obs.bus import EventBus
+from repro.obs.context import Observability
+from repro.obs.events import Event, make_fields
+from repro.obs.export import TraceFormatError, dumps_trace, loads_trace
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.spans import PHASE_COMMIT_WALK, PHASE_DELIVER, PIPELINE_PHASES, SpanTracker
+
+HEADER = '{"meta": {}, "schema": "repro.obs.trace", "version": 1}\n'
 
 
 class TestEvent:
@@ -291,6 +278,20 @@ class TestExport:
             '{"pid": 0, "t": 1.0}\n'  # no "kind"
         )
         with pytest.raises(TraceFormatError, match="missing key"):
+            loads_trace(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[1]\n", 1),
+            (HEADER + "42\n", 2),
+            (HEADER + '{"t": 0, "pid": null, "kind": "x"}\n', 2),
+            (HEADER + "\n" + "not json\n", 3),
+        ],
+        ids=["header-not-object", "event-not-object", "null-pid", "not-json"],
+    )
+    def test_rejects_malformed_line_with_its_number(self, text, line):
+        with pytest.raises(TraceFormatError, match=f"^line {line}: "):
             loads_trace(text)
 
 

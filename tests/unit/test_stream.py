@@ -14,11 +14,13 @@ import json
 import pytest
 
 from repro.common.config import SystemConfig
-from repro.obs import EventBus, Observability, loads_trace
+from repro.obs.bus import EventBus
+from repro.obs.context import Observability
 from repro.obs.export import (
     METRICS_SCHEMA,
     TRACE_SCHEMA,
     event_line,
+    loads_trace,
     metrics_line,
     record_event,
 )
