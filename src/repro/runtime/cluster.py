@@ -90,14 +90,14 @@ class LocalCluster:
 
     @property
     def networks(self) -> list[TcpNetwork]:
-        return [r.network for r in self.runners if r.network is not None]
+        return [r.network for r in self.runners]
 
     @property
     def nodes(self) -> list[DagRiderNode]:
-        return [r.node for r in self.runners if r.node is not None]
+        return [r.node for r in self.runners]
 
     async def start(self) -> None:
-        """Bind sockets and start every node's protocol."""
+        """Build and bind every runner, then launch every runner."""
         # One shared dealer object across the in-loop runners; a process
         # runner derives an identical one from the table's dealer_seed.
         dealer: CoinDealer | None = self.table.make_dealer()
@@ -110,15 +110,10 @@ class LocalCluster:
                 dealer=dealer,
                 state_dir=self._state_dirs.get(pid),
             )
-            await runner.boot()
             self.runners.append(runner)
+            await runner.bind()
         for runner in self.runners:
-            runner.launch()
-        for runner in self.runners:
-            # Nodes whose peer entry names an ingress_port open their
-            # client transaction socket once the protocol is live.
-            if runner.entry.ingress_port is not None:
-                await runner.start_ingress()
+            await runner.launch()
 
     async def stop(self) -> None:
         """Close every socket and background task; safe to call repeatedly."""

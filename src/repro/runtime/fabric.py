@@ -36,16 +36,17 @@ every recovery.
 While waiting, the driver keeps a **live telemetry view** open: one
 ``subscribe`` stream per node (:mod:`repro.runtime.live`) renders a
 one-line-per-node commit-frontier / queue-depth table (in place on a
-TTY, as plain ``live:`` lines otherwise; ``--no-live`` turns it off) and
-tees each node's raw stream to ``node-<pid>.stream.jsonl``. A stall
-detector rides on the same streams: when the quorum commit frontier is
-flat for ``--stall-window`` seconds the driver pulls every node's
-``flight`` dump (status + newest events) into ``stall-<k>.json``. A
-total-order violation likewise lands in ``flight-consistency.json``, and a
-boot, recovery or wave-target timeout into ``flight-timeout.json``,
-before the cluster is torn down.
+TTY, as plain ``live:`` lines otherwise) and tees each node's raw stream
+to ``node-<pid>.stream.jsonl``. A stall detector rides on the same
+streams: when the quorum commit frontier is flat for ``--stall-window``
+seconds the driver pulls every node's ``flight`` dump (status + newest
+events) into ``stall-<k>.json``. A total-order violation likewise lands
+in ``flight-consistency.json``, and a boot, recovery or wave-target
+timeout into ``flight-timeout.json``, before the cluster is torn down.
 
-Exit codes: 0 success, 1 total-order violation, 2 boot/target timeout.
+Exit codes: 0 success, 1 total-order violation, 2 unusable input (a bad
+flag, scenario or peer table — including a planned table the runners'
+own validator refuses) or a boot/target timeout.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from repro.runtime.peers import (
     allocate_port_block,
     load_peer_table,
     make_peer_table,
+    parse_peer_table,
 )
 from repro.runtime.scenario import Scenario, load_scenario, run_scenario
 
@@ -89,41 +91,32 @@ def plan_table(
     seed: int,
     coin_mode: str,
     gc_depth: int | None = None,
-    ingress: bool = False,
 ) -> PeerTable:
     """Build a peer table mapping pids across ``hosts`` (cycled).
 
     Local hosts get freshly allocated free ports; every pid gets a
-    control port so the driver can probe it. With ``ingress`` every pid
-    additionally gets a client transaction port, and ``gc_depth`` sets
-    the table-wide DAG compaction margin (bounded memory).
+    control port so the driver can probe it, and ``gc_depth`` sets the
+    table-wide DAG compaction margin (bounded memory).
     """
     assignment = {pid: hosts[pid % len(hosts)] for pid in range(n)}
-    per_pid = 3 if ingress else 2
     addresses: dict[int, tuple[str, int]] = {}
     control_ports: dict[int, int] = {}
-    ingress_ports: dict[int, int] = {}
     local_pids = [pid for pid, host in assignment.items() if is_local(host)]
-    ports = allocate_port_block(per_pid * len(local_pids))
+    ports = allocate_port_block(2 * len(local_pids))
     for index, pid in enumerate(local_pids):
-        addresses[pid] = ("127.0.0.1", ports[per_pid * index])
-        control_ports[pid] = ports[per_pid * index + 1]
-        if ingress:
-            ingress_ports[pid] = ports[per_pid * index + 2]
+        addresses[pid] = ("127.0.0.1", ports[2 * index])
+        control_ports[pid] = ports[2 * index + 1]
     base = 9100  # remote hosts: deterministic well-known ports per pid
     for pid, host in assignment.items():
         if pid in addresses:
             continue
         addresses[pid] = (host, base + pid)
         control_ports[pid] = base + n + pid
-        if ingress:
-            ingress_ports[pid] = base + 2 * n + pid
     return make_peer_table(
         addresses,
         SystemConfig(n=n, seed=seed),
         coin_mode=coin_mode,
         control_ports=control_ports,
-        ingress_ports=ingress_ports or None,
         gc_depth=gc_depth,
     )
 
@@ -503,11 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach to already-running runners (remote hosts) instead of spawning",
     )
     parser.add_argument(
-        "--no-live",
-        action="store_true",
-        help="disable the live per-node telemetry view (subscribe streams)",
-    )
-    parser.add_argument(
         "--live-interval",
         type=float,
         default=1.0,
@@ -525,11 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="table-wide DAG compaction margin in rounds (bounded memory); "
         "scenario runs default it on",
-    )
-    parser.add_argument(
-        "--ingress",
-        action="store_true",
-        help="allocate a client transaction (ingress) port per node",
     )
     return parser
 
@@ -569,14 +552,20 @@ def plan(args: argparse.Namespace) -> tuple[Fabric, Scenario | None]:
             f"steps={len(scenario.steps)}"
         )
 
+    try:
+        if args.peers:
+            table = load_peer_table(args.peers)
+        else:
+            table = plan_table(
+                hosts, args.n, args.seed, args.coin, gc_depth=args.gc_depth
+            )
+            # Refuse here what every runner would refuse when it loads the file.
+            parse_peer_table(table.to_dict())
+    except (ConfigurationError, OSError, ValueError) as error:
+        raise FabricError(f"unusable peer table: {error}") from error
     if args.peers:
-        table = load_peer_table(args.peers)
         peers_path = Path(args.peers)
     else:
-        table = plan_table(
-            hosts, args.n, args.seed, args.coin,
-            gc_depth=args.gc_depth, ingress=args.ingress,
-        )
         peers_path = out_dir / "peers.json"
         peers_path.write_text(table.dumps(), encoding="utf-8")
         print(f"fabric: wrote peer table for n={table.n} to {peers_path}")
@@ -603,8 +592,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     table, out_dir = fabric.table, fabric.out_dir
 
-    # Built even under --no-live (then never started): its ``note`` and
-    # ``set_banner`` are how the driver reports progress either way.
     live = LiveView(
         table,
         {"cmd": "subscribe", "interval": args.live_interval},
@@ -623,14 +610,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     live.on_stall = _on_stall
     live.set_banner("booting")
     deadline = time.monotonic() + args.timeout
+    # Its readers retry while the runners boot.
+    live.start()
     try:
         with fabric:
             try:
                 if not args.no_spawn:
                     fabric.spawn()
                     print(f"fabric: spawned {len(fabric.processes)} runner processes")
-                if not args.no_live:
-                    live.start()
                 if not fabric.wait_ready(deadline):
                     raise FabricError("nodes failed to become ready in time")
                 slowest = max(fabric.boot_latency.values())

@@ -134,8 +134,8 @@ class LiveView:
         tick; they get ``STOP_GRACE`` to reach EOF before whatever is
         still open is cut.
         """
-        if self._stop.is_set() or not self._threads:
-            return  # already stopped, or never started (``--no-live``)
+        if self._stop.is_set():
+            return
         self._stop.set()
         deadline = time.monotonic() + STOP_GRACE
         for thread in self._threads:

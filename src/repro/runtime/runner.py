@@ -11,6 +11,12 @@ deployment shapes:
 * :class:`repro.runtime.cluster.LocalCluster` composes ``n`` runners
   inside one asyncio loop for tests and examples.
 
+Both boot a runner the same way. The constructor builds the whole stack
+inside the loop that runs it and replays the state dir, if any, into the
+node; :meth:`NodeRunner.bind` binds the data socket; :meth:`NodeRunner.launch`
+starts the protocol and opens the ingress gateway when the table gives the
+pid an ``ingress_port``. A cluster binds every runner before it launches any.
+
 Every runner carries an :class:`repro.obs.context.Observability` bundle:
 process runners always create their own (per-host trace, the clock bound
 to this node's transport scheduler) and export a ``repro.obs.trace`` v1
@@ -74,82 +80,61 @@ class NodeRunner:
         dealer: CoinDealer | None = None,
         state_dir: str | None = None,
     ):
+        """Build the whole stack: the (unbound) network, the journal when
+        there is a ``state_dir``, and the node, with the state dir replayed
+        into it. Must run inside the loop that will run the runner, as
+        :class:`TcpNetwork` does. Recovery finishes here, before
+        :meth:`bind`, so no peer frame can reach a half-restored node."""
         self.table = table
         self.pid = pid
         self.entry = table.entry(pid)
         self.config = table.system_config()
         self.observability = observability
-        self._chaos = chaos
-        self._dealer = dealer
-        self.state_dir = state_dir
         self._stop = asyncio.Event()
         self._closed = False
-        self.network: TcpNetwork | None = None
-        self.node: DagRiderNode | None = None
-        self.journal: NodeJournal | None = None
-        self.recovery: RecoveryReport | None = None
+        self.network = TcpNetwork(
+            self.config, pid, table.addresses(), obs=observability, chaos=chaos
+        )
+        self.journal = (
+            NodeJournal(state_dir, pid=pid, obs=observability)
+            if state_dir is not None
+            else None
+        )
+        self.node = DagRiderNode(
+            pid,
+            self.network,
+            coin_mode=table.coin_mode,
+            dealer=dealer if dealer is not None else table.make_dealer(),
+            journal=self.journal,
+            gc_depth=table.gc_depth,
+        )
+        self.recovery: RecoveryReport | None = (
+            recover_node(self.node, self.journal) if self.journal is not None else None
+        )
         self.mempool: Mempool | None = None
         self.gateway: IngressGateway | None = None
 
     # ------------------------------------------------------------ lifecycle
 
-    async def boot(self) -> None:
-        """Bind this node's data socket and assemble the protocol stack."""
-        if self.network is not None:
-            raise RuntimeError(f"runner {self.pid} already booted")
-        self.network = TcpNetwork(
-            self.config,
-            self.pid,
-            self.table.addresses(),
-            obs=self.observability,
-            chaos=self._chaos,
-        )
+    async def bind(self) -> None:
+        """Bind this node's data socket; peers can dial it from here on."""
         await self.network.start()
-        dealer = self._dealer
-        if dealer is None:
-            dealer = self.table.make_dealer()
-        if self.state_dir is not None:
-            self.journal = NodeJournal(
-                self.state_dir, pid=self.pid, obs=self.observability
-            )
-        self.node = DagRiderNode(
-            self.pid,
-            self.network,
-            coin_mode=self.table.coin_mode,
-            dealer=dealer,
-            journal=self.journal,
-            gc_depth=self.table.gc_depth,
-        )
-        if self.journal is not None:
-            # Replay snapshot + WAL into the freshly built stack *before*
-            # the protocol starts (and before peers can race deliveries in).
-            self.recovery = recover_node(self.node, self.journal)
 
-    def launch(self) -> None:
-        """Start the protocol (first broadcast); requires :meth:`boot`."""
-        if self.node is None:
-            raise RuntimeError(f"runner {self.pid} not booted")
-        self.node.start()
-        if self.recovery is not None and self.recovery.recovered:
-            # Rejoin: pull the DAG suffix peers built while we were down.
-            self.node.request_catchup()
+    async def launch(self) -> None:
+        """Start the protocol (first broadcast), then open the client
+        transaction socket when the table gives this pid an ``ingress_port``.
 
-    async def start_ingress(self) -> None:
-        """Open the client transaction socket on this pid's ``ingress_port``.
-
-        Requires :meth:`boot`. The mempool takes the table's admission
-        config and the node's own clock (the transport scheduler), so
-        submit → ``a_deliver`` latency stamps share the trace time axis.
+        A recovered node also pulls the DAG suffix peers built while it was
+        down. The mempool takes the table's admission config and the node's
+        own clock (the transport scheduler), so submit → ``a_deliver``
+        latency stamps share the trace time axis.
         """
-        if self.node is None:
-            raise RuntimeError(f"runner {self.pid} not booted")
-        if self.gateway is not None:
-            raise RuntimeError(f"runner {self.pid} ingress already started")
-        if self.entry.ingress_port is None:
-            raise ConfigurationError(
-                f"peer {self.pid} has no ingress_port in the table"
-            )
         node = self.node
+        node.start()
+        if self.recovery is not None and self.recovery.recovered:
+            node.request_catchup()
+        if self.entry.ingress_port is None:
+            return
         self.mempool = Mempool(
             self.pid,
             config=self.table.ingress,
@@ -167,8 +152,7 @@ class NodeRunner:
 
     async def close_links(self) -> None:
         """Quiesce outbound links only (first phase of cluster teardown)."""
-        if self.network is not None:
-            await self.network.close_links()
+        await self.network.close_links()
 
     async def close(self) -> None:
         """Tear the transport down; idempotent."""
@@ -177,8 +161,7 @@ class NodeRunner:
         self._closed = True
         if self.gateway is not None:
             await self.gateway.close()
-        if self.network is not None:
-            await self.network.close()
+        await self.network.close()
         if self.journal is not None:
             self.journal.close()
 
@@ -200,17 +183,17 @@ class NodeRunner:
     def status(self) -> dict[str, object]:
         """Liveness snapshot the fabric driver polls."""
         node = self.node
-        depth = self.network.queue_depth if self.network is not None else 0
+        depth = self.network.queue_depth
         # Sampled here (every status poll and subscribe tick) so the
         # stream ticks carry transport backpressure.
         self.observability.registry.gauge("link.queue_depth").set(float(depth))
         status: dict[str, object] = {
             "ok": True,
             "pid": self.pid,
-            "ready": node is not None,
-            "ordered": node.delivered_count if node is not None else 0,
-            "decided_wave": node.decided_wave if node is not None else -1,
-            "current_round": node.current_round if node is not None else -1,
+            "ready": True,
+            "ordered": node.delivered_count,
+            "decided_wave": node.decided_wave,
+            "current_round": node.current_round,
             "queue_depth": depth,
         }
         if self.recovery is not None:
@@ -227,13 +210,9 @@ class NodeRunner:
         (restored from ``digests.log``), so a recovered node's log lines up
         position-for-position with its uninterrupted peers.
         """
-        if self.node is None:
-            return []
         return full_digest_log(self.node)
 
     def link_report(self) -> dict[str, object]:
-        if self.network is None:
-            return {}
         return self.network.link_report()
 
     def flight_dump(
@@ -255,7 +234,7 @@ class NodeRunner:
                 self.pid,
                 "stall_detected",
                 stalled_for=stalled_for,
-                decided_wave=self.node.decided_wave if self.node is not None else -1,
+                decided_wave=self.node.decided_wave,
             )
         tail = list(bus.events)[-FLIGHT_EVENTS:]
         meta = {**self.trace_meta(len(tail)), "reason": reason, "t": bus.now}
@@ -322,7 +301,7 @@ class ControlServer(LineServer):
             host,
             port,
             verbs={
-                "ping": lambda _: self._reply(ready=runner.node is not None),
+                "ping": lambda _: self._reply(ready=True),
                 "status": lambda _: runner.status(),
                 "log": lambda _: self._reply(digests=runner.ordered_digests()),
                 "trace": lambda _: self._reply(trace=runner.trace_text()),
@@ -344,20 +323,17 @@ class ControlServer(LineServer):
         peers, n = request.get("peers", []), self.runner.config.n
         if not isinstance(peers, list) or any(type(p) is not int or not 0 <= p < n for p in peers):
             raise ValueError(f"peers must be a list of pids in [0, {n})")
-        if self.runner.network is not None:
-            self.runner.network.block_peers(set(peers))
+        self.runner.network.block_peers(set(peers))
         return self._reply(blocked=sorted(peers))
 
     def _heal(self, request: dict[str, Any]) -> dict[str, object]:
-        if self.runner.network is not None:
-            self.runner.network.heal()
-            self.runner.network.set_peer_delay(0.0)
+        self.runner.network.heal()
+        self.runner.network.set_peer_delay(0.0)
         return self._reply(healed=True)
 
     def _slow(self, request: dict[str, Any]) -> dict[str, object]:
         delay = float(request.get("delay", 0.0))
-        if self.runner.network is not None:
-            self.runner.network.set_peer_delay(delay)
+        self.runner.network.set_peer_delay(delay)
         return self._reply(delay=delay)
 
     def _flight(self, request: dict[str, Any]) -> dict[str, object]:
@@ -457,12 +433,10 @@ async def serve_node(
     runner = NodeRunner(
         table, pid, observability=Observability(), state_dir=state_dir
     )
-    await runner.boot()
-    runner.launch()
+    await runner.bind()
+    await runner.launch()
     control = ControlServer(runner, entry.host, entry.control_port)
     await control.start()
-    if entry.ingress_port is not None:
-        await runner.start_ingress()
     recovered = ""
     if runner.recovery is not None and runner.recovery.recovered:
         recovered = (

@@ -33,6 +33,8 @@ from repro.core.harness import DagRiderDeployment
 from repro.obs.context import Observability
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.consistency import full_digest_log
+from repro.runtime.peers import make_peer_table
+from repro.runtime.runner import NodeRunner
 from repro.storage import journal as journal_module
 from repro.storage.digests import DIGEST_BYTES
 from repro.storage.journal import NodeJournal, recover_node
@@ -249,6 +251,34 @@ class TestClusterRestart:
             assert len(log) > len(prior)
             assert node.decided_wave > waves_before[node.pid]
         second.check_total_order()
+
+    def test_recovery_finishes_before_the_data_socket_is_bound(
+        self, free_peers, tmp_path
+    ):
+        """No peer frame can reach a half-restored node: the constructor
+        replays the state dir, and only ``bind`` opens the data socket."""
+        sim_life(tmp_path, 4)
+        peers = free_peers(4)
+        table = make_peer_table(peers, SystemConfig(n=4, seed=5), gc_depth=4)
+
+        async def main():
+            runner = NodeRunner(
+                table,
+                0,
+                observability=Observability(),
+                state_dir=str(tmp_path / "node-0"),
+            )
+            try:
+                assert runner.recovery is not None and runner.recovery.recovered
+                with pytest.raises(ConnectionRefusedError):
+                    await asyncio.open_connection(*peers[0])
+                await runner.bind()
+                _, writer = await asyncio.open_connection(*peers[0])
+                writer.close()
+            finally:
+                await runner.close()
+
+        asyncio.run(main())
 
     def test_recovery_report_counts_replayed_state(self, free_peers, tmp_path):
         state_dirs = {0: str(tmp_path / "state-0")}

@@ -1,6 +1,7 @@
 """The fabric driver's failure paths: a child that will not die, a run
 that misses its target. ``test_fabric.py`` covers the runs that succeed."""
 
+import asyncio
 import json
 import os
 import re
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.common.config import SystemConfig
 from repro.obs.context import Observability
@@ -67,7 +70,7 @@ def test_missed_target_exits_2_and_leaves_the_flight_rings(tmp_path):
         [
             sys.executable, str(REPO / "scripts" / "fabric.py"),
             "--n", "4", "--waves", "1000000", "--timeout", "8",
-            "--no-live", "--out-dir", str(tmp_path),
+            "--out-dir", str(tmp_path),
         ],
         capture_output=True,
         text=True,
@@ -90,11 +93,54 @@ def test_missed_target_exits_2_and_leaves_the_flight_rings(tmp_path):
         assert 0 < len(trace.events) <= 256
 
 
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("n-zero", "n must be positive"),
+        ("missing-file", "No such file or directory"),
+        ("not-json", "Expecting value"),
+        ("no-peers", "expected 4 peers, got 0"),
+    ],
+)
+def test_unusable_input_exits_2_with_one_line(tmp_path, capsys, case, error):
+    """Exit 1 means a total-order violation; a bad ``--n`` or ``--peers``
+    used to escape ``main`` as a traceback, and so exit 1."""
+    not_json = tmp_path / "not.json"
+    not_json.write_text("peers: 4\n", encoding="utf-8")
+    no_peers = tmp_path / "no-peers.json"
+    no_peers.write_text(json.dumps({"n": 4, "peers": {}}), encoding="utf-8")
+    argv = {
+        "n-zero": ["--n", "0"],
+        "missing-file": ["--peers", str(tmp_path / "missing.json")],
+        "not-json": ["--peers", str(not_json)],
+        "no-peers": ["--peers", str(no_peers)],
+    }[case]
+    assert fabric_module.main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fabric: unusable peer table: ") and error in err
+    assert err.count("\n") == 1
+
+
+def test_a_table_the_runners_refuse_is_never_written(tmp_path, capsys):
+    """``--gc-depth 0`` used to write a table every runner died loading,
+    and the driver then waited out its whole deadline."""
+    started = time.monotonic()
+    argv = ["--gc-depth", "0", "--timeout", "60", "--out-dir", str(tmp_path)]
+    assert fabric_module.main(argv) == 2
+    assert time.monotonic() - started < 5.0
+    assert "gc_depth must be >= 1 round, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "peers.json").exists()
+    assert not (tmp_path / "node-0.log").exists()
+
+
 def test_driver_issues_exactly_the_verbs_a_runner_serves(free_peers):
     """The two ends of the control socket live in different processes, so
     nothing but this test notices a verb one side dropped or renamed."""
     issued = set(re.findall(r'"cmd": "(\w+)"', Path(fabric_module.__file__).read_text()))
     table = make_peer_table(free_peers(4), SystemConfig(n=4, seed=3))
-    runner = NodeRunner(table, 0, observability=Observability())
-    server = ControlServer(runner, "127.0.0.1", 0)
+
+    async def build():
+        return NodeRunner(table, 0, observability=Observability())
+
+    server = ControlServer(asyncio.run(build()), "127.0.0.1", 0)
     assert issued == set(server._verbs) | set(server._streams)

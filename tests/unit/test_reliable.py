@@ -492,7 +492,7 @@ def control_replies(requests, free_peers, free_port):
 
     async def main():
         runner = NodeRunner(table, 0, observability=Observability())
-        await runner.boot()
+        await runner.bind()
         control = ControlServer(runner, "127.0.0.1", port)
         await control.start()
         reader, writer = await asyncio.open_connection("127.0.0.1", port)

@@ -3,13 +3,14 @@
 Covers the bounded event ring (overflow drops oldest + counts), the
 control socket's ``subscribe`` verb (a ``repro.obs.trace`` document
 written live: header, bare event lines, one metrics record per tick) and
-``flight`` verb (the bus tail as a trace) served by an unbooted
-``NodeRunner``, and the stall detector (a frozen quorum trips it; a
-slow-but-progressing one does not).
+``flight`` verb (the bus tail as a trace) served by a ``NodeRunner``
+whose data socket is never bound, and the stall detector (a frozen
+quorum trips it; a slow-but-progressing one does not).
 """
 
 import asyncio
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,12 +32,21 @@ from repro.runtime.peers import make_peer_table
 from repro.runtime.runner import FLIGHT_EVENTS, ControlServer, NodeRunner
 
 
-def unbooted_runner(obs):
-    """A runner that never binds its data socket: the control verbs under
-    test here read only its observability bundle."""
+def table4():
     config = SystemConfig(n=4, seed=9)
     peers = {pid: ("127.0.0.1", 1 + pid) for pid in range(4)}
-    return NodeRunner(make_peer_table(peers, config), 0, observability=obs)
+    return make_peer_table(peers, config)
+
+
+async def unbooted_runner(obs):
+    """A runner that never binds its data socket: the control verbs under
+    test here read its observability bundle and its unstarted node.
+
+    A runner is built inside a running loop. The bus clock is pinned at
+    0.0 first; the first binding wins, so event times stay 0.0 and a
+    retention window the test set stays in place."""
+    obs.attach_clock(SimpleNamespace(now=0.0))
+    return NodeRunner(table4(), 0, observability=obs)
 
 
 class TestEventRing:
@@ -77,7 +87,7 @@ class TestStreamSubscriber:
         async def scenario():
             obs = Observability()
             before(obs)
-            control = ControlServer(unbooted_runner(obs), "127.0.0.1", port)
+            control = ControlServer(await unbooted_runner(obs), "127.0.0.1", port)
             await control.start()
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             writer.write(b'{"cmd": "subscribe", "interval": 0.05}\n')
@@ -119,7 +129,7 @@ class TestStreamSubscriber:
         assert events == [{"f": {"seq": 1}, "kind": "after", "pid": 0, "t": 0.0}]
         # A tick is the runner's metrics record plus its status, absolute.
         assert tick["seq"] >= 1 and tick["dropped"] == 0
-        assert tick["status"]["pid"] == 0 and tick["status"]["ready"] is False
+        assert tick["status"]["pid"] == 0 and tick["status"]["ready"] is True
         assert tick["gauges"]["stream.subscribers"]["value"] == 1
         assert {"counters", "histograms", "links", "t"} <= set(tick)
 
@@ -165,7 +175,7 @@ class TestWireFormat:
     def test_garbage_rejected(self):
         """The driver's fold skips a line it cannot read — a torn write, a
         foreign record — without dropping the stream or the view's state."""
-        view = LiveView(unbooted_runner(None).table, {"cmd": "subscribe"})
+        view = LiveView(table4(), {"cmd": "subscribe"})
         node = view._nodes[0]
         view._fold_line(node, metrics_line({"status": {"decided_wave": 4}, "dropped": 2}))
         for bad in ["not json", "[1,2]", '{"neither": 1}', '{"metrics": 7, "schema": "x"}']:
@@ -181,7 +191,7 @@ class TestFlightRecorder:
 
     def test_keeps_last_k_and_counts_overwrites(self):
         obs = Observability()
-        runner = unbooted_runner(obs)
+        runner = asyncio.run(unbooted_runner(obs))
         for index in range(FLIGHT_EVENTS + 10):
             obs.emit(0, "tick", seq=index)
         reply = runner.flight_dump("manual")
@@ -203,7 +213,7 @@ class TestFlightRecorder:
     def test_tail_of_a_window_smaller_than_the_dump(self):
         obs = Observability()
         obs.bus.retain_last(8)
-        runner = unbooted_runner(obs)
+        runner = asyncio.run(unbooted_runner(obs))
         for index in range(20):
             obs.emit(0, "tick", seq=index)
         trace = loads_trace(runner.flight_dump("manual")["trace"])
@@ -212,7 +222,7 @@ class TestFlightRecorder:
 
     def test_dump_is_non_destructive(self):
         obs = Observability()
-        runner = unbooted_runner(obs)
+        runner = asyncio.run(unbooted_runner(obs))
         obs.emit(0, "tick", seq=0)
         first = loads_trace(runner.flight_dump("a")["trace"])
         second = loads_trace(runner.flight_dump("b")["trace"])
@@ -222,7 +232,7 @@ class TestFlightRecorder:
 
     def test_stall_reason_stamps_the_log_before_the_tail_is_cut(self):
         obs = Observability()
-        runner = unbooted_runner(obs)
+        runner = asyncio.run(unbooted_runner(obs))
         trace = loads_trace(runner.flight_dump("stall", stalled_for=2.5)["trace"])
         assert [(e.kind, e.get("stalled_for")) for e in trace.events] == [
             ("stall_detected", 2.5)
