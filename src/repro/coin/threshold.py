@@ -86,6 +86,16 @@ class ThresholdCoin(CoinProtocol):
         self.deliver_share(self.pid, instance, share)
         self._broadcast_share(CoinShareMessage(instance, share))
 
+    def own_shares(self, from_instance: int) -> list[CoinShareMessage]:
+        """This process's share of every instance it invoked, from
+        ``from_instance`` upward: what a peer that lost them in a crash
+        needs. Each was already broadcast, so resending reveals nothing."""
+        return [
+            CoinShareMessage(instance, self._key.share(instance))
+            for instance in sorted(self._invoked)
+            if instance >= from_instance
+        ]
+
     def deliver_share(self, src: int, instance: int, value: int) -> None:
         """Ingest a share from process ``src`` (verified before use)."""
         if instance in self._resolved:

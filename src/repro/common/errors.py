@@ -48,13 +48,16 @@ class StorageError(ReproError):
     """
 
 
-class ConsistencyError(ReproError):
+class ConsistencyError(ReproError, AssertionError):
     """Cross-node delivery logs violated BAB total order.
 
-    Raised by the runtime's prefix-consistency checks when two processes'
+    Raised by :func:`repro.core.node.check_prefix_consistency`, the check
+    of the simulator and the TCP runtime alike, when two processes'
     ``a_deliver`` logs disagree at some position — including the case where
     both delivered the same ``(round, source)`` slot but *different* block
-    contents, which a slot-only comparison cannot see.
+    contents, which a slot-only comparison cannot see. Also an
+    ``AssertionError``: callers of the simulator's ``check_total_order``
+    (the benchmark's run check) catch it as one.
     """
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 from repro.broadcast.avid import SharedReconstructionCache
 from repro.common.config import SystemConfig
 from repro.common.rng import derive_rng, derive_seed
-from repro.core.node import DagRiderNode
+from repro.core.node import DagRiderNode, check_prefix_consistency
 from repro.crypto.dealer import CoinDealer
 from repro.obs.context import Observability
 from repro.obs.wire import MetricsCollector
@@ -147,33 +147,23 @@ class DagRiderDeployment:
 
     # ------------------------------------------------------------ invariants
 
-    def ordered_keys(self, node: DagRiderNode) -> list[tuple[int, int]]:
-        """A node's delivery log as (round, source) vertex slots."""
-        return [(entry.round, entry.source) for entry in node.ordered]
+    def check_total_order(self) -> int:
+        """BAB total order: every pair of logs agrees on its common prefix.
 
-    def check_total_order(self) -> None:
-        """Assert BAB total order: every pair of logs is prefix-consistent.
-
-        Raises AssertionError with the first diverging position otherwise.
+        Compares entry digests (slot and block bytes) with
+        :func:`repro.core.node.check_prefix_consistency`, the check the TCP
+        runtime runs; raises :class:`repro.common.errors.ConsistencyError`
+        at the first divergence. Returns the agreed prefix length.
         """
-        nodes = self.correct_nodes
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                log_a, log_b = self.ordered_keys(a), self.ordered_keys(b)
-                shorter = min(len(log_a), len(log_b))
-                for pos in range(shorter):
-                    if log_a[pos] != log_b[pos]:
-                        raise AssertionError(
-                            f"total order violated at position {pos}: "
-                            f"node {a.pid} delivered {log_a[pos]}, "
-                            f"node {b.pid} delivered {log_b[pos]}"
-                        )
+        return check_prefix_consistency(
+            {f"node {node.pid}": node.digest_log() for node in self.correct_nodes}
+        )
 
     def check_integrity(self) -> None:
         """Assert BAB integrity: no node delivers the same slot twice."""
         for node in self.correct_nodes:
-            keys = self.ordered_keys(node)
-            if len(keys) != len(set(keys)):
+            slots = {(entry.round, entry.source) for entry in node.ordered}
+            if len(slots) != len(node.ordered):
                 raise AssertionError(f"node {node.pid} delivered a slot twice")
 
     def total_transactions_ordered(self) -> int:

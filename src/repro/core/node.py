@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.broadcast.avid import AvidBroadcast
 from repro.broadcast.base import ReliableBroadcast
@@ -28,9 +28,9 @@ from repro.codec.registry import decode_vertex
 from repro.coin.base import CoinProtocol
 from repro.coin.ideal import IdealCoin
 from repro.coin.threshold import CoinShareMessage, ThresholdCoin
-from repro.common.errors import ConfigurationError, WireFormatError
-from repro.common.types import round_of_wave
-from repro.core.ordering import DagRiderOrdering
+from repro.common.errors import ConfigurationError, ConsistencyError, WireFormatError
+from repro.common.types import round_of_wave, wave_of_round
+from repro.core.ordering import CommitRecord, DagRiderOrdering
 from repro.crypto.dealer import CoinDealer
 from repro.crypto.hashing import digest_of
 from repro.dag.builder import DagBuilder
@@ -83,6 +83,31 @@ def digest_log(entries: Iterable[OrderedEntry]) -> list[str]:
     return [entry_digest(entry) for entry in entries]
 
 
+def check_prefix_consistency(logs: Mapping[object, Sequence[str]]) -> int:
+    """Require the digest logs (label -> log) to agree on every common
+    prefix, that is, each to be a prefix of the longest; returns the
+    shortest log's length, raises :class:`ConsistencyError` at the first
+    position that disagrees.
+
+    Digests cover slot and block bytes: reliable broadcast should keep two
+    blocks out of one ``(round, source)`` slot, and this check exists to
+    catch the runs where something below it broke. The simulator harness,
+    the in-loop cluster and the fabric driver all run it.
+    """
+    if not logs:
+        return 0
+    reference, longest = max(logs.items(), key=lambda item: len(item[1]))
+    for label, log in logs.items():
+        for pos, digest in enumerate(log):
+            if digest != longest[pos]:
+                raise ConsistencyError(
+                    f"total order violated at position {pos}: "
+                    f"{reference} delivered {longest[pos][:16]}..., "
+                    f"{label} delivered {digest[:16]}..."
+                )
+    return min(len(log) for log in logs.values())
+
+
 class DagRiderNode(Process):
     """One correct DAG-Rider process in the simulator."""
 
@@ -121,7 +146,6 @@ class DagRiderNode(Process):
         # for catch-up serving and collect the rest. None (the default) is
         # the paper-faithful unbounded DAG.
         self._gc_depth = gc_depth
-        self._wave_ready_time: dict[int, float] = {}
         # Durable state: the WAL/snapshot sidecar (None → memory-only node).
         self._journal = journal
         # The delivered log's fingerprint, memoised: the first
@@ -143,12 +167,6 @@ class DagRiderNode(Process):
 
         self.coin = self._make_coin(coin_mode, dealer)
         self._coin_mode = coin_mode
-        if self.obs is not None:
-            self._commit_latency = self.obs.registry.histogram("node.commit_latency")
-            self._catchup_vertices = self.obs.registry.histogram("catchup.vertices")
-        else:
-            self._commit_latency = None
-            self._catchup_vertices = None
 
         share_provider = None
         if coin_mode == "piggyback":
@@ -194,6 +212,7 @@ class DagRiderNode(Process):
             self.store,
             self.coin,
             a_deliver=self._record_delivery,
+            on_commit=self._on_commit,
             clock=lambda: self.now,
             commit_quorum=commit_quorum,
             obs=self.obs,
@@ -235,31 +254,24 @@ class DagRiderNode(Process):
             self._apply_catchup(src, message)
 
     def _on_wave_ready(self, wave: int) -> None:
-        self._wave_ready_time[wave] = self.now
         self.emit("wave_ready", wave=wave)
-        commits_before = len(self.ordering.commits)
         self.ordering.wave_ready(wave)
-        for record in self.ordering.commits[commits_before:]:
-            if self._journal is not None:
-                self._journal.record_commit(
-                    record.wave, [v.ref for v in record.leader_chain]
-                )
-            self.emit(
-                "commit",
-                wave=record.wave,
-                leaders=len(record.leader_chain),
-                delivered=record.delivered_count,
-            )
-            if self._commit_latency is not None:
-                ready = self._wave_ready_time.get(record.wave)
-                if ready is not None:
-                    self._commit_latency.record(self.now - ready)
-        # A decided wave never commits again, so its ready time (recorded
-        # above, or skipped over by a later leader) is dead weight.
-        decided = self.ordering.decided_wave
-        for stale in [w for w in self._wave_ready_time if w <= decided]:
-            del self._wave_ready_time[stale]
+        # GC stays here even when a coin share made the commit: compacting
+        # there would change which orphans later weak edges name.
         self._maybe_collect()
+
+    def _on_commit(self, record: CommitRecord) -> None:
+        """Journal and report one commit, right after its last ``a_deliver``."""
+        if self._journal is not None:
+            self._journal.record_commit(
+                record.wave, [v.ref for v in record.leader_chain]
+            )
+        self.emit(
+            "commit",
+            wave=record.wave,
+            leaders=len(record.leader_chain),
+            delivered=record.delivered_count,
+        )
 
     def _maybe_collect(self) -> None:
         """Apply the GC policy after ordering may have advanced."""
@@ -439,16 +451,31 @@ class DagRiderNode(Process):
             self.call_later(CATCHUP_RETRY_DELAY, self._send_catchup_requests)
 
     def _serve_catchup(self, src: int, message: CatchupRequest) -> None:
-        """Answer a peer's catch-up with our DAG from its requested round."""
+        """Answer a peer's catch-up with our DAG from its requested round,
+        plus, under share messages, our threshold-coin shares from that
+        round's wave up: a restarted peer lost the ones its past life got,
+        and our resolved coins never answer its shares again."""
         from_round = max(1, message.from_round)
         payloads = [
             vertex.to_bytes()
             for vertex in self.store.vertices()
             if vertex.round >= from_round
         ]
+        shares: list[CoinShareMessage] = []
+        if self._coin_mode == "threshold":
+            assert isinstance(self.coin, ThresholdCoin)
+            shares = self.coin.own_shares(
+                wave_of_round(from_round, self.config.wave_length)
+            )
         self.emit(
-            "catchup_serve", peer=src, from_round=from_round, vertices=len(payloads)
+            "catchup_serve",
+            peer=src,
+            from_round=from_round,
+            vertices=len(payloads),
+            shares=len(shares),
         )
+        for share in shares:
+            self.send(src, share)
         chunks = [
             payloads[i : i + CATCHUP_CHUNK]
             for i in range(0, len(payloads), CATCHUP_CHUNK)
@@ -470,8 +497,6 @@ class DagRiderNode(Process):
             self.builder.on_r_deliver(vertex, vertex.round, vertex.source)
             if not before and self.store.contains(vertex.ref):
                 applied += 1
-        if self._catchup_vertices is not None and applied:
-            self._catchup_vertices.record(applied)
         self.emit(
             "catchup_apply",
             peer=src,

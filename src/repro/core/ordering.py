@@ -13,7 +13,9 @@ needed. The flow per wave ``w`` (with the paper's line numbers):
   makes this decision identical at every correct process;
 * ``order_vertices`` (Lines 51-57): pop leaders (earliest wave first) and
   ``a_deliver`` each one's not-yet-delivered causal history in a
-  deterministic (round, source) order.
+  deterministic (round, source) order, then report the commit once, to
+  ``on_commit`` — inside ``wave_ready`` for the ideal coin, inside a
+  share's delivery for the threshold coin.
 
 Because the coin is asynchronous in the simulator (the threshold coin needs
 ``f + 1`` shares), waves are processed strictly in increasing order and wave
@@ -61,6 +63,7 @@ class DagRiderOrdering:
         store: DagStore,
         coin: CoinProtocol,
         a_deliver: ADeliverCallback,
+        on_commit: Callable[[CommitRecord], None] = lambda _record: None,
         clock: Callable[[], float] = lambda: 0.0,
         commit_quorum: int | None = None,
         obs: Observability | None = None,
@@ -70,6 +73,7 @@ class DagRiderOrdering:
         self.store = store
         self.coin = coin
         self._a_deliver = a_deliver
+        self._on_commit = on_commit
         self._clock = clock
         self._obs = obs
         # Ablation hook (DESIGN.md): the paper's rule needs 2f+1 support;
@@ -155,7 +159,8 @@ class DagRiderOrdering:
         held at the original commit, the delivered mask evolved through
         the same earlier commits, and delivery order is the fixed
         (round, source) sort — so the ``a_deliver`` sequence is
-        byte-identical to the pre-crash run.
+        byte-identical to the pre-crash run. ``on_commit`` is not called:
+        the commit was journaled and reported in its first life.
         """
         stack = []
         for ref in reversed(leader_refs):
@@ -238,9 +243,9 @@ class DagRiderOrdering:
                 stack.append(candidate)
                 current = candidate
         self.decided_wave = wave
-        self._order_vertices(wave, stack)
+        self._on_commit(self._order_vertices(wave, stack))
 
-    def _order_vertices(self, wave: int, stack: list[Vertex]) -> None:
+    def _order_vertices(self, wave: int, stack: list[Vertex]) -> CommitRecord:
         """Lines 51-57: deliver each leader's fresh causal history in order."""
         record = CommitRecord(wave=wave, time=self._clock())
         while stack:
@@ -255,3 +260,4 @@ class DagRiderOrdering:
                 self.delivered_vertex_count += 1
                 self._a_deliver(vertex.block, vertex.round, vertex.source)
         self.commits.append(record)
+        return record

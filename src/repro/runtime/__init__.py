@@ -38,8 +38,9 @@ the protocol logic depends on the simulator.
   raw stream tees, and the quorum-frontier stall detector that triggers
   ``flight`` dumps (``docs/observability.md`` "Live streaming and
   causal analysis").
-* :mod:`repro.runtime.consistency` — the digest-based prefix-consistency
-  check both deployment shapes run over delivery logs.
+* :mod:`repro.runtime.consistency` — a node's whole delivered log as
+  digests, past lives included, for
+  :func:`repro.core.node.check_prefix_consistency`.
 
 See ``docs/runtime.md`` for the full design.
 """

@@ -16,11 +16,11 @@ from typing import TYPE_CHECKING, Callable
 import asyncio
 
 from repro.common.config import SystemConfig
-from repro.core.node import DagRiderNode
+from repro.core.node import DagRiderNode, check_prefix_consistency
 from repro.crypto.dealer import CoinDealer
 from repro.mempool.admission import AdmissionConfig
 from repro.obs.context import Observability
-from repro.runtime.consistency import check_prefix_consistency, full_digest_log
+from repro.runtime.consistency import full_digest_log
 from repro.runtime.peers import PeerTable, make_peer_table
 from repro.runtime.runner import NodeRunner
 from repro.runtime.transport import TcpNetwork

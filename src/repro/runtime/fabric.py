@@ -64,9 +64,9 @@ from typing import Any, Iterable, Sequence
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, ConsistencyError, FabricError
+from repro.core.node import check_prefix_consistency
 from repro.obs.export import Trace, dumps_trace, loads_trace
 from repro.runtime import linerpc
-from repro.runtime.consistency import check_prefix_consistency
 from repro.runtime.live import DEFAULT_STALL_WINDOW, LiveView
 from repro.runtime.peers import (
     PeerTable,
@@ -124,9 +124,8 @@ def plan_table(
 # -------------------------------------------------------------- the cluster
 
 
-#: Boot-probe backoff bounds (seconds): first retry delay and its ceiling.
-PROBE_INITIAL_BACKOFF = 0.05
-PROBE_MAX_BACKOFF = 1.0
+#: Seconds between ``ping`` probes of a node that has not answered yet.
+PROBE_INTERVAL = 0.05
 #: Seconds between ``status`` polls while waiting for a wave.
 STATUS_POLL = 0.2
 #: Seconds :meth:`Fabric.reap` gives the runners to exit after the control
@@ -304,51 +303,43 @@ class Fabric:
         return replies
 
     def wait_ready(self, deadline: float, pids: Sequence[int] | None = None) -> bool:
-        """Probe control sockets until every node (or each of ``pids``)
+        """Probe every pending node's control socket each
+        ``PROBE_INTERVAL`` seconds until every node (or each of ``pids``)
         answers ``ping``; False when the deadline expired first.
 
-        Each pid is probed on its own bounded exponential backoff: while the
-        runner is still binding its sockets the dial fails fast
-        (``ConnectionRefusedError``) and the retry delay doubles from
-        ``PROBE_INITIAL_BACKOFF`` up to ``PROBE_MAX_BACKOFF`` — early probes
-        catch a fast boot within milliseconds, late ones stop hammering a
-        node that is grinding through WAL replay. Seconds to the first
-        successful ping, measured from this call, land in ``boot_latency``.
+        A runner replays its WAL before it binds anything and opens its
+        control socket last, so a probe during boot is a refused dial that
+        costs the runner nothing. Seconds to the first successful ping,
+        measured from this call, land in ``boot_latency``.
         """
         start = time.monotonic()
         pending = set(pids) if pids is not None else {e.pid for e in self.table.peers}
-        backoff = {pid: PROBE_INITIAL_BACKOFF for pid in pending}
-        next_probe = {pid: start for pid in pending}
         while pending:
-            now = time.monotonic()
-            if now >= deadline:
+            if time.monotonic() >= deadline:
                 return False
-            due = [pid for pid in sorted(pending) if next_probe[pid] <= now]
-            if not due:
-                wake = min(next_probe[pid] for pid in pending)
-                time.sleep(max(0.0, min(wake, deadline) - now))
-                continue
-            for pid in due:
+            for pid in sorted(pending):
                 try:
                     response = self._call(pid, {"cmd": "ping"}, timeout=2.0)
                 except (OSError, ValueError):
-                    next_probe[pid] = time.monotonic() + backoff[pid]
-                    backoff[pid] = min(backoff[pid] * 2.0, PROBE_MAX_BACKOFF)
                     continue
                 if response.get("ok") and response.get("ready"):
                     pending.discard(pid)
                     self.boot_latency[pid] = time.monotonic() - start
-                else:
-                    next_probe[pid] = time.monotonic() + backoff[pid]
+            if pending:
+                time.sleep(PROBE_INTERVAL)
         return True
 
-    def wait_wave(self, wave: int, deadline: float, every: bool) -> bool:
-        """Poll ``status`` until any reachable node — with ``every``, each
-        node — decided ``wave``; False when the deadline expired first."""
+    def wait_wave(
+        self, wave: int, deadline: float, every: bool, pids: Sequence[int] | None = None
+    ) -> bool:
+        """Poll ``status`` until any reachable node of ``pids`` (default:
+        all) — with ``every``, each of them — decided ``wave``; False when
+        the deadline expired first."""
         quorum = all if every else any
         while time.monotonic() < deadline:
-            statuses = self._ask_all({"cmd": "status"}).values()
-            if quorum(s.get("decided_wave", -1) >= wave for s in statuses):
+            replies = self._ask_all({"cmd": "status"})
+            watched = list(replies) if pids is None else pids
+            if quorum(replies[pid].get("decided_wave", -1) >= wave for pid in watched):
                 return True
             time.sleep(STATUS_POLL)
         return False

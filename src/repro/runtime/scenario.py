@@ -23,8 +23,10 @@ Step kinds:
 
 * ``crash`` — kill runner ``pid`` (``signal``: ``kill`` = SIGKILL, ``term``
   = SIGTERM) once any surviving node's decided wave reaches ``at_wave``,
-  wait ``restart_after`` seconds, then respawn it from its state dir and
-  require the cross-host digest prefix check to pass after recovery;
+  wait ``restart_after`` seconds, then respawn it from its state dir,
+  require the cross-host digest prefix check to pass after recovery, and
+  wait until the restarted node commits a wave past the one it recovered
+  to;
 * ``partition`` — split the cluster into ``groups`` (each node blocks every
   pid outside its group) for ``heal_after`` seconds, then heal;
 * ``slow`` — add ``delay`` seconds (at most
@@ -257,12 +259,15 @@ def load_scenario(path: str) -> Scenario:
 def _crash_step(
     step: ScenarioStep, fabric: "Fabric", deadline: float, live: "LiveView"
 ) -> None:
-    """Kill one runner, restart it from its state dir, verify consistency."""
+    """Kill one runner, restart it from its state dir, verify consistency,
+    and wait for its first commit past the wave it recovered to."""
     pid = step.pid
     assert pid is not None
     fabric.crash(pid, step.signal, step.restart_after, deadline)
     live.note(f"fabric: scenario: sent SIG{step.signal.upper()} to node {pid}")
-    recovery = fabric.status(pid).get("recovery", {})
+    status = fabric.status(pid)
+    recovered_at = status["decided_wave"]
+    recovery = status.get("recovery", {})
     live.note(
         f"fabric: scenario: node {pid} recovered in {fabric.boot_latency[pid]:.2f}s "
         f"(snapshot {recovery.get('snapshot_vertices', 0)} + "
@@ -273,6 +278,16 @@ def _crash_step(
     # match with every peer — recovery may not rewrite history.
     prefix = fabric.check_consistency()
     live.note(f"fabric: scenario: post-recovery prefix OK ({prefix} entries)")
+    # Consistency alone passes for a node that recovered and then froze;
+    # the run's wave target is usually behind the cluster by now, so only
+    # a commit of the node's own proves it rejoined the protocol.
+    if not fabric.wait_wave(recovered_at + 1, deadline, every=True, pids=[pid]):
+        raise FabricError(f"node {pid} recovered but committed nothing")
+    live.note(
+        f"fabric: scenario: node {pid} committed wave "
+        f"{fabric.status(pid)['decided_wave']} past its recovery point "
+        f"(wave {recovered_at})"
+    )
 
 
 def run_scenario(

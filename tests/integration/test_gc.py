@@ -8,7 +8,6 @@ from repro.core.harness import DagRiderDeployment
 from repro.dag.store import DagStore
 from repro.dag.vertex import Ref, Vertex
 from repro.mempool.blocks import Block
-from repro.obs.context import Observability
 from repro.sim.adversary import SlowProcessDelay, UniformDelay
 
 
@@ -40,23 +39,6 @@ class TestGcEquivalence:
             assert node.store.vertex_count < 100
             assert node.store.collected_count > 0
             assert node.store.collected_floor > 0
-
-    def test_wave_ready_times_do_not_outlive_their_commit(self):
-        """One float per wave is still a leak: entries at or below the
-        decided wave are dropped once the commit latency is recorded."""
-        observability = Observability()
-        dep = DagRiderDeployment(
-            SystemConfig(n=4, seed=5),
-            default_node_kwargs={"gc_depth": 4},
-            observability=observability,
-        )
-        assert dep.run_until_wave(30, max_events=400_000)
-        commits = 0
-        for node in dep.correct_nodes:
-            assert all(wave > node.decided_wave for wave in node._wave_ready_time)
-            commits += len(node.ordering.commits)
-        latency = observability.registry.histogram("node.commit_latency")
-        assert latency.count == commits > 0
 
     def test_gc_with_slow_process_within_margin(self):
         """A straggler inside the gc_depth margin is still weak-edged in."""

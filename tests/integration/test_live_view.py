@@ -14,7 +14,7 @@ import threading
 import time
 
 from repro.common.config import SystemConfig
-from repro.obs.analyze import summarize
+from repro.obs.analyze import summarize, wave_stats
 from repro.obs.causal import stitch
 from repro.obs.cli import main as obs_main
 from repro.obs.context import Observability
@@ -107,7 +107,9 @@ def test_streams_are_teed_folded_and_drained_on_stop(
         assert trace.metrics["status"]["decided_wave"] >= 1
         assert trace.metrics["links"]["frames_sent"] > 0
         text = summarize(trace.events, meta=trace.meta, metrics=trace.metrics)
-        assert "node.commit_latency: count=" in text
+        # Wave-ready -> commit: the per-wave table, read off the events.
+        assert any(stat.latency is not None for stat in wave_stats(trace.events).values())
+        assert "first_commit" in text
         # 4 096 events is ~1 s of this unpaced in-loop cluster: no holes
         # unless the box stalled that long, and then the summary says so.
         assert ("stream has holes" in text) == (trace.metrics["dropped"] > 0)
@@ -132,9 +134,21 @@ def test_a_ring_too_small_for_a_tick_says_so_in_the_tee(
     free_peers, free_port, tmp_path, capsys, monkeypatch
 ):
     monkeypatch.setattr(runner_module, "DEFAULT_STREAM_CAPACITY", 8)
-    tees = tee_a_cluster(
-        free_peers, free_port, tmp_path, until=lambda text: "stream_drop" in text
-    )
+
+    def a_tick_counts_drops(text):
+        # Wait for what is asserted below. A ``stream_drop`` event is no
+        # proxy: an 8-slot ring can push each one out before the next tick.
+        for line in text.splitlines():
+            if METRICS_SCHEMA not in line:
+                continue
+            try:
+                if json.loads(line)["metrics"]["dropped"] > 0:
+                    return True
+            except json.JSONDecodeError:
+                pass  # the tee's last line, still being written
+        return False
+
+    tees = tee_a_cluster(free_peers, free_port, tmp_path, until=a_tick_counts_drops)
     for tee in tees:
         trace = load_trace(str(tee))
         assert trace.metrics["dropped"] > 0

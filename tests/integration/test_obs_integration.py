@@ -13,7 +13,7 @@ The acceptance contract of the observability layer:
 import asyncio
 
 from repro.common.config import SystemConfig
-from repro.obs.analyze import diff_traces, summarize
+from repro.obs.analyze import diff_traces, summarize, wave_stats
 from repro.obs.cli import main as obs_main
 from repro.obs.context import Observability
 from repro.obs.export import dumps_trace, loads_trace
@@ -84,7 +84,7 @@ class TestCleanVsPerturbedDiff:
 
 
 class TestRuntimeTraces:
-    def _run_cluster(self, peers, seed, chaos_config=None, target=8):
+    def _run_cluster(self, peers, seed, chaos_config=None, target=8, state_dirs=None):
         observability = Observability()
         chaos = None
         if chaos_config is not None:
@@ -94,6 +94,7 @@ class TestRuntimeTraces:
             peers=peers,
             chaos=chaos,
             observability=observability,
+            state_dirs=state_dirs,
         )
         reached = asyncio.run(
             cluster.run_until(
@@ -132,21 +133,23 @@ class TestRuntimeTraces:
 
     def test_clean_cluster_records_protocol_metrics(self, free_peers):
         cluster = self._run_cluster(free_peers(4), seed=12)
-        snapshot = cluster.observability.snapshot()
         assert cluster.link_report()["redeliveries"] == 0
-        assert "node.commit_latency" in snapshot["histograms"]
-        assert snapshot["histograms"]["node.commit_latency"]["count"] > 0
+        # Wave-ready -> commit is the gap between two events per wave.
+        waves = wave_stats(cluster.observability.bus.events)
+        assert any(stat.latency is not None for stat in waves.values())
+        assert all(stat.latency is None or stat.latency >= 0.0 for stat in waves.values())
 
-    def test_summarize_prints_a_runtime_traces_metrics(self, free_peers):
+    def test_summarize_prints_a_runtime_traces_metrics(self, free_peers, tmp_path):
         """Regression: the runner nested its registry under ``registry``,
         where ``summarize`` (reading the top-level sections ``record``
         writes) never found it — no runtime trace ever printed them."""
-        cluster = self._run_cluster(free_peers(4), seed=13)
+        state_dirs = {pid: str(tmp_path / f"state-{pid}") for pid in range(4)}
+        cluster = self._run_cluster(free_peers(4), seed=13, state_dirs=state_dirs)
         trace = loads_trace(cluster.runners[0].trace_text())
         assert trace.metrics["links"]["frames_sent"] > 0
         text = summarize(trace.events, meta=trace.meta, metrics=trace.metrics)
-        assert "histograms:" in text
-        assert "node.commit_latency: count=" in text
+        assert "counters:" in text
+        assert "wal.appends = " in text
 
 
 class TestCli:

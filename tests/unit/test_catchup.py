@@ -1,7 +1,10 @@
 """Catch-up protocol: codec frames, the serve side, and the apply side."""
 
+import pytest
+
 from repro.codec import decode_message, encode_message
 from repro.codec.frames import CatchupRequest, CatchupVertices
+from repro.coin.threshold import CoinShareMessage
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
 from repro.core.node import CATCHUP_CHUNK
@@ -70,6 +73,33 @@ class TestServeCatchup:
         assert len(sent) == 1
         _dst, chunk = sent[0]
         assert chunk.vertices == () and chunk.done
+
+
+class TestServeCoinShares:
+    def test_serves_own_shares_of_invoked_instances_from_the_requested_wave(self):
+        dep = DagRiderDeployment(SystemConfig(n=4, seed=11), coin_mode="threshold")
+        assert dep.run_until_wave(4, max_events=600_000)
+        node = dep.nodes[0]
+        invoked = sorted(node.coin._invoked)
+        assert invoked[0] < 2 < invoked[-1]
+        sent = capture_sends(node)
+        # Round 5 opens wave 2 (wave_length 4).
+        node._serve_catchup(1, CatchupRequest(from_round=5))
+        shares = [message for _, message in sent if isinstance(message, CoinShareMessage)]
+        assert [share.instance for share in shares] == [w for w in invoked if w >= 2]
+        assert all(
+            dep.dealer.verify_share(node.pid, share.instance, share.value)
+            for share in shares
+        )
+        assert isinstance(sent[-1][1], CatchupVertices) and sent[-1][1].done
+
+    @pytest.mark.parametrize("coin_mode", ["ideal", "piggyback"])
+    def test_other_coins_serve_no_share_messages(self, coin_mode):
+        dep = DagRiderDeployment(SystemConfig(n=4, seed=11), coin_mode=coin_mode)
+        assert dep.run_until_wave(2, max_events=600_000)
+        sent = capture_sends(dep.nodes[0])
+        dep.nodes[0]._serve_catchup(1, CatchupRequest(from_round=1))
+        assert sent and all(isinstance(message, CatchupVertices) for _, message in sent)
 
 
 class TestApplyCatchup:

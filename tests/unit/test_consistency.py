@@ -3,9 +3,13 @@
 import pytest
 
 from repro.common.errors import ConsistencyError
-from repro.core.node import OrderedEntry, digest_log, entry_digest
+from repro.core.node import (
+    OrderedEntry,
+    check_prefix_consistency,
+    digest_log,
+    entry_digest,
+)
 from repro.mempool.blocks import Block
-from repro.runtime.consistency import check_prefix_consistency
 
 
 def entry(position, proposer, sequence, round_=1, payload=b"tx"):

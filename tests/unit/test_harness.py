@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.config import SystemConfig
+from repro.common.errors import ConsistencyError
 from repro.core.harness import DagRiderDeployment
 from repro.core.node import DagRiderNode, OrderedEntry
 from repro.mempool.blocks import Block
@@ -27,8 +28,29 @@ class TestChecks:
         node.ordered[2] = OrderedEntry(
             entry.position, entry.block, entry.round, (entry.source + 1) % 4, entry.time
         )
-        with pytest.raises(AssertionError, match="total order violated"):
+        with pytest.raises(ConsistencyError, match="total order violated"):
             dep.check_total_order()
+
+    def test_check_total_order_detects_another_block_in_the_same_slot(self):
+        """The slot agrees, the bytes do not: what reliable broadcast should
+        prevent and the check exists to catch."""
+        dep = small_deployment()
+        assert dep.run_until_ordered(5)
+        node = dep.correct_nodes[0]
+        entry = node.ordered[2]
+        forged = Block(entry.block.proposer, entry.block.sequence, (b"forged",))
+        assert forged.to_bytes() != entry.block.to_bytes()
+        node.ordered[2] = OrderedEntry(
+            entry.position, forged, entry.round, entry.source, entry.time
+        )
+        with pytest.raises(ConsistencyError, match="position 2"):
+            dep.check_total_order()
+
+    def test_check_total_order_returns_the_agreed_prefix(self):
+        dep = small_deployment()
+        assert dep.run_until_ordered(5)
+        shortest = min(len(node.ordered) for node in dep.correct_nodes)
+        assert dep.check_total_order() == shortest >= 5
 
     def test_check_integrity_detects_duplicates(self):
         dep = small_deployment()

@@ -1,8 +1,11 @@
 """The cross-event orderings a deployment's event bus lets tests assert."""
 
+import pytest
+
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
 from repro.obs.context import Observability
+from repro.storage.journal import NodeJournal
 
 
 def traced_deployment(seed=15):
@@ -53,10 +56,33 @@ class TestProtocolEventOrdering:
             waves = [e.get("wave") for e in of_kind(events, "wave_ready", pid)]
             assert waves == sorted(waves)
 
-    def test_commit_delivered_counts_match_log(self):
-        dep, events = traced_deployment()
+    @pytest.mark.parametrize("coin_mode", ["ideal", "threshold", "piggyback"])
+    def test_commit_delivered_counts_match_log(self, coin_mode, tmp_path):
+        """Every commit is reported and journaled once, whichever coin
+        resolved it: the threshold coin commits inside a share's delivery,
+        not inside ``wave_ready``."""
+        observability = Observability()
+        journals = {
+            pid: NodeJournal(str(tmp_path / f"state-{pid}"), pid, obs=observability)
+            for pid in range(4)
+        }
+        dep = DagRiderDeployment(
+            SystemConfig(n=4, seed=15),
+            coin_mode=coin_mode,
+            node_kwargs={pid: {"journal": journal} for pid, journal in journals.items()},
+            observability=observability,
+        )
+        assert dep.run_until_ordered(15)
+        events = observability.bus.events
         for node in dep.correct_nodes:
-            traced = sum(
-                event.get("delivered") for event in of_kind(events, "commit", node.pid)
-            )
-            assert traced == len(node.ordered)
+            commits = of_kind(events, "commit", node.pid)
+            assert len(commits) == len(node.ordering.commits) > 0
+            assert sum(event.get("delivered") for event in commits) == len(node.ordered)
+            journaled = [
+                event
+                for event in of_kind(events, "wal_append", node.pid)
+                if event.get("record") == "commit"
+            ]
+            assert len(journaled) == len(node.ordering.commits)
+        for journal in journals.values():
+            journal.close()
