@@ -17,7 +17,10 @@ it fires the ``on_stall`` callback (the fabric driver uses it to pull
 
 Raw stream lines are teed verbatim to ``<out_dir>/node-<pid>.stream.jsonl``,
 so a run leaves each node's whole event history next to its windowed
-traces, in the format every ``python -m repro.obs`` subcommand reads.
+traces, in the format every ``python -m repro.obs`` subcommand reads. A
+stream that ends while the view runs (its node crashed or was restarted)
+is subscribed again, and the node's next life is appended to the same
+tee, starting with its own header.
 
 Everything here is driver-side tooling on real wall clocks
 (``time.monotonic``), matching the rest of :mod:`repro.runtime.fabric`;
@@ -39,7 +42,8 @@ from repro.obs.stream import StallDetector
 from repro.runtime.linerpc import LineStream
 from repro.runtime.peers import PeerTable
 
-#: Seconds between connect retries while a node is still booting.
+#: Seconds between connect retries while a node is still booting (or
+#: restarting), and from the end of one subscription to the next.
 CONNECT_RETRY = 0.25
 
 #: Seconds :meth:`LiveView.stop` lets streams that are already ending (their
@@ -198,40 +202,44 @@ class LiveView:
     # ------------------------------------------------------------ readers
 
     def _read_node(self, pid: int, address: tuple[str, int]) -> None:
-        """One node's reader: connect, subscribe, fold lines until EOF."""
+        """One node's reader: subscribe, fold lines until EOF, and subscribe
+        again while the view runs, so a restarted node's next life is
+        appended to the same tee."""
         tee = None
         if self.out_dir is not None:
             tee = open(
                 self.out_dir / f"node-{pid}.stream.jsonl", "w", encoding="utf-8"
             )
+        view = self._nodes[pid]
         try:
-            stream = self._connect(pid, address)
-            if stream is None:
-                return
-            view = self._nodes[pid]
-            for text in stream:
-                if tee is not None:
-                    tee.write(text)
-                    tee.flush()
-                self._fold_line(view, text)
-            with self._lock:
-                view.state = "stopped"
-        except (OSError, ValueError):
-            with self._lock:
-                self._nodes[pid].state = "lost"
+            while (stream := self._connect(pid, address)) is not None:
+                state = "stopped"
+                try:
+                    for text in stream:
+                        if tee is not None:
+                            tee.write(text)
+                            tee.flush()
+                        self._fold_line(view, text)
+                except (OSError, ValueError):
+                    state = "lost"
+                with self._lock:
+                    self._streams.pop(pid, None)
+                    view.state = state
+                # A stopping node's control socket may still answer for a
+                # moment; its empty subscriptions are not retried in a spin.
+                self._stop.wait(CONNECT_RETRY)
         finally:
             if tee is not None:
                 tee.close()
-            with self._lock:
-                self._streams.pop(pid, None)
 
     def _connect(self, pid: int, address: tuple[str, int]) -> LineStream | None:
-        """Open the subscription, retrying while the node boots."""
+        """Open the subscription, retrying while the node boots (or reboots);
+        None once the view stops."""
         while not self._stop.is_set():
             try:
                 stream = LineStream(address, self.request)
             except OSError:
-                time.sleep(CONNECT_RETRY)
+                self._stop.wait(CONNECT_RETRY)
                 continue
             with self._lock:
                 if self._stop.is_set():

@@ -19,6 +19,15 @@ runtime adds a classic reliable-link layer on top:
   tolerates the loss of ``f`` processes, so a correct sender must not
   buffer without bound for a dead one.
 
+Frames move in bursts, not one at a time: each pump wake writes every
+frame past the link's write cursor in one ``writelines`` and one
+``drain`` (a frame a fault touches is written on its own, after the
+frames before it), each socket read is cut into every whole frame it
+holds by one :class:`FrameSplitter`, and the receiver acks a link at most
+once per :data:`ACK_DELAY`. Only the grouping into writes, reads and acks
+depends on timing; the bytes, sequence numbers and chaos fates of the
+frames do not.
+
 The timings are module constants, not configuration: the §2 model asks
 only that links eventually deliver, so no timer value is part of the
 protocol. A link reads them each time it uses them, so a test can
@@ -36,6 +45,7 @@ import contextlib
 import struct
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.codec import decode_message, encode_message
@@ -55,6 +65,9 @@ HEADER = struct.Struct(">I")
 #: ``8-byte sequence number`` leading every frame body.
 SEQ = struct.Struct(">Q")
 
+#: :data:`HEADER` and :data:`SEQ` together: everything before a frame's payload.
+PREFIX = struct.Struct(">IQ")
+
 #: Sender handshake: ``pid byte || 8-byte boot incarnation``. The
 #: incarnation changes every time the sending process (re)starts, so a
 #: receiver can tell a reconnect (same incarnation — keep the duplicate
@@ -69,10 +82,68 @@ CONTROL_SEQ = 0
 #: Exceptions that mean "this connection is gone, redial".
 CONNECTION_ERRORS = (ConnectionError, OSError, asyncio.IncompleteReadError)
 
+#: Most bytes one socket read takes off a link's stream.
+READ_SIZE = 1 << 20
+
 
 def frame_bytes(seq: int, payload: bytes) -> bytes:
     """One wire frame: length header, sequence number, codec payload."""
-    return HEADER.pack(SEQ.size + len(payload)) + SEQ.pack(seq) + payload
+    return PREFIX.pack(SEQ.size + len(payload), seq) + payload
+
+
+class FrameSplitter:
+    """Cuts one connection's byte stream into ``(seq, message)`` frames.
+
+    :meth:`read` takes whatever one socket read returns and gives back
+    every frame it completed, in order, so a burst of frames costs one
+    await. Each frame's codec bytes are copied once, out of the read and
+    into the decoder. A frame cut by the end of a read waits in a
+    ``bytearray`` that the next reads append to, so a large frame arriving
+    in many reads is assembled in linear time.
+    """
+
+    __slots__ = ("_partial",)
+
+    def __init__(self) -> None:
+        self._partial = bytearray()
+
+    async def read(self, reader: asyncio.StreamReader) -> list[tuple[int, "Message"]]:
+        """The frames the next read completes (possibly none).
+
+        Raises :class:`asyncio.IncompleteReadError` at end of stream, with
+        the bytes of a frame the stream cut short, if any.
+        """
+        chunk = await reader.read(READ_SIZE)
+        if not chunk:
+            raise asyncio.IncompleteReadError(bytes(self._partial), None)
+        return self.feed(chunk)
+
+    def feed(self, chunk: bytes) -> list[tuple[int, "Message"]]:
+        """Append ``chunk`` to the stream; the frames it completed."""
+        partial = self._partial
+        data: bytes | bytearray = chunk
+        if partial:
+            partial += chunk
+            data = partial
+        frames: list[tuple[int, "Message"]] = []
+        offset, size = 0, len(data)
+        with memoryview(data) as view:
+            while size - offset >= HEADER.size:
+                (length,) = HEADER.unpack_from(data, offset)
+                if length < SEQ.size:
+                    raise WireFormatError("short link frame")
+                end = offset + HEADER.size + length
+                if end > size:
+                    break
+                (seq,) = SEQ.unpack_from(data, offset + HEADER.size)
+                payload = bytes(view[offset + PREFIX.size : end])
+                frames.append((seq, decode_message(payload)))
+                offset = end
+        if data is partial:
+            del partial[:offset]
+        elif offset < size:
+            partial += memoryview(chunk)[offset:]
+        return frames
 
 
 #: First redial delay after a dial failure (seconds).
@@ -84,8 +155,14 @@ MAX_BACKOFF = 2.0
 #: Fraction of each backoff randomized away (seeded), so a cluster
 #: restarting together does not redial in lockstep.
 JITTER = 0.5
-#: Idle time (seconds) before the sender probes the link.
+#: Idle time (seconds) before the sender probes the link: the period of
+#: each connection's heartbeat timer, which asks for a heartbeat when a
+#: whole period passed without a burst written.
 HEARTBEAT_INTERVAL = 1.0
+#: Longest time (seconds) a receiver holds the ack of a delivered data
+#: frame, so a busy link carries at most one ack per this interval (a
+#: heartbeat is acked at once).
+ACK_DELAY = 0.01
 #: Silence (no acks, seconds) after which a connection is presumed dead and
 #: torn down for redial.
 HEARTBEAT_TIMEOUT = 5.0
@@ -133,8 +210,9 @@ class ReliableLink:
 
     ``enqueue`` is the only entry point the network uses; a background pump
     task owns the connection: dial (with backoff), handshake, redeliver the
-    unacked backlog, then stream new frames and heartbeats while a reader
-    task consumes cumulative acks from the same connection. The network's
+    unacked backlog, then stream new frames, a burst per wake, and
+    heartbeats while a reader task consumes cumulative acks from the same
+    connection. The network's
     partition and slow-peer state is read when it dials and when it writes;
     the chaos faults it suffers are recorded as ``chaos_*`` events.
     """
@@ -149,14 +227,18 @@ class ReliableLink:
         self._n = network.config.n
         self._obs = network.obs
         self._rng = derive_rng(network.config.seed, "link-jitter", self.pid, dst)
+        # Consecutive seqs: enqueue appends, acks and trims pop the oldest.
         self._unacked: deque[tuple[int, bytes]] = deque()
         self._next_seq = 1
         self._acked = 0  # highest cumulatively acked seq
-        self._conn_written = 0  # highest seq written on the live connection
+        self._conn_written = 0  # write cursor: highest seq written on the live connection
         self._ever_written = 0  # highest seq ever written on any connection
         self._connections = 0
         self._dial_attempts = 0
         self._heartbeat_nonce = 0
+        self._heartbeat: asyncio.TimerHandle | None = None
+        self._heartbeat_due = False
+        self._wrote_since_tick = False
         self._down_since: float | None = None
         self._last_rx = self._loop.time()
         self._wake = asyncio.Event()
@@ -285,59 +367,102 @@ class ReliableLink:
             self._last_rx = self._loop.time()
             self._reader_task = self._loop.create_task(self._read_acks(reader))
             self._reader_task.add_done_callback(self._on_task_done)
+            self._heartbeat_due = self._wrote_since_tick = False
+            self._heartbeat = self._loop.call_later(HEARTBEAT_INTERVAL, self._tick)
             return
 
     async def _stream(self) -> None:
         while not self._closed:
-            frame = self._next_unwritten()
-            if frame is None:
+            frames = self._unwritten()
+            if frames:
+                await self._write_burst(frames)
+                self._wrote_since_tick = True
+                self._check_liveness(idle=False)
+            elif self._heartbeat_due:
+                self._heartbeat_due = False
+                await self._send_heartbeat()
+                self._check_liveness(idle=True)
+            else:
                 self._wake.clear()
-                if self._next_unwritten() is not None:  # enqueue raced the clear
-                    continue
-                try:
-                    await asyncio.wait_for(self._wake.wait(), HEARTBEAT_INTERVAL)
-                except asyncio.TimeoutError:
-                    await self._send_heartbeat()
-                    self._check_liveness(idle=True)
-                continue
-            seq, payload = frame
-            redelivery = seq <= self._ever_written
-            await self._write_frame(seq, payload)
-            self._conn_written = seq
-            self._ever_written = max(self._ever_written, seq)
-            self._stats.frames_sent += 1
-            if redelivery:
-                self._stats.redeliveries += 1
-                self._obs.emit(self.pid, "link_redelivery", dst=self.dst, seq=seq)
-            self._check_liveness(idle=False)
+                await self._wake.wait()
 
-    def _next_unwritten(self) -> tuple[int, bytes] | None:
-        for frame in self._unacked:
-            if frame[0] > self._conn_written:
-                return frame
-        return None
+    def _tick(self) -> None:
+        """The connection's heartbeat timer: every :data:`HEARTBEAT_INTERVAL`,
+        a period without a burst written makes the pump send a heartbeat."""
+        self._heartbeat = self._loop.call_later(HEARTBEAT_INTERVAL, self._tick)
+        if self._wrote_since_tick:
+            self._wrote_since_tick = False
+        else:
+            self._heartbeat_due = True
+            self._wake.set()
 
-    async def _write_frame(self, seq: int, payload: bytes) -> None:
+    def _unwritten(self) -> list[tuple[int, bytes]]:
+        """The queued frames past the write cursor, oldest first."""
+        unacked = self._unacked
+        if not unacked:
+            return []
+        start = self._conn_written + 1 - unacked[0][0]
+        if start >= len(unacked):
+            return []
+        return list(islice(unacked, max(0, start), None))
+
+    async def _write_burst(self, frames: list[tuple[int, bytes]]) -> None:
+        """Write ``frames`` up to the first one a fault touches.
+
+        Every frame before it goes out in one ``writelines`` and one
+        ``drain``; the touched frame (a chaos fate or a slow peer's delay)
+        is then written on its own, as its fate says. Each frame's fate is
+        planned once, in order, so chaos sees what a frame-at-a-time
+        writer showed it. Frames after the touched one wait for the next
+        burst.
+        """
         network, chaos = self._network, self._network.chaos
-        fate = NO_FAULT if chaos is None else self._plan(chaos, seq)
-        delay = network.peer_delay + fate.delay
+        slow = network.peer_delay > 0
+        parts: list[bytes] = []
+        last = 0
+        for seq, payload in frames:
+            fate = NO_FAULT if chaos is None else self._plan(chaos, seq)
+            if slow or (chaos is not None and fate != NO_FAULT):
+                if parts:
+                    await self._send(parts)
+                    self._count_written(frames[0][0], last)
+                await self._write_faulted(seq, payload, fate)
+                return
+            parts += (PREFIX.pack(SEQ.size + len(payload), seq), payload)
+            last = seq
+        await self._send(parts)
+        self._count_written(frames[0][0], last)
+
+    async def _write_faulted(self, seq: int, payload: bytes, fate: FrameFate) -> None:
+        delay = self._network.peer_delay + fate.delay
         if delay > 0:
             # Head-of-line: frames behind this one wait too (congestion model).
             await asyncio.sleep(delay)
-        if self.dst in network.blocked:  # partitioned mid-delay, or a dial raced it
-            raise ConnectionResetError(f"partitioned from {self.dst}")
         if fate.drop:
             raise ConnectionResetError(f"chaos dropped frame {seq} to {self.dst}")
+        frame = (PREFIX.pack(SEQ.size + len(payload), seq), payload)
+        await self._send(list(frame * 2 if fate.duplicate else frame))
+        if fate.sever:
+            raise ConnectionResetError(f"chaos severed link to {self.dst}")
+        self._count_written(seq, seq)
+
+    async def _send(self, parts: list[bytes]) -> None:
+        if self.dst in self._network.blocked:  # partitioned mid-delay, or a dial raced it
+            raise ConnectionResetError(f"partitioned from {self.dst}")
         writer = self._writer
         if writer is None or writer.is_closing():
             raise ConnectionResetError("connection lost")
-        data = frame_bytes(seq, payload)
-        writer.write(data)
-        if fate.duplicate:
-            writer.write(data)
+        writer.writelines(parts)
         await writer.drain()
-        if fate.sever:
-            raise ConnectionResetError(f"chaos severed link to {self.dst}")
+
+    def _count_written(self, first: int, last: int) -> None:
+        """Frames ``first..last`` reached the live connection."""
+        self._stats.frames_sent += last - first + 1
+        for seq in range(first, min(last, self._ever_written) + 1):
+            self._stats.redeliveries += 1
+            self._obs.emit(self.pid, "link_redelivery", dst=self.dst, seq=seq)
+        self._conn_written = last
+        self._ever_written = max(self._ever_written, last)
 
     def _plan(self, chaos: "ChaosTransport", seq: int) -> FrameFate:
         """Frame ``seq``'s fate from chaos, each planned fault recorded."""
@@ -378,15 +503,12 @@ class ReliableLink:
     # ------------------------------------------------------------- ack path
 
     async def _read_acks(self, reader: asyncio.StreamReader) -> None:
+        splitter = FrameSplitter()
         try:
             while True:
-                (length,) = HEADER.unpack(await reader.readexactly(HEADER.size))
-                body = await reader.readexactly(length)
-                if length < SEQ.size:
-                    raise WireFormatError("short link frame")
-                message = decode_message(body[SEQ.size :])
-                if isinstance(message, LinkAck):
-                    self._on_ack(message)
+                for _seq, message in await splitter.read(reader):
+                    if isinstance(message, LinkAck):
+                        self._on_ack(message)
         except CONNECTION_ERRORS:
             pass
         except asyncio.CancelledError:
@@ -426,6 +548,9 @@ class ReliableLink:
         )
 
     async def _drop_connection(self) -> None:
+        if self._heartbeat is not None:
+            self._heartbeat.cancel()
+            self._heartbeat = None
         if self._reader_task is not None:
             self._reader_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):

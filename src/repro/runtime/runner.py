@@ -169,6 +169,11 @@ class NodeRunner:
         """Ask :meth:`wait_stopped` to return (control ``stop``, signals)."""
         self._stop.set()
 
+    @property
+    def stopped(self) -> bool:
+        """True once a stop was requested."""
+        return self._stop.is_set()
+
     async def wait_stopped(self, timeout: float | None = None) -> bool:
         """Block until a stop is requested; False when ``timeout`` hit first."""
         if timeout is None:
@@ -356,9 +361,12 @@ class ControlServer(LineServer):
         :meth:`NodeRunner.trace_metrics` with the runner ``status``, the
         cumulative ring-overflow count ``dropped``, the tick number
         ``seq`` and the bus time ``t``, all absolute — in one write. The
-        stream ends with a final tick when the runner stops.
+        stream ends with a final tick when the runner stops; a runner that
+        is already stopping streams nothing.
         """
         runner = self.runner
+        if runner.stopped:
+            return
         obs = runner.observability
         interval = max(0.05, _finite(request.get("interval", 1.0), "interval"))
         ring: EventRing[Event] = EventRing(DEFAULT_STREAM_CAPACITY)

@@ -11,6 +11,12 @@ stream in TLS/noise — see ROADMAP). The incarnation lets a receiver reset
 its duplicate cursor when a peer restarts from its state dir and begins a
 fresh sequence space.
 
+The receiving half of each link lives here too: every socket read is cut
+into all the whole frames it holds
+(:class:`repro.runtime.reliable.FrameSplitter`), delivered in order, and
+acked at most once per :data:`repro.runtime.reliable.ACK_DELAY` with one
+cumulative ``LinkAck``; a heartbeat is acked at once.
+
 The pieces :class:`repro.core.node.DagRiderNode` actually touches are kept
 signature-compatible with :class:`repro.sim.network.Network`:
 
@@ -29,18 +35,18 @@ import contextlib
 import time
 from typing import TYPE_CHECKING, Callable
 
-from repro.codec import decode_message, encode_message
+from repro.codec import encode_message
 from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.config import SystemConfig
 from repro.common.errors import WireFormatError
 from repro.obs.context import Observability
 from repro.obs.wire import MetricsCollector
+from repro.runtime import reliable
 from repro.runtime.reliable import (
     CONNECTION_ERRORS,
     CONTROL_SEQ,
     HANDSHAKE,
-    HEADER,
-    SEQ,
+    FrameSplitter,
     LinkStats,
     ReliableLink,
     frame_bytes,
@@ -84,11 +90,11 @@ class AsyncScheduler:
 class _Inbound:
     """One live accepted connection from a peer."""
 
-    __slots__ = ("writer", "ack_pending")
+    __slots__ = ("writer", "ack_timer")
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
-        self.ack_pending = False
+        self.ack_timer: asyncio.TimerHandle | None = None
 
 
 class TcpNetwork:
@@ -315,30 +321,30 @@ class TcpNetwork:
                 self.link_stats.superseded_connections += 1
                 prior.writer.close()
             self._inbound[src] = state
+            splitter = FrameSplitter()
             while not self._closed:
-                (length,) = HEADER.unpack(await reader.readexactly(HEADER.size))
-                body = await reader.readexactly(length)
-                if length < SEQ.size:
-                    raise WireFormatError("short link frame")
-                (seq,) = SEQ.unpack(body[: SEQ.size])
-                message = decode_message(body[SEQ.size :])
-                if seq == CONTROL_SEQ:
-                    if isinstance(message, LinkHeartbeat):
-                        self._write_ack(src, writer)
-                        await writer.drain()
-                    continue
-                cursor = self._recv_cursor.get(src, 0)
-                if seq <= cursor:
-                    # Redelivered after an ack was lost, or a chaos duplicate.
-                    self.link_stats.duplicates_dropped += 1
-                else:
+                data = heartbeat = False
+                for seq, message in await splitter.read(reader):
+                    if seq == CONTROL_SEQ:
+                        heartbeat = heartbeat or isinstance(message, LinkHeartbeat)
+                        continue
+                    data = True
+                    cursor = self._recv_cursor.get(src, 0)
+                    if seq <= cursor:
+                        # Redelivered after an ack was lost, or a chaos duplicate.
+                        self.link_stats.duplicates_dropped += 1
+                        continue
                     if seq > cursor + 1:
                         # Only a degraded sender drops queued frames; record
                         # the loss instead of stalling the link forever.
                         self.link_stats.gaps += seq - cursor - 1
                     self._recv_cursor[src] = seq
                     self._deliver(src, message)
-                self._schedule_ack(src, state)
+                if heartbeat:
+                    self._flush_ack(src, state)
+                    await writer.drain()
+                elif data:
+                    self._schedule_ack(src, state)
         except CONNECTION_ERRORS:
             pass
         except asyncio.CancelledError:
@@ -348,6 +354,8 @@ class TcpNetwork:
             # reliable link redials and redelivers from the last ack.
             pass
         finally:
+            if state.ack_timer is not None:
+                state.ack_timer.cancel()
             if task is not None:
                 self._accept_tasks.discard(task)
             if src >= 0 and self._inbound.get(src) is state:
@@ -363,20 +371,25 @@ class TcpNetwork:
         self.link_stats.control_bits += ack.wire_size(self.config.n)
 
     def _schedule_ack(self, src: int, state: _Inbound) -> None:
-        """Coalesce acks per read-burst instead of acking every data frame.
+        """Ack the link within :data:`repro.runtime.reliable.ACK_DELAY`.
 
-        ``readexactly`` only suspends when the stream buffer runs dry, so a
-        ``call_soon`` scheduled at the first frame of a burst runs exactly
-        when the reader blocks again — one cumulative ack then covers every
-        frame the burst delivered.
+        The first data frame after an ack arms one timer; every frame that
+        arrives before it fires is covered by the one cumulative ack it
+        writes, so a busy link carries at most one ack per ``ACK_DELAY``
+        instead of one per read. The sender never waits for an ack to
+        send: holding one only keeps its frames queued (and redelivered
+        after a reconnect) that much longer.
         """
-        if state.ack_pending:
-            return
-        state.ack_pending = True
-        self.loop.call_soon(self._flush_ack, src, state)
+        if state.ack_timer is None:
+            state.ack_timer = self.loop.call_later(
+                reliable.ACK_DELAY, self._flush_ack, src, state
+            )
 
     def _flush_ack(self, src: int, state: _Inbound) -> None:
-        state.ack_pending = False
+        """Ack the link now, covering any ack a timer holds."""
+        if state.ack_timer is not None:
+            state.ack_timer.cancel()
+            state.ack_timer = None
         writer = state.writer
         if not self._closed and not writer.is_closing():
             self._write_ack(src, writer)

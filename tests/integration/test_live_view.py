@@ -22,6 +22,7 @@ from repro.obs.export import METRICS_SCHEMA, load_trace
 from repro.runtime import runner as runner_module
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.fabric import Fabric
+from repro.runtime.linerpc import LineServer
 from repro.runtime.live import LiveView
 from repro.runtime.peers import make_peer_table
 from repro.runtime.runner import ControlServer
@@ -158,3 +159,60 @@ def test_a_ring_too_small_for_a_tick_says_so_in_the_tee(
         )
     out = capsys.readouterr().out
     assert "drops " in out[out.rindex("live: quorum wave"):]
+
+
+def test_a_restarted_node_is_subscribed_again_into_the_same_tee(
+    free_peers, free_port, tmp_path
+):
+    """Regression: a reader opened one subscription per node and ended with
+    it, so a node that a crash step restarted dropped out of its tee (and
+    of the live table). Node 0's control server here ends its first stream
+    at once, as a killed runner's does, serves a second life, and then, as
+    a stopping runner does, streams nothing."""
+    config = SystemConfig(n=4, seed=3)
+    control_ports = {pid: free_port() for pid in range(4)}
+    table = make_peer_table(free_peers(4), config, control_ports=control_ports)
+    lives = []
+
+    def life_lines(life):
+        header = {"meta": {"life": life, "pid": 0}, "schema": "repro.obs.trace",
+                  "version": 1}
+        tick = {"metrics": {"seq": 1, "status": {"decided_wave": life}},
+                "schema": METRICS_SCHEMA, "version": 1}
+        return [json.dumps(header), json.dumps(tick)]
+
+    async def subscribe(_request, send):
+        lives.append(len(lives) + 1)
+        if len(lives) <= 2:
+            await send(*life_lines(len(lives)))
+
+    ready, done = threading.Event(), threading.Event()
+
+    def serve():
+        async def main():
+            server = LineServer(
+                "127.0.0.1", control_ports[0], {}, {"subscribe": subscribe}
+            )
+            await server.start()
+            ready.set()
+            while not done.is_set():
+                await asyncio.sleep(0.01)
+            await server.close()
+
+        asyncio.run(main())
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    assert ready.wait(10.0)
+    view = LiveView(table, {"cmd": "subscribe"}, out_dir=tmp_path, interval=0.1)
+    view.start()
+    deadline = time.monotonic() + 10.0
+    while len(lives) < 3 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    view.stop()
+    done.set()
+    thread.join(10.0)
+    assert not thread.is_alive()
+    assert len(lives) >= 3
+    tee = (tmp_path / "node-0.stream.jsonl").read_text().splitlines()
+    assert tee == life_lines(1) + life_lines(2)

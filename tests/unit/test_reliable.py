@@ -4,21 +4,25 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broadcast.gossip import GossipSubscribe
 from repro.codec import decode_message, encode_message
 from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.config import SystemConfig
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, WireFormatError
 from repro.obs.context import Observability
 from repro.runtime import reliable
-from repro.runtime.chaos import ChaosConfig, ChaosTransport
+from repro.runtime.chaos import NO_FAULT, ChaosConfig, ChaosTransport, FrameFate
 from repro.runtime.peers import allocate_port_block, make_peer_table
 from repro.runtime.reliable import (
+    CONNECTION_ERRORS,
     CONTROL_SEQ,
     HANDSHAKE,
     HEADER,
     SEQ,
+    FrameSplitter,
     LinkStats,
     frame_bytes,
 )
@@ -92,6 +96,83 @@ class TestFraming:
         assert as_dict["reconnects"] == 2
         for key in ("retries", "redeliveries", "duplicates_dropped", "control_bits"):
             assert key in as_dict
+
+
+#: One frame of each kind the links carry, as ``(seq, message)``.
+DATA = st.builds(
+    lambda seq, channel: (seq, GossipSubscribe(channel)),
+    st.integers(1, 2**64 - 1),
+    st.text(max_size=40),
+)
+ACK = st.builds(lambda cumulative: (CONTROL_SEQ, LinkAck(cumulative)),
+                st.integers(0, 2**64 - 1))
+HEARTBEAT = st.builds(lambda nonce: (CONTROL_SEQ, LinkHeartbeat(nonce)),
+                      st.integers(0, 2**64 - 1))
+#: A catch-up answer's size: more than one read of a link's stream.
+LARGE = st.just((7, GossipSubscribe("x" * (1 << 20))))
+
+
+def wire(frames):
+    return b"".join(frame_bytes(seq, encode_message(message)) for seq, message in frames)
+
+
+def split(stream, cuts):
+    """Feed ``stream`` to one splitter in the reads ``cuts`` make of it."""
+    splitter = FrameSplitter()
+    bounds = [0, *sorted(set(cuts)), len(stream)]
+    out = []
+    for start, end in zip(bounds, bounds[1:]):
+        if end > start:
+            out += splitter.feed(stream[start:end])
+    return out
+
+
+class TestFrameSplitter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.lists(st.one_of(DATA, ACK, HEARTBEAT, LARGE), max_size=8),
+        cuts=st.lists(st.integers(0, 1 << 21), max_size=40),
+    )
+    def test_any_chunking_yields_the_same_frames(self, frames, cuts):
+        stream = wire(frames)
+        # Cut points past the end fall on it; two adjacent ones make a 1-byte read.
+        assert split(stream, [cut % (len(stream) + 1) for cut in cuts]) == frames
+
+    @settings(max_examples=20, deadline=None)
+    @given(frames=st.lists(st.one_of(DATA, ACK, HEARTBEAT), max_size=6))
+    def test_one_byte_reads_yield_the_same_frames(self, frames):
+        stream = wire(frames)
+        assert split(stream, range(len(stream))) == frames
+
+    def test_a_large_frame_in_64_kib_reads(self):
+        frames = [(1, GossipSubscribe("a")), (2, GossipSubscribe("y" * (3 << 20))),
+                  (CONTROL_SEQ, LinkAck(2))]
+        stream = wire(frames)
+        assert split(stream, range(0, len(stream), 1 << 16)) == frames
+
+    @pytest.mark.parametrize("length", [0, 1, SEQ.size - 1])
+    def test_a_length_below_a_sequence_number_is_refused(self, length):
+        splitter = FrameSplitter()
+        good = frame_bytes(1, encode_message(GossipSubscribe("ok")))
+        with pytest.raises(WireFormatError, match="short link frame"):
+            splitter.feed(good + HEADER.pack(length) + b"\0" * length)
+
+    @pytest.mark.parametrize("cut", [0, 3, HEADER.size, HEADER.size + SEQ.size + 1])
+    def test_end_of_stream_inside_a_frame_is_a_connection_error(self, cut):
+        async def main():
+            reader = asyncio.StreamReader()
+            whole = frame_bytes(1, encode_message(GossipSubscribe("a")))
+            reader.feed_data(whole + whole[:cut])
+            reader.feed_eof()
+            splitter = FrameSplitter()
+            assert await splitter.read(reader) == [(1, GossipSubscribe("a"))]
+            with pytest.raises(CONNECTION_ERRORS) as caught:
+                await splitter.read(reader)
+            return caught.value
+
+        error = asyncio.run(main())
+        assert isinstance(error, asyncio.IncompleteReadError)
+        assert len(error.partial) == cut
 
 
 class TestConfigs:
@@ -267,6 +348,126 @@ class TestReliableDelivery:
                 await net.close()
 
         asyncio.run(main())
+
+
+class FaultAtThird:
+    """Chaos that gives frame 3's first transmission ``fate`` and leaves
+    every other frame (and every dial) alone."""
+
+    def __init__(self, fate):
+        self.fate = fate
+        self.planned = []
+
+    def plan(self, src, dst, seq):
+        first = seq not in self.planned
+        self.planned.append(seq)
+        return self.fate if seq == 3 and first else NO_FAULT
+
+    def fail_dial(self, src, dst, attempt):
+        return False
+
+
+class TestBurstWrites:
+    def test_a_burst_leaves_in_one_write(self, monkeypatch):
+        writes = []
+        write, writelines = asyncio.StreamWriter.write, asyncio.StreamWriter.writelines
+
+        def record_write(self, data):
+            writes.append(bytes(data))
+            write(self, data)
+
+        def record_writelines(self, parts):
+            writes.append(b"".join(parts))
+            writelines(self, parts)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", record_write)
+        monkeypatch.setattr(asyncio.StreamWriter, "writelines", record_writelines)
+        messages = [GossipSubscribe(f"m{i}") for i in range(20)]
+        expected = wire(list(zip(range(1, 21), messages)))
+
+        async def main():
+            ports = allocate_port_block(2)
+            peers = {pid: ("127.0.0.1", ports[pid]) for pid in range(2)}
+            received = bytearray()
+            done = asyncio.Event()
+
+            async def raw_peer(reader, writer):
+                await reader.readexactly(HANDSHAKE.size)
+                while len(received) < len(expected):
+                    received.extend(await reader.read(1 << 16))
+                done.set()
+                writer.close()
+
+            server = await asyncio.start_server(raw_peer, *peers[1])
+            net = TcpNetwork(SystemConfig(n=2, seed=1), 0, peers, obs=Observability())
+            try:
+                for message in messages:  # one loop turn
+                    net.send(0, 1, message)
+                await asyncio.wait_for(done.wait(), 10.0)
+            finally:
+                await net.close()
+                server.close()
+            return bytes(received)
+
+        assert asyncio.run(main()) == expected
+        handshake, *data = writes
+        assert len(handshake) == HANDSHAKE.size
+        assert data == [expected]  # one writer call carries all 20 frames
+
+    @pytest.mark.parametrize("fault", ["drop", "duplicate", "sever"])
+    def test_a_fault_lands_on_its_own_frame(self, fault):
+        """Frames 1-2 leave before frame 3's fault; after it, 3-6 arrive
+        exactly once and in order, on a new connection when the fault cut
+        the old one."""
+        chaos = FaultAtThird(FrameFate(**{fault: True}))
+
+        async def main():
+            ports = allocate_port_block(2)
+            peers = {pid: ("127.0.0.1", ports[pid]) for pid in range(2)}
+            obs = Observability()
+            sender = TcpNetwork(SystemConfig(n=2, seed=1), 0, peers, obs=obs, chaos=chaos)
+            receiver = TcpNetwork(SystemConfig(n=2, seed=1), 1, peers, obs=obs)
+            arrivals = []
+
+            class Recorder:
+                pid = 1
+
+                def on_message(self, src, message):
+                    # Which accepted connection carried the frame (held, so
+                    # no later connection can reuse its id).
+                    arrivals.append((message.channel, receiver._inbound[src]))
+
+            sender.register(Sink(0))
+            receiver.register(Recorder())
+            await receiver.start()
+            try:
+                for i in range(1, 7):
+                    sender.send(0, 1, GossipSubscribe(f"m{i}"))
+                assert await eventually(lambda: len(arrivals) >= 6)
+                await asyncio.sleep(0.05)  # anything extra would show now
+            finally:
+                await sender.close()
+                await receiver.close()
+            return arrivals, sender.link_stats, receiver.link_stats, obs.bus.events
+
+        arrivals, sent, received, events = asyncio.run(main())
+        assert [channel for channel, _ in arrivals] == [f"m{i}" for i in range(1, 7)]
+        connection = [id(conn) for _, conn in arrivals]
+        assert connection[0] == connection[1]
+        cut_before = {"drop": 2, "sever": 3, "duplicate": None}[fault]
+        if cut_before is None:
+            assert len(set(connection)) == 1 and received.duplicates_dropped == 1
+        else:
+            assert len(set(connection[:cut_before])) == 1
+            assert len(set(connection[cut_before:])) == 1
+            assert connection[cut_before - 1] != connection[cut_before]
+            assert sent.reconnects == 1
+        faults = [event for event in events if event.kind.startswith("chaos_")]
+        assert [(event.kind, event.get("seq")) for event in faults] == [
+            (f"chaos_{fault}", 3)
+        ]
+        redeliveries = [event for event in events if event.kind == "link_redelivery"]
+        assert len(redeliveries) == sent.redeliveries
 
 
 class TestHandshakeHardening:

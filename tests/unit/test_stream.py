@@ -165,6 +165,28 @@ class TestStreamSubscriber:
         assert len(attached) == 1
         assert after_hangup == []
 
+    def test_a_stopping_runner_streams_nothing(self, free_port):
+        """A live view subscribes again when a stream ends; a runner that
+        is already stopping must not answer with another life (a header
+        and a final tick) for every such retry."""
+        port = free_port()
+
+        async def scenario():
+            runner = await unbooted_runner(Observability())
+            control = ControlServer(runner, "127.0.0.1", port)
+            await control.start()
+            runner.request_stop()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(b'{"cmd": "subscribe", "interval": 0.05}\n')
+                text = await asyncio.wait_for(reader.read(), 10.0)
+                writer.close()
+                return text
+            finally:
+                await control.close()
+
+        assert asyncio.run(scenario()) == b""
+
 
 class TestWireFormat:
     def test_event_line_round_trip(self):
