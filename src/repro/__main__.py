@@ -15,7 +15,7 @@ Examples::
     python -m repro render --n 4 --rounds 8
     python -m repro baseline --protocol dumbo --slots 8
     python -m repro tcp --n 4 --blocks 20
-    python -m repro tcp-node --peers peers.json --pid 2 --trace host2.jsonl
+    python -m repro tcp-node --peers peers.json --pid 2 --state-dir state-2
 """
 
 from __future__ import annotations
@@ -125,14 +125,12 @@ def cmd_tcp(args: argparse.Namespace) -> int:
 
 
 def cmd_tcp_node(args: argparse.Namespace) -> int:
-    from repro.runtime.runner import run_node
+    from repro.runtime.peers import load_peer_table
+    from repro.runtime.runner import serve_node
 
-    return run_node(
-        args.peers,
-        args.pid,
-        trace_path=args.trace,
-        run_seconds=args.run_seconds,
-        state_dir=args.state_dir,
+    table = load_peer_table(args.peers)
+    return asyncio.run(
+        serve_node(table, args.pid, run_seconds=args.run_seconds, state_dir=args.state_dir)
     )
 
 
@@ -179,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     node.add_argument("--peers", required=True, help="peer table (JSON file)")
     node.add_argument("--pid", type=int, required=True, help="this node's pid")
-    node.add_argument(
-        "--trace", help="write this host's repro.obs.trace v1 JSONL here on stop"
-    )
     node.add_argument(
         "--run-seconds",
         type=float,

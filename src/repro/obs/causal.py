@@ -26,8 +26,9 @@ and is stamped with its commit time when that wave's ``commit`` event
 arrives.
 
 **Cross-host clocks.** Each fabric host stamps events with its own
-monotonic clock (arbitrary epoch), so raw cross-host differences mix
-real latency with epoch offset. The stitcher estimates a per-host offset
+monotonic clock (shared by every node and node life on that host, but
+not across hosts), so raw cross-host differences mix real latency with
+clock offset. The stitcher estimates a per-host offset
 — the median, over vertices delivered everywhere, of the host's
 ``a_deliver`` time minus the vertex's cross-host median — subtracts it
 from cross-host edges, and reports the offsets themselves as the skew

@@ -16,6 +16,8 @@ Layout of a trace file (one JSON document per line):
   a control ``subscribe`` stream is the same document written live — the
   header, each event as it happens, one metrics record per tick — so a
   reader keeps the last record it sees.
+* a further **header line** opens the next *life*: a restarted node's
+  stream tee has one per process life, on one host clock.
 
 Two runs of the same seeded simulator cell therefore produce files that
 ``diff`` (the Unix tool *or* ``python -m repro.obs diff``) as empty — the
@@ -70,13 +72,33 @@ def record_event(record: dict[str, object]) -> Event:
 
 
 @dataclass
-class Trace:
-    """A loaded trace: header meta, events in order, optional metrics."""
+class Life:
+    """One header line's meta and the last metrics record after it."""
 
-    meta: dict[str, object] = field(default_factory=dict)
-    events: list[Event] = field(default_factory=list)
+    meta: dict[str, object]
     metrics: dict[str, object] | None = None
-    version: int = TRACE_VERSION
+
+    @property
+    def missing(self) -> int:
+        """Events of this life the document lacks (``dropped_events`` + ``dropped``)."""
+        counts = (self.meta.get("dropped_events"), (self.metrics or {}).get("dropped"))
+        return sum(count for count in counts if isinstance(count, int))
+
+
+@dataclass
+class Trace:
+    """Every life's events in order; ``meta`` is the first life's, ``metrics`` the last's."""
+
+    lives: list[Life]
+    events: list[Event] = field(default_factory=list)
+
+    @property
+    def meta(self) -> dict[str, object]:
+        return self.lives[0].meta
+
+    @property
+    def metrics(self) -> dict[str, object] | None:
+        return self.lives[-1].metrics
 
 
 def header_line(meta: dict[str, object] | None = None) -> str:
@@ -128,11 +150,7 @@ def _json_object(line: str, number: int) -> dict[str, Any]:
     return record
 
 
-def _load_lines(handle: IO[str]) -> Trace:
-    first = handle.readline()
-    if not first.strip():
-        raise TraceFormatError("empty trace file")
-    header = _json_object(first, 1)
+def _life(header: dict[str, Any]) -> Life:
     if header.get("schema") != TRACE_SCHEMA:
         raise TraceFormatError(
             f"not a {TRACE_SCHEMA} file (schema={header.get('schema')!r})"
@@ -142,18 +160,28 @@ def _load_lines(handle: IO[str]) -> Trace:
         raise TraceFormatError(
             f"unsupported trace version {version!r} (this build reads {TRACE_VERSION})"
         )
-    trace = Trace(meta=header.get("meta", {}), version=version)
+    return Life(meta=header.get("meta", {}))
+
+
+def _load_lines(handle: IO[str]) -> Trace:
+    first = handle.readline()
+    if not first.strip():
+        raise TraceFormatError("empty trace file")
+    trace = Trace(lives=[_life(_json_object(first, 1))])
     for number, line in enumerate(handle, start=2):
         if not line.strip():
             continue
         record = _json_object(line, number)
-        if record.get("schema") == METRICS_SCHEMA:
-            trace.metrics = record.get("metrics", {})
-            continue
-        try:
-            trace.events.append(record_event(record))
-        except TraceFormatError as error:
-            raise TraceFormatError(f"line {number}: {error}") from None
+        schema = record.get("schema")
+        if schema == METRICS_SCHEMA:
+            trace.lives[-1].metrics = record.get("metrics", {})
+        elif schema == TRACE_SCHEMA:
+            trace.lives.append(_life(record))
+        else:
+            try:
+                trace.events.append(record_event(record))
+            except TraceFormatError as error:
+                raise TraceFormatError(f"line {number}: {error}") from None
     return trace
 
 

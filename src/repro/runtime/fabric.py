@@ -19,11 +19,11 @@ processes and every control verb:
 5. **Verify** — fetch position-wise entry digests over the control
    sockets and run the same digest-based prefix-consistency check
    :class:`repro.runtime.cluster.LocalCluster` uses in-loop.
-6. **Collect** — fetch each node's ``status`` and its ``repro.obs.trace``
-   v1 JSONL (whose footer carries the host's link counters).
-7. **Report** — after the teardown: per-node ``status.json``, link
-   counters summed across hosts, and the traces merged (events
-   interleaved on their per-host clocks) into ``merged.trace.jsonl``.
+6. **Collect** — fetch each node's ``status``.
+7. **Report** — after the teardown: per-node ``status.json``, and, read
+   from the live view's stream tees (every life of every node), link
+   counters summed across hosts and lives and the events merged into
+   ``merged.trace.jsonl``.
 
 With ``--scenario file.json`` the driver additionally executes a
 declarative chaos scenario (:func:`repro.runtime.scenario.run_scenario`)
@@ -65,7 +65,7 @@ from typing import Any, Iterable, Sequence
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, ConsistencyError, FabricError
 from repro.core.node import check_prefix_consistency
-from repro.obs.export import Trace, dumps_trace, loads_trace
+from repro.obs.export import Trace, TraceFormatError, dumps_trace, load_trace
 from repro.runtime import linerpc
 from repro.runtime.live import DEFAULT_STALL_WINDOW, LiveView
 from repro.runtime.peers import (
@@ -207,8 +207,6 @@ class Fabric:
             str(self.peers_path),
             "--pid",
             str(pid),
-            "--trace",
-            str(self.out_dir / f"node-{pid}.trace.jsonl"),
             "--run-seconds",
             str(self.run_seconds),
         ]
@@ -250,7 +248,7 @@ class Fabric:
         """Wait for runners to exit, escalating terminate -> kill past the deadline.
 
         A runner wedged mid-shutdown (or one that never saw its control stop)
-        first gets SIGTERM — the polite chance to flush its trace — and only
+        first gets SIGTERM — the polite chance to exit on its own — and only
         if it ignores that within the grace window is it SIGKILLed, so the
         driver can never hang on a stuck child. Any pid that needed the
         escalation is named in the driver's output: a node that had to be
@@ -347,12 +345,6 @@ class Fabric:
     def status(self, pid: int) -> dict[str, Any]:
         return self._call(pid, {"cmd": "status"})
 
-    def trace(self, pid: int) -> Trace:
-        """pid's ``repro.obs.trace`` v1 document, fetched over control (so
-        the driver needs no shared filesystem); its metrics footer carries
-        the host's link counters."""
-        return loads_trace(self._call(pid, {"cmd": "trace"}, timeout=30.0)["trace"])
-
     def check_consistency(self) -> int:
         """Fetch every node's digest log (all must answer) and run the
         digest-based prefix check; returns the agreed prefix length."""
@@ -407,10 +399,10 @@ class Fabric:
 
 
 def link_totals(traces: Iterable[Trace]) -> Counter[str]:
-    """Per-host link counters (each trace's metrics footer), summed."""
+    """Link counters (each life's last metrics record) summed over lives and hosts."""
     totals: Counter[str] = Counter()
-    for trace in traces:
-        links = (trace.metrics or {}).get("links", {})
+    for life in (life for trace in traces for life in trace.lives):
+        links = (life.metrics or {}).get("links", {})
         if isinstance(links, dict):
             for key, value in links.items():
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -421,10 +413,10 @@ def link_totals(traces: Iterable[Trace]) -> Counter[str]:
 def merge_traces(traces: Sequence[Trace]) -> str:
     """Merge per-host traces into one JSONL document.
 
-    Events interleave by their per-host monotonic clocks (each host's
-    transport scheduler starts at its own epoch — ordering across hosts
-    is approximate, within a host it is exact). Per-host link counters
-    are summed into the metrics footer.
+    Events interleave by their host's monotonic clock: exact within a
+    host (every node and life on it shares the clock), approximate across
+    hosts. Link counters are summed into the metrics footer, and
+    ``dropped_events`` counts every event the traces lack.
     """
     events = sorted(
         (event for trace in traces for event in trace.events),
@@ -435,10 +427,7 @@ def merge_traces(traces: Sequence[Trace]) -> str:
         "pids": sorted(
             int(str(trace.meta.get("pid", -1))) for trace in traces
         ),
-        # Each host's bus keeps a window; the merge covers what survived.
-        "dropped_events": sum(
-            int(str(trace.meta.get("dropped_events", 0))) for trace in traces
-        ),
+        "dropped_events": sum(life.missing for trace in traces for life in trace.lives),
     }
     return dumps_trace(events, meta=meta, metrics={"links": dict(link_totals(traces))})
 
@@ -470,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out-dir",
         default="fabric-out",
-        help="directory for peers.json, per-host logs/traces, merged trace",
+        help="directory for peers.json, per-node logs and stream tees, merged trace",
     )
     parser.add_argument(
         "--peers", help="use this existing peer table instead of planning one"
@@ -611,6 +600,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     print(f"fabric: spawned {len(fabric.processes)} runner processes")
                 if not fabric.wait_ready(deadline):
                     raise FabricError("nodes failed to become ready in time")
+                if not live.wait_live(deadline):
+                    raise FabricError("subscribe streams failed to open in time")
                 slowest = max(fabric.boot_latency.values())
                 live.note(
                     f"fabric: all {table.n} nodes ready (slowest boot {slowest:.2f}s)"
@@ -627,7 +618,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 # violation can then be answered with flight dumps.
                 prefix = fabric.check_consistency()
                 statuses = {entry.pid: fabric.status(entry.pid) for entry in table.peers}
-                traces = [fabric.trace(entry.pid) for entry in table.peers]
             except ConsistencyError as error:
                 dump_path = fabric.flight_dumps("consistency")
                 print(
@@ -648,6 +638,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         live.stop()
 
+    try:
+        traces = [
+            load_trace(str(out_dir / f"node-{entry.pid}.stream.jsonl"))
+            for entry in table.peers
+        ]
+    except (OSError, TraceFormatError) as error:
+        print(f"fabric: unreadable stream tee: {error}", file=sys.stderr)
+        return 2
     for pid, seconds in fabric.boot_latency.items():
         statuses[pid]["boot_seconds"] = round(seconds, 3)
     (out_dir / "status.json").write_text(

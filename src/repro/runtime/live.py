@@ -15,12 +15,11 @@ and when the quorum commit frontier goes flat for the configured window
 it fires the ``on_stall`` callback (the fabric driver uses it to pull
 ``flight`` dumps from every node).
 
-Raw stream lines are teed verbatim to ``<out_dir>/node-<pid>.stream.jsonl``,
-so a run leaves each node's whole event history next to its windowed
-traces, in the format every ``python -m repro.obs`` subcommand reads. A
-stream that ends while the view runs (its node crashed or was restarted)
-is subscribed again, and the node's next life is appended to the same
-tee, starting with its own header.
+Stream lines are teed verbatim to ``<out_dir>/node-<pid>.stream.jsonl``,
+the node's one trace, which every ``python -m repro.obs`` subcommand
+reads. A stream that ends while the view runs is subscribed again: a
+restarted node's next life is appended to the same tee, starting with its
+own header, and a replay of what the tee holds is cut.
 
 Everything here is driver-side tooling on real wall clocks
 (``time.monotonic``), matching the rest of :mod:`repro.runtime.fabric`;
@@ -35,9 +34,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, TextIO
+from typing import Any, Callable, Iterable, Mapping, TextIO
 
-from repro.obs.export import METRICS_SCHEMA
+from repro.obs.export import METRICS_SCHEMA, TRACE_SCHEMA
 from repro.obs.stream import StallDetector
 from repro.runtime.linerpc import LineStream
 from repro.runtime.peers import PeerTable
@@ -66,6 +65,9 @@ class NodeView:
     queue_depth: int = 0
     events: int = 0
     dropped: int = 0
+    #: Newest event time teed; the stream's header until a line after it is.
+    last_t: float = float("-inf")
+    header: str | None = None
 
     def row(self) -> str:
         """One rendered table row for this node."""
@@ -194,6 +196,16 @@ class LiveView:
             for row in rows:
                 print("live: " + row, file=self.sink, flush=True)
 
+    def wait_live(self, deadline: float, pids: Iterable[int] | None = None) -> bool:
+        """Block until the stream of every node (or each of ``pids``) has
+        sent its header, so the node's current life reaches its tee whole;
+        False when the deadline (``time.monotonic``) expired first."""
+        views = [self._nodes[pid] for pid in (self._nodes if pids is None else pids)]
+        while any(view.state != "live" for view in views):
+            if time.monotonic() >= deadline or self._stop.wait(0.01):
+                return False
+        return True
+
     def set_banner(self, text: str) -> None:
         """Short phase label shown in the table header line."""
         with self._lock:
@@ -205,21 +217,20 @@ class LiveView:
         """One node's reader: subscribe, fold lines until EOF, and subscribe
         again while the view runs, so a restarted node's next life is
         appended to the same tee."""
-        tee = None
-        if self.out_dir is not None:
-            tee = open(
-                self.out_dir / f"node-{pid}.stream.jsonl", "w", encoding="utf-8"
-            )
+        path = None if self.out_dir is None else self.out_dir / f"node-{pid}.stream.jsonl"
+        tee = None if path is None else open(path, "w", encoding="utf-8")
         view = self._nodes[pid]
         try:
             while (stream := self._connect(pid, address)) is not None:
                 state = "stopped"
                 try:
                     for text in stream:
-                        if tee is not None:
-                            tee.write(text)
+                        if not text.endswith("\n"):
+                            break  # cut mid-line by stop()
+                        kept = self._fold_line(view, text)
+                        if tee is not None and kept:
+                            tee.writelines(kept)
                             tee.flush()
-                        self._fold_line(view, text)
                 except (OSError, ValueError):
                     state = "lost"
                 with self._lock:
@@ -246,26 +257,39 @@ class LiveView:
                     stream.close()
                     return None
                 self._streams[pid] = stream
-                self._nodes[pid].state = "live"
             return stream
         return None
 
-    def _fold_line(self, view: NodeView, text: str) -> None:
+    def _fold_line(self, view: NodeView, text: str) -> list[str]:
+        """Fold one stream line into ``view``; returns the lines to tee.
+
+        One host clock spans a node's lives, so a replayed event no newer
+        than the last one teed is cut, and so is the header of its stream
+        (the same life again), held until a line after it is kept."""
         try:
             line = json.loads(text)
         except ValueError:
-            return
+            return []
         if not isinstance(line, dict):
-            return
+            return []
+        if line.get("schema") == TRACE_SCHEMA:
+            with self._lock:
+                view.header, view.state = text, "live"
+            return []
+        event = "kind" in line and isinstance(line.get("t"), (int, float))
+        if event and line["t"] <= view.last_t:
+            view.header = None
+            return []
+        tick = line.get("metrics")
+        if not event and (line.get("schema") != METRICS_SCHEMA or not isinstance(tick, dict)):
+            return []
+        kept = [text] if view.header is None else [view.header, text]
+        view.header = None
         with self._lock:
-            if "kind" in line:
+            if event:
+                view.last_t = line["t"]
                 view.events += 1
-                return
-            if line.get("schema") != METRICS_SCHEMA:
-                return  # the header
-            tick = line.get("metrics")
-            if not isinstance(tick, dict):
-                return
+                return kept
             status = tick.get("status")
             if isinstance(status, dict):
                 view.decided_wave = int(status.get("decided_wave", -1))
@@ -273,6 +297,7 @@ class LiveView:
                 view.ordered = int(status.get("ordered", 0))
                 view.queue_depth = int(status.get("queue_depth", 0))
             view.dropped = int(tick.get("dropped", 0))
+        return kept
 
     # ----------------------------------------------------------- renderer
 

@@ -18,23 +18,22 @@ starts the protocol and opens the ingress gateway when the table gives the
 pid an ``ingress_port``. A cluster binds every runner before it launches any.
 
 Every runner carries an :class:`repro.obs.context.Observability` bundle:
-process runners always create their own (per-host trace, the clock bound
-to this node's transport scheduler) and export a ``repro.obs.trace`` v1
-JSONL on shutdown; an in-loop cluster shares one bundle across its runners.
+process runners always create their own (the clock bound to this node's
+transport scheduler); an in-loop cluster shares one bundle across its
+runners.
 
 The control socket is a :class:`repro.runtime.linerpc.LineServer` (framing,
 error replies and shutdown: docs/runtime.md "Line RPC"). Its verbs:
-``ping``, ``status``, ``log`` (position-wise entry digests for the
-cross-host prefix-consistency check), ``trace`` (the JSONL text, link
-counters in its footer, so a driver needs no shared filesystem), ``partition`` /
-``heal`` / ``slow`` (scenario fault injection), ``flight`` (the newest
-:data:`FLIGHT_EVENTS` events of the bus as a trace — the black box a stall
-diagnostic fetches), and ``stop``. One verb streams: ``subscribe`` answers
-with this host's trace written live — the ``repro.obs.trace`` v1 header,
-then every ``interval`` seconds until the client disconnects or the node
-stops, the events buffered since the last tick (bounded ring, oldest
-dropped and counted under backpressure) plus one ``repro.obs.metrics``
-record carrying the status snapshot and the metrics as absolute values.
+``ping``, ``status``, ``log`` (position-wise entry digests, hex, for the
+cross-host prefix-consistency check), ``partition`` / ``heal`` / ``slow``
+(scenario fault injection), ``flight`` (the newest :data:`FLIGHT_EVENTS`
+events of the bus as a trace — the black box a stall diagnostic fetches),
+and ``stop``. One verb streams, the one way a node's events leave it:
+``subscribe`` answers with this host's ``repro.obs.trace`` v1 document
+written live — the header, the bus's window, then each event as it is
+emitted (bounded ring, oldest dropped and counted) and every ``interval``
+seconds one ``repro.obs.metrics`` record (status and metrics, absolute)
+until the client disconnects or the node stops.
 See docs/observability.md "Live streaming and causal analysis".
 """
 
@@ -56,7 +55,7 @@ from repro.obs.export import dumps_trace, event_line, header_line, metrics_line
 from repro.obs.stream import DEFAULT_STREAM_CAPACITY, EventRing
 from repro.runtime.consistency import full_digest_log
 from repro.runtime.linerpc import LineServer, Send
-from repro.runtime.peers import PeerTable, load_peer_table
+from repro.runtime.peers import PeerTable
 from repro.runtime.transport import TcpNetwork
 from repro.storage.journal import NodeJournal, RecoveryReport, recover_node
 
@@ -188,10 +187,6 @@ class NodeRunner:
     def status(self) -> dict[str, object]:
         """Liveness snapshot the fabric driver polls."""
         node = self.node
-        depth = self.network.queue_depth
-        # Sampled here (every status poll and subscribe tick) so the
-        # stream ticks carry transport backpressure.
-        self.observability.registry.gauge("link.queue_depth").set(float(depth))
         status: dict[str, object] = {
             "ok": True,
             "pid": self.pid,
@@ -199,7 +194,7 @@ class NodeRunner:
             "ordered": node.delivered_count,
             "decided_wave": node.decided_wave,
             "current_round": node.current_round,
-            "queue_depth": depth,
+            "queue_depth": self.network.queue_depth,
         }
         if self.recovery is not None:
             status["recovered"] = self.recovery.recovered
@@ -207,18 +202,6 @@ class NodeRunner:
         if self.mempool is not None:
             status["ingress"] = self.mempool.status()
         return status
-
-    def ordered_digests(self) -> list[str]:
-        """This node's delivery log as entry digests (hex).
-
-        Includes the digests of entries delivered before the last restart
-        (restored from ``digests.log``), so a recovered node's log lines up
-        position-for-position with its uninterrupted peers.
-        """
-        return full_digest_log(self.node)
-
-    def link_report(self) -> dict[str, object]:
-        return self.network.link_report()
 
     def flight_dump(
         self, reason: str, stalled_for: float | None = None
@@ -276,26 +259,10 @@ class NodeRunner:
         }
 
     def trace_metrics(self) -> dict[str, object]:
-        """The metrics record of this host's traces and stream ticks: the
-        registry snapshot's sections at top level (what ``python -m
+        """The metrics record of this host's flight dumps and stream ticks:
+        the registry snapshot's sections at top level (what ``python -m
         repro.obs record`` writes and ``summarize`` reads) plus ``links``."""
-        return {"links": self.link_report(), **self.observability.snapshot()}
-
-    def trace_text(self) -> str:
-        """This host's ``repro.obs.trace`` v1 JSONL as a string: at most
-        the bus's retention window, never the node's whole history."""
-        return dumps_trace(
-            self.observability.bus.events,
-            meta=self.trace_meta(),
-            metrics=self.trace_metrics(),
-        )
-
-    def dump_trace(self, path: str) -> int:
-        """Write this host's trace file (:meth:`trace_text`); returns the
-        event count."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.trace_text())
-        return len(self.observability.bus.events)
+        return {"links": self.network.link_report(), **self.observability.snapshot()}
 
 
 class ControlServer(LineServer):
@@ -308,8 +275,9 @@ class ControlServer(LineServer):
             verbs={
                 "ping": lambda _: self._reply(ready=True),
                 "status": lambda _: runner.status(),
-                "log": lambda _: self._reply(digests=runner.ordered_digests()),
-                "trace": lambda _: self._reply(trace=runner.trace_text()),
+                # Entries delivered before a restart included (digests.log),
+                # so a recovered node's log lines up with its peers'.
+                "log": lambda _: self._reply(digests=full_digest_log(runner.node)),
                 "partition": self._partition,
                 "heal": self._heal,
                 "slow": self._slow,
@@ -353,58 +321,70 @@ class ControlServer(LineServer):
         return self._reply(stopping=True)
 
     async def _serve_subscribe(self, request: dict[str, Any], send: Send) -> None:
-        """Stream this host's trace, live, until stop or client hang-up.
-
-        A ``repro.obs.trace`` v1 document written as it happens: the
-        header, then per tick of ``interval`` seconds every event emitted
-        since the last tick plus one ``repro.obs.metrics`` record —
-        :meth:`NodeRunner.trace_metrics` with the runner ``status``, the
-        cumulative ring-overflow count ``dropped``, the tick number
-        ``seq`` and the bus time ``t``, all absolute — in one write. The
-        stream ends with a final tick when the runner stops; a runner that
-        is already stopping streams nothing.
-        """
+        """Stream this host's trace, live, until stop or client hang-up: a
+        ``repro.obs.trace`` v1 document — the header, the bus's window, then
+        what was emitted since the last write each time an emit wakes the
+        stream, and every ``interval`` seconds a ``repro.obs.metrics`` record
+        (:meth:`NodeRunner.trace_metrics`, ``status``, the cumulative ring
+        overflow ``dropped``, record number ``seq``, bus time ``t``; all
+        absolute). A final record follows the stop; a stopping runner
+        streams nothing."""
         runner = self.runner
         if runner.stopped:
             return
-        obs = runner.observability
+        obs, loop = runner.observability, asyncio.get_running_loop()
         interval = max(0.05, _finite(request.get("interval", 1.0), "interval"))
         ring: EventRing[Event] = EventRing(DEFAULT_STREAM_CAPACITY)
-        obs.bus.subscribe(ring.append)
+        wake = asyncio.Event()
+        reported_drops, seq, stopped, due = 0, 0, False, False
+
+        def tap(event: Event) -> None:
+            ring.append(event)
+            wake.set()
+
+        def record_due() -> None:
+            nonlocal due
+            due = True
+            wake.set()
+
+        # Window and tap in one synchronous step: no event missed or sent twice.
+        lines = [header_line({**runner.trace_meta(), "interval": interval})]
+        lines += map(event_line, obs.bus.events)
+        obs.bus.subscribe(tap)
+        stopping = asyncio.ensure_future(runner.wait_stopped())
+        stopping.add_done_callback(lambda _: wake.set())
+        timer = loop.call_later(interval, record_due)
         live_gauge = obs.registry.gauge("stream.subscribers")
         self._live_subscribers += 1
         live_gauge.set(self._live_subscribers)
-        reported_drops = 0
-        seq = 0
         try:
-            await send(header_line({**runner.trace_meta(0), "interval": interval}))
             while True:
-                stopped = await runner.wait_stopped(timeout=interval)
+                if lines:
+                    await send(*lines)
+                if stopped:
+                    break
+                await wake.wait()
+                wake.clear()
+                stopped = runner.stopped
                 lines = [event_line(event) for event in ring.drain()]
                 if ring.dropped > reported_drops:
                     # Overflow is data: stamp the node's own trace so
                     # post-hoc analysis knows this stream has holes.
-                    obs.emit(
-                        runner.pid,
-                        "stream_drop",
-                        dropped=ring.dropped - reported_drops,
-                        total=ring.dropped,
-                    )
+                    dropped = ring.dropped - reported_drops
+                    obs.emit(runner.pid, "stream_drop", dropped=dropped, total=ring.dropped)
                     reported_drops = ring.dropped
-                seq += 1
-                status = runner.status()  # samples link.queue_depth first
-                tick = {
-                    **runner.trace_metrics(),
-                    "status": status,
-                    "dropped": ring.dropped,
-                    "seq": seq,
-                    "t": obs.bus.now,
-                }
-                await send(*lines, metrics_line(tick))
-                if stopped:
-                    break
+                if stopped or due:
+                    seq, due = seq + 1, False
+                    lines.append(metrics_line({
+                        **runner.trace_metrics(), "status": runner.status(),
+                        "dropped": ring.dropped, "seq": seq, "t": obs.bus.now,
+                    }))
+                    timer.cancel()
+                    timer = loop.call_later(interval, record_due)
         finally:
-            obs.bus.unsubscribe(ring.append)
+            obs.bus.unsubscribe(tap)
+            stopping.cancel()
+            timer.cancel()
             self._live_subscribers -= 1
             live_gauge.set(self._live_subscribers)
 
@@ -421,7 +401,6 @@ def _finite(value: Any, name: str) -> float:
 async def serve_node(
     table: PeerTable,
     pid: int,
-    trace_path: str | None = None,
     run_seconds: float | None = None,
     state_dir: str | None = None,
 ) -> int:
@@ -438,9 +417,7 @@ async def serve_node(
         raise ConfigurationError(
             f"peer {pid} has no control_port; tcp-node needs one to be driven"
         )
-    runner = NodeRunner(
-        table, pid, observability=Observability(), state_dir=state_dir
-    )
+    runner = NodeRunner(table, pid, observability=Observability(), state_dir=state_dir)
     await runner.bind()
     await runner.launch()
     control = ControlServer(runner, entry.host, entry.control_port)
@@ -452,40 +429,14 @@ async def serve_node(
             f"{runner.recovery.replayed_vertices} wal vertices, "
             f"{runner.recovery.replayed_commits} commits)"
         )
-    ingress = (
-        f" ingress {entry.host}:{entry.ingress_port}"
-        if entry.ingress_port is not None
-        else ""
-    )
+    ingress = "" if entry.ingress_port is None else f" ingress {entry.host}:{entry.ingress_port}"
     print(
         f"node {pid}/{table.n} up: data {entry.host}:{entry.port} "
         f"control {entry.host}:{entry.control_port}{ingress}{recovered}",
         flush=True,
     )
     stopped_clean = await runner.wait_stopped(timeout=run_seconds)
-    if trace_path is not None:
-        count = runner.dump_trace(trace_path)
-        print(f"node {pid}: wrote {count} events to {trace_path}", flush=True)
     await control.close()
     await runner.close_links()
     await runner.close()
     return 0 if stopped_clean else 2
-
-
-def run_node(
-    peers_path: str,
-    pid: int,
-    trace_path: str | None = None,
-    run_seconds: float | None = 300.0,
-    state_dir: str | None = None,
-) -> int:
-    """Synchronous entry point used by the CLI."""
-    return asyncio.run(
-        serve_node(
-            load_peer_table(peers_path),
-            pid,
-            trace_path=trace_path,
-            run_seconds=run_seconds,
-            state_dir=state_dir,
-        )
-    )

@@ -263,6 +263,9 @@ def _crash_step(
     and wait for its first commit past the wave it recovered to."""
     pid = step.pid
     assert pid is not None
+    # Kill only a life the view streams: its tee then holds it to the kill.
+    if not live.wait_live(deadline, [pid]):
+        raise FabricError(f"node {pid}: no subscribe stream to trace its life")
     fabric.crash(pid, step.signal, step.restart_after, deadline)
     live.note(f"fabric: scenario: sent SIG{step.signal.upper()} to node {pid}")
     status = fabric.status(pid)

@@ -76,12 +76,12 @@ class AsyncScheduler:
 
     def __init__(self, loop: asyncio.AbstractEventLoop):
         self._loop = loop
-        self._epoch = loop.time()
 
     @property
     def now(self) -> float:
-        """Seconds since this scheduler was created."""
-        return self._loop.time() - self._epoch
+        """The loop's monotonic time: one axis for every node and every
+        life of a node on this host."""
+        return self._loop.time()
 
     def call_later(self, delay: float, callback: Callable[[], object]) -> None:
         self._loop.call_later(delay, callback)

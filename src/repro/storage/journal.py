@@ -301,7 +301,6 @@ def recover_node(node: "DagRiderNode", journal: NodeJournal) -> RecoveryReport:
         round=builder.round,
         ordered=node.delivered_count,
     )
-    obs.registry.histogram("storage.replay_seconds").record(duration)
     return report
 
 

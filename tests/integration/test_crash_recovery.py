@@ -31,6 +31,7 @@ from repro.common.config import SystemConfig
 from repro.common.errors import StorageError
 from repro.core.harness import DagRiderDeployment
 from repro.obs.context import Observability
+from repro.obs.export import load_trace
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.consistency import full_digest_log
 from repro.runtime.peers import make_peer_table
@@ -384,17 +385,32 @@ class TestKillMinusNine:
     def test_restarted_node_rejoined_via_catchup(self, scenario_run):
         out_dir, result = scenario_run
         assert result.returncode == 0, result.stdout + result.stderr
-        kinds = set()
-        for line in (out_dir / "node-1.trace.jsonl").read_text(
-            encoding="utf-8"
-        ).splitlines():
-            kinds.add(json.loads(line).get("kind"))
+        tee = out_dir / "node-1.stream.jsonl"
+        trace = load_trace(str(tee))
+        # One header per life; the killed life streamed up to the kill.
+        assert len(trace.lives) == 2
+        lines = [json.loads(line) for line in tee.read_text(encoding="utf-8").splitlines()]
+        second = [index for index, line in enumerate(lines) if "meta" in line][1]
+        assert "commit" in {line.get("kind") for line in lines[:second]}
+        kinds = {event.kind for event in trace.events}
         assert {"wal_replay", "node_recover", "catchup_request"} <= kinds
         # At least one surviving peer served the suffix.
-        served = set()
-        for pid in (0, 2, 3):
-            for line in (out_dir / f"node-{pid}.trace.jsonl").read_text(
-                encoding="utf-8"
-            ).splitlines():
-                served.add(json.loads(line).get("kind"))
+        served = {
+            event.kind
+            for pid in (0, 2, 3)
+            for event in load_trace(str(out_dir / f"node-{pid}.stream.jsonl")).events
+        }
         assert "catchup_serve" in served
+        # The merge holds both lives, and counts what the tees lack.
+        merged = load_trace(str(out_dir / "merged.trace.jsonl"))
+        recovered_at = next(
+            event.time for event in merged.events
+            if (event.kind, event.pid) == ("node_recover", 1)
+        )
+        assert any(
+            event.pid == 1 and event.time < recovered_at for event in merged.events
+        )
+        tees = [load_trace(str(out_dir / f"node-{pid}.stream.jsonl")) for pid in range(4)]
+        assert merged.meta["dropped_events"] == sum(
+            life.missing for tee in tees for life in tee.lives
+        )

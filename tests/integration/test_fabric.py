@@ -6,8 +6,8 @@ multi-host runner targets. The fabric driver allocates ports, spawns the
 runners, polls their control sockets, runs the digest-based total-order
 check across process boundaries, and merges the per-host traces. The live
 telemetry plane rides along: per-node ``subscribe`` streams feed the plain
-(non-TTY) progress view and are teed to ``node-<pid>.stream.jsonl``, the
-merged trace feeds ``python -m repro.obs causal``, and a partitioned
+(non-TTY) progress view and are teed to ``node-<pid>.stream.jsonl`` (each
+host's trace, which the merge reads), the merged trace feeds ``python -m repro.obs causal``, and a partitioned
 quorum trips the stall detector into ``flight`` dumps.
 """
 
@@ -87,16 +87,26 @@ class TestFabricSmoke:
         assert all(entry.control_port for entry in table.peers)
 
     def test_per_host_traces_are_valid_v1_jsonl(self, fabric_run):
+        """Each host's trace is its stream tee; no other trace file is left."""
         out_dir, _result = fabric_run
-        traces = sorted(out_dir.glob("node-*.trace.jsonl"))
-        assert len(traces) == 4
-        for path in traces:
-            trace = loads_trace(path.read_text(encoding="utf-8"))
+        assert not list(out_dir.glob("node-*.trace.jsonl"))
+        tees = sorted(out_dir.glob("node-*.stream.jsonl"))
+        assert len(tees) == 4
+        for path in tees:
+            trace = load_trace(str(path))
             kinds = {event.kind for event in trace.events}
             assert {"commit", "a_deliver"} <= kinds
-            # Three waves fit the bus's retention window: nothing dropped,
-            # and the header says so rather than leaving it to be assumed.
+            # The stream began with the bus's whole history: nothing
+            # dropped, and the header says so rather than leaving it to be
+            # assumed.
+            assert len(trace.lives) == 1
             assert trace.meta["dropped_events"] == 0
+            # ... down to the node's own round-1 vertex.
+            assert any(
+                (event.kind, event.pid, event.get("round"))
+                == ("vertex_created", trace.meta["pid"], 1)
+                for event in trace.events
+            )
 
     def test_merged_trace_spans_all_pids(self, fabric_run):
         out_dir, _result = fabric_run
@@ -112,7 +122,7 @@ class TestFabricSmoke:
 
     def test_summarize_accepts_the_traces(self, fabric_run):
         out_dir, _result = fabric_run
-        for name in ("node-0.trace.jsonl", "merged.trace.jsonl"):
+        for name in ("node-0.stream.jsonl", "merged.trace.jsonl"):
             result = subprocess.run(
                 [sys.executable, "-m", "repro.obs", "summarize", str(out_dir / name)],
                 capture_output=True,

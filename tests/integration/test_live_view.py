@@ -167,24 +167,39 @@ def test_a_restarted_node_is_subscribed_again_into_the_same_tee(
     """Regression: a reader opened one subscription per node and ended with
     it, so a node that a crash step restarted dropped out of its tee (and
     of the live table). Node 0's control server here ends its first stream
-    at once, as a killed runner's does, serves a second life, and then, as
-    a stopping runner does, streams nothing."""
+    early (after holding its header back for 0.5 s), as a failed
+    connection does; answers the next subscription from
+    the same life, which replays its window; then serves a second life;
+    and then, as a stopping runner does, streams nothing. The tee holds
+    each life's header once and each event once."""
     config = SystemConfig(n=4, seed=3)
     control_ports = {pid: free_port() for pid in range(4)}
     table = make_peer_table(free_peers(4), config, control_ports=control_ports)
-    lives = []
 
-    def life_lines(life):
-        header = {"meta": {"life": life, "pid": 0}, "schema": "repro.obs.trace",
-                  "version": 1}
-        tick = {"metrics": {"seq": 1, "status": {"decided_wave": life}},
-                "schema": METRICS_SCHEMA, "version": 1}
-        return [json.dumps(header), json.dumps(tick)]
+    def header(life):
+        return json.dumps({"meta": {"life": life, "pid": 0},
+                           "schema": "repro.obs.trace", "version": 1})
+
+    def event(t):
+        return json.dumps({"kind": "e", "pid": 0, "t": t})
+
+    def tick(seq):
+        return json.dumps({"metrics": {"seq": seq, "status": {"decided_wave": 1}},
+                           "schema": METRICS_SCHEMA, "version": 1})
+
+    streams = [
+        [header(1), event(1.0), event(2.0)],
+        [header(1), event(1.0), event(2.0), event(3.0), tick(1)],
+        [header(2), event(5.0), tick(1)],
+    ]
+    served = []
 
     async def subscribe(_request, send):
-        lives.append(len(lives) + 1)
-        if len(lives) <= 2:
-            await send(*life_lines(len(lives)))
+        served.append(len(served))
+        if len(served) == 1:
+            await asyncio.sleep(0.5)  # connected, but no header yet
+        if len(served) <= len(streams):
+            await send(*streams[len(served) - 1])
 
     ready, done = threading.Event(), threading.Event()
 
@@ -206,13 +221,20 @@ def test_a_restarted_node_is_subscribed_again_into_the_same_tee(
     assert ready.wait(10.0)
     view = LiveView(table, {"cmd": "subscribe"}, out_dir=tmp_path, interval=0.1)
     view.start()
+    # A node is streamed once its header arrived, not once its socket took
+    # the request: the fabric kills only a node whose life reaches its tee.
+    assert not view.wait_live(time.monotonic() + 0.3, [0])
     deadline = time.monotonic() + 10.0
-    while len(lives) < 3 and time.monotonic() < deadline:
+    while len(served) <= len(streams) and time.monotonic() < deadline:
         time.sleep(0.02)
     view.stop()
     done.set()
     thread.join(10.0)
     assert not thread.is_alive()
-    assert len(lives) >= 3
+    assert len(served) > len(streams)
     tee = (tmp_path / "node-0.stream.jsonl").read_text().splitlines()
-    assert tee == life_lines(1) + life_lines(2)
+    assert tee == [
+        header(1), event(1.0), event(2.0), event(3.0), tick(1),
+        header(2), event(5.0), tick(1),
+    ]
+    assert view._nodes[0].events == 4

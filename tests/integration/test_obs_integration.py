@@ -145,7 +145,7 @@ class TestRuntimeTraces:
         writes) never found it — no runtime trace ever printed them."""
         state_dirs = {pid: str(tmp_path / f"state-{pid}") for pid in range(4)}
         cluster = self._run_cluster(free_peers(4), seed=13, state_dirs=state_dirs)
-        trace = loads_trace(cluster.runners[0].trace_text())
+        trace = loads_trace(cluster.runners[0].flight_dump("manual")["trace"])
         assert trace.metrics["links"]["frames_sent"] > 0
         text = summarize(trace.events, meta=trace.meta, metrics=trace.metrics)
         assert "counters:" in text

@@ -1,6 +1,7 @@
 """AsyncScheduler adapter (the runtime's clock surface)."""
 
 import asyncio
+import time
 
 from repro.runtime.transport import AsyncScheduler
 
@@ -10,22 +11,27 @@ def run(coro):
 
 
 class TestAsyncScheduler:
-    def test_now_starts_near_zero_and_advances(self):
-        async def main():
-            sched = AsyncScheduler(asyncio.get_running_loop())
-            first = sched.now
-            await asyncio.sleep(0.05)
-            return first, sched.now
+    def test_now_is_the_hosts_monotonic_clock(self):
+        """No per-boot epoch: two schedulers (two nodes, or two lives of
+        one node) on a host read one time axis, the loop's monotonic time."""
 
-        first, later = run(main())
-        assert first < 0.01
-        assert later >= first + 0.04
+        async def main():
+            loop = asyncio.get_running_loop()
+            before = time.monotonic()
+            first = AsyncScheduler(loop).now
+            await asyncio.sleep(0.05)
+            return before, first, AsyncScheduler(loop).now, loop.time()
+
+        before, first, later, loop_time = run(main())
+        assert before <= first
+        assert first + 0.04 <= later <= loop_time
 
     def test_call_later_fires(self):
         async def main():
             sched = AsyncScheduler(asyncio.get_running_loop())
+            start = sched.now
             fired = []
-            sched.call_later(0.02, lambda: fired.append(sched.now))
+            sched.call_later(0.02, lambda: fired.append(sched.now - start))
             await asyncio.sleep(0.1)
             return fired
 

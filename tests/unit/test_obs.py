@@ -256,6 +256,40 @@ class TestExport:
         assert trace.meta == meta
         assert trace.metrics == metrics
 
+    def test_a_restarted_nodes_tee_loads_every_life(self, tmp_path):
+        """A tee holds one document per process life, on one host clock:
+        the loader reads both lives' events in order and keeps each life's
+        header and last metrics record, and the CLI reads such a file."""
+        from repro.common.config import SystemConfig
+        from repro.core.harness import DagRiderDeployment
+        from repro.obs.cli import main as obs_main
+
+        obs = Observability()
+        DagRiderDeployment(SystemConfig(n=4, seed=2), observability=obs).run_until_wave(3)
+        events = [event for event in obs.bus.events if event.pid == 0]
+        half = len(events) // 2
+        path = tmp_path / "node-0.stream.jsonl"
+        path.write_text(
+            dumps_trace(events[:half], {"pid": 0, "dropped_events": 0}, {"dropped": 1})
+            + dumps_trace(events[half:], {"pid": 0, "dropped_events": 2}, {"dropped": 0})
+        )
+        trace = loads_trace(path.read_text())
+        assert trace.events == events
+        assert [life.meta["dropped_events"] for life in trace.lives] == [0, 2]
+        assert trace.meta == trace.lives[0].meta
+        assert trace.metrics == trace.lives[1].metrics == {"dropped": 0}
+        assert [life.missing for life in trace.lives] == [1, 2]
+
+        out = tmp_path / "commits.jsonl"
+        assert obs_main(["summarize", str(path)]) == 0
+        assert obs_main(["causal", str(path)]) == 0
+        assert obs_main(["filter", str(path), "--kind", "commit", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert sum('"schema":"repro.obs.trace"' in line for line in lines) == 1
+        assert len(loads_trace(out.read_text()).events) == sum(
+            event.kind == "commit" for event in events
+        )
+
     def test_serialization_is_byte_stable(self):
         events = self._sample_events()
         assert dumps_trace(events) == dumps_trace(list(events))

@@ -2,7 +2,8 @@
 
 Covers the bounded event ring (overflow drops oldest + counts), the
 control socket's ``subscribe`` verb (a ``repro.obs.trace`` document
-written live: header, bare event lines, one metrics record per tick) and
+written live: header, the bus's window, each event as it is emitted, one
+metrics record per tick) and
 ``flight`` verb (the bus tail as a trace) served by a ``NodeRunner``
 whose data socket is never bound, and the stall detector (a frozen
 quorum trips it; a slow-but-progressing one does not).
@@ -75,43 +76,55 @@ class TestEventRing:
 
 
 class TestStreamSubscriber:
-    """The ``subscribe`` verb on one connection, ticking every 50 ms."""
+    """The ``subscribe`` verb on one connection."""
 
     @staticmethod
-    def subscribed(port, script, before=lambda obs: None):
-        """Run ``script(obs, next_tick, writer)`` once the stream's header
-        arrived; ``next_tick()`` reads up to and including the next metrics
-        record that follows at least one event line (ticks of a quiet
-        interval are skipped) and returns ``(event lines, its metrics)``."""
+    def subscribed(port, script, before=lambda obs: None, interval=0.05):
+        """Run ``script(runner, stream)`` once the stream's header arrived.
+        ``stream.line()`` reads the next line; ``stream.events_until(kind)``
+        reads the event lines up to and including the first of ``kind``,
+        skipping metrics records; ``stream.tick()`` reads up to the next
+        metrics record and returns it."""
 
         async def scenario():
             obs = Observability()
             before(obs)
-            control = ControlServer(await unbooted_runner(obs), "127.0.0.1", port)
+            runner = await unbooted_runner(obs)
+            control = ControlServer(runner, "127.0.0.1", port)
             await control.start()
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(b'{"cmd": "subscribe", "interval": 0.05}\n')
+            writer.write(
+                json.dumps({"cmd": "subscribe", "interval": interval}).encode() + b"\n"
+            )
 
-            async def next_line():
+            async def line():
                 return json.loads(await asyncio.wait_for(reader.readline(), 10.0))
 
-            async def next_tick():
+            async def events_until(kind):
                 events = []
-                while True:
-                    line = await next_line()
-                    if line.get("schema") != METRICS_SCHEMA:
-                        events.append(line)
-                    elif events:
-                        return events, line["metrics"]
+                while not events or events[-1]["kind"] != kind:
+                    record = await line()
+                    if record.get("schema") != METRICS_SCHEMA:
+                        events.append(record)
+                return events
 
+            async def tick():
+                while (record := await line()).get("schema") != METRICS_SCHEMA:
+                    pass
+                return record["metrics"]
+
+            stream = SimpleNamespace(
+                line=line, events_until=events_until, tick=tick, writer=writer
+            )
             try:
-                header = await next_line()
+                header = await line()
                 assert header["schema"] == TRACE_SCHEMA
                 assert header["meta"]["pid"] == 0
-                assert header["meta"]["interval"] == 0.05
-                # Everything emitted so far is older than the stream.
-                assert header["meta"]["dropped_events"] == len(obs.bus.events)
-                return await script(obs, next_tick, writer)
+                assert header["meta"]["interval"] == interval
+                # The stream replays the bus's window: it lacks only what
+                # fell off the bus, none of it on an unbounded bus.
+                assert header["meta"]["dropped_events"] == obs.bus.dropped == 0
+                return await script(runner, stream)
             finally:
                 writer.close()
                 await control.close()
@@ -119,47 +132,81 @@ class TestStreamSubscriber:
         return asyncio.run(scenario())
 
     def test_receives_events_after_subscribe(self, free_port):
-        async def script(obs, next_tick, _writer):
-            obs.emit(0, "after", seq=1)
-            return await next_tick()
+        """An event emitted after the subscription arrives after the
+        window, which holds the one emitted before it."""
+
+        async def script(runner, stream):
+            runner.observability.emit(0, "after", seq=1)
+            return await stream.events_until("after"), await stream.tick()
 
         events, tick = self.subscribed(
             free_port(), script, before=lambda obs: obs.emit(0, "before")
         )
-        assert events == [{"f": {"seq": 1}, "kind": "after", "pid": 0, "t": 0.0}]
+        assert events == [
+            {"kind": "before", "pid": 0, "t": 0.0},
+            {"f": {"seq": 1}, "kind": "after", "pid": 0, "t": 0.0},
+        ]
         # A tick is the runner's metrics record plus its status, absolute.
         assert tick["seq"] >= 1 and tick["dropped"] == 0
         assert tick["status"]["pid"] == 0 and tick["status"]["ready"] is True
         assert tick["gauges"]["stream.subscribers"]["value"] == 1
         assert {"counters", "histograms", "links", "t"} <= set(tick)
 
+    def test_an_event_is_written_as_it_happens_not_at_the_tick(self, free_port):
+        async def script(runner, stream):
+            runner.observability.emit(0, "now")
+            return await asyncio.wait_for(stream.line(), 0.5)
+
+        line = self.subscribed(free_port(), script, interval=5.0)
+        assert line == {"kind": "now", "pid": 0, "t": 0.0}
+
+    def test_bursts_smaller_than_the_ring_lose_nothing(self, free_port, monkeypatch):
+        """Three bursts of five into an 8-slot ring within one 5 s tick:
+        each burst is written before the next, so all fifteen arrive."""
+        monkeypatch.setattr(runner_module, "DEFAULT_STREAM_CAPACITY", 8)
+
+        async def script(runner, stream):
+            for burst in range(3):
+                for index in range(5):
+                    runner.observability.emit(0, "burst", seq=5 * burst + index)
+                await asyncio.sleep(0.05)
+            runner.observability.emit(0, "last")
+            events = await stream.events_until("last")
+            runner.request_stop()  # the final record, without waiting 5 s
+            return events, await stream.tick()
+
+        events, tick = self.subscribed(free_port(), script, interval=5.0)
+        assert [line["f"]["seq"] for line in events[:-1]] == list(range(15))
+        assert tick["dropped"] == 0 and tick["seq"] == 1
+
     def test_overflow_counted_via_dropped_property(self, free_port, monkeypatch):
         monkeypatch.setattr(runner_module, "DEFAULT_STREAM_CAPACITY", 2)
 
-        async def script(obs, next_tick, _writer):
-            for index in range(5):  # one burst between two ticks
-                obs.emit(0, "tick", seq=index)
-            first = await next_tick()
-            return first, await next_tick()
+        async def script(runner, stream):
+            for index in range(5):  # one burst, with no write in between
+                runner.observability.emit(0, "tick", seq=index)
+            events = await stream.events_until("stream_drop")
+            return events, await stream.tick(), await stream.tick()
 
-        (events, tick), (marker, later) = self.subscribed(free_port(), script)
-        assert [line["f"]["seq"] for line in events] == [3, 4]
-        assert tick["dropped"] == 3
+        events, tick, later = self.subscribed(free_port(), script)
+        assert [line["f"]["seq"] for line in events[:-1]] == [3, 4]
         # The hole is stamped into the node's own event log as well.
-        assert [(line["kind"], line["f"]) for line in marker] == [
-            ("stream_drop", {"dropped": 3, "total": 3})
-        ]
+        assert (events[-1]["kind"], events[-1]["f"]) == (
+            "stream_drop", {"dropped": 3, "total": 3}
+        )
+        assert tick["dropped"] == 3
         assert later["dropped"] == 3  # cumulative, not per tick
 
     def test_close_detaches_from_bus(self, free_port):
-        async def script(obs, _next_tick, writer):
-            attached = list(obs.bus._subscribers)
-            writer.close()
+        async def script(runner, stream):
+            bus = runner.observability.bus
+            attached = list(bus._subscribers)
+            stream.writer.close()
             for _ in range(200):
-                if not obs.bus._subscribers:
+                if not bus._subscribers:
                     break
                 await asyncio.sleep(0.05)
-            return attached, list(obs.bus._subscribers)
+            return attached, list(bus._subscribers)
 
         attached, after_hangup = self.subscribed(free_port(), script)
         assert len(attached) == 1
@@ -199,9 +246,10 @@ class TestWireFormat:
         foreign record — without dropping the stream or the view's state."""
         view = LiveView(table4(), {"cmd": "subscribe"})
         node = view._nodes[0]
-        view._fold_line(node, metrics_line({"status": {"decided_wave": 4}, "dropped": 2}))
+        tick = metrics_line({"status": {"decided_wave": 4}, "dropped": 2})
+        assert view._fold_line(node, tick) == [tick]
         for bad in ["not json", "[1,2]", '{"neither": 1}', '{"metrics": 7, "schema": "x"}']:
-            view._fold_line(node, bad)
+            assert view._fold_line(node, bad) == []
         assert (node.decided_wave, node.dropped, node.events) == (4, 2, 0)
 
     def test_default_capacity_is_sane(self):
