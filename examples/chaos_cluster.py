@@ -86,7 +86,7 @@ async def main(trace_path: str) -> None:
         trace_path,
         observability.bus.events,
         meta={"example": "chaos_cluster", "n": 4, "seed": SEED},
-        metrics={**observability.snapshot(), "chaos": fault, "links": report},
+        metrics={"chaos": fault, "links": report},
     )
     print(f"trace: {len(observability.bus.events)} events -> {trace_path}")
 

@@ -58,7 +58,7 @@ async def main(trace_path: str) -> None:
         trace_path,
         observability.bus.events,
         meta={"example": "tcp_cluster", "n": config.n, "seed": config.seed},
-        metrics={**observability.snapshot(), "links": report},
+        metrics={"links": report},
     )
     print(f"trace: {len(observability.bus.events)} events -> {trace_path}")
 

@@ -36,36 +36,15 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.common.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.context import Observability
 
 #: Admission rejection reasons surfaced to clients. The ``busy-*`` pair is
 #: backpressure (retry later); ``oversize`` is permanent for that payload.
 REASON_BUSY_TXS = "busy-txs"
 REASON_BUSY_BYTES = "busy-bytes"
 REASON_OVERSIZE = "oversize"
-
-#: Bucket bounds for the mempool-depth histogram (pending transactions
-#: when a block is cut).
-DEPTH_BOUNDS: tuple[float, ...] = (
-    1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0,
-)
-
-#: Bucket bounds for the batch-fill histogram (transactions per block).
-FILL_BOUNDS: tuple[float, ...] = (
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
-)
-
-#: Bucket bounds (seconds) for submit → a_deliver latency: runtime waves
-#: commit in tens of milliseconds on a LAN, so the default protocol-time
-#: bounds would collapse everything into one bucket.
-E2E_LATENCY_BOUNDS: tuple[float, ...] = (
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 
 @dataclass(frozen=True)
@@ -148,10 +127,8 @@ def txid_of(data: bytes) -> str:
 class Mempool:
     """Bounded pending-transaction buffer with explicit backpressure.
 
-    Owns the ingress instruments (depth / batch-fill / e2e-latency
-    histograms, submitted / rejected / delivered counters) so every
-    gateway records against the same names; the *events* are emitted by
-    the gateway, which sees request boundaries.
+    Counts what it admits, refuses and delivers (:meth:`status`); the
+    *events* are emitted by the gateway, which sees request boundaries.
     """
 
     def __init__(
@@ -159,8 +136,6 @@ class Mempool:
         pid: int,
         config: AdmissionConfig | None = None,
         clock: Callable[[], float] | None = None,
-        *,
-        obs: Observability,
     ) -> None:
         self.pid = pid
         self.config = config if config is not None else AdmissionConfig()
@@ -175,15 +150,6 @@ class Mempool:
         self.submitted_total = 0
         self.rejected_total = 0
         self.delivered_total = 0
-        registry = obs.registry
-        self._depth_histogram = registry.histogram("mempool.depth", DEPTH_BOUNDS)
-        self._fill_histogram = registry.histogram("ingress.batch_fill", FILL_BOUNDS)
-        self._latency_histogram = registry.histogram(
-            "ingress.e2e_latency", E2E_LATENCY_BOUNDS
-        )
-        self._submitted_counter = registry.counter("ingress.submitted")
-        self._rejected_counter = registry.counter("ingress.rejected")
-        self._delivered_counter = registry.counter("ingress.delivered")
 
     # ------------------------------------------------------------ admission
 
@@ -217,12 +183,10 @@ class Mempool:
         self._pending_bytes += len(data)
         self._tracked.add(txid)
         self.submitted_total += 1
-        self._submitted_counter.inc()
         return Admission(True, txid)
 
     def _reject(self, txid: str, reason: str) -> Admission:
         self.rejected_total += 1
-        self._rejected_counter.inc()
         return Admission(False, txid, reason)
 
     # ------------------------------------------------------------- batching
@@ -245,17 +209,12 @@ class Mempool:
         return batch
 
     def register_flush(self, sequence: int, batch: list[PendingTx]) -> None:
-        """Remember a flushed batch under its block's sequence number.
-
-        Records the depth and fill observations for this flush; the txids
-        stay tracked (duplicate-suppressed) until delivery.
-        """
+        """Remember a flushed batch under its block's sequence number;
+        its txids stay tracked (duplicate-suppressed) until delivery."""
         if not batch:
             return
         self._in_flight[sequence] = batch
         self._in_flight_txs += len(batch)
-        self._depth_histogram.record(float(len(self._pending) + len(batch)))
-        self._fill_histogram.record(float(len(batch)))
 
     # ------------------------------------------------------------- delivery
 
@@ -277,11 +236,8 @@ class Mempool:
         delivered: list[DeliveredTx] = []
         for tx in batch:
             self._tracked.discard(tx.txid)
-            latency = max(0.0, now - tx.submitted_at)
-            self._latency_histogram.record(latency)
-            delivered.append(DeliveredTx(tx.txid, latency))
+            delivered.append(DeliveredTx(tx.txid, max(0.0, now - tx.submitted_at)))
         self.delivered_total += len(delivered)
-        self._delivered_counter.inc(len(delivered))
         return delivered
 
     def status(self) -> dict[str, int]:

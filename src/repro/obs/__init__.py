@@ -1,4 +1,4 @@
-"""Unified observability: deterministic events, metrics, trace tooling.
+"""Unified observability: deterministic events, trace tooling.
 
 The paper's claims are *measured* claims — Claim 6's ≤ 3/2 expected waves
 per commit, Table 1's bit counts, §3's asynchronous time units — so the
@@ -9,8 +9,6 @@ simulator, the protocol core, and the TCP runtime:
   append-only event bus. Every event is stamped with the *owning clock's*
   time (simulated time in the simulator, the runtime scheduler's monotonic
   time under TCP), so simulator traces are bit-reproducible for a seed.
-* :mod:`repro.obs.metrics` — a metrics registry: counters, gauges, and
-  fixed-bucket histograms with deterministic snapshots.
 * :mod:`repro.obs.spans` — span-style phase tracking with no in-tree
   caller (``bench/trace.py`` patches it by name; see the module docstring).
 * :mod:`repro.obs.wire` — the §3 communication/time accounting collector

@@ -161,24 +161,6 @@ def summarize(
                 f"{_format_time(entry.latency):>10}"
                 f"{entry.committers:>12}{entry.delivered:>11}"
             )
-    if metrics:
-        counters = metrics.get("counters")
-        if isinstance(counters, dict) and counters:
-            lines.append("counters:")
-            for name in sorted(counters):
-                lines.append(f"  {name} = {counters[name]}")
-        histograms = metrics.get("histograms")
-        if isinstance(histograms, dict) and histograms:
-            lines.append("histograms:")
-            for name in sorted(histograms):
-                snap = histograms[name]
-                if isinstance(snap, dict):
-                    lines.append(
-                        f"  {name}: count={snap.get('count')} "
-                        f"mean={snap.get('mean'):.4f} max={snap.get('max')}"
-                        if isinstance(snap.get("mean"), float)
-                        else f"  {name}: count={snap.get('count')}"
-                    )
     return "\n".join(lines)
 
 

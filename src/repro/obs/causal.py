@@ -28,18 +28,22 @@ arrives.
 **Cross-host clocks.** Each fabric host stamps events with its own
 monotonic clock (shared by every node and node life on that host, but
 not across hosts), so raw cross-host differences mix real latency with
-clock offset. The stitcher estimates a per-host offset
-— the median, over vertices delivered everywhere, of the host's
-``a_deliver`` time minus the vertex's cross-host median — subtracts it
-from cross-host edges, and reports the offsets themselves as the skew
-report. Single-clock traces (simulator, ``LocalCluster``) estimate
-near-zero offsets and pass through unchanged.
+clock offset. Given which clock each pid reads (``clocks``, pid → host:
+a merged trace's meta carries it), the stitcher estimates one offset per
+clock — the median, over every vertex two or more pids delivered and
+every pid on that clock, of the pid's ``a_deliver`` time minus the
+vertex's cross-pid median — subtracts it from cross-host edges, and
+reports the offsets themselves as the skew report. A trace on one clock
+(simulator, ``LocalCluster``, a single tee, or every pid on one host)
+has nothing to estimate: every offset is 0, so a node that delivers late
+because it lags (catching up after a restart, say) keeps that lag in its
+edges instead of having it read as clock skew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.obs.events import Event
 
@@ -240,12 +244,14 @@ def _round_source(event: Event) -> tuple[int, int] | None:
     return None
 
 
-def stitch(events: Iterable[Event]) -> CausalReport:
+def stitch(events: Iterable[Event], clocks: Mapping[int, str] | None = None) -> CausalReport:
     """Join a merged trace into per-vertex causal chains.
 
     Events must be in per-host emit order within each pid (any trace
     written by this repo qualifies: per-host traces are emit-ordered and
-    the fabric merge is a stable sort on time).
+    the fabric merge is a stable sort on time). ``clocks`` names the
+    clock (host) each pid's events were stamped with; None means one
+    clock for all. A pid it does not name has a clock of its own.
     """
     chains: dict[tuple[int, int], VertexChain] = {}
     hosts: set[int] = set()
@@ -306,7 +312,7 @@ def stitch(events: Iterable[Event]) -> CausalReport:
                 for chain in awaiting_commit.pop((event.pid, wave), ()):
                     chain.commit[event.pid] = event.time
 
-    offsets = _estimate_offsets(chains, sorted(hosts))
+    offsets = _estimate_offsets(chains, sorted(hosts), clocks)
     edges = _collect_edges(chains, offsets)
     delivered = sum(1 for chain in chains.values() if chain.deliver)
     return CausalReport(
@@ -328,19 +334,25 @@ def _median(values: Sequence[float]) -> float:
 
 
 def _estimate_offsets(
-    chains: dict[tuple[int, int], VertexChain], hosts: list[int]
+    chains: dict[tuple[int, int], VertexChain],
+    hosts: list[int],
+    clocks: Mapping[int, str] | None,
 ) -> dict[int, float]:
-    """Per-host clock offset vs. the per-vertex cross-host median."""
-    residuals: dict[int, list[float]] = {pid: [] for pid in hosts}
+    """Each pid's clock offset: its clock's pooled residuals against the
+    per-vertex cross-pid median, or 0 when every pid reads one clock."""
+    clock_of = {pid: "" if clocks is None else clocks.get(pid, f"pid {pid}") for pid in hosts}
+    if len(set(clock_of.values())) <= 1:
+        return {pid: 0.0 for pid in hosts}
+    residuals: dict[str, list[float]] = {clock: [] for clock in clock_of.values()}
     for chain in chains.values():
         if len(chain.deliver) < 2:
             continue
         center = _median(list(chain.deliver.values()))
         for pid, time in chain.deliver.items():
-            residuals[pid].append(time - center)
+            residuals[clock_of[pid]].append(time - center)
     return {
-        pid: (_median(values) if values else 0.0)
-        for pid, values in residuals.items()
+        pid: (_median(residuals[clock]) if residuals[clock] else 0.0)
+        for pid, clock in clock_of.items()
     }
 
 

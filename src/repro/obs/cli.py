@@ -59,10 +59,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
     meta: dict[str, object] = dict(result["params"])
     if slow is not None:
         meta["slow_pid"], meta["slow_penalty"] = slow
-    metrics: dict[str, object] = dict(observability.snapshot())
-    metrics["wire"] = wire
     out = args.out or f"{cell.name}.trace.jsonl"
-    dump_trace(out, observability.bus.events, meta=meta, metrics=metrics)
+    dump_trace(out, observability.bus.events, meta=meta, metrics={"wire": wire})
     print(f"wrote {len(observability.bus.events)} events to {out}")
     return 0
 
@@ -102,7 +100,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_causal(args: argparse.Namespace) -> int:
     trace = load_trace(args.trace)
-    report = stitch(trace.events)
+    report = stitch(trace.events, clocks=_clocks(trace.meta))
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
@@ -111,6 +109,17 @@ def _cmd_causal(args: argparse.Namespace) -> int:
             print(note)
         print(report.render(limit=args.limit))
     return 0 if report.stitched_chains else 1
+
+
+def _clocks(meta: dict[str, object]) -> dict[int, str] | None:
+    """A merged trace's ``clocks`` (pid → host); None when it has none."""
+    clocks = meta.get("clocks")
+    if not isinstance(clocks, dict):
+        return None
+    try:
+        return {int(pid): str(host) for pid, host in clocks.items()}
+    except ValueError:
+        raise TraceFormatError(f"meta clocks keys must be pids, got {sorted(clocks)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

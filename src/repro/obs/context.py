@@ -1,9 +1,9 @@
-"""The bundle a deployment hands to every layer: bus + registry.
+"""The bundle a deployment hands to every layer: its one event bus.
 
 One :class:`Observability` instance per deployment (simulated or TCP): the
 network wires its clock in at construction, and every process, broadcast
 endpoint, ordering state machine, and reliable link that sees it emits
-into the shared bus/registry. It is optional in the simulator (layers
+into the shared bus. It is optional in the simulator (layers
 handed ``None`` skip emission at the cost of a ``None`` check) and always
 on in the TCP runtime, whose bus keeps a bounded window of events.
 """
@@ -14,7 +14,6 @@ from typing import Protocol
 
 from repro.obs.bus import EventBus
 from repro.obs.events import Scalar
-from repro.obs.metrics import MetricsRegistry
 
 
 class ClockLike(Protocol):
@@ -25,11 +24,10 @@ class ClockLike(Protocol):
 
 
 class Observability:
-    """Shared event bus and metrics registry."""
+    """The shared event bus and the rule that binds its clock."""
 
     def __init__(self) -> None:
         self.bus = EventBus()
-        self.registry = MetricsRegistry()
         self._clock_bound = False
 
     def attach_clock(self, scheduler: ClockLike, retain: int | None = None) -> None:
@@ -52,7 +50,3 @@ class Observability:
     def emit(self, pid: int, kind: str, **fields: Scalar) -> None:
         """Shorthand for ``self.bus.emit``."""
         self.bus.emit(pid, kind, **fields)
-
-    def snapshot(self) -> dict[str, dict[str, object]]:
-        """The registry's deterministic metric snapshot."""
-        return self.registry.as_dict()

@@ -11,8 +11,8 @@ Layout of a trace file (one JSON document per line):
   sorted and separators compact, so a deterministic event sequence
   serializes to byte-identical text.
 * optionally **metrics records**: ``{"schema": "repro.obs.metrics",
-  "version": 1, "metrics": {...}}`` carrying registry / wire-accounting
-  snapshots as absolute values. A finished trace has one, as its footer;
+  "version": 1, "metrics": {...}}`` carrying link or wire-accounting
+  totals as absolute values. A finished trace has one, as its footer;
   a control ``subscribe`` stream is the same document written live — the
   header, each event as it happens, one metrics record per tick — so a
   reader keeps the last record it sees.

@@ -415,18 +415,21 @@ def merge_traces(traces: Sequence[Trace]) -> str:
 
     Events interleave by their host's monotonic clock: exact within a
     host (every node and life on it shares the clock), approximate across
-    hosts. Link counters are summed into the metrics footer, and
-    ``dropped_events`` counts every event the traces lack.
+    hosts. Link counters are summed into the metrics footer,
+    ``dropped_events`` counts every event the traces lack, and ``clocks``
+    names each pid's host, whose clock stamped its events.
     """
     events = sorted(
         (event for trace in traces for event in trace.events),
         key=lambda event: (event.time, event.pid),
     )
+    pids = [int(str(trace.meta.get("pid", -1))) for trace in traces]
     meta = {
         "merged_hosts": len(traces),
-        "pids": sorted(
-            int(str(trace.meta.get("pid", -1))) for trace in traces
-        ),
+        "pids": sorted(pids),
+        "clocks": {
+            pid: str(trace.meta["host"]) for pid, trace in zip(pids, traces) if "host" in trace.meta
+        },
         "dropped_events": sum(life.missing for trace in traces for life in trace.lives),
     }
     return dumps_trace(events, meta=meta, metrics={"links": dict(link_totals(traces))})

@@ -346,7 +346,6 @@ class ReliableLink:
                     self.degraded = True
                     self._trim_degraded()
                     self._obs.emit(self.pid, "link_degraded", dst=self.dst)
-                    self._obs.registry.counter("link.degraded").inc()
                 await asyncio.sleep(backoff * (1.0 - JITTER * self._rng.random()))
                 backoff = min(backoff * BACKOFF_FACTOR, MAX_BACKOFF)
                 continue
@@ -458,9 +457,11 @@ class ReliableLink:
     def _count_written(self, first: int, last: int) -> None:
         """Frames ``first..last`` reached the live connection."""
         self._stats.frames_sent += last - first + 1
-        for seq in range(first, min(last, self._ever_written) + 1):
-            self._stats.redeliveries += 1
-            self._obs.emit(self.pid, "link_redelivery", dst=self.dst, seq=seq)
+        resent = min(last, self._ever_written)
+        if resent >= first:
+            # One event per burst: a reconnect's whole backlog is one range.
+            self._stats.redeliveries += resent - first + 1
+            self._obs.emit(self.pid, "link_redelivery", dst=self.dst, first=first, last=resent)
         self._conn_written = last
         self._ever_written = max(self._ever_written, last)
 

@@ -32,8 +32,8 @@ and ``stop``. One verb streams, the one way a node's events leave it:
 ``subscribe`` answers with this host's ``repro.obs.trace`` v1 document
 written live — the header, the bus's window, then each event as it is
 emitted (bounded ring, oldest dropped and counted) and every ``interval``
-seconds one ``repro.obs.metrics`` record (status and metrics, absolute)
-until the client disconnects or the node stops.
+seconds one ``repro.obs.metrics`` record (``links``, ``status``, the ring's
+``dropped``; all absolute) until the client disconnects or the node stops.
 See docs/observability.md "Live streaming and causal analysis".
 """
 
@@ -134,12 +134,7 @@ class NodeRunner:
             node.request_catchup()
         if self.entry.ingress_port is None:
             return
-        self.mempool = Mempool(
-            self.pid,
-            config=self.table.ingress,
-            clock=lambda: node.now,
-            obs=self.observability,
-        )
+        self.mempool = Mempool(self.pid, config=self.table.ingress, clock=lambda: node.now)
         self.gateway = IngressGateway(
             node,
             self.mempool,
@@ -260,9 +255,8 @@ class NodeRunner:
 
     def trace_metrics(self) -> dict[str, object]:
         """The metrics record of this host's flight dumps and stream ticks:
-        the registry snapshot's sections at top level (what ``python -m
-        repro.obs record`` writes and ``summarize`` reads) plus ``links``."""
-        return {"links": self.network.link_report(), **self.observability.snapshot()}
+        ``links``, the link counters (``LinkStats``) and queue state."""
+        return {"links": self.network.link_report()}
 
 
 class ControlServer(LineServer):
@@ -287,7 +281,6 @@ class ControlServer(LineServer):
             streams={"subscribe": self._serve_subscribe},
         )
         self.runner = runner
-        self._live_subscribers = 0
 
     def _reply(self, **fields: object) -> dict[str, object]:
         return {"ok": True, "pid": self.runner.pid, **fields}
@@ -354,9 +347,6 @@ class ControlServer(LineServer):
         stopping = asyncio.ensure_future(runner.wait_stopped())
         stopping.add_done_callback(lambda _: wake.set())
         timer = loop.call_later(interval, record_due)
-        live_gauge = obs.registry.gauge("stream.subscribers")
-        self._live_subscribers += 1
-        live_gauge.set(self._live_subscribers)
         try:
             while True:
                 if lines:
@@ -385,8 +375,6 @@ class ControlServer(LineServer):
             obs.bus.unsubscribe(tap)
             stopping.cancel()
             timer.cancel()
-            self._live_subscribers -= 1
-            live_gauge.set(self._live_subscribers)
 
 
 def _finite(value: Any, name: str) -> float:

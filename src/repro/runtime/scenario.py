@@ -165,7 +165,7 @@ def parse_step(raw: dict[str, Any], index: int, n: int) -> ScenarioStep:
                     f"{where}: each group must be a non-empty pid list"
                 )
             for member in group:
-                if not isinstance(member, int) or not 0 <= member < n:
+                if type(member) is not int or not 0 <= member < n:
                     raise ConfigurationError(
                         f"{where}: group member {member!r} outside [0, {n})"
                     )

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 from repro.common.config import SystemConfig
 from repro.common.errors import ProtocolError
 from repro.obs.context import Observability
-from repro.obs.metrics import Histogram
 from repro.obs.wire import MetricsCollector
 from repro.sim.adversary import Adversary
 from repro.sim.scheduler import Scheduler
@@ -90,12 +89,10 @@ class Network:
         self.adversary = adversary
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.obs = obs
-        self._delay_hist: Histogram | None = None
         if obs is not None:
             # The simulator's clock is the one deterministic time axis; every
             # event any layer emits through this deployment rides on it.
             obs.attach_clock(scheduler)
-            self._delay_hist = obs.registry.histogram("net.delay")
         self._processes: dict[int, "Process"] = {}
         self._n = config.n
         self._dsts = config.processes  # immutable range, hoisted off hot path
@@ -207,7 +204,6 @@ class Network:
             fanout.pos = 0
         if self.obs is not None:
             self.obs.emit(pid, "corrupt", in_flight_dropped=dropped)
-            self.obs.registry.counter("net.corruptions").inc()
 
     def is_correct(self, pid: int) -> bool:
         """True when ``pid`` has not been corrupted."""
@@ -237,12 +233,7 @@ class Network:
         delay = self.adversary.delay(src, dst, message, now)
         if not (delay >= 0 and math.isfinite(delay)):
             raise ProtocolError(f"adversary returned invalid delay {delay}")
-        correct_pair = self.is_correct(src) and self.is_correct(dst)
-        self.metrics.record_delay(delay, correct_pair)
-        if self._delay_hist is not None and correct_pair:
-            # Aggregate-only on this per-message hot path: one histogram
-            # bucket increment, no per-send event allocation.
-            self._delay_hist.record(delay)
+        self.metrics.record_delay(delay, self.is_correct(src) and self.is_correct(dst))
 
         self.scheduler.call_later(delay, self._deliver_cb, src, dst, message)
 
@@ -253,7 +244,7 @@ class Network:
         pid order — the exact RNG consumption of ``n`` individual sends —
         then schedules the whole fan-out as one live heap entry that
         re-arms itself per delivery. Metrics accounting (wire bits, delay
-        records, histogram) happens here at send time, before any delivery
+        records) happens here at send time, before any delivery
         fires, just as with per-destination sends.
         """
         if len(self._processes) < self._n:
@@ -275,8 +266,8 @@ class Network:
         self.metrics.record_sends(src, bits, tag, correct_src, self._n - 1)
         drop_hook = self._drop_hook
         delay_of = adversary.delay
-        # Correct-pair delays batched in draw order: record_delays /
-        # record_many accumulate element by element, so sums and extrema
+        # Correct-pair delays batched in draw order: record_delays
+        # accumulates element by element, so sums and extrema
         # are bit-identical to per-destination recording.
         correct_delays: list[float] = []
         schedule: list[tuple[float, int]] = []  # (when, dst) in dst order
@@ -298,8 +289,6 @@ class Network:
                 correct_delays.append(delay)
             schedule.append((now + delay, dst))
         self.metrics.record_delays(correct_delays)
-        if self._delay_hist is not None:
-            self._delay_hist.record_many(correct_delays)
         if not schedule:
             return
         base = scheduler.reserve_handles(len(schedule))

@@ -121,7 +121,6 @@ class NodeJournal:
         self.obs.emit(
             self.pid, "wal_append", record=_KIND_NAMES[kind], seq=seq, round=round_
         )
-        self.obs.registry.counter("wal.appends").inc()
 
     def record_vertex(self, vertex: Vertex) -> None:
         """Journal a vertex that just entered the local DAG."""
@@ -182,7 +181,6 @@ class NodeJournal:
             bytes=size,
             last_wal_seq=snapshot.last_wal_seq,
         )
-        self.obs.registry.counter("wal.snapshots").inc()
 
     def close(self) -> None:
         self.wal.close()

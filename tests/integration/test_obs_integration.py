@@ -13,7 +13,7 @@ The acceptance contract of the observability layer:
 import asyncio
 
 from repro.common.config import SystemConfig
-from repro.obs.analyze import diff_traces, summarize, wave_stats
+from repro.obs.analyze import diff_traces, wave_stats
 from repro.obs.cli import main as obs_main
 from repro.obs.context import Observability
 from repro.obs.export import dumps_trace, loads_trace
@@ -24,11 +24,9 @@ from repro.runtime.cluster import LocalCluster
 
 
 def _export(cell, slow=None):
-    result, observability, _wire = run_cell_traced(cell, slow=slow)
+    result, observability, wire = run_cell_traced(cell, slow=slow)
     meta = dict(result["params"])
-    return dumps_trace(
-        observability.bus.events, meta=meta, metrics=observability.snapshot()
-    )
+    return dumps_trace(observability.bus.events, meta=meta, metrics={"wire": wire})
 
 
 class TestSimDeterminism:
@@ -84,7 +82,7 @@ class TestCleanVsPerturbedDiff:
 
 
 class TestRuntimeTraces:
-    def _run_cluster(self, peers, seed, chaos_config=None, target=8, state_dirs=None):
+    def _run_cluster(self, peers, seed, chaos_config=None, target=8):
         observability = Observability()
         chaos = None
         if chaos_config is not None:
@@ -94,7 +92,6 @@ class TestRuntimeTraces:
             peers=peers,
             chaos=chaos,
             observability=observability,
-            state_dirs=state_dirs,
         )
         reached = asyncio.run(
             cluster.run_until(
@@ -138,18 +135,6 @@ class TestRuntimeTraces:
         waves = wave_stats(cluster.observability.bus.events)
         assert any(stat.latency is not None for stat in waves.values())
         assert all(stat.latency is None or stat.latency >= 0.0 for stat in waves.values())
-
-    def test_summarize_prints_a_runtime_traces_metrics(self, free_peers, tmp_path):
-        """Regression: the runner nested its registry under ``registry``,
-        where ``summarize`` (reading the top-level sections ``record``
-        writes) never found it — no runtime trace ever printed them."""
-        state_dirs = {pid: str(tmp_path / f"state-{pid}") for pid in range(4)}
-        cluster = self._run_cluster(free_peers(4), seed=13, state_dirs=state_dirs)
-        trace = loads_trace(cluster.runners[0].flight_dump("manual")["trace"])
-        assert trace.metrics["links"]["frames_sent"] > 0
-        text = summarize(trace.events, meta=trace.meta, metrics=trace.metrics)
-        assert "counters:" in text
-        assert "wal.appends = " in text
 
 
 class TestCli:

@@ -239,7 +239,7 @@ def test_control_and_ingress_replies_are_byte_identical(free_peers, free_port):
     assert control == CONTROL_GOLDEN
     assert sub_header == SUBSCRIBE_HEADER
     last = sub_tail.decode().splitlines()[-1]
-    assert last.startswith('{"metrics":{"counters":{') and '"status":{' in last
+    assert re.match(r'\{"metrics":\{"dropped":\d+,"links":\{', last) and '"status":{' in last
     assert last.endswith('},"schema":"repro.obs.metrics","version":1}')
     # ``flight``: the ``status`` reply, then the trace as one JSON string.
     status = CONTROL_GOLDEN[1].strip()
@@ -249,7 +249,8 @@ def test_control_and_ingress_replies_are_byte_identical(free_peers, free_port):
     header, *events, footer = json.loads(flight)["trace"].splitlines()
     assert mask(header.encode()) == FLIGHT_HEADER
     assert len(events) == 256
-    assert footer.startswith('{"metrics":{"counters":{')
+    assert footer.startswith('{"metrics":{"links":{')
+    assert json.loads(footer)["metrics"]["links"]["frames_sent"] > 0
     assert ingress == INGRESS_GOLDEN
     assert acks == ACK_GOLDEN
 

@@ -13,7 +13,6 @@ from repro.mempool.admission import (
     Mempool,
     txid_of,
 )
-from repro.obs.context import Observability
 
 
 class FakeClock:
@@ -25,9 +24,7 @@ class FakeClock:
 
 
 def make_mempool(clock=None, **config) -> Mempool:
-    return Mempool(
-        0, config=AdmissionConfig(**config), clock=clock, obs=Observability()
-    )
+    return Mempool(0, config=AdmissionConfig(**config), clock=clock)
 
 
 class TestConfig:
@@ -180,26 +177,9 @@ class TestDelivery:
             "pending": 0, "pending_bytes": 0, "in_flight": 1,
             "submitted": 1, "rejected": 1, "delivered": 0,
         }
-
-
-class TestInstruments:
-    def test_counters_and_histograms_recorded(self):
-        obs = Observability()
-        clock = FakeClock()
-        pool = Mempool(
-            0, config=AdmissionConfig(batch_txs=2, max_tx_bytes=4),
-            clock=clock, obs=obs,
-        )
-        pool.submit(b"a")
-        pool.submit(b"b")
-        pool.submit(b"toolarge")
-        pool.register_flush(0, pool.take_batch())
-        clock.now = 0.03
         pool.deliveries(0)
-        snapshot = obs.snapshot()
-        assert snapshot["counters"]["ingress.submitted"] == 2
-        assert snapshot["counters"]["ingress.rejected"] == 1
-        assert snapshot["counters"]["ingress.delivered"] == 2
-        assert snapshot["histograms"]["ingress.batch_fill"]["count"] == 1
-        assert snapshot["histograms"]["mempool.depth"]["count"] == 1
-        assert snapshot["histograms"]["ingress.e2e_latency"]["count"] == 2
+        assert pool.status() == {
+            "pending": 0, "pending_bytes": 0, "in_flight": 0,
+            "submitted": 1, "rejected": 1, "delivered": 1,
+        }
+

@@ -13,8 +13,11 @@ import pytest
 
 from repro.obs.bus import EventBus
 from repro.obs.causal import EDGES, edge_stats, percentile, stitch
+from repro.obs.cli import main as obs_main
+from repro.obs.export import dumps_trace, loads_trace
 from repro.perf.cells import smoke_cells
 from repro.perf.runner import run_cell_traced
+from repro.runtime.fabric import merge_traces
 
 
 class TestPercentile:
@@ -134,7 +137,7 @@ class TestSkewEstimation:
                 create_at=base,
                 deliver_at={0: base + 1.0, 1: base + 1.0 + shift},
             )
-        report = stitch(bus.events)
+        report = stitch(bus.events, clocks={0: "host-a", 1: "host-b"})
         offsets = report.offsets
         assert offsets[1] - offsets[0] == pytest.approx(shift)
         # Corrected end-to-end latency is the same 1 s on both hosts.
@@ -155,6 +158,52 @@ class TestSkewEstimation:
             )
         report = stitch(bus.events)
         assert all(abs(offset) < 1e-9 for offset in report.offsets.values())
+
+    def test_one_clock_keeps_a_lagging_pids_lag(self):
+        """Pid 1 delivers 0.5 s after pids 0 and 2 on the one clock they
+        share (a node catching up after a restart): that is lag, not skew.
+        Estimated per pid, it read as +0.5 s of offset and was subtracted
+        from pid 1's create->deliver edge."""
+        bus = EventBus()
+        for index in range(8):
+            base = float(index)
+            _emit_vertex(
+                bus, index + 1, 0,
+                create_at=base,
+                deliver_at={0: base + 1.0, 1: base + 1.5, 2: base + 1.0},
+            )
+        for clocks in (None, {0: "localhost", 1: "localhost", 2: "localhost"}):
+            report = stitch(bus.events, clocks=clocks)
+            assert report.offsets == {0: 0.0, 1: 0.0, 2: 0.0}
+            e2e = report.edges["create->deliver"]
+            assert e2e.count == 24
+            assert e2e.p50 == pytest.approx(1.0)
+            assert e2e.max == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("hosts, shift", [(("a", "b"), 5.0), (("a", "a"), 0.0)])
+    def test_causal_reads_the_clocks_a_merge_names(self, tmp_path, capsys, hosts, shift):
+        """The fabric's merge names each pid's host; ``causal`` estimates an
+        offset only between pids on different hosts."""
+        bus = EventBus()
+        for index in range(4):
+            base = float(index)
+            _emit_vertex(
+                bus, index + 1, 0, create_at=base, deliver_at={0: base + 1, 1: base + 6}
+            )
+        tees = [
+            loads_trace(dumps_trace(
+                [event for event in bus.events if event.pid == pid],
+                meta={"pid": pid, "host": hosts[pid]},
+            ))
+            for pid in (0, 1)
+        ]
+        merged = merge_traces(tees)
+        assert loads_trace(merged).meta["clocks"] == {"0": hosts[0], "1": hosts[1]}
+        path = tmp_path / "merged.trace.jsonl"
+        path.write_text(merged)
+        assert obs_main(["causal", str(path), "--json"]) == 0
+        offsets = json.loads(capsys.readouterr().out)["skew"]["offsets"]
+        assert offsets["1"] - offsets["0"] == pytest.approx(shift)
 
 
 class TestRecordedTrace:
@@ -204,13 +253,10 @@ class TestRecordedTrace:
     def test_single_clock_bounds_offsets_by_delivery_spread(self, report_and_events):
         report, _ = report_and_events
         assert report.hosts == [0, 1, 2, 3]
-        # One shared simulated clock: any estimated "offset" is residual
-        # delivery asymmetry (some hosts consistently deliver later), so
-        # it is bounded by the observed cross-host delivery spread — not
-        # the seconds-scale epoch gaps of real fabric hosts.
-        spread = report.skew_spread().max
-        for offset in report.offsets.values():
-            assert abs(offset) <= spread
+        # One shared simulated clock: nothing to estimate, so hosts that
+        # consistently deliver later keep that delay in their edges.
+        assert report.skew_spread().max > 0.0
+        assert set(report.offsets.values()) == {0.0}
 
     def test_report_serializes(self, report_and_events):
         report, _ = report_and_events

@@ -27,7 +27,7 @@ async def gateway_on_sim(port, ingress=None, node_kwargs=None, obs=None):
         SystemConfig(n=4, seed=20), node_kwargs=node_kwargs, observability=obs
     )
     node = deployment.nodes[0]
-    mempool = Mempool(0, config=ingress, clock=lambda: node.now, obs=obs)
+    mempool = Mempool(0, config=ingress, clock=lambda: node.now)
     gateway = IngressGateway(node, mempool, "127.0.0.1", port, obs=obs)
     await gateway.start()
     client = await LineClient.open(("127.0.0.1", port))

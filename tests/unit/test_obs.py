@@ -1,10 +1,9 @@
 """Unit tests for the observability layer (``repro.obs``).
 
 Covers the pieces the rest of the repo leans on: typed events with sorted
-scalar fields, the clock-injected bus, fixed-bucket histograms (inclusive
-upper bounds, overflow), LIFO span nesting, the versioned JSONL export
-round-trip, the trace summarize/diff analysis, and that the catalogs in
-docs/observability.md list exactly what the code records.
+scalar fields, the clock-injected bus, LIFO span nesting, the versioned
+JSONL export round-trip, the trace summarize/diff analysis, and that the
+event catalog in docs/observability.md lists exactly what the code emits.
 """
 
 import ast
@@ -18,7 +17,6 @@ from repro.obs.bus import EventBus
 from repro.obs.context import Observability
 from repro.obs.events import Event, make_fields
 from repro.obs.export import TraceFormatError, dumps_trace, loads_trace
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import PHASE_COMMIT_WALK, PHASE_DELIVER, PIPELINE_PHASES, SpanTracker
 
 HEADER = '{"meta": {}, "schema": "repro.obs.trace", "version": 1}\n'
@@ -129,69 +127,6 @@ class TestEventBus:
         assert obs.bus.now == 5.0
 
 
-class TestMetrics:
-    def test_counter_increments_and_rejects_negative(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_tracks_high_water_mark(self):
-        gauge = Gauge("g")
-        gauge.set(3.0)
-        gauge.set(1.0)
-        assert gauge.value == 1.0
-        assert gauge.max_value == 3.0
-
-    def test_histogram_upper_bounds_inclusive(self):
-        hist = Histogram("h", bounds=(1.0, 2.0))
-        hist.record(1.0)  # lands in le:1 — bounds are inclusive
-        hist.record(1.5)  # le:2
-        hist.record(2.0)  # le:2
-        assert hist.counts == [1, 2, 0]
-
-    def test_histogram_overflow_bucket(self):
-        hist = Histogram("h", bounds=(1.0, 2.0))
-        hist.record(100.0)
-        assert hist.counts == [0, 0, 1]
-        assert hist.bucket_labels() == ["le:1", "le:2", "gt:2"]
-
-    def test_histogram_stats(self):
-        hist = Histogram("h", bounds=(10.0,))
-        for value in (1.0, 3.0, 8.0):
-            hist.record(value)
-        assert hist.count == 3
-        assert hist.mean == pytest.approx(4.0)
-        assert hist.min == 1.0 and hist.max == 8.0
-
-    def test_histogram_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=())
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=(2.0, 1.0))
-
-    def test_registry_create_or_get(self):
-        registry = MetricsRegistry()
-        assert registry.counter("c") is registry.counter("c")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("c")
-        with pytest.raises(ValueError, match="different bounds"):
-            registry.histogram("h", bounds=(1.0,))
-            registry.histogram("h", bounds=(2.0,))
-
-    def test_registry_snapshot_sorted_and_typed(self):
-        registry = MetricsRegistry()
-        registry.counter("z.count").inc(2)
-        registry.gauge("a.level").set(1.5)
-        registry.histogram("m.lat", bounds=(1.0,)).record(0.5)
-        snap = registry.as_dict()
-        assert snap["counters"] == {"z.count": 2}
-        assert snap["gauges"] == {"a.level": {"max": 1.5, "value": 1.5}}
-        assert snap["histograms"]["m.lat"]["buckets"] == {"le:1": 1, "gt:1": 0}
-
-
 class TestSpans:
     def test_nesting_depth_and_elapsed(self):
         times = iter([0.0, 1.0, 3.0, 6.0])
@@ -250,7 +185,7 @@ class TestExport:
     def test_round_trip_preserves_everything(self):
         events = self._sample_events()
         meta = {"cell": "x", "seed": 7}
-        metrics = {"counters": {"c": 1}}
+        metrics = {"links": {"retries": 1}}
         trace = loads_trace(dumps_trace(events, meta=meta, metrics=metrics))
         assert trace.events == events
         assert trace.meta == meta
@@ -412,12 +347,10 @@ class TestAnalysis:
 REPO = Path(__file__).resolve().parents[2]
 
 
-def recorded_names() -> tuple[set[str], set[str]]:
-    """Event kinds passed to ``emit`` and metric names passed to
-    ``counter``/``gauge``/``histogram`` as literals under ``src/repro``,
-    outside ``obs/`` (which defines those methods) and ``lint/``."""
+def emitted_kinds() -> set[str]:
+    """Event kinds passed to ``emit`` as literals under ``src/repro``,
+    outside ``obs/`` (which defines the method) and ``lint/``."""
     kinds: set[str] = set()
-    metrics: set[str] = set()
     package = REPO / "src" / "repro"
     for path in package.rglob("*.py"):
         if path.relative_to(package).parts[0] in ("obs", "lint"):
@@ -432,9 +365,7 @@ def recorded_names() -> tuple[set[str], set[str]]:
             ]
             if literals and node.func.attr == "emit":
                 kinds.add(literals[0])
-            elif literals and node.func.attr in ("counter", "gauge", "histogram"):
-                metrics.add(literals[0])
-    return kinds, metrics
+    return kinds
 
 
 def catalog(heading: str) -> set[str]:
@@ -446,7 +377,4 @@ def catalog(heading: str) -> set[str]:
 
 class TestCatalogs:
     def test_event_catalog_is_what_the_code_emits(self):
-        assert catalog("Event catalog") == recorded_names()[0]
-
-    def test_metric_catalog_is_what_the_code_records(self):
-        assert catalog("Metric catalog") == recorded_names()[1]
+        assert catalog("Event catalog") == emitted_kinds()

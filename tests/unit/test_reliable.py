@@ -13,6 +13,7 @@ from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, WireFormatError
 from repro.obs.context import Observability
+from repro.obs.stream import DEFAULT_STREAM_CAPACITY
 from repro.runtime import reliable
 from repro.runtime.chaos import NO_FAULT, ChaosConfig, ChaosTransport, FrameFate
 from repro.runtime.peers import allocate_port_block, make_peer_table
@@ -467,7 +468,51 @@ class TestBurstWrites:
             (f"chaos_{fault}", 3)
         ]
         redeliveries = [event for event in events if event.kind == "link_redelivery"]
-        assert len(redeliveries) == sent.redeliveries
+        assert sum(resent_frames(event) for event in redeliveries) == sent.redeliveries
+
+    def test_a_reconnect_backlog_is_one_redelivery_event(self, monkeypatch):
+        """A severed link re-sends more unacked frames than a ``subscribe``
+        stream's ring holds. One event per re-sent frame overflowed that
+        ring; the burst is one event naming its range."""
+        patch_links(monkeypatch, INITIAL_BACKOFF=0.01, HEARTBEAT_TIMEOUT=60.0)
+        count = DEFAULT_STREAM_CAPACITY + 1
+        messages = [GossipSubscribe(f"m{i}") for i in range(count)]
+        size = len(wire(list(zip(range(1, count + 1), messages))))
+
+        async def main():
+            ports = allocate_port_block(2)
+            peers = {pid: ("127.0.0.1", ports[pid]) for pid in range(2)}
+            connections = asyncio.Queue()
+
+            async def raw_peer(reader, writer):
+                # Reads every frame and acks none: all of them stay unacked.
+                await reader.readexactly(HANDSHAKE.size + size)
+                await connections.put(writer)
+
+            server = await asyncio.start_server(raw_peer, *peers[1])
+            obs = Observability()
+            net = TcpNetwork(SystemConfig(n=2, seed=1), 0, peers, obs=obs)
+            try:
+                for message in messages:
+                    net.send(0, 1, message)
+                await asyncio.wait_for(connections.get(), 10.0)
+                assert net.sever_connections() == 1
+                await asyncio.wait_for(connections.get(), 10.0)
+                assert await eventually(lambda: net.link_stats.redeliveries == count)
+            finally:
+                await net.close()
+                server.close()
+            return net.link_stats, obs.bus.of_kind("link_redelivery")
+
+        stats, redeliveries = asyncio.run(main())
+        assert stats.redeliveries == count > DEFAULT_STREAM_CAPACITY
+        assert len(redeliveries) < 10
+        assert sum(resent_frames(event) for event in redeliveries) == stats.redeliveries
+
+
+def resent_frames(event):
+    """How many frames one ``link_redelivery`` event re-sent."""
+    return event.get("last") - event.get("first") + 1
 
 
 class TestHandshakeHardening:

@@ -145,6 +145,12 @@ class TestParseStep:
             with pytest.raises(ConfigurationError):
                 parse_step({"kind": "partition", "groups": groups}, 0, 4)
 
+    def test_partition_group_member_is_not_a_bool(self):
+        """``true`` is no pid: it used to pass as pid 1 because
+        ``True == 1`` and ``isinstance(True, int)``."""
+        with pytest.raises(ConfigurationError, match="group member True"):
+            parse_step({"kind": "partition", "groups": [[0, True], [2, 3]]}, 0, 4)
+
 
 class TestLoadScenario:
     def test_loads_json(self, tmp_path):
