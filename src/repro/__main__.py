@@ -29,6 +29,7 @@ from repro.analysis.render import render_dag
 from repro.analysis.stats import summarize
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
+from repro.core.node import BROADCASTS, COIN_MODES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -142,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate a DAG-Rider deployment")
     _add_common(run)
-    run.add_argument("--broadcast", default="bracha", choices=["bracha", "gossip", "avid"])
-    run.add_argument("--coin", default="ideal", choices=["ideal", "threshold", "piggyback"])
+    run.add_argument("--broadcast", default="bracha", choices=BROADCASTS)
+    run.add_argument("--coin", default="ideal", choices=COIN_MODES)
     run.add_argument("--batch", type=int, default=1, help="transactions per block")
     run.add_argument("--blocks", type=int, default=30, help="blocks to order")
     run.add_argument("--max-events", type=int, default=2_000_000)
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     tcp = sub.add_parser("tcp", help="boot a localhost TCP cluster")
     _add_common(tcp)
     tcp.add_argument("--port", type=int, default=9100)
-    tcp.add_argument("--coin", default="ideal", choices=["ideal", "threshold", "piggyback"])
+    tcp.add_argument("--coin", default="ideal", choices=COIN_MODES)
     tcp.add_argument("--blocks", type=int, default=15)
     tcp.add_argument("--timeout", type=float, default=60.0)
     tcp.set_defaults(fn=cmd_tcp)

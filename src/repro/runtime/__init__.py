@@ -35,9 +35,9 @@ the protocol logic depends on the simulator.
 * :mod:`repro.runtime.live` — the fabric driver's live telemetry view:
   one ``subscribe`` control-socket stream per runner folded into a
   per-node commit-frontier row (TTY repaint or plain ``live:`` lines),
-  raw stream tees, and the quorum-frontier stall detector that triggers
-  ``flight`` dumps (``docs/observability.md`` "Live streaming and
-  causal analysis").
+  raw stream tees, diagnostic dumps cut from what the tees hold, and the
+  quorum-frontier stall detector that writes one (``docs/observability.md``
+  "Live streaming and causal analysis").
 * :mod:`repro.runtime.consistency` — a node's whole delivered log as
   digests, past lives included, for
   :func:`repro.core.node.check_prefix_consistency`.

@@ -39,10 +39,10 @@ one-line-per-node commit-frontier / queue-depth table (in place on a
 TTY, as plain ``live:`` lines otherwise) and tees each node's raw stream
 to ``node-<pid>.stream.jsonl``. A stall detector rides on the same
 streams: when the quorum commit frontier is flat for ``--stall-window``
-seconds the driver pulls every node's ``flight`` dump (status + newest
-events) into ``stall-<k>.json``. A total-order violation likewise lands
-in ``flight-consistency.json``, and a boot, recovery or wave-target
-timeout into ``flight-timeout.json``, before the cluster is torn down.
+seconds the view cuts a dump (each node's newest life header, newest
+teed events and last stream tick, as one trace) into ``stall-<k>.jsonl``.
+A total-order violation likewise lands in ``flight-consistency.jsonl``,
+and a boot, recovery or wave-target timeout in ``flight-timeout.jsonl``.
 
 Exit codes: 0 success, 1 total-order violation, 2 unusable input (a bad
 flag, scenario or peer table — including a planned table the runners'
@@ -57,17 +57,16 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, ConsistencyError, FabricError
-from repro.core.node import check_prefix_consistency
-from repro.obs.export import Trace, TraceFormatError, dumps_trace, load_trace
+from repro.core.node import COIN_MODES, check_prefix_consistency
+from repro.obs.export import TraceFormatError, load_trace
 from repro.runtime import linerpc
-from repro.runtime.live import DEFAULT_STALL_WINDOW, LiveView
+from repro.runtime.live import DEFAULT_STALL_WINDOW, LiveView, link_totals, merge_traces
 from repro.runtime.peers import (
     PeerTable,
     allocate_port_block,
@@ -283,19 +282,16 @@ class Fabric:
     ) -> dict[str, Any]:
         return linerpc.call(self.table.entry(pid).control_address, request, timeout)
 
-    def _ask_all(
-        self, request: dict[str, Any], timeout: float = 2.0
-    ) -> dict[int, dict[str, Any]]:
+    def _ask_all(self, request: dict[str, Any]) -> dict[int, dict[str, Any]]:
         """One control request to every node; best-effort, never raises.
 
         An unreachable node is reported in the server's own error shape,
-        ``{"ok": False, "error": ...}``: pollers read the missing fields as
-        "not there yet", diagnostics record the failure instead of aborting.
+        ``{"ok": False, "error": ...}``, which pollers read as "not there yet".
         """
         replies: dict[int, dict[str, Any]] = {}
         for entry in self.table.peers:
             try:
-                replies[entry.pid] = self._call(entry.pid, request, timeout)
+                replies[entry.pid] = self._call(entry.pid, request, timeout=2.0)
             except (OSError, ValueError) as error:
                 replies[entry.pid] = {"ok": False, "error": str(error)}
         return replies
@@ -366,73 +362,8 @@ class Fabric:
         """Add ``delay`` seconds before every frame ``pid`` writes (0 = off)."""
         self._call(pid, {"cmd": "slow", "delay": delay})
 
-    def flight_dumps(
-        self, reason: str, stalled_for: float | None = None, index: int | None = None
-    ) -> Path:
-        """Pull every reachable node's newest events into one file.
-
-        The ``flight`` control command makes each node reply with its
-        status and the tail of its event bus as a ``repro.obs.trace``
-        document, and stamp its own trace with ``flight_dump`` — so
-        post-hoc analysis of the traces can line the dumps up with protocol
-        time. Unreachable nodes are recorded as errors rather than
-        aborting: diagnostics must degrade, not fail.
-        """
-        request: dict[str, Any] = {"cmd": "flight", "reason": reason}
-        if stalled_for is not None:
-            request["stalled_for"] = round(stalled_for, 3)
-        dumps = self._ask_all(request, timeout=10.0)  # JSON turns pid keys into strings
-        suffix = f"-{index}" if index is not None else ""
-        name = "stall" if reason == "stall" else f"flight-{reason}"
-        path = self.out_dir / f"{name}{suffix}.json"
-        path.write_text(
-            json.dumps({"reason": reason, "nodes": dumps}, indent=2, sort_keys=True),
-            encoding="utf-8",
-        )
-        return path
-
     def stop(self) -> None:
         self._ask_all({"cmd": "stop"})
-
-
-# ------------------------------------------------------------------ merging
-
-
-def link_totals(traces: Iterable[Trace]) -> Counter[str]:
-    """Link counters (each life's last metrics record) summed over lives and hosts."""
-    totals: Counter[str] = Counter()
-    for life in (life for trace in traces for life in trace.lives):
-        links = (life.metrics or {}).get("links", {})
-        if isinstance(links, dict):
-            for key, value in links.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    totals[key] += value
-    return totals
-
-
-def merge_traces(traces: Sequence[Trace]) -> str:
-    """Merge per-host traces into one JSONL document.
-
-    Events interleave by their host's monotonic clock: exact within a
-    host (every node and life on it shares the clock), approximate across
-    hosts. Link counters are summed into the metrics footer,
-    ``dropped_events`` counts every event the traces lack, and ``clocks``
-    names each pid's host, whose clock stamped its events.
-    """
-    events = sorted(
-        (event for trace in traces for event in trace.events),
-        key=lambda event: (event.time, event.pid),
-    )
-    pids = [int(str(trace.meta.get("pid", -1))) for trace in traces]
-    meta = {
-        "merged_hosts": len(traces),
-        "pids": sorted(pids),
-        "clocks": {
-            pid: str(trace.meta["host"]) for pid, trace in zip(pids, traces) if "host" in trace.meta
-        },
-        "dropped_events": sum(life.missing for trace in traces for life in trace.lives),
-    }
-    return dumps_trace(events, meta=meta, metrics={"links": dict(link_totals(traces))})
 
 
 # --------------------------------------------------------------------- main
@@ -450,9 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--n", type=int, default=4, help="number of nodes")
     parser.add_argument("--seed", type=int, default=0, help="run seed")
-    parser.add_argument(
-        "--coin", default="ideal", choices=["ideal", "threshold", "piggyback"]
-    )
+    parser.add_argument("--coin", default="ideal", choices=COIN_MODES)
     parser.add_argument(
         "--waves", type=int, default=3, help="waves every node must commit"
     )
@@ -488,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stall-window",
         type=float,
         default=DEFAULT_STALL_WINDOW,
-        help="seconds of flat quorum commit frontier before pulling "
-        "flight-recorder dumps (default: %(default)s)",
+        help="seconds of flat quorum commit frontier before writing a "
+        "stall dump (default: %(default)s)",
     )
     parser.add_argument(
         "--gc-depth",
@@ -582,15 +511,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         interval=args.live_interval,
         stall_window=args.stall_window,
     )
-
-    def _on_stall(stalled_for: float, frontier: int) -> None:
-        # Runs on the view's render thread.
-        path = fabric.flight_dumps("stall", stalled_for, index=live.stalls)
-        live.note(
-            f"fabric: stall diagnostics (frontier wave {frontier}) written to {path}"
-        )
-
-    live.on_stall = _on_stall
     live.set_banner("booting")
     deadline = time.monotonic() + args.timeout
     # Its readers retry while the runners boot.
@@ -617,23 +537,18 @@ def main(argv: Sequence[str] | None = None) -> int:
                         f"target (waves>={args.waves}) not reached in time"
                     )
                 live.set_banner("targets reached; collecting state")
-                # Verify and collect while the nodes are still live: a
-                # violation can then be answered with flight dumps.
                 prefix = fabric.check_consistency()
                 statuses = {entry.pid: fabric.status(entry.pid) for entry in table.peers}
             except ConsistencyError as error:
-                dump_path = fabric.flight_dumps("consistency")
+                dump_path = live.write_dump("flight-consistency", "consistency")
                 print(
-                    f"fabric: TOTAL ORDER VIOLATION: {error} "
-                    f"(flight dumps: {dump_path})",
+                    f"fabric: TOTAL ORDER VIOLATION: {error} (dump: {dump_path})",
                     file=sys.stderr,
                 )
                 return 1
             except FabricError as error:
-                # The moment the newest events matter most: pull them
-                # before the teardown destroys them.
-                dump_path = fabric.flight_dumps("timeout")
-                print(f"fabric: {error} (flight dumps: {dump_path})", file=sys.stderr)
+                dump_path = live.write_dump("flight-timeout", "timeout")
+                print(f"fabric: {error} (dump: {dump_path})", file=sys.stderr)
                 return 2
             except (OSError, ValueError) as error:
                 print(f"fabric: control failure: {error}", file=sys.stderr)

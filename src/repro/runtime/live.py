@@ -9,17 +9,21 @@ seen, ring drops. A render thread repaints
 that table once per tick — in-place with ANSI cursor movement on a TTY,
 as plain periodic ``live:`` lines otherwise (CI logs stay greppable).
 
-The view doubles as the driver-side stall detector: every tick it feeds
-each node's decided wave into :class:`repro.obs.stream.StallDetector`,
-and when the quorum commit frontier goes flat for the configured window
-it fires the ``on_stall`` callback (the fabric driver uses it to pull
-``flight`` dumps from every node).
-
 Stream lines are teed verbatim to ``<out_dir>/node-<pid>.stream.jsonl``,
 the node's one trace, which every ``python -m repro.obs`` subcommand
 reads. A stream that ends while the view runs is subscribed again: a
 restarted node's next life is appended to the same tee, starting with its
 own header, and a replay of what the tee holds is cut.
+
+The view also keeps, per node, what a diagnostic **dump** holds: the
+header of the newest life teed, the newest :data:`DUMP_EVENTS` events
+teed and the last metrics record. :meth:`LiveView.dump` merges them into
+one ``repro.obs.trace`` document, so a node that died or wedged is in it
+up to its last teed line, and nothing asks a node for anything. The view
+doubles as the driver-side stall detector: every tick it feeds each
+node's decided wave into :class:`repro.obs.stream.StallDetector`, and
+when the quorum commit frontier goes flat for the configured window it
+writes ``<out_dir>/stall-<k>.jsonl``.
 
 Everything here is driver-side tooling on real wall clocks
 (``time.monotonic``), matching the rest of :mod:`repro.runtime.fabric`;
@@ -32,11 +36,21 @@ import json
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, TextIO
+from typing import Any, Iterable, Mapping, Sequence, TextIO
 
-from repro.obs.export import METRICS_SCHEMA, TRACE_SCHEMA
+from repro.obs.events import Event
+from repro.obs.export import (
+    METRICS_SCHEMA,
+    TRACE_SCHEMA,
+    Life,
+    Trace,
+    TraceFormatError,
+    dumps_trace,
+    record_event,
+)
 from repro.obs.stream import StallDetector
 from repro.runtime.linerpc import LineStream
 from repro.runtime.peers import PeerTable
@@ -51,6 +65,9 @@ STOP_GRACE = 2.0
 
 #: Default seconds of flat quorum commit frontier before a stall fires.
 DEFAULT_STALL_WINDOW = 30.0
+
+#: How many of a node's newest teed events a dump holds.
+DUMP_EVENTS = 256
 
 
 @dataclass
@@ -68,6 +85,11 @@ class NodeView:
     #: Newest event time teed; the stream's header until a line after it is.
     last_t: float = float("-inf")
     header: str | None = None
+    #: A dump's share: the newest teed life's header meta, the newest
+    #: teed events and the last metrics record (lock-guarded).
+    life: dict[str, Any] = field(default_factory=dict)
+    tail: deque[Event] = field(default_factory=lambda: deque(maxlen=DUMP_EVENTS))
+    metrics: dict[str, Any] | None = None
 
     def row(self) -> str:
         """One rendered table row for this node."""
@@ -78,6 +100,16 @@ class NodeView:
             f"queue {self.queue_depth:>3} events {self.events:>5}"
             f"{drops} [{self.state}]"
         )
+
+    def trace(self) -> Trace:
+        """This node's part of a dump, one life: the newest life's header,
+        whose ``dropped_events`` also counts the older teed events the tail
+        leaves out, the tail, and the last metrics record."""
+        meta: dict[str, Any] = {"pid": self.pid, **self.life}
+        lost = meta.get("dropped_events")
+        omitted = self.events - len(self.tail)
+        meta["dropped_events"] = (lost if isinstance(lost, int) else 0) + omitted
+        return Trace([Life(meta, self.metrics)], list(self.tail))
 
 
 class LiveView:
@@ -96,14 +128,12 @@ class LiveView:
         out_dir: Path | None = None,
         interval: float = 1.0,
         stall_window: float = DEFAULT_STALL_WINDOW,
-        on_stall: Callable[[float, int], None] | None = None,
     ) -> None:
         self.table = table
         self.request = dict(subscribe_request)
         self.out_dir = out_dir
         self.sink: TextIO = sys.stdout
         self.interval = max(0.1, interval)
-        self.on_stall = on_stall
         self.detector = StallDetector(table.n, window=stall_window)
         self.stalls = 0
         self._tty = _is_tty(self.sink)
@@ -211,6 +241,26 @@ class LiveView:
         with self._lock:
             self._banner = text
 
+    # -------------------------------------------------------------- dumps
+
+    def dump(self, reason: str, **meta: object) -> str:
+        """Every node's newest teed life, events and metrics record, merged
+        into one ``repro.obs.trace`` document (:func:`merge_traces`) whose
+        meta names the ``reason`` plus ``meta``. A node's status is its last
+        stream tick, so it is up to one ``interval`` old; a dead node's
+        part ends at the last line its stream delivered."""
+        with self._lock:
+            traces = [self._nodes[pid].trace() for pid in sorted(self._nodes)]
+        return merge_traces(traces, meta={"reason": reason, **meta})
+
+    def write_dump(self, name: str, reason: str, **meta: object) -> Path:
+        """:meth:`dump` into ``<out_dir>/<name>.jsonl``; the path."""
+        if self.out_dir is None:
+            raise ValueError("this view has no out_dir to write a dump to")
+        path = self.out_dir / f"{name}.jsonl"
+        path.write_text(self.dump(reason, **meta), encoding="utf-8")
+        return path
+
     # ------------------------------------------------------------ readers
 
     def _read_node(self, pid: int, address: tuple[str, int]) -> None:
@@ -276,20 +326,28 @@ class LiveView:
             with self._lock:
                 view.header, view.state = text, "live"
             return []
-        event = "kind" in line and isinstance(line.get("t"), (int, float))
-        if event and line["t"] <= view.last_t:
-            view.header = None
-            return []
         tick = line.get("metrics")
-        if not event and (line.get("schema") != METRICS_SCHEMA or not isinstance(tick, dict)):
-            return []
+        event = None
+        if line.get("schema") != METRICS_SCHEMA or not isinstance(tick, dict):
+            try:
+                event = record_event(line)
+            except TraceFormatError:
+                return []
+            if event.time <= view.last_t:
+                view.header = None
+                return []
         kept = [text] if view.header is None else [view.header, text]
-        view.header = None
         with self._lock:
-            if event:
-                view.last_t = line["t"]
+            if view.header is not None:
+                life = json.loads(view.header).get("meta")
+                view.life = life if isinstance(life, dict) else {}
+                view.header = None
+            if event is not None:
+                view.last_t = event.time
                 view.events += 1
+                view.tail.append(event)
                 return kept
+            view.metrics = tick
             status = tick.get("status")
             if isinstance(status, dict):
                 view.decided_wave = int(status.get("decided_wave", -1))
@@ -318,17 +376,63 @@ class LiveView:
             self.detector.observe(pid, wave, now)
         if self.detector.check(now):
             self.stalls += 1
-            stalled = self.detector.window
-            frontier = self.detector.quorum_frontier()
+            window = self.detector.window
             self.note(
-                f"live: STALL: quorum commit frontier flat at wave {frontier} "
-                f"for {self.detector.window:.0f}s"
+                f"live: STALL: quorum commit frontier flat at wave "
+                f"{self.detector.quorum_frontier()} for {window:.0f}s"
             )
-            if self.on_stall is not None:
+            if self.out_dir is not None:
                 try:
-                    self.on_stall(stalled, frontier)
-                except (OSError, ValueError) as error:
-                    self.note(f"live: stall diagnostics failed: {error}")
+                    path = self.write_dump(f"stall-{self.stalls}", "stall", stalled_for=window)
+                except OSError as error:
+                    self.note(f"live: stall dump failed: {error}")
+                else:
+                    self.note(f"live: stall dump written to {path}")
+
+
+def link_totals(traces: Iterable[Trace]) -> Counter[str]:
+    """Link counters (each life's last metrics record) summed over lives and hosts."""
+    totals: Counter[str] = Counter()
+    for life in (life for trace in traces for life in trace.lives):
+        links = (life.metrics or {}).get("links", {})
+        if isinstance(links, dict):
+            for key, value in links.items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    totals[key] += value
+    return totals
+
+
+def merge_traces(traces: Sequence[Trace], meta: Mapping[str, object] | None = None) -> str:
+    """Merge per-host traces into one JSONL document.
+
+    Events interleave by their host's monotonic clock: exact within a
+    host (every node and life on it shares the clock), approximate across
+    hosts. ``dropped_events`` counts every event the traces lack,
+    ``clocks`` names each pid's host, whose clock stamped its events, and
+    ``nodes`` holds each pid's newest life header; ``meta`` adds to them.
+    The footer sums the link counters and keeps, under ``nodes``, each
+    pid's last metrics record.
+    """
+    events = sorted(
+        (event for trace in traces for event in trace.events),
+        key=lambda event: (event.time, event.pid),
+    )
+    pids = [int(str(trace.meta.get("pid", -1))) for trace in traces]
+    header = {
+        "merged_hosts": len(traces),
+        "pids": sorted(pids),
+        "clocks": {
+            pid: str(trace.meta["host"]) for pid, trace in zip(pids, traces) if "host" in trace.meta
+        },
+        "dropped_events": sum(life.missing for trace in traces for life in trace.lives),
+        "nodes": {pid: trace.lives[-1].meta for pid, trace in zip(pids, traces)},
+        **(meta or {}),
+    }
+    metrics = {
+        "links": dict(link_totals(traces)),
+        "nodes": {pid: trace.metrics for pid, trace in zip(pids, traces)},
+    }
+    return dumps_trace(events, meta=header, metrics=metrics)
 
 
 def _is_tty(sink: TextIO) -> bool:

@@ -26,15 +26,15 @@ The control socket is a :class:`repro.runtime.linerpc.LineServer` (framing,
 error replies and shutdown: docs/runtime.md "Line RPC"). Its verbs:
 ``ping``, ``status``, ``log`` (position-wise entry digests, hex, for the
 cross-host prefix-consistency check), ``partition`` / ``heal`` / ``slow``
-(scenario fault injection), ``flight`` (the newest :data:`FLIGHT_EVENTS`
-events of the bus as a trace — the black box a stall diagnostic fetches),
-and ``stop``. One verb streams, the one way a node's events leave it:
+(scenario fault injection) and ``stop``. One verb streams, the one way a
+node's events leave it:
 ``subscribe`` answers with this host's ``repro.obs.trace`` v1 document
 written live — the header, the bus's window, then each event as it is
 emitted (bounded ring, oldest dropped and counted) and every ``interval``
 seconds one ``repro.obs.metrics`` record (``links``, ``status``, the ring's
 ``dropped``; all absolute) until the client disconnects or the node stops.
-See docs/observability.md "Live streaming and causal analysis".
+The driver's diagnostic dumps are cut from these streams, not asked of the
+node. See docs/observability.md "Live streaming and causal analysis".
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.mempool.admission import Mempool
 from repro.mempool.gateway import IngressGateway
 from repro.obs.context import Observability
 from repro.obs.events import Event
-from repro.obs.export import dumps_trace, event_line, header_line, metrics_line
+from repro.obs.export import event_line, header_line, metrics_line
 from repro.obs.stream import DEFAULT_STREAM_CAPACITY, EventRing
 from repro.runtime.consistency import full_digest_log
 from repro.runtime.linerpc import LineServer, Send
@@ -61,9 +61,6 @@ from repro.storage.journal import NodeJournal, RecoveryReport, recover_node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.chaos import ChaosTransport
-
-#: How many of the bus's newest events a ``flight`` dump carries.
-FLIGHT_EVENTS = 256
 
 
 class NodeRunner:
@@ -198,51 +195,12 @@ class NodeRunner:
             status["ingress"] = self.mempool.status()
         return status
 
-    def flight_dump(
-        self, reason: str, stalled_for: float | None = None
-    ) -> dict[str, object]:
-        """The bus's newest :data:`FLIGHT_EVENTS` events as a trace (the
-        ``flight`` control command).
-
-        Emits ``flight_dump`` into the node's own trace (so post-hoc
-        analysis sees *when* diagnostics were taken), and — when the
-        driver's stall detector asked (``reason="stall"``) — a
-        ``stall_detected`` event stamped with how long the quorum
-        frontier had been flat from the driver's point of view.
-        """
-        obs = self.observability
-        bus = obs.bus
-        if reason == "stall":
-            obs.emit(
-                self.pid,
-                "stall_detected",
-                stalled_for=stalled_for,
-                decided_wave=self.node.decided_wave,
-            )
-        tail = list(bus.events)[-FLIGHT_EVENTS:]
-        meta = {**self.trace_meta(len(tail)), "reason": reason, "t": bus.now}
-        obs.emit(
-            self.pid,
-            "flight_dump",
-            reason=reason,
-            events=len(tail),
-            overwritten=meta["dropped_events"],
-        )
-        return {
-            "ok": True,
-            "pid": self.pid,
-            "status": self.status(),
-            "trace": dumps_trace(tail, meta=meta, metrics=self.trace_metrics()),
-        }
-
     # -------------------------------------------------------------- tracing
 
-    def trace_meta(self, held: int | None = None) -> dict[str, Any]:
-        """This host's header for a document that starts at the newest
-        ``held`` events of the bus (default: its whole retention window):
-        who it is, and how many older events the document does not hold."""
-        bus = self.observability.bus
-        older = bus.dropped + (0 if held is None else len(bus.events) - held)
+    def trace_meta(self) -> dict[str, Any]:
+        """This host's header for a document that starts at the bus's
+        retention window: who it is, and how many older events the document
+        does not hold."""
         return {
             "pid": self.pid,
             "n": self.config.n,
@@ -250,12 +208,12 @@ class NodeRunner:
             "coin_mode": self.table.coin_mode,
             "host": self.entry.host,
             "port": self.entry.port,
-            "dropped_events": older,
+            "dropped_events": self.observability.bus.dropped,
         }
 
     def trace_metrics(self) -> dict[str, object]:
-        """The metrics record of this host's flight dumps and stream ticks:
-        ``links``, the link counters (``LinkStats``) and queue state."""
+        """The metrics record of this host's stream ticks: ``links``, the
+        link counters (``LinkStats``) and queue state."""
         return {"links": self.network.link_report()}
 
 
@@ -275,7 +233,6 @@ class ControlServer(LineServer):
                 "partition": self._partition,
                 "heal": self._heal,
                 "slow": self._slow,
-                "flight": self._flight,
                 "stop": self._stop,
             },
             streams={"subscribe": self._serve_subscribe},
@@ -301,13 +258,6 @@ class ControlServer(LineServer):
         delay = float(request.get("delay", 0.0))
         self.runner.network.set_peer_delay(delay)
         return self._reply(delay=delay)
-
-    def _flight(self, request: dict[str, Any]) -> dict[str, object]:
-        stalled = request.get("stalled_for")
-        return self.runner.flight_dump(
-            str(request.get("reason", "manual")),
-            stalled_for=None if stalled is None else _finite(stalled, "stalled_for"),
-        )
 
     def _stop(self, request: dict[str, Any]) -> dict[str, object]:
         self.runner.request_stop()

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import ConfigurationError, FabricError
+from repro.core.node import COIN_MODES
 from repro.runtime.transport import MAX_PEER_DELAY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (fabric imports this module)
@@ -209,7 +210,7 @@ def parse_scenario(raw: dict[str, Any], origin: str = "<scenario>") -> Scenario:
     if not isinstance(n, int) or isinstance(n, bool) or n < 4:
         raise ConfigurationError(f"{origin}: n must be an int >= 4, got {n!r}")
     coin = raw.get("coin", "ideal")
-    if coin not in ("ideal", "threshold", "piggyback"):
+    if coin not in COIN_MODES:
         raise ConfigurationError(f"{origin}: unknown coin mode {coin!r}")
     _require_number(raw, "seed", origin, 0, integer=True)
     _require_number(raw, "waves", origin, 1, integer=True)

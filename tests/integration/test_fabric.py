@@ -8,13 +8,14 @@ check across process boundaries, and merges the per-host traces. The live
 telemetry plane rides along: per-node ``subscribe`` streams feed the plain
 (non-TTY) progress view and are teed to ``node-<pid>.stream.jsonl`` (each
 host's trace, which the merge reads), the merged trace feeds ``python -m repro.obs causal``, and a partitioned
-quorum trips the stall detector into ``flight`` dumps.
+quorum trips the stall detector into a dump cut from those tees.
 """
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -200,8 +201,7 @@ def stall_run(tmp_path_factory):
 
     ``scenarios/stall-probe.json`` splits n=4 into 2+2, so no group has a
     commit quorum (3) and the commit frontier goes flat until the heal —
-    long enough for the driver's stall detector to fire and pull flight
-    dumps.
+    long enough for the driver's stall detector to fire and cut a dump.
     """
     out_dir = tmp_path_factory.mktemp("fabric-stall")
     result = subprocess.run(
@@ -233,23 +233,35 @@ class TestStallDiagnostics:
         out_dir, result = stall_run
         assert result.returncode == 0, result.stdout + result.stderr
         assert "live: STALL: quorum commit frontier flat" in result.stdout
-        assert "fabric: stall diagnostics" in result.stdout
+        assert "live: stall dump written to" in result.stdout
         # The run still completes once the partition heals.
         assert "digest-based total order OK" in result.stdout
 
     def test_stall_dump_carries_per_node_flight_rings(self, stall_run):
+        """The dump is one trace: every node's newest teed events (at most
+        256 each), its newest life header and its last stream tick."""
         out_dir, _result = stall_run
-        dumps = sorted(out_dir.glob("stall-*.json"))
+        dumps = sorted(out_dir.glob("stall-*.jsonl"))
         assert dumps, "stall detector fired but wrote no dump"
-        document = json.loads(dumps[0].read_text(encoding="utf-8"))
-        assert document["reason"] == "stall"
-        assert set(document["nodes"]) == {"0", "1", "2", "3"}
-        for node in document["nodes"].values():
-            assert node["ok"], node
-            assert node["status"]["decided_wave"] >= 0
-            trace = loads_trace(node["trace"])
-            assert trace.meta["reason"] == "stall"
-            assert 0 < len(trace.events) <= 256
-            assert "links" in trace.metrics
-            # The dump request itself stamps the log before its tail is cut.
-            assert "stall_detected" in [event.kind for event in trace.events]
+        dump = load_trace(str(dumps[0]))
+        assert dump.meta["reason"] == "stall"
+        assert dump.meta["stalled_for"] == 2.0
+        assert dump.meta["pids"] == [0, 1, 2, 3]
+        per_pid = Counter(event.pid for event in dump.events)
+        assert set(per_pid) == {0, 1, 2, 3}
+        assert max(per_pid.values()) <= 256
+        for pid in ("0", "1", "2", "3"):
+            assert dump.meta["nodes"][pid]["pid"] == int(pid)
+            tick = dump.metrics["nodes"][pid]
+            assert tick["status"]["decided_wave"] >= 0
+            assert tick["links"]["frames_sent"] > 0
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.obs", "summarize", str(dumps[0])],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=str(REPO),
+            env=ENV,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "reason=stall" in result.stdout

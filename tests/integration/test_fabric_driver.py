@@ -1,5 +1,6 @@
 """The fabric driver's failure paths: a child that will not die, a run
-that misses its target. ``test_fabric.py`` covers the runs that succeed."""
+that misses its target, a node killed and never brought back.
+``test_fabric.py`` covers the runs that succeed."""
 
 import asyncio
 import json
@@ -9,15 +10,17 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.common.config import SystemConfig
 from repro.obs.context import Observability
-from repro.obs.export import loads_trace
+from repro.obs.export import load_trace
 from repro.runtime import fabric as fabric_module
-from repro.runtime.fabric import Fabric
+from repro.runtime.fabric import Fabric, plan_table
+from repro.runtime.live import DUMP_EVENTS, LiveView
 from repro.runtime.peers import allocate_port_block, make_peer_table
 from repro.runtime.runner import ControlServer, NodeRunner
 
@@ -79,18 +82,54 @@ def test_missed_target_exits_2_and_leaves_the_flight_rings(tmp_path):
         env=ENV,
     )
     assert result.returncode == 2, result.stdout + result.stderr
-    dump_path = tmp_path / "flight-timeout.json"
+    dump_path = tmp_path / "flight-timeout.jsonl"
     assert "target (waves>=1000000) not reached in time" in result.stderr
-    assert f"(flight dumps: {dump_path})" in result.stderr
-    document = json.loads(dump_path.read_text(encoding="utf-8"))
-    assert document["reason"] == "timeout"
-    assert set(document["nodes"]) == {"0", "1", "2", "3"}
-    for node in document["nodes"].values():
-        assert node["ok"], node
-        assert node["status"]["decided_wave"] >= 1
-        trace = loads_trace(node["trace"])
-        assert trace.meta["reason"] == "timeout"
-        assert 0 < len(trace.events) <= 256
+    assert f"(dump: {dump_path})" in result.stderr
+    dump = load_trace(str(dump_path))
+    assert dump.meta["reason"] == "timeout"
+    assert dump.meta["pids"] == [0, 1, 2, 3]
+    per_pid = Counter(event.pid for event in dump.events)
+    assert set(per_pid) == {0, 1, 2, 3}
+    assert max(per_pid.values()) <= DUMP_EVENTS
+    for pid in ("0", "1", "2", "3"):
+        assert dump.metrics["nodes"][pid]["status"]["decided_wave"] >= 1
+
+
+def test_a_killed_node_is_in_the_timeout_dump_up_to_the_kill(tmp_path):
+    """The dump is cut from the view's tees, so a node SIGKILLed and never
+    respawned is in it up to the last line its stream delivered. Asking the
+    nodes instead got the dead one only ``{"ok": false, "error": ...}``."""
+    table = plan_table(["localhost"], 4, seed=3, coin_mode="ideal")
+    peers_path = tmp_path / "peers.json"
+    peers_path.write_text(table.dumps(), encoding="utf-8")
+    live = LiveView(
+        table, {"cmd": "subscribe", "interval": 0.2}, out_dir=tmp_path, interval=0.2
+    )
+    live.start()
+    try:
+        with Fabric(table, peers_path, tmp_path, 90.0) as fabric:
+            fabric.spawn()
+            deadline = time.monotonic() + 60.0
+            assert fabric.wait_ready(deadline) and live.wait_live(deadline)
+            # Until a stream tick of the victim's reports a decided wave.
+            while live._nodes[2].decided_wave < 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            victim = fabric.processes[2]
+            victim.kill()
+            victim.wait()
+            while live._nodes[2].state == "live" and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert live._nodes[2].state != "live"
+            dump_path = live.write_dump("flight-timeout", "timeout")
+    finally:
+        live.stop()
+    dump = load_trace(str(dump_path))
+    tee = load_trace(str(tmp_path / "node-2.stream.jsonl"))
+    killed = [event for event in dump.events if event.pid == 2]
+    assert killed and killed == tee.events[-DUMP_EVENTS:]
+    assert dump.meta["nodes"]["2"]["pid"] == 2
+    assert dump.meta["nodes"]["2"]["dropped_events"] == len(tee.events) - len(killed)
+    assert dump.metrics["nodes"]["2"]["status"]["decided_wave"] >= 1
 
 
 @pytest.mark.parametrize(

@@ -15,14 +15,14 @@ One line differs from the parent on purpose: the gateway used to say
 ``unknown ingress command 'x'`` where the control socket said ``unknown
 command 'x'``; with one server there is one text.
 
-Two replies were re-recorded when the observability plane stopped keeping
-a second copy of each fact: a ``subscribe`` stream is the node's
+A ``subscribe`` stream was re-recorded when the observability plane
+stopped keeping a second copy of each fact: it is the node's
 ``repro.obs.trace`` document written live (its request keeps ``interval``
-only), and ``flight`` answers with the bus tail as such a document.
+only). The ``flight`` verb, which answered with the bus tail as a second
+such document, is gone: the driver cuts its dumps from the streams.
 """
 
 import asyncio
-import json
 import re
 
 from repro.common.config import SystemConfig
@@ -59,6 +59,7 @@ CONTROL_SCRIPT = [
     b'{"cmd": "partition", "peers": [3, 1]}',
     b'{"cmd": "heal"}',
     b'{"cmd": "bogus"}',
+    b'{"cmd": "flight"}',
     b'{"nocmd": 1}',
     b"not json",
     b"[1, 2]",
@@ -76,6 +77,7 @@ CONTROL_GOLDEN = [
     '{"blocked": [1, 3], "ok": true, "pid": 0}\n',
     '{"healed": true, "ok": true, "pid": 0}\n',
     '{"error": "unknown command \'bogus\'", "ok": false}\n',
+    '{"error": "unknown command \'flight\'", "ok": false}\n',
     '{"error": "unknown command None", "ok": false}\n',
     '{"error": "Expecting value: line 1 column 1 (char 0)", "ok": false}\n',
     '{"error": "request must be an object", "ok": false}\n',
@@ -87,15 +89,6 @@ SUBSCRIBE_HEADER = (
     '{"meta":{"coin_mode":"ideal","dropped_events":#,"host":"127.0.0.1",'
     '"interval":0.05,"n":4,"pid":0,"port":#,"seed":14},'
     '"schema":"repro.obs.trace","version":1}\n'
-)
-
-FLIGHT_REQUEST = b'{"cmd": "flight", "reason": "golden"}\n'
-#: The reply's ``trace`` string is a trace document: this header, the
-#: newest 256 events, the metrics footer.
-FLIGHT_HEADER = (
-    '{"meta":{"coin_mode":"ideal","dropped_events":#,"host":"127.0.0.1",'
-    '"n":4,"pid":0,"port":#,"reason":"golden","seed":14,'
-    '"t":#},"schema":"repro.obs.trace","version":1}'
 )
 
 INGRESS_SCRIPT = [
@@ -220,20 +213,14 @@ def test_control_and_ingress_replies_are_byte_identical(free_peers, free_port):
         sub_header = (await read_lines(sub_reader, 1))[0]
         ingress = await converse(ingress_port, INGRESS_SCRIPT)
         ack_lines += await read_lines(ack_reader, 5)
-        flight_reader, flight_writer = await asyncio.open_connection(
-            "127.0.0.1", control_port, limit=1 << 20
-        )
-        flight_writer.write(FLIGHT_REQUEST)
-        flight = await asyncio.wait_for(flight_reader.readline(), 20.0)
-        flight_writer.close()
         control_lines = await converse(control_port, CONTROL_SCRIPT)
         # ``stop`` ends the subscription with one last tick, then EOF.
         tail = await asyncio.wait_for(sub_reader.read(), 10.0)
         ack_writer.close()
         sub_writer.close()
-        return control_lines, sub_header, tail, flight, ingress, ack_lines
+        return control_lines, sub_header, tail, ingress, ack_lines
 
-    control, sub_header, sub_tail, flight, ingress, acks = on_node_zero(
+    control, sub_header, sub_tail, ingress, acks = on_node_zero(
         free_peers, free_port, conversation
     )
     assert control == CONTROL_GOLDEN
@@ -241,16 +228,6 @@ def test_control_and_ingress_replies_are_byte_identical(free_peers, free_port):
     last = sub_tail.decode().splitlines()[-1]
     assert re.match(r'\{"metrics":\{"dropped":\d+,"links":\{', last) and '"status":{' in last
     assert last.endswith('},"schema":"repro.obs.metrics","version":1}')
-    # ``flight``: the ``status`` reply, then the trace as one JSON string.
-    status = CONTROL_GOLDEN[1].strip()
-    assert mask(flight).startswith(
-        f'{{"ok": true, "pid": 0, "status": {status}, "trace": "'
-    )
-    header, *events, footer = json.loads(flight)["trace"].splitlines()
-    assert mask(header.encode()) == FLIGHT_HEADER
-    assert len(events) == 256
-    assert footer.startswith('{"metrics":{"links":{')
-    assert json.loads(footer)["metrics"]["links"]["frames_sent"] > 0
     assert ingress == INGRESS_GOLDEN
     assert acks == ACK_GOLDEN
 

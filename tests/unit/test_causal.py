@@ -17,7 +17,7 @@ from repro.obs.cli import main as obs_main
 from repro.obs.export import dumps_trace, loads_trace
 from repro.perf.cells import smoke_cells
 from repro.perf.runner import run_cell_traced
-from repro.runtime.fabric import merge_traces
+from repro.runtime.live import merge_traces
 
 
 class TestPercentile:

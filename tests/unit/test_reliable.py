@@ -718,16 +718,15 @@ class TestRuntimeFaults:
 
     def test_trace_verbs_refuse_non_finite_numbers(self, free_peers, free_port):
         """``subscribe`` with ``interval`` 1e999 wrote ``Infinity`` (not
-        JSON) into its header and never ticked; ``flight`` put ``inf`` into
-        the node's own trace."""
+        JSON) into its header and never ticked."""
         requests = [
-            b'{"cmd": "flight", "reason": "stall", "stalled_for": 1e999}',
-            b'{"cmd": "flight", "reason": "stall", "stalled_for": NaN}',
             b'{"cmd": "subscribe", "interval": 1e999}',
+            b'{"cmd": "subscribe", "interval": NaN}',
         ]
         replies, _ = control_replies(requests, free_peers, free_port)
         assert [reply["ok"] for reply in replies] == [False] * len(requests)
-        assert replies[2]["error"] == "interval must be a finite number, got inf"
+        assert replies[0]["error"] == "interval must be a finite number, got inf"
+        assert replies[1]["error"] == "interval must be a finite number, got nan"
 
 
 def control_replies(requests, free_peers, free_port):

@@ -3,14 +3,17 @@
 Covers the bounded event ring (overflow drops oldest + counts), the
 control socket's ``subscribe`` verb (a ``repro.obs.trace`` document
 written live: header, the bus's window, each event as it is emitted, one
-metrics record per tick) and
-``flight`` verb (the bus tail as a trace) served by a ``NodeRunner``
-whose data socket is never bound, and the stall detector (a frozen
-quorum trips it; a slow-but-progressing one does not).
+metrics record per tick) served by a ``NodeRunner`` whose data socket is
+never bound, the dumps a ``LiveView`` cuts from the stream lines it
+folded, and the stall detector (a frozen quorum trips it; a
+slow-but-progressing one does not).
 """
 
 import asyncio
 import json
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -22,15 +25,18 @@ from repro.obs.export import (
     METRICS_SCHEMA,
     TRACE_SCHEMA,
     event_line,
+    header_line,
+    load_trace,
     loads_trace,
     metrics_line,
     record_event,
 )
 from repro.obs.stream import DEFAULT_STREAM_CAPACITY, EventRing, StallDetector
+from repro.runtime import live as live_module
 from repro.runtime import runner as runner_module
-from repro.runtime.live import LiveView
+from repro.runtime.live import DUMP_EVENTS, LiveView
 from repro.runtime.peers import make_peer_table
-from repro.runtime.runner import FLIGHT_EVENTS, ControlServer, NodeRunner
+from repro.runtime.runner import ControlServer, NodeRunner
 
 
 def table4():
@@ -255,57 +261,154 @@ class TestWireFormat:
         assert DEFAULT_STREAM_CAPACITY >= 1024
 
 
+def fed_view(lines, **kwargs):
+    """A ``LiveView`` that folded ``lines``, ``(pid, text)`` pairs, as its
+    reader threads fold what the streams send; nothing is connected."""
+    view = LiveView(table4(), {"cmd": "subscribe"}, **kwargs)
+    for pid, text in lines:
+        view._fold_line(view._nodes[pid], text + "\n")
+    return view
+
+
+def life(pid=0, port=1, dropped=0):
+    return (pid, header_line({"pid": pid, "port": port, "dropped_events": dropped}))
+
+
+def ticks(pid, first, count, life_no=0):
+    bus = EventBus()
+    return [
+        (pid, event_line(bus.emit_at(float(first + index), pid, "tick", seq=first + index,
+                                     life=life_no)))
+        for index in range(count)
+    ]
+
+
+def status(pid, wave):
+    record = {"dropped": 0, "links": {"frames_sent": 5}, "seq": 1,
+              "status": {"pid": pid, "decided_wave": wave}}
+    return (pid, metrics_line(record)), record
+
+
 class TestFlightRecorder:
-    """The ``flight`` verb: no recorder, the newest events of the bus."""
+    """Dumps cut in the driver from what a ``LiveView`` teed: each node's
+    newest life header, newest events and last metrics record, as one
+    trace. No node is asked for anything."""
 
     def test_keeps_last_k_and_counts_overwrites(self):
-        obs = Observability()
-        runner = asyncio.run(unbooted_runner(obs))
-        for index in range(FLIGHT_EVENTS + 10):
-            obs.emit(0, "tick", seq=index)
-        reply = runner.flight_dump("manual")
-        assert reply["ok"] and reply["pid"] == 0
-        assert reply["status"]["pid"] == 0
-        trace = loads_trace(reply["trace"])
-        assert trace.events == list(obs.bus.events)[10 : FLIGHT_EVENTS + 10]
-        assert trace.meta["reason"] == "manual"
-        assert trace.meta["dropped_events"] == 10
-        assert trace.meta["t"] == 0.0
-        assert set(trace.metrics) == {"links"}
-        # The dump stamps the log it was taken from, after the fact.
-        stamp = obs.bus.events[-1]
-        assert stamp.kind == "flight_dump"
-        assert stamp.detail == {
-            "events": FLIGHT_EVENTS, "overwritten": 10, "reason": "manual"
-        }
+        events = ticks(0, 1, DUMP_EVENTS + 10)
+        tick, record = status(0, 4)
+        view = fed_view([life(), *events, tick])
+        dump = loads_trace(view.dump("manual"))
+        assert [event_line(event) for event in dump.events] == [
+            text for _, text in events[10:]
+        ]
+        assert dump.meta["reason"] == "manual"
+        assert dump.meta["pids"] == [0, 1, 2, 3]
+        # The ten older teed events are counted, per node and in total.
+        assert dump.meta["nodes"]["0"] == {"pid": 0, "port": 1, "dropped_events": 10}
+        assert dump.meta["dropped_events"] == 10
+        # The last metrics record: status and links.
+        assert dump.metrics["nodes"]["0"] == record
+        assert dump.metrics["links"] == {"frames_sent": 5}
+        # A node that sent nothing is in the dump, with nothing.
+        assert dump.meta["nodes"]["3"] == {"pid": 3, "dropped_events": 0}
+        assert dump.metrics["nodes"]["3"] is None
 
     def test_tail_of_a_window_smaller_than_the_dump(self):
-        obs = Observability()
-        obs.bus.retain_last(8)
-        runner = asyncio.run(unbooted_runner(obs))
-        for index in range(20):
-            obs.emit(0, "tick", seq=index)
-        trace = loads_trace(runner.flight_dump("manual")["trace"])
-        assert [event.get("seq") for event in trace.events] == list(range(12, 20))
-        assert trace.meta["dropped_events"] == 12
+        """A stream that began 12 events late: the dump holds all it teed
+        and counts what the bus had already dropped."""
+        view = fed_view([life(dropped=12), *ticks(0, 1, 8)])
+        dump = loads_trace(view.dump("manual"))
+        assert [event.get("seq") for event in dump.events] == list(range(1, 9))
+        assert dump.meta["nodes"]["0"]["dropped_events"] == 12
+        assert dump.meta["dropped_events"] == 12
 
     def test_dump_is_non_destructive(self):
-        obs = Observability()
-        runner = asyncio.run(unbooted_runner(obs))
-        obs.emit(0, "tick", seq=0)
-        first = loads_trace(runner.flight_dump("a")["trace"])
-        second = loads_trace(runner.flight_dump("b")["trace"])
-        # The second dump holds what the first did, plus the first's stamp.
-        assert second.events[: len(first.events)] == first.events
-        assert [event.kind for event in second.events] == ["tick", "flight_dump"]
+        view = fed_view([life(), *ticks(0, 1, 3)])
+        first = view.dump("a")
+        assert view.dump("a") == first
+        view._fold_line(view._nodes[0], ticks(0, 4, 1)[0][1] + "\n")
+        second = loads_trace(view.dump("b"))
+        assert [event.get("seq") for event in second.events] == [1, 2, 3, 4]
 
-    def test_stall_reason_stamps_the_log_before_the_tail_is_cut(self):
-        obs = Observability()
-        runner = asyncio.run(unbooted_runner(obs))
-        trace = loads_trace(runner.flight_dump("stall", stalled_for=2.5)["trace"])
-        assert [(e.kind, e.get("stalled_for")) for e in trace.events] == [
-            ("stall_detected", 2.5)
-        ]
+    def test_a_replayed_event_is_not_duplicated(self):
+        """A stream of the same life subscribed again replays the bus's
+        window: the tee and the dump keep each event once."""
+        replay = ticks(0, 1, 3)
+        view = fed_view([life(), *replay, life(), *replay, *ticks(0, 4, 1)])
+        dump = loads_trace(view.dump("manual"))
+        assert [event.get("seq") for event in dump.events] == [1, 2, 3, 4]
+        assert dump.meta["nodes"]["0"]["dropped_events"] == 0
+
+    def test_the_newest_life_header_and_both_lives_events(self):
+        """A restarted node: its newest life's header, and a tail that
+        runs from the killed life into the new one, on one host clock."""
+        view = fed_view([
+            life(port=1), *ticks(0, 1, DUMP_EVENTS), life(port=2), *ticks(0, 1000, 4, 1)
+        ])
+        dump = loads_trace(view.dump("timeout"))
+        assert dump.meta["nodes"]["0"]["port"] == 2
+        assert dump.meta["nodes"]["0"]["dropped_events"] == 4
+        assert [event.get("life") for event in dump.events[-6:]] == [0, 0, 1, 1, 1, 1]
+        assert len(dump.events) == DUMP_EVENTS
+
+    def test_a_dump_cut_while_streams_fold_is_whole(self, monkeypatch):
+        """Readers fold on their own threads while the driver cuts dumps:
+        in every dump each node's events run without a gap to its newest,
+        and the count of older ones matches it. Two-event tails keep a cut
+        short, so cuts land between a fold's updates often."""
+        monkeypatch.setattr(live_module, "DUMP_EVENTS", 2)
+        view = fed_view([life(pid) for pid in range(4)])
+        dumps, done = [], threading.Event()
+
+        def fold(pid):
+            for _, text in ticks(pid, 1, 5000):
+                view._fold_line(view._nodes[pid], text + "\n")
+
+        def cut():
+            while not done.is_set():
+                dumps.append(view.dump("stress"))
+
+        readers = [threading.Thread(target=fold, args=(pid,)) for pid in range(4)]
+        cutters = [threading.Thread(target=cut) for _ in range(2)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in cutters + readers:
+                thread.start()
+            for reader in readers:
+                reader.join(60.0)
+            done.set()
+            for cutter in cutters:
+                cutter.join(60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in cutters + readers)
+        dumps.append(view.dump("stress"))
+        for text in dumps:
+            dump = loads_trace(text)
+            for pid in range(4):
+                seqs = [event.get("seq") for event in dump.events if event.pid == pid]
+                newest = seqs[-1] if seqs else 0
+                assert seqs == list(range(newest - len(seqs) + 1, newest + 1))
+                assert dump.meta["nodes"][str(pid)]["dropped_events"] == newest - len(seqs)
+        assert newest == 5000
+
+    def test_stall_reason_and_duration_are_in_the_meta(self, tmp_path, capsys):
+        tick, record = status(0, 2)
+        view = fed_view([life(), *ticks(0, 1, 2), tick], out_dir=tmp_path)
+        # Every node's frontier flat since a minute ago: the next check fires.
+        for pid in range(4):
+            view.detector.observe(pid, 2, now=time.monotonic() - 60.0)
+        view._check_stall()
+        dump = load_trace(str(tmp_path / "stall-1.jsonl"))
+        assert dump.meta["reason"] == "stall"
+        assert dump.meta["stalled_for"] == view.detector.window
+        assert dump.metrics["nodes"]["0"] == record
+        assert len(dump.events) == 2
+        assert f"live: stall dump written to {tmp_path / 'stall-1.jsonl'}" in (
+            capsys.readouterr().out
+        )
 
 
 class TestStallDetector:
