@@ -6,7 +6,7 @@ sockets — and keeps the same guarantees.
 
 The full protocol event trace is recorded through the unified
 observability bus and written as a ``repro.obs.trace`` v1 JSONL file,
-ready for ``python -m repro.obs summarize/waves/diff``.
+ready for ``python -m repro.obs summarize|filter|diff|causal``.
 
 Usage::
 

@@ -5,7 +5,6 @@ Commands:
 * ``run`` — simulate a DAG-Rider deployment and print a run report;
 * ``render`` — simulate briefly and print a process's local DAG;
 * ``baseline`` — run one of the baseline SMRs for comparison;
-* ``tcp`` — boot a real-socket localhost cluster;
 * ``tcp-node`` — boot ONE node from a peer table (the multi-host unit,
   driven across hosts by ``scripts/fabric.py``).
 
@@ -14,7 +13,6 @@ Examples::
     python -m repro run --n 7 --broadcast avid --blocks 50
     python -m repro render --n 4 --rounds 8
     python -m repro baseline --protocol dumbo --slots 8
-    python -m repro tcp --n 4 --blocks 20
     python -m repro tcp-node --peers peers.json --pid 2 --state-dir state-2
 """
 
@@ -103,28 +101,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tcp(args: argparse.Namespace) -> int:
-    from repro.runtime.cluster import LocalCluster
-
-    config = SystemConfig(n=args.n, seed=args.seed)
-    cluster = LocalCluster(config, base_port=args.port, coin_mode=args.coin)
-
-    async def main() -> bool:
-        return await cluster.run_until(
-            lambda: cluster.nodes
-            and all(len(node.ordered) >= args.blocks for node in cluster.nodes),
-            timeout=args.timeout,
-        )
-
-    reached = asyncio.run(main())
-    cluster.check_total_order()
-    print(f"tcp cluster on ports {args.port}..{args.port + config.n - 1}")
-    print(f"target reached: {reached}")
-    for node in cluster.nodes:
-        print(f"  node {node.pid}: ordered {len(node.ordered)} blocks")
-    return 0
-
-
 def cmd_tcp_node(args: argparse.Namespace) -> int:
     from repro.runtime.peers import load_peer_table
     from repro.runtime.runner import serve_node
@@ -164,14 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("--slots", type=int, default=6)
     baseline.add_argument("--max-events", type=int, default=2_000_000)
     baseline.set_defaults(fn=cmd_baseline)
-
-    tcp = sub.add_parser("tcp", help="boot a localhost TCP cluster")
-    _add_common(tcp)
-    tcp.add_argument("--port", type=int, default=9100)
-    tcp.add_argument("--coin", default="ideal", choices=COIN_MODES)
-    tcp.add_argument("--blocks", type=int, default=15)
-    tcp.add_argument("--timeout", type=float, default=60.0)
-    tcp.set_defaults(fn=cmd_tcp)
 
     node = sub.add_parser(
         "tcp-node", help="boot one node from a peer table (multi-host runner)"

@@ -12,9 +12,9 @@ know who to feed):
   this sample; with O(log n) fan-out the rumour reaches everyone whp.
 * **echo sample** (Sieve, consistency) — echo the first payload per slot to
   echo-subscribers; a process accepts a payload once an
-  ``echo_ratio`` fraction of *its* echo sample echoed the same digest.
+  ``ECHO_RATIO`` fraction of *its* echo sample echoed the same digest.
 * **ready + delivery samples** (Contagion, totality) — readies propagate
-  with a feedback threshold, and delivery fires once a ``delivery_ratio``
+  with a feedback threshold, and delivery fires once a ``DELIVERY_RATIO``
   fraction of the delivery sample is ready.
 
 Late subscriptions are replayed: if a subscription arrives after this
@@ -33,6 +33,12 @@ from repro.sim.wire import BITS_PER_ROUND, BITS_PER_TAG, Message, bits_for_proce
 
 #: Subscription channels.
 _CHANNELS = ("echo", "ready")
+
+#: Vote fractions of the echo, ready and delivery samples that advance a
+#: slot to the next phase.
+ECHO_RATIO = 0.66
+READY_RATIO = 0.33
+DELIVERY_RATIO = 0.66
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,31 +101,23 @@ class GossipBroadcast(ReliableBroadcast):
 
     Args (beyond the base class):
         sample_factor: Sample size is ``min(n, ceil(sample_factor · ln n))``.
-        echo_ratio / ready_ratio / delivery_ratio: Vote fractions of the
-            respective samples required to advance a phase.
     """
 
     def __init__(
         self,
         *args,
         sample_factor: float = 4.0,
-        echo_ratio: float = 0.66,
-        ready_ratio: float = 0.33,
-        delivery_ratio: float = 0.66,
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
         n = self.config.n
         self._sample_size = min(n, max(1, math.ceil(sample_factor * math.log(max(2, n)))))
-        self._echo_ratio = echo_ratio
-        self._ready_ratio = ready_ratio
-        self._delivery_ratio = delivery_ratio
         # Thresholds are pure functions of the fixed sample size; computed
         # once instead of per message.
         size = self._sample_size
-        self._echo_threshold = max(1, math.ceil(echo_ratio * size))
-        self._ready_threshold = max(1, math.ceil(ready_ratio * size))
-        self._delivery_threshold = max(1, math.ceil(delivery_ratio * size))
+        self._echo_threshold = max(1, math.ceil(ECHO_RATIO * size))
+        self._ready_threshold = max(1, math.ceil(READY_RATIO * size))
+        self._delivery_threshold = max(1, math.ceil(DELIVERY_RATIO * size))
 
         rng = derive_rng(self.config.seed, "gossip-samples", self.pid)
         population = list(self.config.processes)

@@ -72,3 +72,15 @@ def wave_round_index(round_: Round, wave_length: int = WAVE_LENGTH) -> int:
     if round_ < 1:
         raise ValueError(f"rounds in waves are numbered from 1, got {round_}")
     return (round_ - 1) % wave_length + 1
+
+
+def share_instance(round_: Round, wave_length: int = WAVE_LENGTH) -> Wave | None:
+    """The coin instance whose share a vertex of ``round_`` carries, or None.
+
+    Paper footnote 1: a vertex in ``round(w + 1, 1)`` piggybacks its
+    source's share of coin instance ``w`` (``w >= 1``), the coin wave ``w``
+    reveals its leader with.
+    """
+    if round_ % wave_length == 1 and round_ > wave_length:
+        return (round_ - 1) // wave_length
+    return None

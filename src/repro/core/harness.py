@@ -1,7 +1,7 @@
 """Deployment harness: build and run a whole simulated DAG-Rider system.
 
 Wraps the boilerplate every experiment repeats — scheduler, metrics,
-network, coin dealer, one node per process (with per-pid overrides for
+network, one node per process (with per-pid overrides for
 faulty variants) — and provides the run-until predicates and cross-node
 consistency checks that tests and benches assert.
 """
@@ -12,9 +12,8 @@ from typing import Callable
 
 from repro.broadcast.avid import SharedReconstructionCache
 from repro.common.config import SystemConfig
-from repro.common.rng import derive_rng, derive_seed
+from repro.common.rng import derive_rng
 from repro.core.node import DagRiderNode, check_prefix_consistency
-from repro.crypto.dealer import CoinDealer
 from repro.obs.context import Observability
 from repro.obs.wire import MetricsCollector
 from repro.sim.adversary import Adversary, UniformDelay
@@ -54,12 +53,6 @@ class DagRiderDeployment:
             self.scheduler, config, adversary, self.metrics, obs=observability
         )
 
-        self.dealer: CoinDealer | None = None
-        if coin_mode != "ideal":
-            self.dealer = CoinDealer(
-                derive_seed_for_dealer(config.seed), config.n, config.small_quorum
-            )
-
         if broadcast == "avid":
             # One verified-reconstruction cache for the whole deployment:
             # every node's endpoint shares it by reference (node constructors
@@ -78,7 +71,6 @@ class DagRiderDeployment:
             kwargs = dict(
                 broadcast=broadcast,
                 coin_mode=coin_mode,
-                dealer=self.dealer,
                 batch_size=batch_size,
                 tx_bytes=tx_bytes,
                 broadcast_kwargs=broadcast_kwargs,
@@ -174,8 +166,3 @@ class DagRiderDeployment:
         return min(
             sum(len(entry.block) for entry in node.ordered) for node in nodes
         )
-
-
-def derive_seed_for_dealer(seed: int) -> int:
-    """Seed for the coin dealer, independent of delay/txgen streams."""
-    return derive_seed(seed, "coin-dealer")

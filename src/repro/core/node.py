@@ -29,9 +29,9 @@ from repro.coin.base import CoinProtocol
 from repro.coin.ideal import IdealCoin
 from repro.coin.threshold import CoinShareMessage, ThresholdCoin
 from repro.common.errors import ConfigurationError, ConsistencyError, WireFormatError
-from repro.common.types import round_of_wave, wave_of_round
+from repro.common.types import round_of_wave, share_instance, wave_of_round
 from repro.core.ordering import CommitRecord, DagRiderOrdering
-from repro.crypto.dealer import CoinDealer
+from repro.crypto.dealer import run_dealer
 from repro.crypto.hashing import digest_of
 from repro.dag.builder import DagBuilder
 from repro.dag.vertex import Vertex
@@ -117,7 +117,6 @@ class DagRiderNode(Process):
         network: Network,
         broadcast: str = "bracha",
         coin_mode: str = "ideal",
-        dealer: CoinDealer | None = None,
         block_source: BlockSource | None = None,
         batch_size: int = 1,
         tx_bytes: int = 64,
@@ -133,8 +132,6 @@ class DagRiderNode(Process):
             raise ConfigurationError(f"unknown broadcast {broadcast!r}")
         if coin_mode not in COIN_MODES:
             raise ConfigurationError(f"unknown coin mode {coin_mode!r}")
-        if coin_mode != "ideal" and dealer is None:
-            raise ConfigurationError(f"coin mode {coin_mode!r} needs a dealer")
 
         self.ordered: list[OrderedEntry] = []
         # Called synchronously on every a_deliver (the ingress gateway's
@@ -165,20 +162,17 @@ class DagRiderNode(Process):
             )
         self.block_source = block_source
 
-        self.coin = self._make_coin(coin_mode, dealer)
+        self.coin = self._make_coin(coin_mode)
         self._coin_mode = coin_mode
 
         share_provider = None
         if coin_mode == "piggyback":
-            key = dealer.key_for(pid)
+            key = run_dealer(config).key_for(pid)
             wave_length = config.wave_length
 
             def share_provider(round_: int) -> int | None:
-                # A vertex in round(w+1, 1) = wave_length*w + 1 carries this
-                # process's share of coin instance w (w >= 1).
-                if round_ % wave_length == 1 and round_ > wave_length:
-                    return key.share((round_ - 1) // wave_length)
-                return None
+                instance = share_instance(round_, wave_length)
+                return None if instance is None else key.share(instance)
 
         self.builder = DagBuilder(
             pid,
@@ -220,10 +214,10 @@ class DagRiderNode(Process):
 
     # -------------------------------------------------------------- plumbing
 
-    def _make_coin(self, coin_mode: str, dealer: CoinDealer | None) -> CoinProtocol:
+    def _make_coin(self, coin_mode: str) -> CoinProtocol:
         if coin_mode == "ideal":
             return IdealCoin(self.config.seed, self.config.n)
-        assert dealer is not None
+        dealer = run_dealer(self.config)
         if coin_mode == "threshold":
             broadcast_share = self.broadcast
         else:  # piggyback: shares travel inside vertices, no extra messages
@@ -342,9 +336,8 @@ class DagRiderNode(Process):
     def _extract_share(self, vertex: Vertex) -> None:
         """Feed a piggybacked coin share (paper footnote 1) to the coin."""
         if self._coin_mode == "piggyback" and vertex.coin_share is not None:
-            wave_length = self.config.wave_length
-            if vertex.round % wave_length == 1 and vertex.round > wave_length:
-                instance = (vertex.round - 1) // wave_length
+            instance = share_instance(vertex.round, self.config.wave_length)
+            if instance is not None:
                 assert isinstance(self.coin, ThresholdCoin)
                 self.coin.deliver_share(vertex.source, instance, vertex.coin_share)
 

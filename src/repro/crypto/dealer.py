@@ -5,7 +5,9 @@ random keys for all processes."* The dealer here plays that role for the
 reproduction: for every coin instance ``w`` it defines a fresh degree-``f``
 polynomial ``P_w`` (derived deterministically from the dealer seed, standing
 in for the PRF/threshold-signature structure of [42]), with the instance
-secret ``P_w(0)``.
+secret ``P_w(0)``. A run has one dealer, :func:`run_dealer`, keyed by the
+run seed alone, so every node of a run — simulated, in one loop or one per
+host — derives the same keys and elects the same leaders.
 
 Each process ``i`` receives a :class:`CoinKey` that can compute *only its
 own* share ``P_w(i)`` for any instance — the analogue of signing ``w`` with a
@@ -22,8 +24,9 @@ commitment, and Byzantine processes cannot forge shares that pass it.
 
 from __future__ import annotations
 
+from repro.common.config import SystemConfig
 from repro.common.errors import SecretSharingError
-from repro.common.rng import derive_rng
+from repro.common.rng import derive_rng, derive_seed
 from repro.crypto.shamir import PRIME, _eval_poly
 
 
@@ -70,3 +73,11 @@ class CoinKey:
     def share(self, instance: int) -> int:
         """Return this process's share for coin ``instance``."""
         return self._dealer.share(self.process, instance)
+
+
+def run_dealer(config: SystemConfig) -> CoinDealer:
+    """The dealer of the run ``config`` describes: a function of its seed,
+    independent of the delay and transaction streams."""
+    return CoinDealer(
+        derive_seed(config.seed, "coin-dealer"), config.n, config.small_quorum
+    )

@@ -17,7 +17,6 @@ import asyncio
 
 from repro.common.config import SystemConfig
 from repro.core.node import DagRiderNode, check_prefix_consistency
-from repro.crypto.dealer import CoinDealer
 from repro.mempool.admission import AdmissionConfig
 from repro.obs.context import Observability
 from repro.runtime.consistency import full_digest_log
@@ -98,16 +97,12 @@ class LocalCluster:
 
     async def start(self) -> None:
         """Build and bind every runner, then launch every runner."""
-        # One shared dealer object across the in-loop runners; a process
-        # runner derives an identical one from the table's dealer_seed.
-        dealer: CoinDealer | None = self.table.make_dealer()
         for pid in self.config.processes:
             runner = NodeRunner(
                 self.table,
                 pid,
                 observability=self.observability,
                 chaos=self._chaos,
-                dealer=dealer,
                 state_dir=self._state_dirs.get(pid),
             )
             self.runners.append(runner)

@@ -8,10 +8,12 @@ in the module that uses it (the link timings in
 :mod:`repro.runtime.reliable`, the WAL's fsync rule in
 :mod:`repro.storage.wal`). The table folds together
 
-* the :class:`repro.common.config.SystemConfig` knobs (``n``, ``seed``,
-  ``wave_length``, ``genesis_size``);
-* the coin setup (``coin_mode`` plus the dealer's key-material seed — the
-  trusted-dealer analogue of distributing threshold keys at setup);
+* the run: ``n`` and ``seed`` (the runtime runs the paper's waves of four
+  and a genesis of ``n``; other wave lengths and genesis sizes are
+  simulator-only);
+* the coin (``coin_mode``; a threshold coin's keys come from the run's one
+  dealer, :func:`repro.crypto.dealer.run_dealer`, so they follow from
+  ``seed`` and every host derives the same ones);
 * the runtime memory/ingress policy: ``"gc_depth"`` (DAG compaction
   margin in rounds; omitted = unbounded) and the
   :class:`repro.mempool.admission.AdmissionConfig` knobs under
@@ -23,7 +25,7 @@ in the module that uses it (the link timings in
 Schema (a JSON file)::
 
     {
-      "n": 4, "seed": 1, "coin_mode": "threshold", "dealer_seed": 99,
+      "n": 4, "seed": 1, "coin_mode": "threshold",
       "gc_depth": 8,
       "peers": {
         "0": {"host": "10.0.0.1", "port": 9001, "control_port": 9101},
@@ -47,7 +49,6 @@ from typing import Mapping
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
 from repro.core.node import COIN_MODES
-from repro.crypto.dealer import CoinDealer
 from repro.mempool.admission import AdmissionConfig
 
 
@@ -55,10 +56,7 @@ class PeerTableError(ConfigurationError):
     """A peer table that does not follow the schema above."""
 
 
-_TABLE_KEYS = {
-    "n", "seed", "coin_mode", "dealer_seed", "wave_length",
-    "genesis_size", "peers", "gc_depth", "ingress",
-}
+_TABLE_KEYS = {"n", "seed", "coin_mode", "peers", "gc_depth", "ingress"}
 _PEER_KEYS = {"host", "port", "control_port", "ingress_port"}
 _INGRESS_KEYS = {f.name for f in fields(AdmissionConfig)}
 
@@ -100,9 +98,6 @@ class PeerTable:
     seed: int
     peers: tuple[PeerEntry, ...]  # sorted by pid, one entry per pid
     coin_mode: str = "ideal"
-    dealer_seed: int | None = None
-    wave_length: int | None = None
-    genesis_size: int | None = None
     #: DAG GC margin: delivered waves are compacted keeping this many
     #: rounds of straggler slack (``None`` = paper-faithful unbounded).
     gc_depth: int | None = None
@@ -110,12 +105,7 @@ class PeerTable:
     ingress: AdmissionConfig = AdmissionConfig()
 
     def system_config(self) -> SystemConfig:
-        kwargs: dict[str, object] = {}
-        if self.wave_length is not None:
-            kwargs["wave_length"] = self.wave_length
-        if self.genesis_size is not None:
-            kwargs["genesis_size"] = self.genesis_size
-        return SystemConfig(n=self.n, seed=self.seed, **kwargs)
+        return SystemConfig(n=self.n, seed=self.seed)
 
     def entry(self, pid: int) -> PeerEntry:
         if not 0 <= pid < self.n:
@@ -125,19 +115,6 @@ class PeerTable:
     def addresses(self) -> dict[int, tuple[str, int]]:
         """The pid -> (host, port) map the transport dials."""
         return {entry.pid: entry.address for entry in self.peers}
-
-    def make_dealer(self) -> CoinDealer | None:
-        """The threshold-coin dealer every node derives identically.
-
-        The dealer seed is the table's key material: two runners on two
-        hosts construct byte-identical key shares from it, standing in for
-        a real setup ceremony distributing threshold keys.
-        """
-        if self.coin_mode == "ideal":
-            return None
-        assert self.dealer_seed is not None  # enforced at parse time
-        config = self.system_config()
-        return CoinDealer(self.dealer_seed, config.n, config.small_quorum)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready dict that :func:`parse_peer_table` round-trips."""
@@ -154,12 +131,6 @@ class PeerTable:
                 for entry in self.peers
             },
         }
-        if self.dealer_seed is not None:
-            data["dealer_seed"] = self.dealer_seed
-        if self.wave_length is not None:
-            data["wave_length"] = self.wave_length
-        if self.genesis_size is not None:
-            data["genesis_size"] = self.genesis_size
         if self.gc_depth is not None:
             data["gc_depth"] = self.gc_depth
         if self.ingress != AdmissionConfig():
@@ -236,14 +207,6 @@ def parse_peer_table(data: object, source: str = "peer table") -> PeerTable:
         raise PeerTableError(
             f"{source}: unknown coin_mode {coin_mode!r} (one of {COIN_MODES})"
         )
-    dealer_seed = None
-    if "dealer_seed" in data:
-        dealer_seed = _require_int(data, "dealer_seed", source)
-    if coin_mode != "ideal" and dealer_seed is None:
-        raise PeerTableError(
-            f"{source}: coin_mode {coin_mode!r} needs key material — "
-            "set 'dealer_seed' so every host derives the same coin keys"
-        )
 
     raw_peers = data["peers"]
     if len(raw_peers) != n:
@@ -300,17 +263,6 @@ def parse_peer_table(data: object, source: str = "peer table") -> PeerTable:
         seed=seed,
         peers=tuple(entries[pid] for pid in range(n)),
         coin_mode=str(coin_mode),
-        dealer_seed=dealer_seed,
-        wave_length=(
-            _require_int(data, "wave_length", source)
-            if "wave_length" in data
-            else None
-        ),
-        genesis_size=(
-            _require_int(data, "genesis_size", source)
-            if "genesis_size" in data
-            else None
-        ),
         gc_depth=gc_depth,
         ingress=ingress,
     )
@@ -336,8 +288,14 @@ def make_peer_table(
 ) -> PeerTable:
     """Build a table programmatically (clusters, fabric, tests).
 
-    A non-ideal coin's dealer seed is the run seed.
+    A table carries ``config``'s ``n`` and ``seed`` only, so a config that
+    sets anything else (a wave length, a genesis size, Byzantine pids) is
+    refused rather than silently run without it.
     """
+    if config != SystemConfig(n=config.n, seed=config.seed):
+        raise ConfigurationError(
+            f"a peer table carries n and seed only, not {config}"
+        )
     peers = tuple(
         PeerEntry(
             pid,
@@ -353,9 +311,6 @@ def make_peer_table(
         seed=config.seed,
         peers=peers,
         coin_mode=coin_mode,
-        dealer_seed=None if coin_mode == "ideal" else config.seed,
-        wave_length=config.wave_length,
-        genesis_size=config.genesis_size,
         gc_depth=gc_depth,
         ingress=ingress if ingress is not None else AdmissionConfig(),
     )

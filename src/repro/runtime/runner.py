@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import ConfigurationError
 from repro.core.node import DagRiderNode
-from repro.crypto.dealer import CoinDealer
 from repro.mempool.admission import Mempool
 from repro.mempool.gateway import IngressGateway
 from repro.obs.context import Observability
@@ -73,7 +72,6 @@ class NodeRunner:
         *,
         observability: Observability,
         chaos: "ChaosTransport | None" = None,
-        dealer: CoinDealer | None = None,
         state_dir: str | None = None,
     ):
         """Build the whole stack: the (unbound) network, the journal when
@@ -100,7 +98,6 @@ class NodeRunner:
             pid,
             self.network,
             coin_mode=table.coin_mode,
-            dealer=dealer if dealer is not None else table.make_dealer(),
             journal=self.journal,
             gc_depth=table.gc_depth,
         )

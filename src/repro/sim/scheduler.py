@@ -69,14 +69,6 @@ class Scheduler:
         """Number of events still queued (cancelled ones excluded)."""
         return len(self._entries)
 
-    def stats(self) -> dict[str, float]:
-        """Deterministic loop statistics for observability snapshots."""
-        return {
-            "events_processed": float(self._events_processed),
-            "pending": float(len(self._entries)),
-            "now": self._now,
-        }
-
     def call_at(self, when: float, callback: Callable, *args: object) -> int:
         """Schedule ``callback(*args)`` at absolute time ``when``; return a handle."""
         if when < self._now:

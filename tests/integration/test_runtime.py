@@ -2,7 +2,10 @@
 
 import asyncio
 
+import pytest
+
 from repro.common.config import SystemConfig
+from repro.core.harness import DagRiderDeployment
 from repro.obs.context import Observability
 from repro.runtime import transport
 from repro.runtime.cluster import LocalCluster
@@ -37,10 +40,22 @@ class TestTcpRuntime:
         assert reached
         cluster.check_total_order()
 
-    def test_threshold_coin_over_sockets(self, free_peers):
-        cluster, reached = run_cluster(free_peers(4), coin_mode="threshold")
+    @pytest.mark.parametrize("coin_mode", ["threshold", "piggyback"])
+    def test_threshold_coin_over_sockets(self, free_peers, coin_mode):
+        """One seed, one leader sequence: the runtime's nodes elect, wave
+        by wave, the leaders a simulated run of the same seed elects."""
+        cluster, reached = run_cluster(free_peers(4), coin_mode=coin_mode)
         assert reached
         cluster.check_total_order()
+        decided = min(node.decided_wave for node in cluster.nodes)
+        assert decided >= 1
+        sim = DagRiderDeployment(SystemConfig(n=4, seed=5), coin_mode=coin_mode)
+        assert sim.run_until_wave(decided)
+        waves = range(1, decided + 1)
+        expected = [sim.nodes[0].coin.leader_of(w) for w in waves]
+        assert None not in expected
+        for node in cluster.nodes:
+            assert [node.coin.leader_of(w) for w in waves] == expected
 
     def test_logs_carry_all_sources(self, free_peers):
         cluster, reached = run_cluster(free_peers(4), target=20)

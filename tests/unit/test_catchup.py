@@ -8,6 +8,7 @@ from repro.coin.threshold import CoinShareMessage
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
 from repro.core.node import CATCHUP_CHUNK
+from repro.crypto.dealer import run_dealer
 
 
 def ordered_deployment(seed=11, count=12):
@@ -87,8 +88,9 @@ class TestServeCoinShares:
         node._serve_catchup(1, CatchupRequest(from_round=5))
         shares = [message for _, message in sent if isinstance(message, CoinShareMessage)]
         assert [share.instance for share in shares] == [w for w in invoked if w >= 2]
+        dealer = run_dealer(dep.config)
         assert all(
-            dep.dealer.verify_share(node.pid, share.instance, share.value)
+            dealer.verify_share(node.pid, share.instance, share.value)
             for share in shares
         )
         assert isinstance(sent[-1][1], CatchupVertices) and sent[-1][1].done

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.coin.threshold import ThresholdCoin
 from repro.common.config import SystemConfig
 from repro.common.errors import ConsistencyError
 from repro.core.harness import DagRiderDeployment
-from repro.core.node import DagRiderNode, OrderedEntry
+from repro.core.node import OrderedEntry
+from repro.crypto.dealer import run_dealer
 from repro.mempool.blocks import Block
 
 
@@ -83,8 +85,16 @@ class TestRunPredicates:
         assert [node.pid for node in dep.correct_nodes] == [0, 1, 3]
 
     def test_dealer_created_only_for_real_coins(self):
-        assert small_deployment().dealer is None
-        assert small_deployment(coin_mode="threshold").dealer is not None
+        """An ideal-coin node holds no key; a threshold node's key is its
+        share under the run's one dealer."""
+        assert not isinstance(small_deployment().nodes[0].coin, ThresholdCoin)
+        dep = small_deployment(coin_mode="threshold")
+        dealer = run_dealer(dep.config)
+        for node in dep.nodes:
+            assert isinstance(node.coin, ThresholdCoin)
+            node.coin.invoke(1)
+            [share] = node.coin.own_shares(1)
+            assert dealer.verify_share(node.pid, 1, share.value)
 
     def test_default_node_kwargs_applied(self):
         dep = small_deployment(default_node_kwargs={"batch_size": 5})
@@ -105,19 +115,6 @@ class TestNodeAssembly:
 
         with pytest.raises(ConfigurationError):
             small_deployment(coin_mode="quantum")
-
-    def test_threshold_without_dealer_rejected(self):
-        from repro.common.config import SystemConfig
-        from repro.common.errors import ConfigurationError
-        from repro.common.rng import derive_rng
-        from repro.sim.adversary import UniformDelay
-        from repro.sim.network import Network
-        from repro.sim.scheduler import Scheduler
-
-        config = SystemConfig(n=4, seed=0)
-        network = Network(Scheduler(), config, UniformDelay(derive_rng(0, "d")))
-        with pytest.raises(ConfigurationError):
-            DagRiderNode(0, network, coin_mode="threshold", dealer=None)
 
     def test_ordered_entry_fields(self):
         dep = small_deployment()

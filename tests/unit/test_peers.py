@@ -36,13 +36,12 @@ class TestParsing:
         assert table.addresses()[2] == ("127.0.0.1", 9002)
         assert table.entry(2).control_address == ("127.0.0.1", 9102)
         assert table.coin_mode == "ideal"
-        assert table.make_dealer() is None
+        assert table.system_config() == SystemConfig(n=4, seed=7)
 
-    def test_system_config_knobs_fold_in(self):
-        table = parse_peer_table(table_dict(wave_length=5, genesis_size=3))
-        config = table.system_config()
-        assert config.wave_length == 5
-        assert config.genesis_size == 3
+    def test_threshold_table_parses_without_key_material(self):
+        table = parse_peer_table(table_dict(coin_mode="threshold"))
+        assert table.coin_mode == "threshold"
+        assert sorted(table.to_dict()) == ["coin_mode", "n", "peers", "seed"]
 
     def test_round_trip_through_to_dict(self):
         config = SystemConfig(n=4, seed=3)
@@ -87,12 +86,22 @@ class TestRejections:
         with pytest.raises(PeerTableError, match="reuses"):
             parse_peer_table(data)
 
-    def test_missing_key_material_for_threshold_coin(self):
-        with pytest.raises(PeerTableError, match="key material"):
-            parse_peer_table(table_dict(coin_mode="threshold"))
-        # With the dealer seed present the same table is fine.
-        table = parse_peer_table(table_dict(coin_mode="threshold", dealer_seed=9))
-        assert table.make_dealer() is not None
+    def test_simulator_only_settings_are_refused(self):
+        """A table carries the run as n and seed: the coin keys follow from
+        the seed, and other wave lengths, genesis sizes and Byzantine pids
+        are simulator-only. A table naming them fails to load, and
+        make_peer_table refuses a config it could not carry."""
+        for key in ("dealer_seed", "wave_length", "genesis_size"):
+            with pytest.raises(PeerTableError, match=f"unknown keys.*{key}"):
+                parse_peer_table(table_dict(**{key: 4}))
+        addresses = {pid: ("127.0.0.1", 9000 + pid) for pid in range(4)}
+        for extra in (
+            {"wave_length": 5},
+            {"genesis_size": 3},
+            {"byzantine": frozenset({3})},
+        ):
+            with pytest.raises(ConfigurationError, match="n and seed only"):
+                make_peer_table(addresses, SystemConfig(n=4, seed=1, **extra))
 
     def test_unknown_coin_mode(self):
         with pytest.raises(PeerTableError, match="coin_mode"):

@@ -8,6 +8,7 @@ from repro.common.types import (
     byzantine_quorum,
     fault_tolerance,
     round_of_wave,
+    share_instance,
     validity_quorum,
     wave_of_round,
     wave_round_index,
@@ -80,6 +81,15 @@ class TestWaveArithmetic:
     def test_custom_wave_length(self):
         assert round_of_wave(2, 1, wave_length=3) == 4
         assert wave_of_round(4, wave_length=3) == 2
+
+    def test_share_instance_is_the_first_round_of_the_next_wave(self):
+        """Footnote 1: round(w + 1, 1) carries the share of coin instance w."""
+        carried = {r: share_instance(r, wave_length=4) for r in range(1, 14)}
+        assert {r: w for r, w in carried.items() if w is not None} == {
+            5: 1,
+            9: 2,
+            13: 3,
+        }
 
     @given(
         st.integers(min_value=1, max_value=10_000),
