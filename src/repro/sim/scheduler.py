@@ -1,33 +1,47 @@
 """Deterministic discrete-event scheduler.
 
-Events are ordered by ``(time, sequence_number)``; the sequence number makes
-simultaneous events fire in submission order, which keeps runs bit-for-bit
-reproducible for a fixed seed. Asynchrony in the paper's sense comes from the
-adversary choosing arbitrary (finite) message delays, not from real-time
-nondeterminism.
+Events fire in ``(time, handle)`` order, and a handle is taken when the event
+is scheduled, so simultaneous events fire in submission order; that keeps
+runs bit-for-bit reproducible for a fixed seed. Asynchrony in the paper's
+sense comes from the adversary choosing arbitrary (finite) message delays,
+not from real-time nondeterminism.
 
-Hot-path design notes: this loop executes every simulated message delivery,
-so the run loop pops each heap entry exactly once (no separate peek/pop
-passes), callbacks carry positional ``*args`` in the heap entry itself (so
-callers need not allocate a closure per event), and cancellation is O(1) by
-nulling the entry's callback through a handle->entry map — which also makes
-:meth:`cancel` idempotent against handles that already fired and keeps
-:attr:`pending` exact.
-
-Batched fan-outs: a caller that knows a whole schedule of future events up
-front (e.g. the network broadcasting one message to ``n`` destinations) can
-:meth:`reserve_handles` for all of them and keep only *one* heap entry live
-at a time, re-arming it with :meth:`call_at_reserved` as each step fires.
-Because entries are ordered by ``(time, handle)`` and reserved handles are
-allocated exactly where per-event scheduling would have allocated them, the
-execution order is bit-identical to scheduling every event individually —
-while the heap holds one entry per fan-out instead of one per message.
+Hot-path design notes: the run loop executes every simulated message
+delivery, so the queue is a calendar queue (Brown, CACM 1988) rather than a
+binary heap. An event is an immutable ``(when, handle, callback, args)``
+tuple, filed once in the bucket ``int(when * BUCKETS_PER_UNIT)``; a small
+heap of bucket indices says which bucket comes next. Opening a bucket sorts
+it once (``list.sort`` on float-led tuples is far cheaper than sifting each
+event through a heap) and the loop walks it with a cursor. An event filed
+into the open bucket, in practice a zero-delay self-delivery, is
+``insort``-ed after the cursor. One filed *before* the open bucket, possible
+only after ``run(until=...)`` opened a later bucket to peek at its head,
+closes that bucket again. Multiplying by a power of two is exact, so a later
+time never gets a lower bucket. Callbacks carry positional ``*args`` in the
+entry itself, so callers need not allocate a closure per event. Cancelling
+scans the pending entries and removes one from its bucket: only the
+network's adaptive corruption and tests cancel, so the per-event path pays
+nothing for it, and :attr:`pending` stays exact.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
+import sys
+from bisect import insort
+from heapq import heappop, heappush
 from typing import Callable, Iterator
+
+#: Buckets per unit of simulated time: the default ``UniformDelay`` draws
+#: delays from [0.1, 1.0], so no delivery over the wire lands in the open
+#: bucket.
+BUCKETS_PER_UNIT = 32
+
+#: The latest schedulable time: any later one has no finite bucket index.
+_LATEST = sys.float_info.max / BUCKETS_PER_UNIT
+
+#: An event: ``(when, handle, callback, args)``.
+_Entry = tuple[float, int, Callable[..., object], tuple[object, ...]]
 
 
 class Scheduler:
@@ -44,12 +58,14 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        # Heap entries are mutable: [when, handle, callback, args]. A
-        # cancelled entry has callback = None and stays queued until popped;
-        # `_entries` maps live handles to their entries (insertion-ordered,
-        # which is handle order).
-        self._queue: list[list] = []
-        self._entries: dict[int, list] = {}
+        # Closed buckets by index, unsorted, and a heap of their indices.
+        self._buckets: dict[int, list[_Entry]] = {}
+        self._keys: list[int] = []
+        # The open bucket, sorted; entries before the cursor have fired.
+        # No bucket is open while the key is -inf.
+        self._open: list[_Entry] = []
+        self._open_key: float = -math.inf
+        self._cursor = 0
         self._next_handle = 0
         self._now = 0.0
         self._events_processed = 0
@@ -67,17 +83,29 @@ class Scheduler:
     @property
     def pending(self) -> int:
         """Number of events still queued (cancelled ones excluded)."""
-        return len(self._entries)
+        return len(self._open) - self._cursor + sum(map(len, self._buckets.values()))
 
     def call_at(self, when: float, callback: Callable, *args: object) -> int:
         """Schedule ``callback(*args)`` at absolute time ``when``; return a handle."""
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
+        if not self._now <= when <= _LATEST:
+            if when < self._now:
+                raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
+            raise ValueError(f"cannot schedule at {when}: not a finite time <= {_LATEST:.3g}")
         handle = self._next_handle
         self._next_handle = handle + 1
-        entry = [when, handle, callback, args]
-        self._entries[handle] = entry
-        heapq.heappush(self._queue, entry)
+        entry = (when, handle, callback, args)
+        key = int(when * BUCKETS_PER_UNIT)
+        if key <= self._open_key:
+            if key == self._open_key:
+                insort(self._open, entry, self._cursor)
+                return handle
+            self._close_open_bucket()
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [entry]
+            heappush(self._keys, key)
+        else:
+            bucket.append(entry)
         return handle
 
     def call_later(self, delay: float, callback: Callable, *args: object) -> int:
@@ -86,74 +114,47 @@ class Scheduler:
             raise ValueError(f"negative delay: {delay}")
         return self.call_at(self._now + delay, callback, *args)
 
-    def reserve_handles(self, count: int) -> int:
-        """Allocate ``count`` consecutive handles without queueing anything.
-
-        Returns the first handle of the block. Pair with
-        :meth:`call_at_reserved`: a fan-out reserves one handle per future
-        delivery at send time (fixing each delivery's position in the
-        ``(time, handle)`` total order) but arms only the earliest one.
-        """
-        if count < 0:
-            raise ValueError(f"negative handle count: {count}")
-        handle = self._next_handle
-        self._next_handle = handle + count
-        return handle
-
-    def call_at_reserved(
-        self, when: float, handle: int, callback: Callable, *args: object
-    ) -> None:
-        """Schedule ``callback(*args)`` at ``when`` under a reserved ``handle``.
-
-        The handle must come from :meth:`reserve_handles` and must not be
-        live; ``when`` may not be in the past. Ties at the same time fire
-        in handle order, exactly as if the event had been scheduled with
-        :meth:`call_at` at reservation time.
-        """
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
-        if handle >= self._next_handle or handle in self._entries:
-            raise ValueError(f"handle {handle} is not a free reserved handle")
-        entry = [when, handle, callback, args]
-        self._entries[handle] = entry
-        heapq.heappush(self._queue, entry)
-
     def cancel(self, handle: int) -> None:
         """Cancel a scheduled event; idempotent, no-op once it has fired."""
-        entry = self._entries.pop(handle, None)
-        if entry is not None:
-            entry[2] = None
-            entry[3] = ()  # drop arg references immediately
+        for bucket, start in self._live_buckets():
+            for index in range(start, len(bucket)):
+                if bucket[index][1] == handle:
+                    del bucket[index]
+                    return
 
     def pending_calls(self, callback: Callable) -> Iterator[tuple[int, tuple]]:
         """Yield ``(handle, args)`` of pending events bound to ``callback``.
 
         Lets callers that carry state in event args (e.g. the network's
-        in-flight messages) inspect it without shadow bookkeeping. Snapshot
+        in-flight messages) inspect it without shadow bookkeeping. Yields in
+        handle order, the order the events were scheduled. Snapshot
         semantics: safe to :meth:`cancel` yielded handles while iterating.
-        Yields in insertion order; re-armed reserved handles may appear out
-        of handle order, so order-sensitive callers must sort by handle.
         """
         snapshot = [
-            (handle, entry[3])
-            for handle, entry in self._entries.items()
+            (entry[1], entry[3])
+            for bucket, start in self._live_buckets()
+            for entry in bucket[start:]
             if entry[2] == callback
         ]
+        snapshot.sort(key=lambda item: item[0])
         return iter(snapshot)
 
-    def step(self) -> bool:
-        """Run the earliest pending event. Return False when none remain."""
-        queue = self._queue
-        while queue:
-            when, handle, callback, args = heapq.heappop(queue)
-            if callback is None:
-                continue
-            del self._entries[handle]
-            self._now = when
-            self._events_processed += 1
-            callback(*args)
-            return True
-        return False
+    def _live_buckets(self) -> Iterator[tuple[list[_Entry], int]]:
+        """Each bucket with the index of its first pending entry."""
+        yield self._open, self._cursor
+        for bucket in self._buckets.values():
+            yield bucket, 0
+
+    def _close_open_bucket(self) -> None:
+        """File the open bucket's pending entries back as a closed bucket."""
+        rest = self._open[self._cursor :]
+        if rest:
+            key = int(self._open_key)
+            self._buckets[key] = rest
+            heappush(self._keys, key)
+        self._open = []
+        self._open_key = -math.inf
+        self._cursor = 0
 
     def run(
         self,
@@ -173,29 +174,34 @@ class Scheduler:
             max_events: Stop after executing this many further events.
             stop_when: Checked after every event; True stops the run.
         """
-        queue = self._queue
-        entries = self._entries
-        remaining = max_events
-        while queue:
-            if remaining is not None:
-                if remaining <= 0:
-                    return
-                remaining -= 1
-            entry = queue[0]
-            if entry[2] is None:  # cancelled: discard without executing
-                heapq.heappop(queue)
-                if remaining is not None:
-                    remaining += 1
+        keys = self._keys
+        buckets = self._buckets
+        limit = math.inf if until is None else until
+        remaining = -1 if max_events is None else max(max_events, 0)
+        while True:
+            bucket = self._open
+            cursor = self._cursor
+            if cursor == len(bucket):
+                if not keys:
+                    break
+                key = heappop(keys)
+                bucket = buckets.pop(key)
+                bucket.sort()
+                self._open = bucket
+                self._open_key = key
+                self._cursor = 0
                 continue
-            when = entry[0]
-            if until is not None and when > until:
-                self._now = until
+            if remaining == 0:
                 return
-            heapq.heappop(queue)
-            del entries[entry[1]]
+            when, _, callback, args = bucket[cursor]
+            if when > limit:
+                self._now = limit
+                return
+            self._cursor = cursor + 1
             self._now = when
             self._events_processed += 1
-            entry[2](*entry[3])
+            remaining -= 1
+            callback(*args)
             if stop_when is not None and stop_when():
                 return
         if until is not None and until > self._now:

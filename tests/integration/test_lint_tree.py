@@ -37,12 +37,11 @@ class TestKeptRules:
         # the count gate pass; on a slow one the counts move.
         source = (REPO_ROOT / "src" / "repro" / "sim" / "scheduler.py").read_text()
         for old, new in (
-            ("import heapq\n", "import heapq\nimport time\n"),
+            ("import math\n", "import math\nimport time\n"),
             (
-                "        remaining = max_events\n        while queue:\n",
-                "        remaining = max_events\n"
+                "        while True:\n",
                 "        deadline = time.monotonic() + 3600.0\n"
-                "        while queue:\n"
+                "        while True:\n"
                 "            if time.monotonic() > deadline:\n"
                 "                return\n",
             ),

@@ -62,12 +62,12 @@ class TestDeterminism:
             assert len(bus) == len(bus.events) > 0
             assert result == baseline["cells"][cell.name]
 
-    def test_batched_fanout_bit_identical_to_per_send(self, monkeypatch):
-        """The coalesced-delivery fast path changes nothing observable.
+    def test_broadcast_bit_identical_to_per_send(self, monkeypatch):
+        """``Network.broadcast`` changes nothing observable.
 
-        Every committed BENCH_sim.json cell runs the batched broadcast;
-        this cross-check reruns a full protocol deployment with
-        ``Network.broadcast`` replaced by n individual sends and demands
+        Every committed BENCH_sim.json cell runs ``broadcast``, with its
+        batched metrics accounting; this cross-check reruns a full protocol
+        deployment with it replaced by n individual sends and demands
         byte-identical traces, metrics, and delivered logs — the batching
         is pure mechanism.
         """

@@ -203,12 +203,12 @@ def use_per_send_oracle(net):
 
 
 class TestBatchedBroadcastEquivalence:
-    """The coalesced fan-out must be observably identical to n sends.
+    """``broadcast`` must be observably identical to n sends.
 
     ``Network.broadcast`` draws drop decisions and delays per destination
-    in pid order and schedules one re-arming heap entry per fan-out.
-    These tests pin the equivalence the benchmark baseline rests on: same
-    seed, the batched ``broadcast`` vs. the per-send oracle below,
+    in pid order, files each delivery as it goes and batches the metrics
+    accounting. These tests pin the equivalence the benchmark baseline
+    rests on: same seed, ``broadcast`` vs. the per-send oracle below,
     byte-identical deliveries and metrics.
     """
 

@@ -1,6 +1,12 @@
 """Deterministic event-loop behaviour."""
 
+import heapq
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.scheduler import Scheduler
 
@@ -48,6 +54,22 @@ class TestScheduler:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Scheduler().call_later(-1.0, lambda: None)
+
+    def test_non_finite_time_rejected(self):
+        # Regression: a NaN time used to fire ahead of earlier events and an
+        # infinite delay moved the clock to inf.
+        sched = Scheduler()
+        fired = []
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sched.call_at(bad, fired.append, "at")
+            with pytest.raises(ValueError):
+                sched.call_later(bad, fired.append, "later")
+        sched.call_at(1.0, fired.append, "one")
+        sched.run()
+        assert fired == ["one"]
+        assert sched.now == 1.0
+        assert sched.pending == 0
 
     def test_cancel(self):
         sched = Scheduler()
@@ -200,3 +222,127 @@ class TestScheduler:
         sched = Scheduler()
         sched.run()
         assert sched.events_processed == 0
+
+
+class HeapScheduler:
+    """The reference: one binary heap of ``(time, handle)``-ordered events."""
+
+    def __init__(self):
+        self.queue = []
+        self.now = 0.0
+        self.events_processed = 0
+        self.next_handle = 0
+
+    @property
+    def pending(self):
+        return len(self.queue)
+
+    def call_at(self, when, callback, *args):
+        if when < self.now:
+            raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
+        handle = self.next_handle
+        self.next_handle += 1
+        heapq.heappush(self.queue, (when, handle, callback, args))
+        return handle
+
+    def call_later(self, delay, callback, *args):
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        return self.call_at(self.now + delay, callback, *args)
+
+    def cancel(self, handle):
+        self.queue = [entry for entry in self.queue if entry[1] != handle]
+        heapq.heapify(self.queue)
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while self.queue:
+            if max_events is not None and fired >= max_events:
+                return
+            when, _, callback, args = self.queue[0]
+            if until is not None and when > until:
+                self.now = until
+                return
+            heapq.heappop(self.queue)
+            self.now = when
+            self.events_processed += 1
+            fired += 1
+            callback(*args)
+        if until is not None and until > self.now:
+            self.now = until
+
+
+# Absolute times: equal ones, several inside one 1/32-wide bucket, and far.
+TIMES = st.sampled_from([0.0, 0.25, 1.0, 1.01, 1.02, 3.0, 1e6]) | st.floats(0.0, 1e6)
+DELAYS = st.sampled_from([0.0, 0.0, 0.005, 0.5, 2.0]) | st.floats(0.0, 1e6)
+# Delays of the events a callback schedules when it fires: mostly zero,
+# the simulator's self-deliveries.
+CHILDREN = st.lists(st.sampled_from([0.0, 0.0, 0.01, 0.5]), max_size=3).map(tuple)
+OPS = st.one_of(
+    st.tuples(st.just("at"), TIMES, CHILDREN),
+    st.tuples(st.just("later"), DELAYS, CHILDREN),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+    # run(until=now + span), then an event at now + offset: often earlier
+    # than the bucket the run opened to peek at its head.
+    st.tuples(
+        st.just("until"),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0.0, 3.0),
+        st.sampled_from([0.0, 0.001, 0.02, 0.3]),
+        CHILDREN,
+    ),
+    st.tuples(st.just("max"), st.integers(0, 6)),
+)
+
+
+def drive(sched, program):
+    """Run ``program`` on ``sched``; return what it observed after each step."""
+    fired = []
+    issued = []
+    handle_of = {}
+    tags = itertools.count()
+
+    def schedule(method, time, children):
+        tag = next(tags)
+        try:
+            handle = method(time, fire, tag, children)
+        except ValueError:
+            return "ValueError"
+        handle_of[tag] = handle
+        issued.append(handle)
+        return handle
+
+    def fire(tag, children):
+        fired.append((sched.now, handle_of[tag], tag, children))
+        for delay in children:
+            schedule(sched.call_later, delay, ())
+
+    steps = []
+    for op in program:
+        kind = op[0]
+        if kind == "at":
+            outcome = schedule(sched.call_at, op[1], op[2])
+        elif kind == "later":
+            outcome = schedule(sched.call_later, op[1], op[2])
+        elif kind == "cancel":
+            # A live, a fired or an already cancelled handle alike.
+            outcome = issued[op[1] % len(issued)] if issued else None
+            if outcome is not None:
+                sched.cancel(outcome)
+        elif kind == "until":
+            sched.run(until=sched.now + op[1])
+            outcome = schedule(sched.call_at, sched.now + op[2], op[3])
+        else:
+            outcome = sched.run(max_events=op[1])
+        steps.append((kind, outcome, sched.now, sched.pending, sched.events_processed))
+    sched.run()
+    steps.append(("drain", None, sched.now, sched.pending, sched.events_processed))
+    return steps, fired
+
+
+class TestAgainstHeapReference:
+    """The calendar queue fires what a binary heap would, in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(OPS, max_size=40))
+    def test_same_fire_order_and_counters(self, program):
+        assert drive(Scheduler(), program) == drive(HeapScheduler(), program)
